@@ -31,6 +31,7 @@ import numpy as np
 
 from .grid import (Window, build_grid, cutoff_function, embed_cross_section,
                    lp_norm_gradient, require_window_inside, window_node_mask)
+from .minimize import NonConvergenceError, increasing_levels
 from .nonlinearity import Nonlinearity
 from .ode1d import solve_cross_finite, solve_cross_large, solve_large_1d
 from .solver import SolveResult, SolverConfig, solve_blowup, solve_dirichlet
@@ -53,6 +54,9 @@ __all__ = [
 
 RATE_SLOPE_SLACK = 0.1
 FLOOR_EXCLUSION_FACTOR = 3.0
+
+# failures a sweep records; QuadratureError etc. are ArithmeticErrors
+_SOLVE_FAILURES = (NonConvergenceError, ArithmeticError, ValueError)
 
 
 class RateUnresolvableError(RuntimeError):
@@ -83,10 +87,7 @@ class BlowupData:
     m_list: tuple
 
     def __post_init__(self):
-        ms = tuple(float(m) for m in self.m_list)
-        if not ms or any(b <= a for a, b in zip(ms, ms[1:])):
-            raise ValueError(f"M list must be strictly increasing, got {ms}")
-        object.__setattr__(self, "m_list", ms)
+        object.__setattr__(self, "m_list", increasing_levels(self.m_list))
 
 
 @dataclass(frozen=True)
@@ -222,8 +223,9 @@ def measure_row(spec: SweepSpec, ell: float, ny: Optional[int] = None):
 def sweep_ell(spec: SweepSpec, threads: int = 1):
     """Measure e(ell) over the ladder; returns (rows, floor, extras).
 
-    A row whose solve fails is recorded with the failure reason instead of
-    aborting the whole sweep.  The discretization floor is estimated by
+    A row whose solve fails numerically or on its input is recorded with
+    the failure reason instead of aborting the whole sweep; any other
+    exception propagates.  The discretization floor is estimated by
     re-solving the largest ell at doubled resolution and comparing the two
     measurements; extras carries the blow-up stabilization reports keyed
     by ell.
@@ -234,7 +236,7 @@ def sweep_ell(spec: SweepSpec, threads: int = 1):
         try:
             err, noise, _, blow = measure_row(spec, ell)
             return RateRow(ell=ell, error=err), noise, blow
-        except Exception as exc:  # recorded, not raised
+        except _SOLVE_FAILURES as exc:  # recorded, not raised
             return RateRow(ell=ell, error=float("nan"),
                            note=f"solve failed: {exc}"), 0.0, None
 
@@ -260,7 +262,7 @@ def sweep_ell(spec: SweepSpec, threads: int = 1):
             # resolution sensitivity of the closest-to-floor row, bounded
             # below by the rounding level of the norm measurement itself
             floor = max(abs(coarse - fine), noise_max, noise_fine)
-        except Exception:
+        except _SOLVE_FAILURES:
             pass
     return rows, floor, extras
 

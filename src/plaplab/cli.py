@@ -297,7 +297,7 @@ def cmd_solve(cfg, out: Path, args) -> int:
     return EXIT_OK
 
 
-def _sweep_spec(cfg, need_window=True) -> SweepSpec:
+def _sweep_spec(cfg) -> SweepSpec:
     nl = build_nonlinearity(_require(cfg, "nonlinearity"))
     p = _get_p(cfg)
     geo = _require(cfg, "geometry")
@@ -308,8 +308,12 @@ def _sweep_spec(cfg, need_window=True) -> SweepSpec:
     if not (isinstance(cross, (list, tuple)) and len(cross) == 2):
         raise ConfigError("geometry.cross must be [y0, y1]")
     ny = int(geo.get("ny", 33))
-    window = _get_window(cfg, required=need_window)
+    window = _get_window(cfg)
     kwargs = _solver_kwargs(cfg)
+    for key in ("n_eps_stages", "eps_schedule"):
+        if key in kwargs:  # the 1D reference runs the default schedule
+            raise ConfigError(f"'solver.{key}' applies to 'solve' and "
+                              "'check' only; sweeps use the default schedule")
     return SweepSpec(nl=nl, p=p, cross=(float(cross[0]), float(cross[1])),
                      regime=_boundary_regime(cfg),
                      ells=tuple(float(e) for e in ells), window=window, ny=ny,
@@ -462,9 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (overrides the config's "
                              "'out'; default '.')")
         sp.add_argument("--threads", type=int, default=0,
-                        help="sweep-row parallelism (0 = auto)")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="reserved; the pipeline is deterministic")
+                        help="sweep-row parallelism (0 = the CPU count)")
     return parser
 
 

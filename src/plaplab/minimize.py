@@ -20,8 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nonlinearity import check_a1
+
 _EPS_MACH = np.finfo(float).eps
 _ROUNDOFF_FACTOR = 64.0
+_BACKTRACK = 0.5
+_SUFFICIENT_DECREASE = 1e-4
 
 
 class NonConvergenceError(RuntimeError):
@@ -46,8 +50,7 @@ def default_eps_schedule(h: float, n_stages: int = 5) -> tuple:
     return tuple(np.geomspace(h, 0.01 * h * h, n_stages))
 
 
-def minimize_newton(problem, u0, eps_schedule, tol, max_newton,
-                    backtrack=0.5, sufficient_decrease=1e-4):
+def minimize_newton(problem, u0, eps_schedule, tol, max_newton):
     """Minimize ``problem`` over its free dofs along the eps schedule.
 
     ``problem`` must expose:
@@ -105,11 +108,11 @@ def minimize_newton(problem, u0, eps_schedule, tol, max_newton,
                 u_try[free] += t * step
                 e1 = problem.objective(u_try, eps)
                 if np.isfinite(e1) and \
-                        e1 <= e0 + sufficient_decrease * t * slope + allowance:
+                        e1 <= e0 + _SUFFICIENT_DECREASE * t * slope + allowance:
                     u = u_try
                     accepted = True
                     break
-                t *= backtrack
+                t *= _BACKTRACK
             if not accepted:
                 # energy comparison drowned in roundoff; fall back to a
                 # residual-decrease acceptance of the full step
@@ -128,3 +131,47 @@ def minimize_newton(problem, u0, eps_schedule, tol, max_newton,
                                  float(problem.objective(u, eps))))
     info = {"residual": resid, "roundoff_floor": floor, "stalled": stalled}
     return u, stages, info
+
+
+def increasing_levels(m_list) -> tuple:
+    """The boundary levels of an M sweep as floats; they must be strictly
+    increasing."""
+    ms = tuple(float(m) for m in m_list)
+    if not ms or any(b <= a for a, b in zip(ms, ms[1:])):
+        raise ValueError(f"M list must be strictly increasing, got {ms}")
+    return ms
+
+
+def sweep_levels(solve_level, m_list, nl, p, tol, interior, watch):
+    """Increasing sweep of constant boundary levels approximating blow-up,
+    for the cylinder and the cross-sectional solves alike.
+
+    ``solve_level(M, initial)`` solves with boundary level M, warm-started
+    from the nodal values ``initial`` (None at the first level), and
+    returns ``(result, values)``.  Refuses nonlinearities failing the
+    Keller-Osserman condition; interior values must be nondecreasing in M
+    (comparison principle), and a drop beyond twice ``tol`` at an
+    ``interior`` node aborts.  Returns ``(m_values, results, changes,
+    monotone_margin)``: ``changes`` are the max changes over the ``watch``
+    nodes between consecutive levels, the margin is the most negative
+    interior increment (0 for one level).
+    """
+    m_list = increasing_levels(m_list)
+    if not check_a1(nl, p):
+        raise ValueError(
+            f"no large solution exists: {nl.describe()} fails the "
+            f"Keller-Osserman condition at p={p}")
+    results, changes, worst = [], [], []
+    prev = None
+    for M in m_list:
+        res, u = solve_level(M, prev)
+        if prev is not None:
+            worst.append(float(np.min((u - prev)[interior])))
+            if worst[-1] < -2.0 * tol:
+                raise NonConvergenceError(
+                    f"M sweep lost monotonicity at M={M:g}: interior value "
+                    f"dropped by {-worst[-1]:.3e}")
+            changes.append(float(np.max(np.abs((u - prev)[watch]))))
+        results.append(res)
+        prev = u
+    return m_list, results, changes, min(worst, default=0.0)

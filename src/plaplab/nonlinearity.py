@@ -28,8 +28,6 @@ from .quadrature import QuadratureError, integrate_to_infinity
 __all__ = [
     "Nonlinearity",
     "A2Report",
-    "eval_f",
-    "eval_F",
     "psi_p",
     "check_a1",
     "check_a2",
@@ -238,12 +236,6 @@ class Nonlinearity:
                       limit=200)
         return val
 
-    def F_between(self, a: float, b: float) -> float:
-        """F(b) - F(a) for 0 <= a <= b."""
-        if b < a:
-            raise ValueError("F_between expects a <= b")
-        return self.F_gap(a, b - a)
-
     # -- descriptive ------------------------------------------------------
 
     def describe(self) -> str:
@@ -275,16 +267,6 @@ class A2Report:
 
 
 # -- module-level operations ----------------------------------------------
-
-def eval_f(nl: Nonlinearity, s):
-    """f(s); rejects negative arguments."""
-    return nl.f(s)
-
-
-def eval_F(nl: Nonlinearity, s):
-    """F(s) = int_0^s f; closed form for built-ins, quadrature for custom."""
-    return nl.F(s)
-
 
 def _tail_diverges_analytically(nl: Nonlinearity, p: float) -> Optional[bool]:
     """Analytic tail verdict where the growth is known exactly.

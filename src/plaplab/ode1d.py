@@ -21,8 +21,8 @@ handled by the doubling-panel machinery of :mod:`plaplab.quadrature`.
 
 The cross-sectional problem on an interval (finite data or blow-up data
 approximated through an increasing sweep of constant boundary levels M)
-is solved by the same regularized-energy Newton continuation as the 2D
-solver, reduced to one dimension.
+is solved by the same regularized-energy Newton continuation and blow-up
+sweep (:func:`plaplab.minimize.sweep_levels`) as the 2D solver.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from .minimize import NonConvergenceError, default_eps_schedule, minimize_newton
-from .nonlinearity import Nonlinearity, check_a1
+from .minimize import default_eps_schedule, minimize_newton, sweep_levels
+from .nonlinearity import Nonlinearity
 from .quadrature import integrate_to_infinity, panel_quad
 
 __all__ = [
@@ -347,8 +347,9 @@ class _CrossProblem:
 def solve_cross_finite(nl: Nonlinearity, p: float, interval, g0: float,
                        g1: float, n_nodes: int, tol: float = 1e-9,
                        max_newton: int = 200,
-                       eps_schedule: Optional[tuple] = None) -> CrossProfile:
-    """Finite-data cross-sectional solve on ``interval`` with n_nodes."""
+                       initial: Optional[np.ndarray] = None) -> CrossProfile:
+    """Finite-data cross-sectional solve on ``interval`` with n_nodes;
+    ``initial`` warm-starts Newton (its end values are overwritten)."""
     y0, y1 = float(interval[0]), float(interval[1])
     if n_nodes < 3:
         raise ValueError(f"need at least 3 nodes, got {n_nodes}")
@@ -356,55 +357,38 @@ def solve_cross_finite(nl: Nonlinearity, p: float, interval, g0: float,
         raise ValueError(f"degenerate interval {interval}")
     y = np.linspace(y0, y1, n_nodes)
     problem = _CrossProblem(nl, p, y, (float(g0), float(g1)))
-    if eps_schedule is None:
-        eps_schedule = default_eps_schedule(problem.h)
-    u0 = problem.initial_guess()
-    u, _, info = minimize_newton(problem, u0, eps_schedule, tol, max_newton)
+    if initial is None:
+        u0 = problem.initial_guess()
+    else:
+        u0 = np.array(initial, dtype=float)
+        u0[0], u0[-1] = problem.boundary
+    u, _, info = minimize_newton(problem, u0, default_eps_schedule(problem.h),
+                                 tol, max_newton)
     return CrossProfile(y=y, values=u, mode="finite", g=(float(g0), float(g1)),
                         residual=info["residual"], tol=tol)
 
 
 def solve_cross_large(nl: Nonlinearity, p: float, interval, M_list,
-                      n_nodes: int, tol: float = 1e-9, max_newton: int = 200,
-                      eps_schedule: Optional[tuple] = None) -> CrossProfile:
+                      n_nodes: int, tol: float = 1e-9,
+                      max_newton: int = 200) -> CrossProfile:
     """Blow-up data approximated by an increasing sweep of constant levels.
 
-    Solves the finite problem with g0 = g1 = M for each M, warm-starting,
-    and reports the final member together with the stabilization residual
-    (max nodal change over the last step).  The interior values must be
-    nondecreasing along the sweep (comparison principle); a violation
-    beyond twice the solver tolerance aborts.
+    Runs :func:`plaplab.minimize.sweep_levels` over warm-started
+    :func:`solve_cross_finite` solves with g0 = g1 = M, and reports the
+    final member together with the stabilization residual (max nodal
+    change over the last step).
     """
-    M_list = [float(M) for M in M_list]
-    if not M_list:
-        raise ValueError("M_list must not be empty")
-    if any(m2 <= m1 for m1, m2 in zip(M_list, M_list[1:])):
-        raise ValueError(f"M_list must be strictly increasing, got {M_list}")
-    if not check_a1(nl, p):
-        raise ValueError(f"no large solution exists: {nl.describe()} fails "
-                         f"the Keller-Osserman condition at p={p}")
-    y0, y1 = float(interval[0]), float(interval[1])
-    y = np.linspace(y0, y1, n_nodes)
-    prev = None
-    change = None
-    for M in M_list:
-        problem = _CrossProblem(nl, p, y, (M, M))
-        if eps_schedule is None:
-            schedule = default_eps_schedule(problem.h)
-        else:
-            schedule = eps_schedule
-        u0 = problem.initial_guess() if prev is None else prev.copy()
-        u0[0] = u0[-1] = M
-        u, _, info = minimize_newton(problem, u0, schedule, tol, max_newton)
-        if prev is not None:
-            diff = u[1:-1] - prev[1:-1]
-            worst = float(np.min(diff))
-            if worst < -2.0 * tol:
-                raise NonConvergenceError(
-                    f"M sweep lost monotonicity at M={M}: interior value "
-                    f"dropped by {-worst:.3e}")
-            change = float(np.max(np.abs(diff)))
-        prev = u
-    return CrossProfile(y=y, values=prev, mode="blowup",
-                        m_values=tuple(M_list), stabilization_residual=change,
-                        residual=info["residual"], tol=tol)
+    def solve_level(M, initial):
+        prof = solve_cross_finite(nl, p, interval, M, M, n_nodes, tol,
+                                  max_newton, initial=initial)
+        return prof, prof.values
+
+    interior = slice(1, -1)
+    m_values, profiles, changes, _ = sweep_levels(
+        solve_level, M_list, nl, p, tol, interior, interior)
+    last = profiles[-1]
+    return CrossProfile(y=last.y, values=last.values, mode="blowup",
+                        m_values=m_values,
+                        stabilization_residual=changes[-1] if changes
+                        else None,
+                        residual=last.residual, tol=tol)

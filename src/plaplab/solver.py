@@ -15,9 +15,10 @@ minimizer is unique, so the discrete solution is deterministic given the
 grid.
 
 Boundary blow-up is approximated by an increasing sweep of constant
-Dirichlet levels M (the monotone-limit construction): interior values are
-nondecreasing in M by the comparison principle, and the sweep reports the
-windowed change between consecutive stages as a stabilization residual.
+Dirichlet levels M (the monotone-limit construction, run by
+:func:`plaplab.minimize.sweep_levels`): interior values are nondecreasing
+in M by the comparison principle, and the sweep reports the windowed
+change between consecutive stages as a stabilization residual.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import scipy.sparse.linalg as spla
 
 from .grid import GridFunction, RectGrid, Window, window_node_mask
 from .minimize import (NonConvergenceError, default_eps_schedule,
-                       minimize_newton)
-from .nonlinearity import Nonlinearity, check_a1
+                       minimize_newton, sweep_levels)
+from .nonlinearity import Nonlinearity
 
 __all__ = [
     "SolverConfig",
@@ -61,8 +62,6 @@ class SolverConfig:
     n_eps_stages: int = 5
     tol: float = 1e-9
     max_newton: int = 200
-    backtrack: float = 0.5
-    sufficient_decrease: float = 1e-4
 
     def __post_init__(self):
         if self.p <= 1.0:
@@ -150,13 +149,15 @@ class _CylinderProblem:
     def _tri_gradients(self, u):
         return np.einsum("tk,tkd->td", u[self.tri], self.b)
 
-    def full_energy(self, u, eps):
-        """Spec energy: gradient term plus lumped F over all nodes."""
+    def _gradient_energy(self, u, eps):
         gu = self._tri_gradients(u)
         g2e = gu[:, 0] ** 2 + gu[:, 1] ** 2 + eps * eps
-        grad_term = self.area * np.sum(
+        return self.area * np.sum(
             (g2e ** (0.5 * self.p) - eps ** self.p)) / self.p
-        return float(grad_term
+
+    def full_energy(self, u, eps):
+        """Spec energy: gradient term plus lumped F over all nodes."""
+        return float(self._gradient_energy(u, eps)
                      + np.sum(self.mass * self.nl.F_extended(u)))
 
     def objective(self, u, eps):
@@ -166,13 +167,9 @@ class _CylinderProblem:
         by many orders of magnitude under blow-up boundary data, drowning
         the Armijo comparison in roundoff.
         """
-        gu = self._tri_gradients(u)
-        g2e = gu[:, 0] ** 2 + gu[:, 1] ** 2 + eps * eps
-        grad_term = self.area * np.sum(
-            (g2e ** (0.5 * self.p) - eps ** self.p)) / self.p
         f_term = np.sum(self.mass[self.free]
                         * self.nl.F_extended(u[self.free]))
-        return float(grad_term + f_term)
+        return float(self._gradient_energy(u, eps) + f_term)
 
     def gradient(self, u, eps):
         gu = self._tri_gradients(u)
@@ -282,8 +279,7 @@ def solve_dirichlet(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig,
     else:
         u0 = problem.with_boundary(initial)
     u, stages, info = minimize_newton(problem, u0, schedule, cfg.tol,
-                                      cfg.max_newton, cfg.backtrack,
-                                      cfg.sufficient_decrease)
+                                      cfg.max_newton)
     mode = boundary_mode or ("dirichlet(constant "
                              f"{bdata})" if not callable(bdata)
                              else "dirichlet(callable)")
@@ -305,47 +301,24 @@ def solve_blowup(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig, M_list,
                  window: Optional[Window] = None):
     """Increasing sweep of constant boundary levels approximating blow-up.
 
-    Refuses nonlinearities that fail the Keller-Osserman condition (no
-    large solution exists).  Returns the list of per-stage results and a
-    :class:`BlowupReport`; a violation of M-monotonicity beyond twice the
-    solver tolerance aborts.
+    Warm-started :func:`solve_dirichlet` levels driven by
+    :func:`plaplab.minimize.sweep_levels`.  Returns the list of per-stage
+    results and a :class:`BlowupReport` whose changes are measured on the
+    window (all interior nodes without one).
     """
-    M_list = [float(M) for M in M_list]
-    if not M_list:
-        raise ValueError("M_list must not be empty")
-    if any(m2 <= m1 for m1, m2 in zip(M_list, M_list[1:])):
-        raise ValueError(f"M_list must be strictly increasing, got {M_list}")
-    if not check_a1(nl, cfg.p):
-        raise ValueError(
-            f"no large solution exists: {nl.describe()} fails the "
-            f"Keller-Osserman condition at p={cfg.p}")
-    if window is not None:
-        watch = window_node_mask(grid, window) & grid.interior_mask()
-    else:
-        watch = grid.interior_mask()
-    results = []
-    changes = []
-    monotone_margin = np.inf
-    prev = None
-    for M in M_list:
-        res = solve_dirichlet(grid, nl, cfg, M, initial=prev,
+    interior = grid.interior_mask()
+    watch = interior if window is None else \
+        window_node_mask(grid, window) & interior
+
+    def solve_level(M, initial):
+        res = solve_dirichlet(grid, nl, cfg, M, initial=initial,
                               boundary_mode=f"blowup(M={M:g})")
-        u = res.solution.values
-        if prev is not None:
-            diff = (u - prev)[grid.interior_mask()]
-            worst = float(np.min(diff))
-            monotone_margin = min(monotone_margin, worst)
-            if worst < -2.0 * cfg.tol:
-                raise NonConvergenceError(
-                    f"M sweep lost monotonicity at M={M:g}: interior value "
-                    f"dropped by {-worst:.3e}")
-            changes.append(float(np.max(np.abs((u - prev)[watch]))))
-        results.append(res)
-        prev = u
-    if not changes:
-        monotone_margin = 0.0
-    report = BlowupReport(m_values=tuple(M_list),
+        return res, res.solution.values
+
+    m_values, results, changes, margin = sweep_levels(
+        solve_level, M_list, nl, cfg.p, cfg.tol, interior, watch)
+    report = BlowupReport(m_values=m_values,
                           stage_max_change=tuple(changes),
-                          monotone_margin=float(monotone_margin),
+                          monotone_margin=margin,
                           window=window)
     return results, report

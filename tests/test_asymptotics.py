@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from plaplab import (BlowupData, FiniteData, Nonlinearity, RateRow,
-                     RateUnresolvableError, SolverConfig, SweepSpec, Window,
-                     build_grid, fit_rate, solve_blowup, solve_dirichlet,
-                     solve_large_1d, sweep_ell, verify_barrier,
-                     verify_caccioppoli, verify_comparison,
-                     verify_monotone_in_ell)
+from plaplab import (BlowupData, FiniteData, NonConvergenceError,
+                     Nonlinearity, RateRow, RateUnresolvableError,
+                     SolverConfig, SweepSpec, Window, asymptotics, build_grid,
+                     fit_rate, solve_blowup, solve_dirichlet, solve_large_1d,
+                     sweep_ell, verify_barrier, verify_caccioppoli,
+                     verify_comparison, verify_monotone_in_ell)
 from plaplab.asymptotics import caccioppoli_constant
 
 POWER23 = Nonlinearity.power(2, 3)
@@ -73,6 +73,9 @@ class TestSweepSpecValidation:
 
 
 class TestSweep:
+    SPEC = dict(nl=LINEAR, p=2.0, cross=(0.0, 1.0), regime=FiniteData(1.0),
+                ells=(2.0, 4.0), window=Window(-1.0, 1.0, 0.25, 0.75), ny=9)
+
     def test_zero_nonlinearity_constant_data_is_flat(self):
         # both solutions are the constant, so the error column is zero up
         # to linear-solver roundoff and the rate is unresolvable
@@ -107,6 +110,23 @@ class TestSweep:
         assert set(extras) == {2.0, 4.0, 8.0}
         for blow in extras.values():
             assert blow.monotone_margin >= -2e-11
+
+    def test_numerical_failure_is_recorded(self, monkeypatch):
+        def fail(spec, ell, ny=None):
+            raise NonConvergenceError("stub failure")
+
+        monkeypatch.setattr(asymptotics, "measure_row", fail)
+        rows, floor, _ = sweep_ell(SweepSpec(**self.SPEC))
+        assert all(r.note == "solve failed: stub failure" for r in rows)
+        assert np.isnan(floor)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(spec, ell, ny=None):
+            raise TypeError("stub bug")
+
+        monkeypatch.setattr(asymptotics, "measure_row", broken)
+        with pytest.raises(TypeError, match="stub bug"):
+            sweep_ell(SweepSpec(**self.SPEC))
 
     def test_threaded_sweep_matches_serial(self):
         spec = SweepSpec(nl=LINEAR, p=2.0, cross=(0.0, 1.0),

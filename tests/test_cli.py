@@ -199,6 +199,21 @@ class TestSweepAndRate:
         assert (out1 / "rows.csv").read_bytes() == \
             (out2 / "rows.csv").read_bytes()
 
+    @pytest.mark.parametrize("command", ["sweep", "rate"])
+    @pytest.mark.parametrize("key, value", [("n_eps_stages", 2),
+                                            ("eps_schedule", [1e-30, 1e-31])])
+    def test_eps_keys_rejected(self, tmp_path, capsys, command, key, value):
+        code, out = run(tmp_path, command, {
+            "nonlinearity": {"kind": "power", "c": 1, "q": 1},
+            "geometry": self.GEOMETRY,
+            "boundary": {"dirichlet": 1.0},
+            "window": [-1.0, 1.0, 0.5, 1.5],
+            "solver": {key: value},
+        })
+        assert code == 2
+        assert f"solver.{key}" in capsys.readouterr().err
+        assert not (out / "rows.csv").exists()
+
     def test_flat_sweep_rate_unresolvable_is_exit_4(self, tmp_path):
         code, _ = run(tmp_path, "rate", {
             "nonlinearity": {"kind": "zero"},

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from plaplab import (Nonlinearity, check_a1, check_a2, eval_F, eval_f,
-                     psi_inverse, psi_p)
+from plaplab import Nonlinearity, check_a1, check_a2, psi_inverse, psi_p
 
 E_MINUS_2 = 0.7182818284590452  # exp(1) - 2, closed-form antiderivative value
 
@@ -25,30 +24,30 @@ def psi_power_closed_form(c, q, p, r):
 class TestPointwise:
     def test_power_eval(self):
         nl = Nonlinearity.power(2, 3)
-        assert eval_f(nl, 1.0) == 2.0
-        assert eval_F(nl, 2.0) == pytest.approx(8.0, abs=0)
+        assert nl.f(1.0) == 2.0
+        assert nl.F(2.0) == pytest.approx(8.0, abs=0)
 
     def test_f_vanishes_at_zero(self):
         for nl in (Nonlinearity.power(2, 3), Nonlinearity.exp_minus_one(1.0),
                    Nonlinearity.zero()):
-            assert eval_f(nl, 0.0) == 0.0
-            assert eval_F(nl, 0.0) == 0.0
+            assert nl.f(0.0) == 0.0
+            assert nl.F(0.0) == 0.0
 
     def test_exp_minus_one(self):
         nl = Nonlinearity.exp_minus_one(1.0)
-        assert eval_f(nl, math.log(2.0)) == pytest.approx(1.0, rel=1e-14)
-        assert eval_F(nl, 1.0) == pytest.approx(E_MINUS_2, rel=1e-14)
+        assert nl.f(math.log(2.0)) == pytest.approx(1.0, rel=1e-14)
+        assert nl.F(1.0) == pytest.approx(E_MINUS_2, rel=1e-14)
 
     def test_zero_everywhere(self):
         nl = Nonlinearity.zero()
-        assert eval_F(nl, 17.3) == 0.0
+        assert nl.F(17.3) == 0.0
 
     def test_negative_argument_rejected(self):
         nl = Nonlinearity.power(2, 3)
         with pytest.raises(ValueError):
-            eval_f(nl, -1.0)
+            nl.f(-1.0)
         with pytest.raises(ValueError):
-            eval_F(nl, -0.5)
+            nl.F(-0.5)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -92,7 +91,7 @@ class TestCustomValidation:
     def test_valid_custom_matches_power(self):
         nl = Nonlinearity.custom(lambda s: 2.0 * s ** 3,
                                  tail_exponent_hint=3.0)
-        assert eval_F(nl, 2.0) == pytest.approx(8.0, rel=1e-9)
+        assert nl.F(2.0) == pytest.approx(8.0, rel=1e-9)
         assert psi_p(nl, 2.0, 1.0) == pytest.approx(1.0, rel=1e-7)
 
     def test_nonzero_at_origin_rejected(self):

@@ -198,6 +198,15 @@ class TestCrossLarge:
         assert prof.m_values == (10.0, 100.0)
         assert prof.stabilization_residual > 0
 
+    @pytest.mark.parametrize("interval, n_nodes, message", [
+        ((1.0, -1.0), 11, "degenerate interval"),
+        ((-1.0, 1.0), 2, "at least 3 nodes"),
+    ])
+    def test_input_checks_of_the_finite_solve(self, interval, n_nodes,
+                                              message):
+        with pytest.raises(ValueError, match=message):
+            solve_cross_large(POWER23, 2.0, interval, (10.0, 100.0), n_nodes)
+
     def test_no_large_solution_without_keller_osserman(self):
         with pytest.raises(ValueError, match="no large solution"):
             solve_cross_large(Nonlinearity.power(1, 1), 2.0, (-1, 1),
