@@ -209,12 +209,13 @@ def _gradient_noise_floor(u, ref, p, w):
     return 8.0 * np.finfo(float).eps * vmax / h * w.area ** (1.0 / p)
 
 
-def measure_row(spec: SweepSpec, ell: float, ny: Optional[int] = None):
-    """Solve one ell; returns (error, noise_floor, result, blowup_report)."""
-    ny = ny or spec.ny
-    res, blow_report = _solve_cylinder(spec, ell, ny)
-    prof = _reference_profile(spec, ny)
-    ref = embed_cross_section(prof, res.solution.grid)
+def measure_row(spec: SweepSpec, ell: float, ny: Optional[int] = None, *,
+                reference):
+    """Solve one ell against the cross-sectional ``reference`` profile
+    solved on the same ``ny`` transverse nodes; returns (error,
+    noise_floor, result, blowup_report)."""
+    res, blow_report = _solve_cylinder(spec, ell, ny or spec.ny)
+    ref = embed_cross_section(reference, res.solution.grid)
     err = lp_norm_gradient(res.solution - ref, spec.p, spec.window)
     noise = _gradient_noise_floor(res.solution, ref, spec.p, spec.window)
     return err, noise, res, blow_report
@@ -228,17 +229,26 @@ def sweep_ell(spec: SweepSpec, threads: int = 1):
     exception propagates.  The discretization floor is estimated by
     re-solving the largest ell at doubled resolution and comparing the two
     measurements; extras carries the blow-up stabilization reports keyed
-    by ell.
+    by ell.  The cross-sectional reference is solved once per transverse
+    grid; when it fails, every row records that failure.
     """
     extras = {}
 
+    def failed(ell, exc):
+        return RateRow(ell=ell, error=float("nan"),
+                       note=f"solve failed: {exc}")
+
+    try:
+        reference = _reference_profile(spec, spec.ny)
+    except _SOLVE_FAILURES as exc:  # recorded, not raised
+        return [failed(ell, exc) for ell in spec.ells], float("nan"), extras
+
     def one(ell):
         try:
-            err, noise, _, blow = measure_row(spec, ell)
+            err, noise, _, blow = measure_row(spec, ell, reference=reference)
             return RateRow(ell=ell, error=err), noise, blow
         except _SOLVE_FAILURES as exc:  # recorded, not raised
-            return RateRow(ell=ell, error=float("nan"),
-                           note=f"solve failed: {exc}"), 0.0, None
+            return failed(ell, exc), 0.0, None
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -256,9 +266,11 @@ def sweep_ell(spec: SweepSpec, threads: int = 1):
     coarse = next((r.error for r in rows if r.ell == ell_max), float("nan"))
     floor = float("nan")
     if math.isfinite(coarse):
+        ny_fine = 2 * spec.ny - 1
         try:
-            fine, noise_fine, _, _ = measure_row(spec, ell_max,
-                                                 ny=2 * spec.ny - 1)
+            fine, noise_fine, _, _ = measure_row(
+                spec, ell_max, ny_fine,
+                reference=_reference_profile(spec, ny_fine))
             # resolution sensitivity of the closest-to-floor row, bounded
             # below by the rounding level of the norm measurement itself
             floor = max(abs(coarse - fine), noise_max, noise_fine)

@@ -58,8 +58,7 @@ _SCHEMA = {
     "geometry": {"ell": None, "ell_list": None, "cross": None, "nx": None,
                  "ny": None},
     "boundary": {"dirichlet": None, "blowup": None},
-    "solver": {"tol": None, "max_newton": None, "n_eps_stages": None,
-               "eps_schedule": None},
+    "solver": {"tol": None, "max_newton": None},
     "window": None,
     "psi": {"r_min": None, "r_max": None, "points": None},
     "a2": {"betas": None, "t_max": None},
@@ -145,10 +144,6 @@ def _solver_kwargs(cfg):
         out["tol"] = float(s["tol"])
     if "max_newton" in s:
         out["max_newton"] = int(s["max_newton"])
-    if "n_eps_stages" in s:
-        out["n_eps_stages"] = int(s["n_eps_stages"])
-    if "eps_schedule" in s:
-        out["eps_schedule"] = tuple(float(e) for e in s["eps_schedule"])
     return out
 
 
@@ -198,8 +193,6 @@ def cmd_psi(cfg, out: Path, args) -> int:
         raise ConfigError("psi table needs 0 < r_min < r_max and points >= 2")
     radii = np.geomspace(r_min, r_max, points)
     values = [psi_p(nl, p, r) for r in radii]
-    _write_csv(out / "psi.csv", ["r", "psi_p"],
-               [(float(r), float(v)) for r, v in zip(radii, values)])
     a1 = check_a1(nl, p)
     verdict = {"p": p, "nonlinearity": nl.describe(), "a1": a1, "a2": None}
     if a1:
@@ -213,6 +206,9 @@ def cmd_psi(cfg, out: Path, args) -> int:
             "estimated_liminf_per_beta": list(rep.estimated_liminf_per_beta),
             "margin": rep.margin,
         }
+    # both artifacts only once the verdict stands
+    _write_csv(out / "psi.csv", ["r", "psi_p"],
+               [(float(r), float(v)) for r, v in zip(radii, values)])
     _write_json(verdict, out / "verdict.json")
     print(f"psi table written; (A1) {'holds' if a1 else 'fails'}"
           + ("" if verdict["a2"] is None else
@@ -310,10 +306,6 @@ def _sweep_spec(cfg) -> SweepSpec:
     ny = int(geo.get("ny", 33))
     window = _get_window(cfg)
     kwargs = _solver_kwargs(cfg)
-    for key in ("n_eps_stages", "eps_schedule"):
-        if key in kwargs:  # the 1D reference runs the default schedule
-            raise ConfigError(f"'solver.{key}' applies to 'solve' and "
-                              "'check' only; sweeps use the default schedule")
     return SweepSpec(nl=nl, p=p, cross=(float(cross[0]), float(cross[1])),
                      regime=_boundary_regime(cfg),
                      ells=tuple(float(e) for e in ells), window=window, ny=ny,

@@ -1,9 +1,10 @@
 """Damped Newton minimization with epsilon continuation.
 
-Both the 1D cross-sectional solver and the 2D cylinder solver minimize a
-regularized convex energy: the singular/degenerate coefficient
-``|grad u|^(p-2)`` is replaced by ``(|grad u|^2 + eps^2)^((p-2)/2)`` and
-``eps`` is driven down a geometric schedule, warm-starting each stage.
+The cylinder and cross-sectional solves minimize one regularized convex
+P1 energy (on a triangle or a segment mesh): the singular/degenerate
+coefficient ``|grad u|^(p-2)`` is replaced by
+``(|grad u|^2 + eps^2)^((p-2)/2)`` and ``eps`` is driven down a geometric
+schedule, warm-starting each stage.
 Within a stage, damped Newton with Armijo backtracking is globally
 convergent because the energy is strictly convex for eps > 0.
 
@@ -45,9 +46,10 @@ class StageTrace:
     objective: float
 
 
-def default_eps_schedule(h: float, n_stages: int = 5) -> tuple:
-    """Geometric continuation from the cell size down to 0.01 h^2."""
-    return tuple(np.geomspace(h, 0.01 * h * h, n_stages))
+def default_eps_schedule(h: float) -> tuple:
+    """Geometric continuation in five stages from the cell size down to
+    0.01 h^2."""
+    return tuple(np.geomspace(h, 0.01 * h * h, 5))
 
 
 def minimize_newton(problem, u0, eps_schedule, tol, max_newton):

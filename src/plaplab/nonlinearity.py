@@ -283,7 +283,7 @@ def _tail_diverges_analytically(nl: Nonlinearity, p: float) -> Optional[bool]:
     return None
 
 
-def psi_p(nl: Nonlinearity, p: float, r: float, rel_tol: float = 1e-12) -> float:
+def psi_p(nl: Nonlinearity, p: float, r: float) -> float:
     """Keller-Osserman integral Psi_p(r); ``inf`` when divergent.
 
     The improper tail is summed over doubling panels with geometric
@@ -310,7 +310,7 @@ def psi_p(nl: Nonlinearity, p: float, r: float, rel_tol: float = 1e-12) -> float
             return float("inf")
         return Fs ** (-1.0 / p)
 
-    tail = integrate_to_infinity(integrand, start, rel_tol=rel_tol)
+    tail = integrate_to_infinity(integrand, start)
     if math.isinf(tail):
         if nl.tail_exponent_hint is not None and nl.tail_exponent_hint + 1.0 > p:
             raise QuadratureError(
@@ -346,23 +346,34 @@ def _first_positive_F(nl: Nonlinearity, r: float) -> Optional[float]:
 
 
 def check_a1(nl: Nonlinearity, p: float) -> bool:
-    """True iff Psi_p is finite at the probe radii {1e-2, 1, 1e2}.
+    """True iff Psi_p is finite (the Keller-Osserman condition).
 
+    Decided analytically for the built-in kinds; a custom nonlinearity
+    passes when Psi_p is finite at the probe radii {1e-2, 1, 1e2}.
     Finiteness at one radius implies it for all larger radii (positive
     integrand); the small probes guard against non-integrable interior
     zeros of F.
     """
+    diverges = _tail_diverges_analytically(nl, p)
+    if diverges is not None:
+        return not diverges
     return all(math.isfinite(psi_p(nl, p, r)) for r in (1e-2, 1.0, 1e2))
 
 
+#: smallest t of the A2 probe grid, its density and the pass margin
+A2_T_MIN = 1.0
+A2_POINTS_PER_DECADE = 4
+A2_MARGIN = 1e-3
+
+
 def check_a2(nl: Nonlinearity, p: float, beta_grid=(0.25, 0.5, 0.75),
-             t_max: float = 1e4, t_min: float = 1.0,
-             points_per_decade: int = 4, margin: float = 1e-3) -> A2Report:
+             t_max: float = 1e4) -> A2Report:
     """Estimate ``liminf_{t->inf} Psi_p(beta t)/Psi_p(t)`` per beta.
 
     The liminf is rendered as the minimum of the ratio over the largest
-    decade of a geometric t grid; the report passes when every estimate
-    exceeds ``1 + margin``.
+    decade of a geometric t grid from ``A2_T_MIN`` to ``t_max``; the
+    report passes when every estimate exceeds ``1 + A2_MARGIN``.  Raises
+    :class:`QuadratureError` when Psi_p(t_max) is not resolvable.
     """
     betas = tuple(float(b) for b in beta_grid)
     if any(not (0.0 < b < 1.0) for b in betas):
@@ -370,13 +381,13 @@ def check_a2(nl: Nonlinearity, p: float, beta_grid=(0.25, 0.5, 0.75),
     if not check_a1(nl, p):
         raise ValueError("the Keller-Osserman integral diverges; the scaling "
                          "condition probe is undefined")
-    n_dec = math.log10(t_max / t_min)
-    n_pts = max(int(round(n_dec * points_per_decade)) + 1, 4)
-    t_values = np.geomspace(t_min, t_max, n_pts)
+    n_dec = math.log10(t_max / A2_T_MIN)
+    n_pts = max(int(round(n_dec * A2_POINTS_PER_DECADE)) + 1, 4)
+    t_values = np.geomspace(A2_T_MIN, t_max, n_pts)
     psi_at_t = np.array([psi_p(nl, p, t) for t in t_values])
     if psi_at_t[-1] <= 0.0 or not np.isfinite(psi_at_t[-1]):
-        raise ValueError(f"Psi_p({t_max}) is not resolvable above quadrature "
-                         "tolerance; lower t_max")
+        raise QuadratureError(f"Psi_p({t_max}) is not resolvable above "
+                              "quadrature tolerance; lower t_max")
     ratios = np.empty((len(betas), n_pts))
     for i, b in enumerate(betas):
         ratios[i] = [psi_p(nl, p, b * t) for t in t_values]
@@ -384,10 +395,10 @@ def check_a2(nl: Nonlinearity, p: float, beta_grid=(0.25, 0.5, 0.75),
     last_decade = t_values >= t_values[-1] / 10.0
     liminf_est = tuple(float(np.min(ratios[i, last_decade]))
                        for i in range(len(betas)))
-    passes = all(est > 1.0 + margin for est in liminf_est)
+    passes = all(est > 1.0 + A2_MARGIN for est in liminf_est)
     return A2Report(beta_values=betas, t_values=tuple(float(t) for t in t_values),
                     ratio_matrix=ratios, estimated_liminf_per_beta=liminf_est,
-                    passes=passes, margin=margin)
+                    passes=passes, margin=A2_MARGIN)
 
 
 def psi_inverse(nl: Nonlinearity, p: float, d: float) -> float:

@@ -21,8 +21,10 @@ handled by the doubling-panel machinery of :mod:`plaplab.quadrature`.
 
 The cross-sectional problem on an interval (finite data or blow-up data
 approximated through an increasing sweep of constant boundary levels M)
-is solved by the same regularized-energy Newton continuation and blow-up
-sweep (:func:`plaplab.minimize.sweep_levels`) as the 2D solver.
+is the 2D solver's P1 energy on a segment mesh, with the same eps ladder
+and blow-up sweep (:func:`plaplab.minimize.sweep_levels`), so its
+constant extension solves the cylinder's interior equations on a grid
+with the same transverse nodes.
 """
 
 from __future__ import annotations
@@ -35,9 +37,10 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from .minimize import default_eps_schedule, minimize_newton, sweep_levels
+from .minimize import sweep_levels
 from .nonlinearity import Nonlinearity
 from .quadrature import integrate_to_infinity, panel_quad
+from .solver import _CylinderProblem
 
 __all__ = [
     "DivergentBlowupError",
@@ -107,8 +110,7 @@ def blowup_radius(nl: Nonlinearity, p: float, a: float) -> float:
             f"f vanishes on [{a}, {2 * a}]; the profile cannot leave its "
             "center value")
     near = _near_integral(nl, p, a, 2.0 * a)
-    tail = integrate_to_infinity(_inverse_speed(nl, p, a), 2.0 * a,
-                                 rel_tol=1e-12)
+    tail = integrate_to_infinity(_inverse_speed(nl, p, a), 2.0 * a)
     if math.isinf(tail):
         raise DivergentBlowupError(
             "the blow-up integral diverges; the Keller-Osserman condition "
@@ -175,9 +177,13 @@ class LargeSolution1D:
         return (self.p / (self.p - 1.0) * gap) ** (1.0 / self.p)
 
 
-def solve_large_1d(nl: Nonlinearity, p: float, r: float,
-                   points_per_decade: int = 8,
-                   level_decades: tuple = (-6.0, 9.0)) -> LargeSolution1D:
+#: tabulation ladder of the level offsets phi - a: decades relative to a
+#: and points per decade
+LEVEL_DECADES = (-6.0, 9.0)
+LEVEL_POINTS_PER_DECADE = 8
+
+
+def solve_large_1d(nl: Nonlinearity, p: float, r: float) -> LargeSolution1D:
     """Profile with prescribed blow-up radius r, via root solve for a.
 
     The center value bracket is grown geometrically from a = 1 (r(a) is
@@ -227,8 +233,8 @@ def solve_large_1d(nl: Nonlinearity, p: float, r: float,
             f"center-value root solve stalled: r({a}) = {r_check} vs "
             f"target {r}")
 
-    lo_dec, hi_dec = level_decades
-    n = int(round((hi_dec - lo_dec) * points_per_decade)) + 1
+    lo_dec, hi_dec = LEVEL_DECADES
+    n = int(round((hi_dec - lo_dec) * LEVEL_POINTS_PER_DECADE)) + 1
     offsets = a * np.power(10.0, np.linspace(lo_dec, hi_dec, n))
     levels = a + offsets
     # truncate the ladder where F(level) - F(a) saturates double precision
@@ -279,69 +285,27 @@ class CrossProfile:
         return np.interp(yq, self.y, self.values)
 
 
-class _CrossProblem:
-    """1D regularized p-energy over piecewise-linear nodal values."""
+class _CrossProblem(_CylinderProblem):
+    """The cylinder's P1 energy on the segment mesh of ``y``; its Hessian
+    is tridiagonal."""
 
-    def __init__(self, nl, p, y, boundary):
-        self.nl = nl
-        self.p = p
-        self.y = y
-        self.h = float(y[1] - y[0])
+    def __init__(self, nl, p, y, g0, g1):
         n = len(y)
-        self.free = np.ones(n, dtype=bool)
-        self.free[0] = self.free[-1] = False
-        self.mass = np.full(n, self.h)
-        self.mass[0] = self.mass[-1] = 0.5 * self.h
-        self.boundary = boundary  # (g0, g1)
+        h = float(y[1] - y[0])
+        cells = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+        b = np.broadcast_to([[-1.0 / h], [1.0 / h]], (n - 1, 2, 1))
+        free = np.ones(n, dtype=bool)
+        free[0] = free[-1] = False
+        boundary = np.r_[g0, np.zeros(n - 2), g1]
+        super().__init__(cells, b, h, free, nl, p, boundary)
 
-    def initial_guess(self):
-        g0, g1 = self.boundary
-        return np.interp(self.y, [self.y[0], self.y[-1]], [g0, g1])
-
-    def _slopes(self, u):
-        return np.diff(u) / self.h
-
-    def objective(self, u, eps):
-        s = self._slopes(u)
-        s2e = s * s + eps * eps
-        grad_term = self.h * np.sum((s2e ** (0.5 * self.p) - eps ** self.p)
-                                    / self.p)
-        f_term = float(np.sum(self.mass[self.free]
-                              * self.nl.F_extended(u[self.free])))
-        return grad_term + f_term
-
-    def gradient(self, u, eps):
-        s = self._slopes(u)
-        sigma = (s * s + eps * eps) ** (0.5 * self.p - 1.0)
-        flux = sigma * s
-        g = np.zeros_like(u)
-        g[:-1] -= flux
-        g[1:] += flux
-        fvals = self.mass * self.nl.f_extended(u)
-        g += fvals
-        scale = np.abs(fvals)
-        scale[:-1] += np.abs(flux)
-        scale[1:] += np.abs(flux)
-        return g, scale
-
-    def newton_step(self, u, eps, grad):
-        s = self._slopes(u)
-        s2e = s * s + eps * eps
-        sigma = s2e ** (0.5 * self.p - 1.0)
-        curv = (sigma + (self.p - 2.0) * s * s * s2e **
-                (0.5 * self.p - 2.0)) / self.h
-        diag = np.zeros_like(u)
-        diag[:-1] += curv
-        diag[1:] += curv
-        diag += self.mass * self.nl.f_prime(u)
-        idx = np.flatnonzero(self.free)
-        nfree = len(idx)
-        ab = np.zeros((3, nfree))
-        ab[1] = diag[idx]
-        off = -curv[1:-1]  # coupling between consecutive interior nodes
-        ab[0, 1:] = off
-        ab[2, :-1] = off
-        return solve_banded((1, 1), ab, -grad[idx])
+    def _solve(self, blocks, fp, rhs):
+        # segment k joins nodes k and k + 1; the free nodes are 1 .. n-2
+        ab = np.zeros((3, len(rhs)))
+        ab[1] = blocks[:-1, 1, 1] + blocks[1:, 0, 0] + fp
+        ab[0, 1:] = blocks[1:-1, 0, 1]
+        ab[2, :-1] = blocks[1:-1, 1, 0]
+        return solve_banded((1, 1), ab, rhs)
 
 
 def solve_cross_finite(nl: Nonlinearity, p: float, interval, g0: float,
@@ -349,21 +313,17 @@ def solve_cross_finite(nl: Nonlinearity, p: float, interval, g0: float,
                        max_newton: int = 200,
                        initial: Optional[np.ndarray] = None) -> CrossProfile:
     """Finite-data cross-sectional solve on ``interval`` with n_nodes;
-    ``initial`` warm-starts Newton (its end values are overwritten)."""
+    ``initial`` warm-starts Newton (its end values are overwritten), the
+    default cold start is the linear Laplace fill."""
     y0, y1 = float(interval[0]), float(interval[1])
     if n_nodes < 3:
         raise ValueError(f"need at least 3 nodes, got {n_nodes}")
     if y1 <= y0:
         raise ValueError(f"degenerate interval {interval}")
     y = np.linspace(y0, y1, n_nodes)
-    problem = _CrossProblem(nl, p, y, (float(g0), float(g1)))
-    if initial is None:
-        u0 = problem.initial_guess()
-    else:
-        u0 = np.array(initial, dtype=float)
-        u0[0], u0[-1] = problem.boundary
-    u, _, info = minimize_newton(problem, u0, default_eps_schedule(problem.h),
-                                 tol, max_newton)
+    problem = _CrossProblem(nl, p, y, float(g0), float(g1))
+    u, _, info = problem.minimize(float(y[1] - y[0]), tol, max_newton,
+                                  initial)
     return CrossProfile(y=y, values=u, mode="finite", g=(float(g0), float(g1)),
                         residual=info["residual"], tol=tol)
 

@@ -28,17 +28,21 @@ CAUCHY_TOL = 1e-8
 #: doubling budget before the Cauchy verdict is made final
 MAX_DOUBLINGS = 200
 
+#: relative accuracy target of one panel, and of a whole tail integral
+PANEL_REL_TOL = 1e-13
+TAIL_REL_TOL = 1e-12
 
-def panel_quad(h, lo, hi, rel_tol=1e-13):
-    """Integrate ``h`` over a finite panel, relaxing the tolerance before
-    giving up.
+
+def panel_quad(h, lo, hi):
+    """Integrate ``h`` over a finite panel to ``PANEL_REL_TOL``, relaxing
+    the tolerance before giving up.
 
     scipy's QAGS occasionally reports roundoff trouble at tolerances near
     machine precision; a short relaxation ladder keeps the result usable
     without silently accepting garbage.
     """
     last_err = None
-    for eps in (rel_tol, 1e-11, 1e-9):
+    for eps in (PANEL_REL_TOL, 1e-11, 1e-9):
         with warnings.catch_warnings():
             warnings.simplefilter("error", IntegrationWarning)
             try:
@@ -51,13 +55,12 @@ def panel_quad(h, lo, hi, rel_tol=1e-13):
     )
 
 
-def integrate_to_infinity(h, start, rel_tol=1e-12, cauchy_tol=CAUCHY_TOL,
-                          max_doublings=MAX_DOUBLINGS):
+def integrate_to_infinity(h, start):
     """``int_start^inf h(s) ds`` for positive integrands, or ``inf``.
 
     Panels ``[start*2^k, start*2^(k+1)]`` are accumulated until the
-    geometric remainder estimate drops below ``rel_tol`` relative to the
-    running total.  Returns ``math.inf`` when the increments fail the
+    geometric remainder estimate drops below ``TAIL_REL_TOL`` relative to
+    the running total.  Returns ``math.inf`` when the increments fail the
     Cauchy test within the doubling budget (divergent integral).
 
     The integrands this serves are nonincreasing, so a vanishing panel
@@ -70,7 +73,7 @@ def integrate_to_infinity(h, start, rel_tol=1e-12, cauchy_tol=CAUCHY_TOL,
     rho = np.nan
     lo = float(start)
     inc = np.inf
-    for k in range(max_doublings):
+    for k in range(MAX_DOUBLINGS):
         inc = panel_quad(h, lo, 2.0 * lo)
         total += inc
         if inc == 0.0 and (total > 0.0 or k >= 2):
@@ -79,11 +82,11 @@ def integrate_to_infinity(h, start, rel_tol=1e-12, cauchy_tol=CAUCHY_TOL,
             rho = inc / prev
             if 0.0 < rho < 1.0:
                 remainder = inc * rho / (1.0 - rho)
-                if remainder <= rel_tol * total:
+                if remainder <= TAIL_REL_TOL * total:
                     return total + remainder
         prev = inc
         lo *= 2.0
-    if total == 0.0 or inc > cauchy_tol * total:
+    if total == 0.0 or inc > CAUCHY_TOL * total:
         return float("inf")
     # increments below the Cauchy threshold but still above the accuracy
     # target: accept the extrapolated value rather than fail outright

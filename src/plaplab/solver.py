@@ -23,6 +23,7 @@ change between consecutive stages as a stabilization residual.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -49,17 +50,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Regularization schedule and Newton tolerances.
+    """Newton tolerances; the eps ladder is the fixed
+    :func:`plaplab.minimize.default_eps_schedule` of the smallest cell
+    spacing.
 
     ``tol`` bounds the max norm of the energy gradient scaled by the
     lumped node area, which gives it a mesh-size-independent meaning.
-    When ``eps_schedule`` is None it defaults to a geometric ladder from
-    the smallest cell spacing h down to 0.01 h^2 in ``n_eps_stages`` steps.
     """
 
     p: float
-    eps_schedule: Optional[tuple] = None
-    n_eps_stages: int = 5
     tol: float = 1e-9
     max_newton: int = 200
 
@@ -68,18 +67,6 @@ class SolverConfig:
             raise ValueError(f"requires p > 1, got p={self.p}")
         if self.tol <= 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.eps_schedule is not None:
-            sched = tuple(float(e) for e in self.eps_schedule)
-            if any(e <= 0 for e in sched) or \
-                    any(nxt >= cur for cur, nxt in zip(sched, sched[1:])):
-                raise ValueError(
-                    f"eps schedule must be positive decreasing, got {sched}")
-            object.__setattr__(self, "eps_schedule", sched)
-
-    def schedule_for(self, h: float) -> tuple:
-        if self.eps_schedule is not None:
-            return self.eps_schedule
-        return default_eps_schedule(h, self.n_eps_stages)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,38 +108,54 @@ class BlowupReport:
 
 
 class _CylinderProblem:
-    """Assembly backend: regularized p-energy over one RectGrid."""
+    """Regularized p-energy of P1 elements on a uniform simplex mesh:
+    ``cells`` (cells x nodes), gradient coefficients ``b`` (cells x nodes
+    x dim, grad u|_T = sum_k u_k b_k), one cell ``measure`` and the
+    ``free`` node mask.  :meth:`on_grid` builds the cylinder problem;
+    subclasses may replace the Hessian solve :meth:`_solve`."""
 
-    def __init__(self, grid: RectGrid, nl: Nonlinearity, p: float,
+    def __init__(self, cells, b, measure, free, nl: Nonlinearity, p: float,
                  boundary_values: np.ndarray):
-        self.grid = grid
         self.nl = nl
         self.p = p
-        self.tri = grid.triangles()
-        self.b = grid.gradient_coefficients()
-        self.area = grid.triangle_area()
-        self.mass = grid.lumped_mass()
-        self.free = grid.interior_mask()
+        self.cells = cells
+        self.b = b
+        self.measure = measure
+        n = len(free)
+        # each cell spreads its measure evenly over its nodes
+        self.mass = np.bincount(cells.ravel(), minlength=n) * (
+            measure / cells.shape[1])
+        self.free = free
         self.boundary_values = boundary_values
-        self.free_idx = np.flatnonzero(self.free)
+        self.free_idx = np.flatnonzero(free)
         # node -> free-dof renumbering for the reduced Hessian
-        self._perm = np.full(grid.n_nodes, -1, dtype=np.int64)
+        self._perm = np.full(n, -1, dtype=np.int64)
         self._perm[self.free_idx] = np.arange(len(self.free_idx))
-        # the two triangle classes have constant geometry each
-        self._dots = np.einsum("tkd,tld->tkl", self.b, self.b)
+        self._dots = np.einsum("tkd,tld->tkl", b, b)
+
+    @classmethod
+    def on_grid(cls, grid: RectGrid, nl: Nonlinearity, p: float,
+                boundary_values: np.ndarray) -> "_CylinderProblem":
+        return cls(grid.triangles(), grid.gradient_coefficients(),
+                   grid.triangle_area(), grid.interior_mask(), nl, p,
+                   boundary_values)
 
     def with_boundary(self, u):
         out = np.array(u, dtype=float)
         out[~self.free] = self.boundary_values[~self.free]
         return out
 
-    def _tri_gradients(self, u):
-        return np.einsum("tk,tkd->td", u[self.tri], self.b)
+    def _cell_gradients(self, u, eps):
+        """Per-cell gradients and their regularized squares |grad u|^2 +
+        eps^2."""
+        gu = np.einsum("tk,tkd->td", u[self.cells], self.b)
+        # column by column: a numpy reduction over the short last axis
+        # is an order of magnitude slower
+        return gu, sum(gu[:, d] ** 2 for d in range(gu.shape[1])) + eps * eps
 
     def _gradient_energy(self, u, eps):
-        gu = self._tri_gradients(u)
-        g2e = gu[:, 0] ** 2 + gu[:, 1] ** 2 + eps * eps
-        return self.area * np.sum(
+        _, g2e = self._cell_gradients(u, eps)
+        return self.measure * np.sum(
             (g2e ** (0.5 * self.p) - eps ** self.p)) / self.p
 
     def full_energy(self, u, eps):
@@ -172,54 +175,71 @@ class _CylinderProblem:
         return float(self._gradient_energy(u, eps) + f_term)
 
     def gradient(self, u, eps):
-        gu = self._tri_gradients(u)
-        g2e = gu[:, 0] ** 2 + gu[:, 1] ** 2 + eps * eps
+        gu, g2e = self._cell_gradients(u, eps)
         with np.errstate(divide="ignore", invalid="ignore"):
             sigma = np.where(g2e > 0.0, g2e ** (0.5 * self.p - 1.0), 0.0)
-        w = self.area * sigma
+        w = self.measure * sigma
         contrib = w[:, None] * np.einsum("td,tkd->tk", gu, self.b)
-        n = self.grid.n_nodes
-        g = np.bincount(self.tri.ravel(), weights=contrib.ravel(), minlength=n)
+        n = len(self.free)
+        nodes = self.cells.ravel()
+        g = np.bincount(nodes, weights=contrib.ravel(), minlength=n)
         fvals = self.mass * self.nl.f_extended(u)
-        scale = np.bincount(self.tri.ravel(), weights=np.abs(contrib).ravel(),
+        scale = np.bincount(nodes, weights=np.abs(contrib).ravel(),
                             minlength=n) + np.abs(fvals)
         return g + fvals, scale
 
     def newton_step(self, u, eps, grad):
-        gu = self._tri_gradients(u)
-        g2e = gu[:, 0] ** 2 + gu[:, 1] ** 2 + eps * eps
+        gu, g2e = self._cell_gradients(u, eps)
         sigma = g2e ** (0.5 * self.p - 1.0)
         tau = (self.p - 2.0) * g2e ** (0.5 * self.p - 2.0)
         gb = np.einsum("td,tkd->tk", gu, self.b)
-        blocks = self.area * (sigma[:, None, None] * self._dots
-                              + tau[:, None, None]
-                              * gb[:, :, None] * gb[:, None, :])
-        rows = self._perm[np.broadcast_to(self.tri[:, :, None],
-                                          blocks.shape).ravel()]
-        cols = self._perm[np.broadcast_to(self.tri[:, None, :],
-                                          blocks.shape).ravel()]
-        keep = (rows >= 0) & (cols >= 0)
-        nfree = len(self.free_idx)
-        H = sp.coo_matrix((blocks.ravel()[keep], (rows[keep], cols[keep])),
-                          shape=(nfree, nfree)).tocsc()
+        blocks = self.measure * (sigma[:, None, None] * self._dots
+                                 + tau[:, None, None]
+                                 * gb[:, :, None] * gb[:, None, :])
         fp = self.mass[self.free_idx] * self.nl.f_prime(u[self.free_idx])
-        H = H + sp.diags(fp)
-        step = spla.spsolve(H, -grad[self.free_idx])
+        step = self._solve(blocks, fp, -grad[self.free_idx])
         if not np.all(np.isfinite(step)):
             raise NonConvergenceError(
                 "Hessian solve produced non-finite entries "
                 f"(eps={eps:.3e}, p={self.p})")
         return step
 
+    def _solve(self, blocks, fp, rhs):
+        """Solve (H + diag(fp)) x = rhs over the free dofs, H assembled
+        from the per-cell Hessian ``blocks``."""
+        rows = self._perm[np.broadcast_to(self.cells[:, :, None],
+                                          blocks.shape).ravel()]
+        cols = self._perm[np.broadcast_to(self.cells[:, None, :],
+                                          blocks.shape).ravel()]
+        keep = (rows >= 0) & (cols >= 0)
+        nfree = len(self.free_idx)
+        H = sp.coo_matrix((blocks.ravel()[keep], (rows[keep], cols[keep])),
+                          shape=(nfree, nfree)).tocsc()
+        H = H + sp.diags(fp)
+        return spla.spsolve(H, rhs)
+
     def laplace_fill(self, eps):
         """Linear (p=2, f=0) solve with the stored boundary data; used as
         the cold-start initial guess."""
-        linear = _CylinderProblem(self.grid, Nonlinearity.zero(), 2.0,
-                                  self.boundary_values)
-        u0 = self.with_boundary(np.zeros(self.grid.n_nodes))
+        linear = copy.copy(self)
+        linear.nl = Nonlinearity.zero()
+        linear.p = 2.0
+        u0 = self.with_boundary(np.zeros(len(self.free)))
         g, _ = linear.gradient(u0, eps)
         u0[self.free] += linear.newton_step(u0, eps, g)
         return u0
+
+    def minimize(self, h, tol, max_newton, initial=None):
+        """Damped Newton down the eps ladder of the cell size ``h``, from
+        ``initial`` (its fixed entries overwritten) or else from the
+        Laplace fill; returns ``(u, stages, info)`` of
+        :func:`plaplab.minimize.minimize_newton`."""
+        schedule = default_eps_schedule(h)
+        if initial is None:
+            u0 = self.laplace_fill(schedule[0])
+        else:
+            u0 = self.with_boundary(initial)
+        return minimize_newton(self, u0, schedule, tol, max_newton)
 
 
 def _boundary_array(grid: RectGrid, bdata) -> np.ndarray:
@@ -242,7 +262,7 @@ def energy(u: GridFunction, nl: Nonlinearity, p: float, eps: float) -> float:
     """Regularized discrete energy of a nodal field (all nodes included)."""
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    problem = _CylinderProblem(u.grid, nl, p, np.zeros(u.grid.n_nodes))
+    problem = _CylinderProblem.on_grid(u.grid, nl, p, np.zeros(u.grid.n_nodes))
     return problem.full_energy(u.values, eps)
 
 
@@ -255,7 +275,7 @@ def energy_gradient(u: GridFunction, nl: Nonlinearity, p: float,
     """
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    problem = _CylinderProblem(u.grid, nl, p, np.zeros(u.grid.n_nodes))
+    problem = _CylinderProblem.on_grid(u.grid, nl, p, np.zeros(u.grid.n_nodes))
     g, _ = problem.gradient(u.values, eps)
     return g
 
@@ -270,16 +290,10 @@ def solve_dirichlet(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig,
     entries are overwritten); the default cold start is the linear
     Laplace fill of the boundary data.
     """
-    boundary_values = _boundary_array(grid, bdata)
-    problem = _CylinderProblem(grid, nl, cfg.p, boundary_values)
-    h = min(grid.hx, grid.hy)
-    schedule = cfg.schedule_for(h)
-    if initial is None:
-        u0 = problem.laplace_fill(schedule[0])
-    else:
-        u0 = problem.with_boundary(initial)
-    u, stages, info = minimize_newton(problem, u0, schedule, cfg.tol,
-                                      cfg.max_newton)
+    problem = _CylinderProblem.on_grid(grid, nl, cfg.p,
+                                       _boundary_array(grid, bdata))
+    u, stages, info = problem.minimize(min(grid.hx, grid.hy), cfg.tol,
+                                       cfg.max_newton, initial)
     mode = boundary_mode or ("dirichlet(constant "
                              f"{bdata})" if not callable(bdata)
                              else "dirichlet(callable)")
@@ -289,11 +303,11 @@ def solve_dirichlet(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig,
         nl=nl,
         boundary_mode=mode,
         stages=tuple(stages),
-        energy=problem.full_energy(u, schedule[-1]),
+        energy=problem.full_energy(u, stages[-1].eps),
         residual=info["residual"],
         diagnostics={"roundoff_floor": info["roundoff_floor"],
                      "stalled_at_floor": info["stalled"],
-                     "eps_schedule": tuple(schedule)},
+                     "eps_schedule": tuple(s.eps for s in stages)},
     )
 
 

@@ -112,7 +112,7 @@ class TestSweep:
             assert blow.monotone_margin >= -2e-11
 
     def test_numerical_failure_is_recorded(self, monkeypatch):
-        def fail(spec, ell, ny=None):
+        def fail(spec, ell, ny=None, *, reference):
             raise NonConvergenceError("stub failure")
 
         monkeypatch.setattr(asymptotics, "measure_row", fail)
@@ -120,8 +120,31 @@ class TestSweep:
         assert all(r.note == "solve failed: stub failure" for r in rows)
         assert np.isnan(floor)
 
+    def test_reference_solved_once_per_transverse_grid(self, monkeypatch):
+        solved = []
+        original = asymptotics._reference_profile
+
+        def counting(spec, ny):
+            solved.append(ny)
+            return original(spec, ny)
+
+        monkeypatch.setattr(asymptotics, "_reference_profile", counting)
+        rows, floor, _ = sweep_ell(SweepSpec(**self.SPEC), threads=2)
+        assert all(np.isfinite(r.error) for r in rows) and np.isfinite(floor)
+        assert solved == [9, 17]
+
+    def test_failed_reference_fails_every_row(self, monkeypatch):
+        def fail(spec, ny):
+            raise NonConvergenceError("stub reference failure")
+
+        monkeypatch.setattr(asymptotics, "_reference_profile", fail)
+        rows, floor, _ = sweep_ell(SweepSpec(**self.SPEC))
+        assert all(r.note == "solve failed: stub reference failure"
+                   for r in rows)
+        assert np.isnan(floor)
+
     def test_programming_error_propagates(self, monkeypatch):
-        def broken(spec, ell, ny=None):
+        def broken(spec, ell, ny=None, *, reference):
             raise TypeError("stub bug")
 
         monkeypatch.setattr(asymptotics, "measure_row", broken)

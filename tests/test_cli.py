@@ -82,6 +82,15 @@ class TestPsi:
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["a1"] is False and verdict["a2"] is None
 
+    def test_unresolvable_a2_probe_is_numerical_failure(self, tmp_path):
+        # F(s) = e^s - 1 - s overflows long before the default t_max = 1e4,
+        # so Psi_p(t_max) underflows to 0; no artifact may be left behind
+        code, out = run(tmp_path, "psi", {"nonlinearity": {
+            "kind": "exp_minus_one", "lam": 1.0}})
+        assert code == 3
+        assert not (out / "psi.csv").exists()
+        assert not (out / "verdict.json").exists()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, {"psi": {"points": 5}})
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -199,20 +208,22 @@ class TestSweepAndRate:
         assert (out1 / "rows.csv").read_bytes() == \
             (out2 / "rows.csv").read_bytes()
 
-    @pytest.mark.parametrize("command", ["sweep", "rate"])
+    @pytest.mark.parametrize("command", ["solve", "check", "sweep", "rate"])
     @pytest.mark.parametrize("key, value", [("n_eps_stages", 2),
                                             ("eps_schedule", [1e-30, 1e-31])])
     def test_eps_keys_rejected(self, tmp_path, capsys, command, key, value):
+        # the eps ladder is fixed; the keys are unknown to every command
         code, out = run(tmp_path, command, {
             "nonlinearity": {"kind": "power", "c": 1, "q": 1},
-            "geometry": self.GEOMETRY,
+            "geometry": {"ell": 2.0, **self.GEOMETRY},
             "boundary": {"dirichlet": 1.0},
             "window": [-1.0, 1.0, 0.5, 1.5],
             "solver": {key: value},
         })
         assert code == 2
-        assert f"solver.{key}" in capsys.readouterr().err
-        assert not (out / "rows.csv").exists()
+        assert f"unknown configuration key 'solver.{key}'" in \
+            capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_flat_sweep_rate_unresolvable_is_exit_4(self, tmp_path):
         code, _ = run(tmp_path, "rate", {

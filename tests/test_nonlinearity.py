@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plaplab import Nonlinearity, check_a1, check_a2, psi_inverse, psi_p
 
@@ -163,6 +165,20 @@ class TestA1:
         assert check_a1(Nonlinearity.zero(), 2.0) is False
         assert check_a1(Nonlinearity.zero(), 3.0) is False
         assert check_a1(Nonlinearity.exp_minus_one(1.0), 3.0) is True
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.floats(1e-3, 1e3), q=st.floats(1e-3, 10.0),
+           p=st.floats(1.0, 6.0, exclude_min=True))
+    def test_power_follows_the_keller_osserman_rule(self, c, q, p):
+        # Keller (1957), Osserman (1957): finite iff q + 1 > p
+        assert check_a1(Nonlinearity.power(c, q), p) is (q + 1.0 > p)
+
+    @pytest.mark.parametrize("q, p", [(3.0, 1.5), (3.0, 2.0), (3.0, 3.0),
+                                      (0.5, 2.0), (1.0, 3.0), (1.0, 2.0),
+                                      (5.0, 2.0)])
+    def test_numeric_probe_of_custom_power_agrees(self, q, p):
+        nl = Nonlinearity.custom(lambda s: s ** q)
+        assert check_a1(nl, p) is (q + 1.0 > p)
 
 
 class TestA2:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from plaplab import (DivergentBlowupError, Nonlinearity, blowup_radius,
-                     psi_p, solve_cross_finite, solve_cross_large,
-                     solve_large_1d)
+                     build_grid, embed_cross_section, energy_gradient, psi_p,
+                     solve_cross_finite, solve_cross_large, solve_large_1d)
+from plaplab.minimize import default_eps_schedule
 
 POWER23 = Nonlinearity.power(2, 3)
 
@@ -151,6 +152,21 @@ class TestCrossFinite:
             errors.append(np.max(np.abs(prof.values - exact)))
         orders = [math.log2(e1 / e2) for e1, e2 in zip(errors, errors[1:])]
         assert min(orders) >= 1.8
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_constant_extension_solves_cylinder_equations(self, p):
+        # matched discretization: the extended profile is a discrete
+        # cylinder solution at the final eps, up to the solve tolerance
+        tol = 1e-11
+        prof = solve_cross_finite(POWER23, p, (0.0, 2.0), 1.0, 1.0, 17,
+                                  tol=tol)
+        grid = build_grid(2.0, (0.0, 2.0), 33, 17)
+        eps = default_eps_schedule(grid.hy)[-1]
+        grad = energy_gradient(embed_cross_section(prof, grid), POWER23, p,
+                               eps)
+        interior = grid.interior_mask()
+        scaled = np.abs(grad[interior]) / grid.lumped_mass()[interior]
+        assert np.max(scaled) <= tol
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ from plaplab import (GridFunction, NonConvergenceError, Nonlinearity, Window,
                      SolverConfig, build_grid, energy, energy_gradient,
                      solve_blowup, solve_dirichlet, solve_large_1d,
                      verify_barrier)
+from plaplab.minimize import minimize_newton
+from plaplab.solver import _CylinderProblem, _boundary_array
 
 POWER23 = Nonlinearity.power(2, 3)
 LINEAR = Nonlinearity.power(1, 1)  # f(u) = u
@@ -130,14 +132,15 @@ class TestSolveDirichlet:
         mask = window_node_mask(g, w)
         for p in (1.5, 3.0):
             h = min(g.hx, g.hy)
+            problem = _CylinderProblem.on_grid(g, POWER23, p,
+                                               _boundary_array(g, 1.0))
             sols = []
             for k in range(3):
                 schedule = tuple(np.geomspace(h, 0.01 * h * h / 2 ** k, 6))
-                res = solve_dirichlet(g, POWER23,
-                                      SolverConfig(p=p,
-                                                   eps_schedule=schedule),
-                                      1.0)
-                sols.append(res.solution.values[mask])
+                u, _, _ = minimize_newton(problem,
+                                          problem.laplace_fill(schedule[0]),
+                                          schedule, 1e-9, 200)
+                sols.append(u[mask])
             d1 = np.max(np.abs(sols[1] - sols[0]))
             d2 = np.max(np.abs(sols[2] - sols[1]))
             assert d2 <= 10.0 * d1 + 1e-13
