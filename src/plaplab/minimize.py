@@ -12,7 +12,9 @@ The stopping test is an absolute bound on the lumped-mass-scaled gradient
 plus a roundoff allowance proportional to the magnitude of the assembled
 terms: near boundary blow-up data the gradient entries cancel between
 contributions many orders of magnitude larger than the solver tolerance,
-so a purely absolute test would be unattainable in double precision.
+and on a fine mesh the cell gradients cancel between nodal values much
+larger than their differences, so a purely absolute test would be
+unattainable in double precision.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ _EPS_MACH = np.finfo(float).eps
 _ROUNDOFF_FACTOR = 64.0
 _BACKTRACK = 0.5
 _SUFFICIENT_DECREASE = 1e-4
+# a Newton step below resolution ends the stage only if the residual is
+# within this multiple of tol plus the roundoff floor
+_STALL_FACTOR = 4.0
 
 
 class NonConvergenceError(RuntimeError):
@@ -63,7 +68,9 @@ def minimize_newton(problem, u0, eps_schedule, tol, max_newton):
       newton_step(u, eps, grad)    -> Newton direction over the free dofs.
 
     Returns ``(u, stages, info)`` where ``info`` carries the final
-    residual and its roundoff floor.
+    residual, its roundoff floor and whether a stage ended on a Newton
+    step below resolution (accepted only with the residual within
+    ``_STALL_FACTOR`` (tol + floor)).
     """
     u = np.array(u0, dtype=float)
     free = problem.free
@@ -93,8 +100,14 @@ def minimize_newton(problem, u0, eps_schedule, tol, max_newton):
                     8.0 * _EPS_MACH * (u_res + 1.0):
                 # the Newton increment is below double-precision resolution
                 # of the iterate; the residual floor has been reached
-                stalled = True
-                break
+                if resid <= _STALL_FACTOR * (tol + floor):
+                    stalled = True
+                    break
+                raise NonConvergenceError(
+                    f"Newton step below resolution at eps={eps:.3e} with "
+                    f"residual {resid:.3e} beyond {_STALL_FACTOR:g} x (tol "
+                    f"+ roundoff floor {floor:.3e})",
+                    trace=stages + [StageTrace(eps, it, resid, np.nan)])
             slope = float(grad[free] @ step)
             if not np.isfinite(slope) or slope >= 0.0:
                 raise NonConvergenceError(

@@ -404,7 +404,8 @@ def check_a2(nl: Nonlinearity, p: float, beta_grid=(0.25, 0.5, 0.75),
 def psi_inverse(nl: Nonlinearity, p: float, d: float) -> float:
     """Solve Psi_p(v) = d for v (Psi_p is strictly decreasing where f > 0).
 
-    Accurate to ``|Psi_p(v) - d| <= 1e-8 * d``.
+    Accurate to ``|Psi_p(v) - d| <= 1e-8 * d``; raises
+    :class:`QuadratureError` when no bracket of d is found.
     """
     if d <= 0.0:
         raise ValueError(f"psi_inverse requires d > 0, got {d}")
@@ -420,7 +421,8 @@ def psi_inverse(nl: Nonlinearity, p: float, d: float) -> float:
         val_hi = psi(hi)
         grow += 1
         if grow > 60:
-            raise ValueError(f"no v with Psi_p(v) <= {d} found below {hi:.3e}")
+            raise QuadratureError(
+                f"no v with Psi_p(v) <= {d} found below {hi:.3e}")
     lo = hi
     val_lo = val_hi
     shrink = 0
@@ -429,7 +431,7 @@ def psi_inverse(nl: Nonlinearity, p: float, d: float) -> float:
         val_lo = psi(lo)
         shrink += 1
         if shrink > 60:
-            raise ValueError(
+            raise QuadratureError(
                 f"d={d} exceeds sup Psi_p over the probe range (reached "
                 f"Psi_p({lo:.3e}) = {val_lo:.6e})")
     if lo == hi:

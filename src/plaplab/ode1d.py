@@ -34,12 +34,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+# unused here: kept so that ``plaplab.ode1d.solve_banded`` stays a name the
+# benchmark's tracer test (perfbench/test_perfbench.py) wraps and restores
+from scipy.linalg import solve_banded  # noqa: F401
 from scipy.optimize import brentq
 
 from .minimize import sweep_levels
 from .nonlinearity import Nonlinearity
-from .quadrature import integrate_to_infinity, panel_quad
+from .quadrature import QuadratureError, integrate_to_infinity, panel_quad
 from .solver import _CylinderProblem
 
 __all__ = [
@@ -187,8 +189,9 @@ def solve_large_1d(nl: Nonlinearity, p: float, r: float) -> LargeSolution1D:
     """Profile with prescribed blow-up radius r, via root solve for a.
 
     The center value bracket is grown geometrically from a = 1 (r(a) is
-    strictly decreasing); a non-monotone probe sequence aborts with a
-    diagnostic rather than silently returning a wrong bracket.
+    strictly decreasing).  A bracket not found within 60 doublings or
+    halvings, a non-monotone probe sequence and a stalled root solve raise
+    :class:`QuadratureError` rather than return a wrong profile.
     """
     if r <= 0.0:
         raise ValueError(f"radius must be positive, got r={r}")
@@ -206,7 +209,7 @@ def solve_large_1d(nl: Nonlinearity, p: float, r: float) -> LargeSolution1D:
             if r_hi <= r:
                 break
         else:
-            raise ValueError(
+            raise QuadratureError(
                 f"no center value with radius <= {r} found within 60 "
                 f"doublings; probes end at {probes[-1]}")
         monotone = all(p1[1] >= p2[1] for p1, p2 in zip(probes, probes[1:]))
@@ -218,18 +221,18 @@ def solve_large_1d(nl: Nonlinearity, p: float, r: float) -> LargeSolution1D:
             if r_lo >= r:
                 break
         else:
-            raise ValueError(
+            raise QuadratureError(
                 f"no center value with radius >= {r} found within 60 "
                 f"halvings; probes end at {probes[-1]}")
         monotone = all(p1[1] <= p2[1] for p1, p2 in zip(probes, probes[1:]))
     if not monotone:
-        raise ValueError(
+        raise QuadratureError(
             f"a -> r(a) is not monotone along the probe sequence {probes}; "
             "cannot bracket the center value reliably")
     a = float(brentq(lambda x: radius(x) - r, lo, hi, rtol=1e-13, maxiter=200))
     r_check = radius(a)
     if abs(r_check - r) > 1e-10 * r:
-        raise ValueError(
+        raise QuadratureError(
             f"center-value root solve stalled: r({a}) = {r_check} vs "
             f"target {r}")
 
@@ -286,8 +289,8 @@ class CrossProfile:
 
 
 class _CrossProblem(_CylinderProblem):
-    """The cylinder's P1 energy on the segment mesh of ``y``; its Hessian
-    is tridiagonal."""
+    """The cylinder's P1 energy on the segment mesh of ``y``; in the
+    natural node order its Hessian is tridiagonal."""
 
     def __init__(self, nl, p, y, g0, g1):
         n = len(y)
@@ -298,14 +301,6 @@ class _CrossProblem(_CylinderProblem):
         free[0] = free[-1] = False
         boundary = np.r_[g0, np.zeros(n - 2), g1]
         super().__init__(cells, b, h, free, nl, p, boundary)
-
-    def _solve(self, blocks, fp, rhs):
-        # segment k joins nodes k and k + 1; the free nodes are 1 .. n-2
-        ab = np.zeros((3, len(rhs)))
-        ab[1] = blocks[:-1, 1, 1] + blocks[1:, 0, 0] + fp
-        ab[0, 1:] = blocks[1:-1, 0, 1]
-        ab[2, :-1] = blocks[1:-1, 1, 0]
-        return solve_banded((1, 1), ab, rhs)
 
 
 def solve_cross_finite(nl: Nonlinearity, p: float, interval, g0: float,

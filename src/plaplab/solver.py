@@ -10,9 +10,11 @@ discretized with piecewise-linear elements on the structured triangulation
 quadrature).  The regularization eps tames the degenerate (p > 2) and
 singular (p < 2) coefficient at critical points; a geometric continuation
 drives eps from the cell size down to 0.01 h^2, warm-starting damped
-Newton at every stage.  Since f is nondecreasing, F is convex and the
-minimizer is unique, so the discrete solution is deterministic given the
-grid.
+Newton at every stage.  Each Newton system is solved by banded Cholesky
+(LAPACK ``dpbtrf``) with the free nodes numbered along the shorter side
+of the lattice, so its half-bandwidth is ny - 1 whatever the cylinder
+length.  Since f is nondecreasing, F is convex and the minimizer is
+unique, so the discrete solution is deterministic given the grid.
 
 Boundary blow-up is approximated by an increasing sweep of constant
 Dirichlet levels M (the monotone-limit construction, run by
@@ -28,8 +30,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import solveh_banded
 
 from .grid import GridFunction, RectGrid, Window, window_node_mask
 from .minimize import (NonConvergenceError, default_eps_schedule,
@@ -74,9 +75,9 @@ class SolveResult:
     """Converged discrete solution with diagnostics.
 
     Boundary nodes carry the prescribed data exactly.  ``residual`` is the
-    final area-scaled gradient max norm; it is at most ``tol`` unless the
-    iteration stalled at the double-precision floor, which is then
-    recorded in ``diagnostics``.
+    final area-scaled gradient max norm; it is at most ``tol`` plus the
+    roundoff floor, or four times that when the iteration stalled at the
+    double-precision floor, which is then recorded in ``diagnostics``.
     """
 
     solution: GridFunction
@@ -111,11 +112,14 @@ class _CylinderProblem:
     """Regularized p-energy of P1 elements on a uniform simplex mesh:
     ``cells`` (cells x nodes), gradient coefficients ``b`` (cells x nodes
     x dim, grad u|_T = sum_k u_k b_k), one cell ``measure`` and the
-    ``free`` node mask.  :meth:`on_grid` builds the cylinder problem;
-    subclasses may replace the Hessian solve :meth:`_solve`."""
+    ``free`` node mask.  :meth:`on_grid` builds the cylinder problem.
+
+    The Newton system is solved by banded Cholesky with the free dofs in
+    the node order ``band_order`` (default: the natural order), which
+    should keep the half-bandwidth ``kd`` of the Hessian small."""
 
     def __init__(self, cells, b, measure, free, nl: Nonlinearity, p: float,
-                 boundary_values: np.ndarray):
+                 boundary_values: np.ndarray, band_order=None):
         self.nl = nl
         self.p = p
         self.cells = cells
@@ -128,17 +132,41 @@ class _CylinderProblem:
         self.free = free
         self.boundary_values = boundary_values
         self.free_idx = np.flatnonzero(free)
-        # node -> free-dof renumbering for the reduced Hessian
-        self._perm = np.full(n, -1, dtype=np.int64)
-        self._perm[self.free_idx] = np.arange(len(self.free_idx))
         self._dots = np.einsum("tkd,tld->tkl", b, b)
+        self._abs_b = np.abs(b)
+        self._band_layout(cells, free, band_order)
+
+    def _band_layout(self, cells, free, band_order):
+        """Scatter map from the per-cell Hessian blocks into LAPACK lower
+        band storage, ``ab[row - col, col] = H[row, col]`` for row >= col
+        with rows and columns in band order."""
+        order = np.arange(len(free)) if band_order is None \
+            else np.asarray(band_order)
+        band_nodes = order[free[order]]
+        nfree = len(band_nodes)
+        pos = np.full(len(free), -1, dtype=np.int64)
+        pos[band_nodes] = np.arange(nfree)
+        rows = pos[np.repeat(cells, cells.shape[1], axis=1)].ravel()
+        cols = pos[np.tile(cells, cells.shape[1])].ravel()
+        keep = (cols >= 0) & (rows >= cols)
+        self.kd = int(np.max(rows[keep] - cols[keep], initial=0))
+        self._band_entries = np.flatnonzero(keep)
+        self._band_slots = (rows[keep] - cols[keep]) * nfree + cols[keep]
+        # free_idx position of each band dof, and back
+        self._to_band = np.searchsorted(self.free_idx, band_nodes)
+        self._from_band = np.argsort(self._to_band)
 
     @classmethod
     def on_grid(cls, grid: RectGrid, nl: Nonlinearity, p: float,
                 boundary_values: np.ndarray) -> "_CylinderProblem":
+        # number the nodes along the shorter lattice side first: the
+        # half-bandwidth is min(nx, ny) - 1, so ny - 1 on a cylinder of any
+        # length (column by column); a taller lattice keeps its row order
+        band_order = None if grid.nx < grid.ny else \
+            np.arange(grid.n_nodes).reshape(grid.ny, grid.nx).T.ravel()
         return cls(grid.triangles(), grid.gradient_coefficients(),
                    grid.triangle_area(), grid.interior_mask(), nl, p,
-                   boundary_values)
+                   boundary_values, band_order)
 
     def with_boundary(self, u):
         out = np.array(u, dtype=float)
@@ -184,7 +212,12 @@ class _CylinderProblem:
         nodes = self.cells.ravel()
         g = np.bincount(nodes, weights=contrib.ravel(), minlength=n)
         fvals = self.mass * self.nl.f_extended(u)
-        scale = np.bincount(nodes, weights=np.abs(contrib).ravel(),
+        # roundoff scale of each entry: its summands, with every cell
+        # gradient bounded by sum_k |u_k| |b_k|, since that sum cancels
+        # where u is large and nearly flat
+        gabs = np.einsum("tk,tkd->td", np.abs(u[self.cells]), self._abs_b)
+        cabs = w[:, None] * np.einsum("td,tkd->tk", gabs, self._abs_b)
+        scale = np.bincount(nodes, weights=cabs.ravel(),
                             minlength=n) + np.abs(fvals)
         return g + fvals, scale
 
@@ -197,7 +230,12 @@ class _CylinderProblem:
                                  + tau[:, None, None]
                                  * gb[:, :, None] * gb[:, None, :])
         fp = self.mass[self.free_idx] * self.nl.f_prime(u[self.free_idx])
-        step = self._solve(blocks, fp, -grad[self.free_idx])
+        try:
+            step = self._solve(blocks, fp, -grad[self.free_idx])
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergenceError(
+                f"Hessian is not positive definite (eps={eps:.3e}, "
+                f"p={self.p}): {exc}") from exc
         if not np.all(np.isfinite(step)):
             raise NonConvergenceError(
                 "Hessian solve produced non-finite entries "
@@ -205,18 +243,19 @@ class _CylinderProblem:
         return step
 
     def _solve(self, blocks, fp, rhs):
-        """Solve (H + diag(fp)) x = rhs over the free dofs, H assembled
-        from the per-cell Hessian ``blocks``."""
-        rows = self._perm[np.broadcast_to(self.cells[:, :, None],
-                                          blocks.shape).ravel()]
-        cols = self._perm[np.broadcast_to(self.cells[:, None, :],
-                                          blocks.shape).ravel()]
-        keep = (rows >= 0) & (cols >= 0)
-        nfree = len(self.free_idx)
-        H = sp.coo_matrix((blocks.ravel()[keep], (rows[keep], cols[keep])),
-                          shape=(nfree, nfree)).tocsc()
-        H = H + sp.diags(fp)
-        return spla.spsolve(H, rhs)
+        """Solve (H + diag(fp)) x = rhs over the free dofs (``free_idx``
+        order), H assembled from the per-cell Hessian ``blocks``, by banded
+        Cholesky; raises ``LinAlgError`` unless the matrix is positive
+        definite."""
+        nfree = len(rhs)
+        ab = np.bincount(self._band_slots,
+                         weights=blocks.ravel()[self._band_entries],
+                         minlength=(self.kd + 1) * nfree)
+        ab = ab.reshape(self.kd + 1, nfree)
+        ab[0] += fp[self._to_band]
+        x = solveh_banded(ab, rhs[self._to_band], lower=True,
+                          check_finite=False)
+        return x[self._from_band]
 
     def laplace_fill(self, eps):
         """Linear (p=2, f=0) solve with the stored boundary data; used as

@@ -124,6 +124,14 @@ class TestOde1d:
                        "ode1d": {"a": 1.0}})
         assert code == 3
 
+    def test_bracketing_failure_is_numerical_failure(self, tmp_path,
+                                                     monkeypatch):
+        # r(a) never falls to the target radius
+        monkeypatch.setattr("plaplab.ode1d.blowup_radius",
+                            lambda nl, p, a: 10.0)
+        code, _ = run(tmp_path, "ode1d", {"ode1d": {"r": 1.0}})
+        assert code == 3
+
 
 class TestSolve:
     def test_dirichlet_artifacts(self, tmp_path):

@@ -1,12 +1,12 @@
-"""The M sweep shared by the cylinder and the cross-sectional blow-up
-solves."""
+"""The Newton iteration's stall exit and the M sweep shared by the cylinder
+and the cross-sectional blow-up solves."""
 
 import numpy as np
 import pytest
 
 from plaplab import (NonConvergenceError, Nonlinearity, SolverConfig,
                      build_grid, solve_blowup, solve_cross_large)
-from plaplab.minimize import sweep_levels
+from plaplab.minimize import minimize_newton, sweep_levels
 
 POWER23 = Nonlinearity.power(2, 3)
 
@@ -57,3 +57,37 @@ def test_changes_and_margin_over_the_watched_nodes():
     assert results == [1.0, 2.0, 4.0]
     assert changes == pytest.approx([0.1, 0.2])
     assert margin == pytest.approx(0.1)
+
+
+class _BelowResolution:
+    """One free dof with a constant residual and a zero Newton step."""
+
+    free = np.array([False, True, False])
+    mass = np.ones(3)
+
+    def __init__(self, residual):
+        self.residual = residual
+
+    def gradient(self, u, eps):
+        return np.full(3, self.residual), np.zeros(3)  # roundoff floor 0
+
+    def newton_step(self, u, eps, grad):
+        return np.zeros(1)
+
+    def objective(self, u, eps):
+        return 0.0
+
+
+def test_stall_within_the_bound_is_accepted():
+    u, stages, info = minimize_newton(_BelowResolution(3e-9), np.zeros(3),
+                                      (1e-2,), 1e-9, 10)
+    assert info["stalled"]
+    assert info["residual"] == 3e-9
+    assert len(stages) == 1
+
+
+def test_stall_beyond_the_bound_raises_with_trace():
+    with pytest.raises(NonConvergenceError, match="below resolution") as err:
+        minimize_newton(_BelowResolution(5e-9), np.zeros(3), (1e-2,), 1e-9,
+                        10)
+    assert err.value.trace[-1].residual == 5e-9

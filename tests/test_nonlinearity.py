@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plaplab import Nonlinearity, check_a1, check_a2, psi_inverse, psi_p
+from plaplab import (Nonlinearity, QuadratureError, check_a1, check_a2,
+                     psi_inverse, psi_p)
 
 E_MINUS_2 = 0.7182818284590452  # exp(1) - 2, closed-form antiderivative value
 
@@ -234,8 +235,17 @@ class TestPsiInverse:
         # for p = 3 the exponential tail gives a bounded Psi near zero
         nl = Nonlinearity.exp_minus_one(1.0)
         sup = psi_p(nl, 3.0, 1e-12)
-        with pytest.raises(ValueError, match="exceeds sup"):
+        with pytest.raises(QuadratureError, match="exceeds sup"):
             psi_inverse(nl, 3.0, 10.0 * sup)
+
+    def test_level_below_the_probe_range_raises(self):
+        # Psi_2(v) = 1/v for f = 2 s^3: 60 quadruplings reach only 5e36
+        with pytest.raises(QuadratureError, match="no v with"):
+            psi_inverse(Nonlinearity.power(2, 3), 2.0, 1e-40)
+
+    def test_nonpositive_level_is_bad_input(self):
+        with pytest.raises(ValueError, match="d > 0"):
+            psi_inverse(Nonlinearity.power(2, 3), 2.0, 0.0)
 
     def test_divergent_psi_raises(self):
         with pytest.raises(ValueError):

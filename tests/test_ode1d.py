@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from plaplab import (DivergentBlowupError, Nonlinearity, blowup_radius,
-                     build_grid, embed_cross_section, energy_gradient, psi_p,
-                     solve_cross_finite, solve_cross_large, solve_large_1d)
+from plaplab import (DivergentBlowupError, Nonlinearity, QuadratureError,
+                     blowup_radius, build_grid, embed_cross_section,
+                     energy_gradient, psi_p, solve_cross_finite,
+                     solve_cross_large, solve_large_1d)
 from plaplab.minimize import default_eps_schedule
 
 POWER23 = Nonlinearity.power(2, 3)
@@ -118,6 +119,23 @@ class TestLargeSolution:
         assert blowup_radius(exp, p, sol.a) == pytest.approx(0.5, rel=1e-8)
         assert sol.first_integral_residual().max() <= 1e-8
         assert np.all(np.isfinite(sol.dphi))
+
+    @pytest.mark.parametrize("radius,message", [
+        (lambda a: 10.0, "60 doublings"),
+        (lambda a: 0.1, "60 halvings"),
+        (lambda a: {1.0: 2.0, 2.0: 3.0}.get(a, 0.5), "not monotone"),
+        (lambda a: 2.0 if a < 1.5 else 0.5, "root solve stalled"),
+    ], ids=["doublings", "halvings", "non_monotone", "root_stall"])
+    def test_bracketing_failure_is_numerical(self, monkeypatch, radius,
+                                             message):
+        monkeypatch.setattr("plaplab.ode1d.blowup_radius",
+                            lambda nl, p, a: radius(a))
+        with pytest.raises(QuadratureError, match=message):
+            solve_large_1d(POWER23, 2.0, 1.0)
+
+    def test_nonpositive_radius_is_bad_input(self):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            solve_large_1d(POWER23, 2.0, 0.0)
 
 
 COSH_MID = 0.8868188839700739  # 1 / cosh(1/2)

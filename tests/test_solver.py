@@ -8,6 +8,7 @@ from plaplab import (GridFunction, NonConvergenceError, Nonlinearity, Window,
                      solve_blowup, solve_dirichlet, solve_large_1d,
                      verify_barrier)
 from plaplab.minimize import minimize_newton
+from plaplab.ode1d import _CrossProblem
 from plaplab.solver import _CylinderProblem, _boundary_array
 
 POWER23 = Nonlinearity.power(2, 3)
@@ -72,6 +73,85 @@ class TestEnergyGradient:
         mass = g.lumped_mass()
         interior = g.interior_mask()
         assert np.max(np.abs(grad[interior]) / mass[interior]) <= 1e-9
+
+
+def dense_newton_step(problem, u, eps):
+    """Newton step of ``problem`` and a dense solve of the Hessian that
+    is assembled from the per-cell blocks it hands to its banded solve."""
+    seen = {}
+    banded = problem._solve
+
+    def record(blocks, fp, rhs):
+        seen.update(blocks=blocks, fp=fp, rhs=rhs)
+        return banded(blocks, fp, rhs)
+
+    problem._solve = record
+    grad, _ = problem.gradient(u, eps)
+    step = problem.newton_step(u, eps, grad)
+    H = np.zeros((len(u), len(u)))
+    for cell, block in zip(problem.cells, seen["blocks"]):
+        H[np.ix_(cell, cell)] += block
+    idx = problem.free_idx
+    H = H[np.ix_(idx, idx)] + np.diag(seen["fp"])
+    return step, np.linalg.solve(H, seen["rhs"])
+
+
+class TestBandedNewtonSolve:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_grid_step_matches_dense_solve(self, p):
+        g = build_grid(2.0, (0.0, 1.0), 13, 6)
+        problem = _CylinderProblem.on_grid(g, POWER23, p,
+                                           _boundary_array(g, 2.0))
+        u = problem.with_boundary(
+            1.0 + np.random.default_rng(7).random(g.n_nodes))
+        step, dense = dense_newton_step(problem, u, 1e-2)
+        assert np.max(np.abs(step - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_segment_step_matches_dense_solve(self, p):
+        problem = _CrossProblem(POWER23, p, np.linspace(0.0, 1.0, 12), 2.0,
+                                3.0)
+        u = problem.with_boundary(
+            1.0 + np.random.default_rng(8).random(12))
+        step, dense = dense_newton_step(problem, u, 1e-2)
+        assert problem.kd == 1
+        assert np.max(np.abs(step - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("ell", [2.0, 16.0])
+    def test_grid_bandwidth_does_not_grow_with_length(self, ell):
+        # square cells: nx = 9 at ell = 2, 65 at ell = 16
+        g = build_grid(ell, (-2.0, 2.0), 4 * int(ell) + 1, 9)
+        problem = _CylinderProblem.on_grid(g, POWER23, 1.5,
+                                           _boundary_array(g, 1.0))
+        assert problem.kd == g.ny - 1
+
+    def test_tall_grid_is_banded_along_its_rows(self):
+        g = build_grid(0.5, (0.0, 8.0), 5, 33)
+        problem = _CylinderProblem.on_grid(g, POWER23, 1.5,
+                                           _boundary_array(g, 1.0))
+        assert problem.kd == g.nx - 1
+
+    def test_indefinite_hessian_is_numerical_failure(self):
+        g = unit_square_grid()
+        problem = _CylinderProblem.on_grid(g, POWER23, 2.0,
+                                           _boundary_array(g, 1.0))
+        u = problem.with_boundary(np.ones(g.n_nodes))
+        grad, _ = problem.gradient(u, 1e-2)
+        nfree = len(problem.free_idx)
+        with pytest.raises(np.linalg.LinAlgError):
+            # the p = 2 Hessian has diagonal 4, so fp = -10 makes it indefinite
+            problem._solve(problem.measure * problem._dots,
+                           np.full(nfree, -10.0), np.ones(nfree))
+
+        class Decreasing:
+            def f_prime(self, s):
+                return np.full(np.shape(s), -1e3)
+
+        problem.nl = Decreasing()
+        with pytest.raises(NonConvergenceError,
+                           match=r"not positive definite \(eps=1\.000e-02, "
+                                 r"p=2\.0\)"):
+            problem.newton_step(u, 1e-2, grad)
 
 
 class TestSolveDirichlet:
