@@ -276,6 +276,7 @@ def cmd_solve(cfg, out: Path, args) -> int:
         diagnostics["blowup"] = {
             "m_values": list(report.m_values),
             "stage_max_change": list(report.stage_max_change),
+            "level_newton_steps": list(report.level_newton_steps),
             "monotone_margin": report.monotone_margin,
         }
     diagnostics.update({
@@ -323,6 +324,7 @@ def _write_sweep_outputs(out, rows, floor, extras):
             "blowup_reports": {
                 str(ell): {"m_values": list(b.m_values),
                            "stage_max_change": list(b.stage_max_change),
+                           "level_newton_steps": list(b.level_newton_steps),
                            "monotone_margin": b.monotone_margin}
                 for ell, b in extras.items()}}
     _write_json(data, out / "sweep.json")

@@ -3,8 +3,10 @@
 The cylinder and cross-sectional solves minimize one regularized convex
 P1 energy (on a triangle or a segment mesh): the singular/degenerate
 coefficient ``|grad u|^(p-2)`` is replaced by
-``(|grad u|^2 + eps^2)^((p-2)/2)`` and ``eps`` is driven down a geometric
-schedule, warm-starting each stage.
+``(|grad u|^2 + eps^2)^((p-2)/2)``.  A cold start drives ``eps`` down a
+geometric schedule, warm-starting each stage; a warm start from the
+solution of a nearby problem runs only the schedule's last stage, since
+it already lies in the basin the ladder exists to reach.
 Within a stage, damped Newton with Armijo backtracking is globally
 convergent because the energy is strictly convex for eps > 0.
 
@@ -95,11 +97,10 @@ def minimize_newton(problem, u0, eps_schedule, tol, max_newton):
                     f"(residual {resid:.3e}, roundoff floor {floor:.3e})",
                     trace=stages + [StageTrace(eps, it, resid, np.nan)])
             step = problem.newton_step(u, eps, grad)
-            u_res = float(np.max(np.abs(u[free]))) if step.size else 0.0
-            if step.size and np.max(np.abs(step)) <= \
-                    8.0 * _EPS_MACH * (u_res + 1.0):
-                # the Newton increment is below double-precision resolution
-                # of the iterate; the residual floor has been reached
+            if np.all(np.abs(step) <=
+                      8.0 * _EPS_MACH * (np.abs(u[free]) + 1.0)):
+                # every Newton increment is below the double-precision
+                # resolution of its own node; the residual floor is reached
                 if resid <= _STALL_FACTOR * (tol + floor):
                     stalled = True
                     break

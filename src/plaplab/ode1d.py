@@ -307,9 +307,12 @@ def solve_cross_finite(nl: Nonlinearity, p: float, interval, g0: float,
                        g1: float, n_nodes: int, tol: float = 1e-9,
                        max_newton: int = 200,
                        initial: Optional[np.ndarray] = None) -> CrossProfile:
-    """Finite-data cross-sectional solve on ``interval`` with n_nodes;
-    ``initial`` warm-starts Newton (its end values are overwritten), the
-    default cold start is the linear Laplace fill."""
+    """Finite-data cross-sectional solve on ``interval`` with n_nodes.
+
+    ``initial``, the nodal values of a solution of a nearby problem (its
+    end values are overwritten), warm-starts Newton at the last eps of the
+    ladder only; the default cold start is the linear Laplace fill,
+    followed by the whole ladder."""
     y0, y1 = float(interval[0]), float(interval[1])
     if n_nodes < 3:
         raise ValueError(f"need at least 3 nodes, got {n_nodes}")

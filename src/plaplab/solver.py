@@ -8,9 +8,12 @@ energy
 discretized with piecewise-linear elements on the structured triangulation
 (gradient term exact per triangle, absorption term by lumped-node
 quadrature).  The regularization eps tames the degenerate (p > 2) and
-singular (p < 2) coefficient at critical points; a geometric continuation
-drives eps from the cell size down to 0.01 h^2, warm-starting damped
-Newton at every stage.  Each Newton system is solved by banded Cholesky
+singular (p < 2) coefficient at critical points; a cold start runs a
+geometric continuation from the cell size down to 0.01 h^2, warm-starting
+damped Newton at every stage, while a solve warm-started from the
+solution of a nearby problem (the previous boundary level of a blow-up
+sweep, or the coarse solution interpolated onto a refined grid) runs only
+the last stage.  Each Newton system is solved by banded Cholesky
 (LAPACK ``dpbtrf``) with the free nodes numbered along the shorter side
 of the lattice, so its half-bandwidth is ny - 1 whatever the cylinder
 length.  Since f is nondecreasing, F is convex and the minimizer is
@@ -106,6 +109,7 @@ class BlowupReport:
     stage_max_change: tuple   # windowed max |u_{M_k+1} - u_{M_k}|
     monotone_margin: float    # most negative interior increment (>= -2 tol)
     window: Optional[Window]
+    level_newton_steps: tuple  # Newton steps of each M level
 
 
 class _CylinderProblem:
@@ -139,19 +143,26 @@ class _CylinderProblem:
     def _band_layout(self, cells, free, band_order):
         """Scatter map from the per-cell Hessian blocks into LAPACK lower
         band storage, ``ab[row - col, col] = H[row, col]`` for row >= col
-        with rows and columns in band order."""
+        with rows and columns in band order, laid out column by column
+        (Fortran order) so that LAPACK factors it without a copy."""
         order = np.arange(len(free)) if band_order is None \
             else np.asarray(band_order)
         band_nodes = order[free[order]]
         nfree = len(band_nodes)
         pos = np.full(len(free), -1, dtype=np.int64)
         pos[band_nodes] = np.arange(nfree)
-        rows = pos[np.repeat(cells, cells.shape[1], axis=1)].ravel()
-        cols = pos[np.tile(cells, cells.shape[1])].ravel()
-        keep = (cols >= 0) & (rows >= cols)
-        self.kd = int(np.max(rows[keep] - cols[keep], initial=0))
-        self._band_entries = np.flatnonzero(keep)
-        self._band_slots = (rows[keep] - cols[keep]) * nfree + cols[keep]
+        # block entry (t, k, l) is H[row, col] with row, col the band
+        # positions of nodes k, l of cell t (-1 at a fixed node)
+        at = pos[cells]
+        col = at[:, None, :]
+        slots = at[:, :, None] - col
+        keep = (col >= 0) & (slots >= 0)
+        self.kd = int(np.max(slots, where=keep, initial=0))
+        slots += col * (self.kd + 1)
+        # the entries not stored (above the diagonal, or at a fixed node)
+        # go to one spare slot past the end
+        slots[~keep] = (self.kd + 1) * nfree
+        self._band_slots = slots.ravel()
         # free_idx position of each band dof, and back
         self._to_band = np.searchsorted(self.free_idx, band_nodes)
         self._from_band = np.argsort(self._to_band)
@@ -221,17 +232,24 @@ class _CylinderProblem:
                             minlength=n) + np.abs(fvals)
         return g + fvals, scale
 
-    def newton_step(self, u, eps, grad):
+    def _hessian_blocks(self, u, eps):
+        """Per-cell Hessian blocks of the gradient term (cells x nodes x
+        nodes).  A function of its own so that the per-cell temporaries
+        are freed before the band is allocated, which keeps them out of
+        the peak memory of a Newton step."""
         gu, g2e = self._cell_gradients(u, eps)
         sigma = g2e ** (0.5 * self.p - 1.0)
         tau = (self.p - 2.0) * g2e ** (0.5 * self.p - 2.0)
         gb = np.einsum("td,tkd->tk", gu, self.b)
-        blocks = self.measure * (sigma[:, None, None] * self._dots
-                                 + tau[:, None, None]
-                                 * gb[:, :, None] * gb[:, None, :])
+        return self.measure * (sigma[:, None, None] * self._dots
+                               + tau[:, None, None]
+                               * gb[:, :, None] * gb[:, None, :])
+
+    def newton_step(self, u, eps, grad):
         fp = self.mass[self.free_idx] * self.nl.f_prime(u[self.free_idx])
         try:
-            step = self._solve(blocks, fp, -grad[self.free_idx])
+            step = self._solve(self._hessian_blocks(u, eps), fp,
+                               -grad[self.free_idx])
         except np.linalg.LinAlgError as exc:
             raise NonConvergenceError(
                 f"Hessian is not positive definite (eps={eps:.3e}, "
@@ -248,13 +266,12 @@ class _CylinderProblem:
         Cholesky; raises ``LinAlgError`` unless the matrix is positive
         definite."""
         nfree = len(rhs)
-        ab = np.bincount(self._band_slots,
-                         weights=blocks.ravel()[self._band_entries],
-                         minlength=(self.kd + 1) * nfree)
-        ab = ab.reshape(self.kd + 1, nfree)
+        ab = np.bincount(self._band_slots, weights=blocks.ravel(),
+                         minlength=(self.kd + 1) * nfree + 1)
+        ab = ab[:-1].reshape(nfree, self.kd + 1).T
         ab[0] += fp[self._to_band]
-        x = solveh_banded(ab, rhs[self._to_band], lower=True,
-                          check_finite=False)
+        x = solveh_banded(ab, rhs[self._to_band], overwrite_ab=True,
+                          overwrite_b=True, lower=True, check_finite=False)
         return x[self._from_band]
 
     def laplace_fill(self, eps):
@@ -269,15 +286,16 @@ class _CylinderProblem:
         return u0
 
     def minimize(self, h, tol, max_newton, initial=None):
-        """Damped Newton down the eps ladder of the cell size ``h``, from
-        ``initial`` (its fixed entries overwritten) or else from the
-        Laplace fill; returns ``(u, stages, info)`` of
+        """Damped Newton down the eps ladder of the cell size ``h`` from
+        the Laplace fill, or only at its last eps from ``initial`` (its
+        fixed entries overwritten); returns ``(u, stages, info)`` of
         :func:`plaplab.minimize.minimize_newton`."""
         schedule = default_eps_schedule(h)
         if initial is None:
             u0 = self.laplace_fill(schedule[0])
         else:
             u0 = self.with_boundary(initial)
+            schedule = schedule[-1:]
         return minimize_newton(self, u0, schedule, tol, max_newton)
 
 
@@ -325,9 +343,11 @@ def solve_dirichlet(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig,
     """Minimize the discrete energy with the boundary nodes fixed.
 
     ``bdata`` is a constant or a callable ``(X, Y) -> values`` evaluated
-    at the node coordinates.  ``initial`` warm-starts Newton (its boundary
-    entries are overwritten); the default cold start is the linear
-    Laplace fill of the boundary data.
+    at the node coordinates.  ``initial``, the nodal values of a solution
+    of a nearby problem (its boundary entries are overwritten), warm-starts
+    Newton at the last eps of the ladder only; the default cold start is
+    the linear Laplace fill of the boundary data, followed by the whole
+    ladder.
     """
     problem = _CylinderProblem.on_grid(grid, nl, cfg.p,
                                        _boundary_array(grid, bdata))
@@ -351,20 +371,24 @@ def solve_dirichlet(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig,
 
 
 def solve_blowup(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig, M_list,
-                 window: Optional[Window] = None):
+                 window: Optional[Window] = None,
+                 initial: Optional[np.ndarray] = None):
     """Increasing sweep of constant boundary levels approximating blow-up.
 
     Warm-started :func:`solve_dirichlet` levels driven by
-    :func:`plaplab.minimize.sweep_levels`.  Returns the list of per-stage
-    results and a :class:`BlowupReport` whose changes are measured on the
-    window (all interior nodes without one).
+    :func:`plaplab.minimize.sweep_levels`; ``initial`` warm-starts the
+    first level (default: a cold start), each later level starts from the
+    previous one.  Returns the list of per-stage results and a
+    :class:`BlowupReport` whose changes are measured on the window (all
+    interior nodes without one).
     """
     interior = grid.interior_mask()
     watch = interior if window is None else \
         window_node_mask(grid, window) & interior
 
-    def solve_level(M, initial):
-        res = solve_dirichlet(grid, nl, cfg, M, initial=initial,
+    def solve_level(M, prev):
+        res = solve_dirichlet(grid, nl, cfg, M,
+                              initial=initial if prev is None else prev,
                               boundary_mode=f"blowup(M={M:g})")
         return res, res.solution.values
 
@@ -373,5 +397,8 @@ def solve_blowup(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig, M_list,
     report = BlowupReport(m_values=m_values,
                           stage_max_change=tuple(changes),
                           monotone_margin=margin,
-                          window=window)
+                          window=window,
+                          level_newton_steps=tuple(
+                              sum(s.iterations for s in res.stages)
+                              for res in results))
     return results, report

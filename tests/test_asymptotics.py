@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from plaplab import (BlowupData, FiniteData, NonConvergenceError,
-                     Nonlinearity, RateRow, RateUnresolvableError,
+from plaplab import (BlowupData, FiniteData, GridFunction,
+                     NonConvergenceError, Nonlinearity, RateRow,
+                     RateUnresolvableError,
                      SolverConfig, SweepSpec, Window, asymptotics, build_grid,
                      fit_rate, solve_blowup, solve_dirichlet, solve_large_1d,
                      sweep_ell, verify_barrier, verify_caccioppoli,
                      verify_comparison, verify_monotone_in_ell)
-from plaplab.asymptotics import caccioppoli_constant
+from plaplab.asymptotics import _prolong, caccioppoli_constant
 
 POWER23 = Nonlinearity.power(2, 3)
 LINEAR = Nonlinearity.power(1, 1)
@@ -151,15 +152,78 @@ class TestSweep:
         with pytest.raises(TypeError, match="stub bug"):
             sweep_ell(SweepSpec(**self.SPEC))
 
-    def test_threaded_sweep_matches_serial(self):
+    @pytest.mark.parametrize("regime", [FiniteData(1.0),
+                                        BlowupData((10.0, 100.0))],
+                             ids=["finite", "blowup"])
+    def test_floor_resolve_starts_from_the_largest_rows_first_level(
+            self, monkeypatch, regime):
+        spec = SweepSpec(**{**self.SPEC, "nl": POWER23, "regime": regime})
+        original = asymptotics.measure_row
+        calls = []
+
+        def recording(spec, ell, ny=None, *, reference, initial=None):
+            out = original(spec, ell, ny, reference=reference,
+                           initial=initial)
+            calls.append((ell, ny, initial, out[2]))
+            return out
+
+        monkeypatch.setattr(asymptotics, "measure_row", recording)
+        rows, floor, _ = sweep_ell(spec)
+        assert np.isfinite(floor)
+        *row_calls, (ell, ny, initial, fine) = calls
+        assert [c[0] for c in row_calls] == [2.0, 4.0]
+        assert (ell, ny) == (4.0, 17)
+        assert all(c[2] is None for c in row_calls)
+        assert np.array_equal(initial,
+                              _prolong(row_calls[-1][3][0].solution))
+        assert len(fine[0].stages) == 1
+
+    def test_threaded_sweep_matches_serial(self, monkeypatch):
         spec = SweepSpec(nl=LINEAR, p=2.0, cross=(0.0, 1.0),
                          regime=FiniteData(1.0), ells=(2.0, 4.0),
                          window=Window(-1.0, 1.0, 0.25, 0.75), ny=9)
-        serial, floor_s, _ = sweep_ell(spec, threads=1)
         threaded, floor_t, _ = sweep_ell(spec, threads=2)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool started")
+
+        monkeypatch.setattr(asymptotics, "ThreadPoolExecutor", no_pool)
+        serial, floor_s, _ = sweep_ell(spec, threads=1)
         assert [(r.ell, r.error) for r in serial] == \
             [(r.ell, r.error) for r in threaded]
         assert floor_s == floor_t
+
+
+class TestProlong:
+    GRID = build_grid(1.0, (0.0, 1.0), 5, 4)
+
+    def coarse(self):
+        # integer nodal values keep every midpoint exact in floating point
+        rng = np.random.default_rng(3)
+        return rng.integers(-50, 50, size=self.GRID.n_nodes).astype(float)
+
+    def test_keeps_the_coarse_nodes(self):
+        u = GridFunction(self.GRID, self.coarse())
+        fine = _prolong(u).reshape(2 * self.GRID.ny - 1, 2 * self.GRID.nx - 1)
+        assert np.array_equal(fine[::2, ::2], u.as_rows())
+
+    def test_reproduces_the_p1_interpolant(self):
+        g = self.GRID
+        c = self.coarse().reshape(g.ny, g.nx)
+        fine = _prolong(GridFunction(g, c.ravel())).reshape(
+            2 * g.ny - 1, 2 * g.nx - 1)
+        for jf in range(2 * g.ny - 1):
+            for i_f in range(2 * g.nx - 1):
+                # fine node in the coarse cell (i, j) at local (s, t)
+                i, j = min(i_f // 2, g.nx - 2), min(jf // 2, g.ny - 2)
+                s, t = i_f / 2 - i, jf / 2 - j
+                if s >= t:   # lower triangle (n00, n10, n11)
+                    want = c[j, i] + s * (c[j, i + 1] - c[j, i]) \
+                        + t * (c[j + 1, i + 1] - c[j, i + 1])
+                else:        # upper triangle (n00, n11, n01)
+                    want = c[j, i] + t * (c[j + 1, i] - c[j, i]) \
+                        + s * (c[j + 1, i + 1] - c[j + 1, i])
+                assert fine[jf, i_f] == want
 
 
 @pytest.fixture(scope="module")

@@ -159,6 +159,9 @@ class TestSolve:
         diag = json.loads((out / "solve.json").read_text())
         assert diag["blowup"]["m_values"] == [10.0, 100.0]
         assert diag["blowup"]["monotone_margin"] >= -2e-9
+        steps = diag["blowup"]["level_newton_steps"]
+        assert len(steps) == 2 and steps[-1] == sum(diag["iterations"])
+        assert len(diag["iterations"]) == 1  # a warm level: one eps stage
 
     def test_nonconvergence_is_exit_3(self, tmp_path):
         code, _ = run(tmp_path, "solve", {
@@ -215,6 +218,20 @@ class TestSweepAndRate:
                      "--threads", "2"]) == 0
         assert (out1 / "rows.csv").read_bytes() == \
             (out2 / "rows.csv").read_bytes()
+
+    def test_blowup_sweep_reports_level_newton_steps(self, tmp_path):
+        code, out = run(tmp_path, "sweep", {
+            "geometry": {"ell_list": [2.0, 4.0], "cross": [-2.0, 2.0],
+                         "ny": 9},
+            "boundary": {"blowup": [10.0, 100.0]},
+            "window": [-1.0, 1.0, -1.0, 1.0],
+        })
+        assert code == 0
+        reports = json.loads((out / "sweep.json").read_text())[
+            "blowup_reports"]
+        assert set(reports) == {"2.0", "4.0"}
+        for rep in reports.values():
+            assert len(rep["level_newton_steps"]) == 2
 
     @pytest.mark.parametrize("command", ["solve", "check", "sweep", "rate"])
     @pytest.mark.parametrize("key, value", [("n_eps_stages", 2),

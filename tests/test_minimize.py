@@ -91,3 +91,33 @@ def test_stall_beyond_the_bound_raises_with_trace():
         minimize_newton(_BelowResolution(5e-9), np.zeros(3), (1e-2,), 1e-9,
                         10)
     assert err.value.trace[-1].residual == 5e-9
+
+
+class _SmallNodeBehind:
+    """Two free dofs, one large and converged, one small and off by 1e-12;
+    energy 0.5 |u - target|^2 over the free dofs, exact Newton steps."""
+
+    free = np.array([False, True, True, False])
+    mass = np.ones(4)
+    target = np.array([0.0, 1e6, 1e-12, 0.0])
+
+    def gradient(self, u, eps):
+        g = np.where(self.free, u - self.target, 0.0)
+        return g, np.zeros(4)  # roundoff floor 0
+
+    def newton_step(self, u, eps, grad):
+        return -grad[self.free]
+
+    def objective(self, u, eps):
+        return float(0.5 * np.sum((u - self.target)[self.free] ** 2))
+
+
+def test_step_resolved_at_its_own_node_is_taken():
+    # the step (0, 1e-12) is below the resolution of the node at 1e6 but
+    # not of the node it moves
+    problem = _SmallNodeBehind()
+    u, stages, info = minimize_newton(problem, np.array([0.0, 1e6, 0, 0]),
+                                      (1e-2,), 1e-14, 10)
+    assert not info["stalled"]
+    assert stages[0].iterations == 1
+    assert u[2] == 1e-12

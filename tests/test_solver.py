@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from plaplab import (GridFunction, NonConvergenceError, Nonlinearity, Window,
                      SolverConfig, build_grid, energy, energy_gradient,
                      solve_blowup, solve_dirichlet, solve_large_1d,
                      verify_barrier)
-from plaplab.minimize import minimize_newton
+from plaplab.minimize import default_eps_schedule, minimize_newton
 from plaplab.ode1d import _CrossProblem
 from plaplab.solver import _CylinderProblem, _boundary_array
 
@@ -197,6 +199,17 @@ class TestSolveDirichlet:
         assert np.array_equal(a.solution.values, b.solution.values)
         assert a.energy == b.energy
 
+    def test_warm_start_runs_only_the_last_eps_stage(self):
+        g = build_grid(1.0, (0.0, 1.0), 17, 9)
+        cfg = SolverConfig(p=1.5)
+        ladder = default_eps_schedule(min(g.hx, g.hy))
+        cold = solve_dirichlet(g, POWER23, cfg, 2.0)
+        warm = solve_dirichlet(g, POWER23, cfg, 3.0,
+                               initial=cold.solution.values)
+        assert [s.eps for s in cold.stages] == list(ladder)
+        assert [s.eps for s in warm.stages] == [ladder[-1]]
+        assert warm.residual <= cfg.tol + warm.diagnostics["roundoff_floor"]
+
     def test_nonconvergence_carries_trace(self):
         g = build_grid(1.0, (-1.0, 1.0), 17, 17)
         cfg = SolverConfig(p=1.5, max_newton=1)
@@ -244,6 +257,43 @@ class TestSolveBlowup:
         # boundary carries the final level exactly
         bmask = g.boundary_mask()
         assert np.all(results[-1].solution.values[bmask] == 10000.0)
+
+    def test_levels_after_the_first_run_one_stage(self):
+        g = build_grid(1.0, (-1.0, 1.0), 17, 9)
+        results, report = solve_blowup(g, POWER23, SolverConfig(p=1.5),
+                                       [10.0, 100.0, 1000.0])
+        assert [len(r.stages) for r in results] == [5, 1, 1]
+        assert report.level_newton_steps == tuple(
+            sum(s.iterations for s in r.stages) for r in results)
+
+    def test_initial_warm_starts_the_first_level(self):
+        g = build_grid(1.0, (-1.0, 1.0), 17, 9)
+        cfg = SolverConfig(p=1.5)
+        cold, _ = solve_blowup(g, POWER23, cfg, [10.0, 100.0])
+        warm, _ = solve_blowup(g, POWER23, cfg, [10.0, 100.0],
+                               initial=cold[0].solution.values)
+        assert [len(r.stages) for r in warm] == [1, 1]
+        assert warm[0].stages[0].iterations == 0
+        assert np.array_equal(warm[0].solution.values,
+                              cold[0].solution.values)
+
+    @settings(max_examples=20, deadline=None)
+    @given(p=st.floats(1.2, 4.0),
+           exponents=st.lists(st.floats(0.0, 4.0), min_size=2, max_size=3,
+                              unique=True))
+    def test_sweep_ends_at_the_cold_solve_of_its_last_level(self, p,
+                                                            exponents):
+        # the warm-started levels reach the minimizer of the last level
+        # that a cold start down the whole eps ladder reaches
+        m_list = sorted(10.0 ** e for e in exponents)
+        assume(all(b > a for a, b in zip(m_list, m_list[1:])))
+        g = build_grid(1.0, (-1.0, 1.0), 9, 9)
+        nl = Nonlinearity.power(2, 4)
+        cfg = SolverConfig(p=p)
+        results, _ = solve_blowup(g, nl, cfg, m_list)
+        cold = solve_dirichlet(g, nl, cfg, m_list[-1])
+        gap = results[-1].solution.values - cold.solution.values
+        assert np.max(np.abs(gap)) <= 2.0 * cfg.tol
 
     def test_final_stage_below_barrier(self):
         g = build_grid(2.0, (-2.0, 2.0), 33, 33)
