@@ -34,7 +34,8 @@ from .grid import (GridFunction, Window, build_grid, cutoff_function,
                    require_window_inside, window_node_mask)
 from .minimize import NonConvergenceError, increasing_levels
 from .nonlinearity import Nonlinearity
-from .ode1d import solve_cross_finite, solve_cross_large, solve_large_1d
+from .ode1d import (LargeSolution1D, solve_cross_finite, solve_cross_large,
+                    solve_large_1d)
 from .solver import SolveResult, SolverConfig, solve_blowup, solve_dirichlet
 
 __all__ = [
@@ -396,16 +397,22 @@ def verify_monotone_in_ell(shorter: SolveResult, longer: SolveResult,
                        details={"slack": slack, "ells": (g1.ell, g2.ell)})
 
 
-def verify_barrier(result: SolveResult, x0: tuple, R: float) -> CheckReport:
+def verify_barrier(result: SolveResult, x0: tuple, R: float,
+                   profile: Optional[LargeSolution1D] = None) -> CheckReport:
     """Interior bound u <= phi(R/2) on the half ball, phi the radial
-    blow-up profile of radius R."""
+    blow-up profile of radius R.
+
+    ``profile`` is that phi when the caller has solved it already (it
+    depends only on the nonlinearity, p and R, not on the ball's center).
+    """
     grid = result.solution.grid
     cx, cy = float(x0[0]), float(x0[1])
     y0, y1 = grid.cross
     if not (abs(cx) + R <= grid.ell and cy - R >= y0 and cy + R <= y1):
         raise ValueError(
             f"ball B_{R}(({cx}, {cy})) is not contained in the rectangle")
-    phi = solve_large_1d(result.nl, result.p, R)
+    phi = profile if profile is not None else \
+        solve_large_1d(result.nl, result.p, R)
     bound = phi.value_at(R / 2.0)
     X, Y = grid.node_coords()
     ball = (X - cx) ** 2 + (Y - cy) ** 2 <= (R / 2.0) ** 2

@@ -35,7 +35,7 @@ from .asymptotics import (BlowupData, FiniteData, RateUnresolvableError,
                           verify_monotone_in_ell)
 from .grid import Window, build_grid, write_grid_function
 from .minimize import NonConvergenceError
-from .nonlinearity import Nonlinearity, check_a1, check_a2, psi_p
+from .nonlinearity import Nonlinearity, check_a1, check_a2, log_psi_p
 from .ode1d import DivergentBlowupError, solve_large_1d
 from .quadrature import QuadratureError
 from .solver import SolverConfig, solve_blowup, solve_dirichlet
@@ -192,23 +192,26 @@ def cmd_psi(cfg, out: Path, args) -> int:
     if not (0 < r_min < r_max) or points < 2:
         raise ConfigError("psi table needs 0 < r_min < r_max and points >= 2")
     radii = np.geomspace(r_min, r_max, points)
-    values = [psi_p(nl, p, r) for r in radii]
     a1 = check_a1(nl, p)
     verdict = {"p": p, "nonlinearity": nl.describe(), "a1": a1, "a2": None}
     if a1:
         a2_cfg = cfg.get("a2", {})
         betas = tuple(float(b) for b in a2_cfg.get("betas", (0.25, 0.5, 0.75)))
         t_max = float(a2_cfg.get("t_max", 1e4))
-        rep = check_a2(nl, p, beta_grid=betas, t_max=t_max)
+        # the table radii ride along in the probe's sweep: one shared tail
+        rep = check_a2(nl, p, beta_grid=betas, t_max=t_max, radii=radii)
+        log_values = rep.log_psi_at_radii
         verdict["a2"] = {
             "passes": rep.passes,
             "beta_values": list(rep.beta_values),
-            "estimated_liminf_per_beta": list(rep.estimated_liminf_per_beta),
+            "log_liminf_per_beta": list(rep.log_liminf_per_beta),
             "margin": rep.margin,
         }
+    else:
+        log_values = log_psi_p(nl, p, radii)
     # both artifacts only once the verdict stands
     _write_csv(out / "psi.csv", ["r", "psi_p"],
-               [(float(r), float(v)) for r, v in zip(radii, values)])
+               [(float(r), math.exp(v)) for r, v in zip(radii, log_values)])
     _write_json(verdict, out / "verdict.json")
     print(f"psi table written; (A1) {'holds' if a1 else 'fails'}"
           + ("" if verdict["a2"] is None else
@@ -414,8 +417,10 @@ def cmd_check(cfg, out: Path, args) -> int:
         cy = 0.5 * (cross[0] + cross[1])
         span = max(grid.ell - 2.0 * R, 0.0)
         xs = np.linspace(-span, span, n_balls) if n_balls > 1 else [0.0]
+        profile = solve_large_1d(nl, p, R)  # every ball has radius R
         for cx in xs:
-            reports.append(verify_barrier(final, (float(cx), cy), R))
+            reports.append(verify_barrier(final, (float(cx), cy), R,
+                                          profile=profile))
         for shrink in np.linspace(0.2, 0.5, n_windows):
             wi = Window(window.x_lo + shrink * (window.x_hi - window.x_lo) / 2,
                         window.x_hi - shrink * (window.x_hi - window.x_lo) / 2,

@@ -11,6 +11,14 @@ is decided by finiteness of
 and uniqueness of the blow-up solution additionally needs the scaling
 condition ``liminf_{t->inf} Psi_p(beta*t) / Psi_p(t) > 1`` for every
 ``beta in (0, 1)``.  Both are probed numerically here.
+
+Every value of Psi_p comes from one evaluator, :func:`log_psi_p`.  It
+takes all the points a caller needs at once, sorts them, integrates one
+tail from the largest and one panel between neighbours, and accumulates
+``log Psi_p`` from the top.  Each panel's integrand is ``(F(s) /
+F(x0))^(-1/p)``, computed from a scalar ``log F``, so e^s - 1, whose
+Psi_2(1e4) is about e^(-5000), stays resolvable; the A2 probe compares
+log ratios for the same reason.
 """
 
 from __future__ import annotations
@@ -23,11 +31,13 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .quadrature import QuadratureError, integrate_to_infinity
+from .quadrature import (NARROW_PANEL, QuadratureError, integrate_to_infinity,
+                         narrow_panel_quad, panel_quad)
 
 __all__ = [
     "Nonlinearity",
     "A2Report",
+    "log_psi_p",
     "psi_p",
     "check_a1",
     "check_a2",
@@ -251,19 +261,35 @@ class Nonlinearity:
 
 @dataclass(frozen=True, eq=False)
 class A2Report:
-    """Numerical probe of the uniqueness scaling condition.
+    """Numerical probe of the uniqueness scaling condition, in log space.
 
-    ``ratio_matrix[i, j]`` holds ``Psi_p(beta_i * t_j) / Psi_p(t_j)``;
-    the liminf per beta is estimated by the minimum over the largest
-    decade of the geometric t grid.
+    ``log_ratio_matrix[i, j]`` holds ``log Psi_p(beta_i t_j) - log
+    Psi_p(t_j)``; the log liminf per beta is estimated by the minimum over
+    the largest decade of the geometric t grid.  The ratios themselves can
+    overflow (``e^(3750)`` for ``f = e^s - 1``), so only their logs are
+    stored.  ``log_psi_at_radii`` holds ``log Psi_p`` at the extra radii
+    that were evaluated in the same sweep (see :func:`check_a2`).
     """
 
     beta_values: tuple
     t_values: tuple
-    ratio_matrix: np.ndarray
-    estimated_liminf_per_beta: tuple
+    log_ratio_matrix: np.ndarray
+    log_liminf_per_beta: tuple
     passes: bool
     margin: float = 1e-3
+    log_psi_at_radii: tuple = ()
+
+    @property
+    def ratio_matrix(self) -> np.ndarray:
+        """``Psi_p(beta_i t_j) / Psi_p(t_j)``; ``inf`` where it overflows."""
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_ratio_matrix)
+
+    @property
+    def estimated_liminf_per_beta(self) -> tuple:
+        """The liminf estimates as ratios; ``inf`` where they overflow."""
+        with np.errstate(over="ignore"):
+            return tuple(float(v) for v in np.exp(self.log_liminf_per_beta))
 
 
 # -- module-level operations ----------------------------------------------
@@ -283,41 +309,121 @@ def _tail_diverges_analytically(nl: Nonlinearity, p: float) -> Optional[bool]:
     return None
 
 
-def psi_p(nl: Nonlinearity, p: float, r: float) -> float:
-    """Keller-Osserman integral Psi_p(r); ``inf`` when divergent.
+def _log_F(nl: Nonlinearity) -> Callable[[float], float]:
+    """Scalar ``s -> log F(s)`` for ``s > 0``, ``-inf`` where F vanishes.
 
-    The improper tail is summed over doubling panels with geometric
-    remainder extrapolation; divergence is declared by the Cauchy test on
-    the panel increments (see :mod:`plaplab.quadrature`).
+    The built-in kinds take a closed form in ``math`` that neither
+    underflows nor overflows: ``log(c/(q+1)) + (q+1) log s`` for a power,
+    and ``log lam + s + log1p(-(1+s) e^-s)`` for ``e^s - 1`` when s >= 1.
     """
-    if p <= 1.0:
-        raise ValueError(f"Psi_p requires p > 1, got p={p}")
-    if r <= 0.0:
-        raise ValueError(f"Psi_p requires r > 0, got r={r}")
-    verdict = _tail_diverges_analytically(nl, p)
-    if verdict is True:
-        return float("inf")
+    if nl.kind == "power":
+        c, q = nl.params
+        log_coeff = math.log(c / (q + 1.0))
+        return lambda s: log_coeff + (q + 1.0) * math.log(s)
+    if nl.kind == "exp_minus_one":
+        log_lam = math.log(nl.params[0])
 
-    start = float(r)
-    if nl.F(start) == 0.0:
-        start = _first_positive_F(nl, r)
-        if start is None:
-            return float("inf")  # F vanishes on [r, r + delta] and beyond
+        def log_F(s):
+            if s >= 1.0:
+                # e^s - 1 - s = e^s (1 - (1 + s) e^-s)
+                return log_lam + s + math.log1p(-(1.0 + s) * math.exp(-s))
+            small = _expm1_minus(s)
+            return log_lam + math.log(small) if small > 0.0 else -math.inf
 
-    def integrand(s):
+        return log_F
+
+    def log_F(s):
         Fs = nl.F(s)
-        if Fs <= 0.0:
-            return float("inf")
-        return Fs ** (-1.0 / p)
+        return math.log(Fs) if Fs > 0.0 else -math.inf
 
-    tail = integrate_to_infinity(integrand, start)
+    return log_F
+
+
+def _log_tails(nl: Nonlinearity, p: float, log_F: Callable[[float], float],
+               nodes: list) -> list:
+    """``log int_x^inf F^(-1/p)`` at each of the sorted, distinct ``nodes``.
+
+    One tail is integrated from the largest node and one panel between
+    each pair of neighbours (split into doubling panels where neighbours
+    lie more than a factor 2 apart); the sums are accumulated from the top
+    with ``int_x^inf = int_x^y + int_y^inf``.  Each piece integrates
+    ``(F(s)/F(x0))^(-1/p)`` from its left end ``x0``, where it is 1, so
+    neither a huge nor a tiny F under- or overflows the integrand.
+    """
+    def scaled(x0):
+        ref = log_F(x0)
+        return ref, lambda s: math.exp((ref - log_F(s)) / p)
+
+    top = nodes[-1]
+    ref, h = scaled(top)
+    tail = integrate_to_infinity(h, top)
     if math.isinf(tail):
         if nl.tail_exponent_hint is not None and nl.tail_exponent_hint + 1.0 > p:
             raise QuadratureError(
                 "tail integral did not converge numerically although the "
                 "tail exponent hint guarantees integrability")
-        return float("inf")
-    return (1.0 - 1.0 / p) ** (1.0 / p) * tail
+        return [math.inf] * len(nodes)
+    if not tail > 0.0:
+        raise QuadratureError(f"tail integral from {top} is {tail!r}")
+    edges = []
+    for lo, hi in zip(nodes, nodes[1:]):
+        while 2.0 * lo < hi:
+            edges.append(lo)
+            lo *= 2.0
+        edges.append(lo)
+    edges.append(top)
+    acc = math.log(tail) - ref / p
+    log_at = {top: acc}
+    for lo, hi in reversed(list(zip(edges, edges[1:]))):
+        ref, h = scaled(lo)
+        if hi - lo < NARROW_PANEL * hi:
+            piece = narrow_panel_quad(h, lo, hi)
+        else:
+            piece = panel_quad(h, lo, hi)
+        if not piece > 0.0:
+            raise QuadratureError(f"Psi_p panel [{lo}, {hi}] is {piece!r}")
+        acc = float(np.logaddexp(math.log(piece) - ref / p, acc))
+        log_at[lo] = acc
+    return [log_at[x] for x in nodes]
+
+
+def log_psi_p(nl: Nonlinearity, p: float, points) -> np.ndarray:
+    """``log Psi_p`` at each of ``points``; ``+inf`` where Psi_p diverges.
+
+    All points share one sweep: the distinct points are sorted, one tail
+    is integrated from the largest and one panel between neighbours (see
+    :func:`_log_tails`).  Working with logs keeps values such as
+    ``Psi_2(1e4) ~ e^(-5000)`` for ``f = e^s - 1`` representable.  A point
+    where F vanishes starts its integral at the first point above it
+    where F is positive.
+    """
+    if p <= 1.0:
+        raise ValueError(f"Psi_p requires p > 1, got p={p}")
+    x = np.asarray(points, dtype=float)
+    bad = x[~(x > 0.0)]
+    if bad.size:
+        raise ValueError(f"Psi_p requires r > 0, got r={bad[0]}")
+    if _tail_diverges_analytically(nl, p) is True:
+        return np.full(x.shape, math.inf)
+    log_F = _log_F(nl)
+    starts = {}
+    for r in np.unique(x).tolist():
+        starts[r] = r if log_F(r) > -math.inf else _first_positive_F(nl, r)
+    nodes = sorted({s for s in starts.values() if s is not None})
+    log_at = dict(zip(nodes, _log_tails(nl, p, log_F, nodes))) if nodes else {}
+    log_const = math.log1p(-1.0 / p) / p
+    out = [math.inf if starts[r] is None else log_const + log_at[starts[r]]
+           for r in x.ravel().tolist()]
+    return np.array(out).reshape(x.shape)
+
+
+def psi_p(nl: Nonlinearity, p: float, r: float) -> float:
+    """Keller-Osserman integral Psi_p(r); ``inf`` when divergent.
+
+    The one-point case of :func:`log_psi_p`.  The value underflows to 0
+    where ``log Psi_p(r) < -745``; use :func:`log_psi_p` there.
+    """
+    return math.exp(log_psi_p(nl, p, (r,))[0])
 
 
 def _first_positive_F(nl: Nonlinearity, r: float) -> Optional[float]:
@@ -349,7 +455,8 @@ def check_a1(nl: Nonlinearity, p: float) -> bool:
     """True iff Psi_p is finite (the Keller-Osserman condition).
 
     Decided analytically for the built-in kinds; a custom nonlinearity
-    passes when Psi_p is finite at the probe radii {1e-2, 1, 1e2}.
+    passes when Psi_p is finite at the probe radii {1e-2, 1, 1e2}, all
+    three evaluated in one sweep.
     Finiteness at one radius implies it for all larger radii (positive
     integrand); the small probes guard against non-integrable interior
     zeros of F.
@@ -357,7 +464,7 @@ def check_a1(nl: Nonlinearity, p: float) -> bool:
     diverges = _tail_diverges_analytically(nl, p)
     if diverges is not None:
         return not diverges
-    return all(math.isfinite(psi_p(nl, p, r)) for r in (1e-2, 1.0, 1e2))
+    return bool(np.all(log_psi_p(nl, p, (1e-2, 1.0, 1e2)) < math.inf))
 
 
 #: smallest t of the A2 probe grid, its density and the pass margin
@@ -367,13 +474,17 @@ A2_MARGIN = 1e-3
 
 
 def check_a2(nl: Nonlinearity, p: float, beta_grid=(0.25, 0.5, 0.75),
-             t_max: float = 1e4) -> A2Report:
-    """Estimate ``liminf_{t->inf} Psi_p(beta t)/Psi_p(t)`` per beta.
+             t_max: float = 1e4, radii=()) -> A2Report:
+    """Estimate ``log liminf_{t->inf} Psi_p(beta t)/Psi_p(t)`` per beta.
 
-    The liminf is rendered as the minimum of the ratio over the largest
-    decade of a geometric t grid from ``A2_T_MIN`` to ``t_max``; the
-    report passes when every estimate exceeds ``1 + A2_MARGIN``.  Raises
-    :class:`QuadratureError` when Psi_p(t_max) is not resolvable.
+    The liminf is rendered as the minimum of the log ratio over the
+    largest decade of a geometric t grid from ``A2_T_MIN`` to ``t_max``;
+    the report passes when every estimate exceeds ``log(1 + A2_MARGIN)``.
+    All points t and beta t, and the optional extra ``radii``, are
+    evaluated in one :func:`log_psi_p` sweep; the radii's values come back
+    in ``A2Report.log_psi_at_radii``, so a caller that also tabulates
+    Psi_p pays for one tail.  Raises :class:`QuadratureError` when
+    Psi_p(t_max) is not resolvable.
     """
     betas = tuple(float(b) for b in beta_grid)
     if any(not (0.0 < b < 1.0) for b in betas):
@@ -384,21 +495,25 @@ def check_a2(nl: Nonlinearity, p: float, beta_grid=(0.25, 0.5, 0.75),
     n_dec = math.log10(t_max / A2_T_MIN)
     n_pts = max(int(round(n_dec * A2_POINTS_PER_DECADE)) + 1, 4)
     t_values = np.geomspace(A2_T_MIN, t_max, n_pts)
-    psi_at_t = np.array([psi_p(nl, p, t) for t in t_values])
-    if psi_at_t[-1] <= 0.0 or not np.isfinite(psi_at_t[-1]):
+    probe = np.concatenate((t_values, np.outer(betas, t_values).ravel(),
+                            np.asarray(radii, dtype=float).ravel()))
+    log_psi = log_psi_p(nl, p, probe)
+    log_at_t = log_psi[:n_pts]
+    if not np.isfinite(log_at_t[-1]):
         raise QuadratureError(f"Psi_p({t_max}) is not resolvable above "
                               "quadrature tolerance; lower t_max")
-    ratios = np.empty((len(betas), n_pts))
-    for i, b in enumerate(betas):
-        ratios[i] = [psi_p(nl, p, b * t) for t in t_values]
-    ratios /= psi_at_t[np.newaxis, :]
+    n_ratio = n_pts * (1 + len(betas))
+    log_ratios = log_psi[n_pts:n_ratio].reshape(len(betas), n_pts) \
+        - log_at_t[np.newaxis, :]
     last_decade = t_values >= t_values[-1] / 10.0
-    liminf_est = tuple(float(np.min(ratios[i, last_decade]))
-                       for i in range(len(betas)))
-    passes = all(est > 1.0 + A2_MARGIN for est in liminf_est)
-    return A2Report(beta_values=betas, t_values=tuple(float(t) for t in t_values),
-                    ratio_matrix=ratios, estimated_liminf_per_beta=liminf_est,
-                    passes=passes, margin=A2_MARGIN)
+    log_liminf = tuple(float(np.min(row[last_decade])) for row in log_ratios)
+    passes = all(est > math.log1p(A2_MARGIN) for est in log_liminf)
+    return A2Report(beta_values=betas,
+                    t_values=tuple(float(t) for t in t_values),
+                    log_ratio_matrix=log_ratios,
+                    log_liminf_per_beta=log_liminf, passes=passes,
+                    margin=A2_MARGIN,
+                    log_psi_at_radii=tuple(log_psi[n_ratio:].tolist()))
 
 
 def psi_inverse(nl: Nonlinearity, p: float, d: float) -> float:

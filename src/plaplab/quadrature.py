@@ -8,10 +8,16 @@ increments of a convergent integral decay geometrically, so the remainder
 can be extrapolated from the measured decay ratio, while a divergent
 integral fails the Cauchy test (increments never drop below a relative
 threshold within the doubling budget).
+
+Callers that need the integral from many lower limits integrate one tail
+from the largest and finite panels (:func:`panel_quad`) between the
+others, rather than one tail per limit; see
+:func:`plaplab.nonlinearity.log_psi_p`.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -31,6 +37,12 @@ MAX_DOUBLINGS = 200
 #: relative accuracy target of one panel, and of a whole tail integral
 PANEL_REL_TOL = 1e-13
 TAIL_REL_TOL = 1e-12
+
+#: relative width below which a panel of a smooth integrand takes a fixed
+#: Gauss-Legendre rule (:func:`narrow_panel_quad`) instead of QUADPACK
+NARROW_PANEL = 1e-8
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
 def panel_quad(h, lo, hi):
@@ -53,6 +65,21 @@ def panel_quad(h, lo, hi):
     raise QuadratureError(
         f"quadrature did not converge on [{lo!r}, {hi!r}]: {last_err}"
     )
+
+
+def narrow_panel_quad(h, lo, hi):
+    """Integrate a smooth ``h`` over a panel narrower than ``NARROW_PANEL``
+    relative to ``hi`` with a 10-point Gauss-Legendre rule.
+
+    QUADPACK cannot bisect a panel whose width nears the ulp of its
+    position and reports it as extremely bad integrand behaviour, even
+    for a nearly constant integrand; on such a panel the fixed rule is
+    exact to rounding for any integrand smooth at the panel's scale.
+    """
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    return half * math.fsum(w * h(mid + half * t)
+                            for t, w in zip(_GL_NODES, _GL_WEIGHTS))
 
 
 def integrate_to_infinity(h, start):

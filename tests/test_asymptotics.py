@@ -292,6 +292,16 @@ class TestVerifiers:
             rep = verify_barrier(res, (cx, 0.0), 0.8)
             assert rep.passed, str(rep)
 
+    def test_barrier_reuses_a_given_profile(self, blowup_pair, monkeypatch):
+        res = blowup_pair[4.0]
+        centers = ((-1.0, 0.0), (1.0, 0.0))
+        solved = [verify_barrier(res, c, 0.8) for c in centers]
+        profile = solve_large_1d(res.nl, res.p, 0.8)
+        monkeypatch.setattr(asymptotics, "solve_large_1d", None)
+        for center, ref in zip(centers, solved):
+            rep = verify_barrier(res, center, 0.8, profile=profile)
+            assert rep.passed and rep.details == ref.details
+
     def test_barrier_trivial_for_zero_data(self):
         g = build_grid(2.0, (-1.0, 1.0), 33, 17)
         res = solve_dirichlet(g, POWER23, SolverConfig(p=2.0), 0.0)

@@ -2,9 +2,11 @@
 
 import csv
 import json
+import math
 
 import pytest
 
+import plaplab.quadrature
 from plaplab.cli import main
 
 BASE = {
@@ -82,14 +84,52 @@ class TestPsi:
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["a1"] is False and verdict["a2"] is None
 
-    def test_unresolvable_a2_probe_is_numerical_failure(self, tmp_path):
-        # F(s) = e^s - 1 - s overflows long before the default t_max = 1e4,
-        # so Psi_p(t_max) underflows to 0; no artifact may be left behind
+    def test_readme_exp_minus_one_config(self, tmp_path):
+        # Psi_2(1e4) ~ e^(-5000) and Psi_2(t/4)/Psi_2(t) ~ e^(3750): both
+        # leave double precision, their logs do not
         code, out = run(tmp_path, "psi", {"nonlinearity": {
-            "kind": "exp_minus_one", "lam": 1.0}})
+            "kind": "exp_minus_one", "lam": 1}})
+        assert code == 0
+        with open(out / "psi.csv") as fh:
+            values = [float(row["psi_p"]) for row in csv.DictReader(fh)]
+        assert len(values) == 25
+        assert all(math.isfinite(v) and v > 0.0 for v in values)
+        assert all(a > b for a, b in zip(values, values[1:]))
+
+        def reject(token):
+            raise ValueError(f"{token} is not valid JSON")
+
+        verdict = json.loads((out / "verdict.json").read_text(),
+                             parse_constant=reject)
+        assert verdict["a1"] is True and verdict["a2"]["passes"] is True
+        assert verdict["a2"]["log_liminf_per_beta"] == pytest.approx(
+            [375.0, 250.0, 125.0], rel=1e-12)
+
+    def test_numerical_failure_leaves_no_artifact(self, tmp_path,
+                                                  monkeypatch):
+        # a quadrature that returns NaN makes the A2 probe unresolvable
+        monkeypatch.setattr(plaplab.quadrature, "quad",
+                            lambda *args, **kwargs: (math.nan, math.nan))
+        code, out = run(tmp_path, "psi", {})
         assert code == 3
         assert not (out / "psi.csv").exists()
         assert not (out / "verdict.json").exists()
+
+    def test_default_table_and_probe_share_one_tail(self, tmp_path,
+                                                    monkeypatch):
+        # the slowest tail of the benchmark: Psi_3 for f = 2 s^3 decays
+        # like s^(-1/3), about 120 doubling panels per tail integral
+        calls = []
+        quad = plaplab.quadrature.quad
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(plaplab.quadrature, "quad", counting)
+        code, _ = run(tmp_path, "psi", {"p": 3.0})
+        assert code == 0
+        assert len(calls) <= 400
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, {"psi": {"points": 5}})

@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plaplab import (Nonlinearity, QuadratureError, check_a1, check_a2,
-                     psi_inverse, psi_p)
+                     log_psi_p, psi_inverse, psi_p)
 
 E_MINUS_2 = 0.7182818284590452  # exp(1) - 2, closed-form antiderivative value
 
@@ -153,10 +153,124 @@ class TestPsi:
     def test_exp_tail_is_finite(self):
         assert math.isfinite(psi_p(Nonlinearity.exp_minus_one(1.0), 1.5, 0.5))
 
-    def test_underflowed_tail_is_zero_not_divergent(self):
-        # F overflows at r ~ 800, so the integrand underflows; the value is
-        # an unrepresentably small positive number, not a divergence
-        assert psi_p(Nonlinearity.exp_minus_one(1.0), 2.0, 800.0) == 0.0
+    def test_far_exponential_tail_is_tiny_not_zero(self):
+        # F(s) = e^s - 1 - s overflows near s = 710, but in log space
+        # Psi_2(800) = sqrt(2) e^(-400) (1 + O(800 e^(-800))) is resolved
+        nl = Nonlinearity.exp_minus_one(1.0)
+        value = psi_p(nl, 2.0, 800.0)
+        assert math.isfinite(value) and value > 0.0
+        log_value = log_psi_p(nl, 2.0, [800.0])[0]
+        assert abs(log_value - (-400.0 + 0.5 * math.log(2.0))) < 1e-9
+
+
+def power_and_p(draw):
+    """power(c, q) with q + 1 > p and p in (1, 4].
+
+    The tail decays like s^(-e) with e = (q + 1)/p - 1; e >= 0.25 keeps
+    the doubling tail within its budget of 200 panels at TAIL_REL_TOL.
+    """
+    p = draw(st.floats(1.0, 4.0, exclude_min=True))
+    e = draw(st.floats(0.25, 4.0))
+    c = draw(st.floats(1e-3, 1e3))
+    return Nonlinearity.power(c, (e + 1.0) * p - 1.0), p
+
+
+def exp_and_p(draw):
+    lam = draw(st.floats(1e-2, 1e2))
+    return Nonlinearity.exp_minus_one(lam), draw(
+        st.floats(1.0, 4.0, exclude_min=True))
+
+
+class TestLogPsiSweep:
+    """One shared sweep over many points against one call per point."""
+
+    @staticmethod
+    def _case(data):
+        draw = data.draw
+        nl, p = power_and_p(draw) if draw(st.booleans()) else exp_and_p(draw)
+        points = draw(st.lists(st.floats(-2.0, 4.0), min_size=2,
+                               max_size=30).map(lambda e: [10.0 ** x
+                                                           for x in e]))
+        return nl, p, points
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_shared_sweep_matches_one_point_calls(self, data):
+        nl, p, points = self._case(data)
+        shared = log_psi_p(nl, p, points)
+        single = np.array([log_psi_p(nl, p, [x])[0] for x in points])
+        # a relative error of Psi is an absolute error of log Psi; the
+        # ulp of log Psi (up to 1e4 for e^s - 1) is added as the floor
+        slack = 1e-12 + 4.0 * np.spacing(np.abs(single))
+        assert np.all(np.abs(shared - single) <= slack)
+        if nl.kind == "power":
+            values = np.array([psi_p(nl, p, x) for x in points])
+            assert np.allclose(np.exp(shared), values, rtol=1e-12, atol=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_nonincreasing_in_the_point(self, data):
+        nl, p, points = self._case(data)
+        values = log_psi_p(nl, p, sorted(points))
+        assert np.all(np.isfinite(values))
+        assert np.all(np.diff(values) <= 0.0)
+
+    @pytest.mark.parametrize("c, q, p", [(2.0, 3.0, 1.5), (1.0, 5.0, 2.0),
+                                         (2.0, 3.0, 3.0)])
+    def test_points_decades_apart(self, c, q, p):
+        # one adaptive panel across six decades fails to converge, so the
+        # gap is split into doubling panels
+        got = log_psi_p(Nonlinearity.power(c, q), p, [1e-2, 1e4])
+        want = [math.log(psi_power_closed_form(c, q, p, r))
+                for r in (1e-2, 1e4)]
+        assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("nl", [Nonlinearity.exp_minus_one(1.0),
+                                    Nonlinearity.power(2, 3)])
+    def test_points_an_ulp_apart(self, nl):
+        # a panel a few ulps wide is too narrow for QUADPACK to bisect;
+        # its integrand is 1 at the left end, so it equals its width
+        lo, hi = 0.999999999999977, 1.0
+        got = log_psi_p(nl, 1.125, [lo, hi])
+        assert got[0] >= got[1]
+        want = np.logaddexp(got[1], math.log(hi - lo)
+                            + math.log1p(-1.0 / 1.125) / 1.125
+                            - math.log(nl.F(lo)) / 1.125)
+        assert got[0] == pytest.approx(want, abs=1e-13)
+
+    def test_output_follows_the_input_order(self):
+        nl = Nonlinearity.power(2, 3)
+        got = np.exp(log_psi_p(nl, 2.0, [4.0, 0.5, 2.0, 0.5]))
+        assert np.allclose(got, [0.25, 2.0, 0.5, 2.0], rtol=1e-12)
+
+    def test_divergent_and_invalid(self):
+        assert np.all(log_psi_p(Nonlinearity.power(1, 1), 2.0, [1.0, 2.0])
+                      == math.inf)
+        with pytest.raises(ValueError, match="r > 0"):
+            log_psi_p(Nonlinearity.power(2, 3), 2.0, [1.0, 0.0])
+
+
+class TestFGap:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), log_a=st.floats(-3.0, 3.0),
+           log_ratio=st.floats(-3.0, 2.0))
+    def test_matches_well_conditioned_difference(self, data, log_a,
+                                                 log_ratio):
+        # dx >= 1e-3 a keeps F(a + dx) - F(a) well conditioned; for e^s - 1
+        # that needs a >= 1 too, since F = e^s - 1 - s is itself computed
+        # with cancellation below 1, and a + dx <= 700 keeps F finite
+        if data.draw(st.booleans()):
+            nl = Nonlinearity.power(data.draw(st.floats(1e-3, 1e3)),
+                                    data.draw(st.floats(1e-3, 10.0)))
+        else:
+            nl = Nonlinearity.exp_minus_one(data.draw(st.floats(1e-3, 1e3)))
+            log_a = abs(log_a) * math.log10(300.0) / 3.0
+        a = 10.0 ** log_a
+        b = a + a * 10.0 ** log_ratio
+        dx = b - a
+        assume(a + dx == b and (nl.kind == "power" or b <= 700.0))
+        direct = nl.F(b) - nl.F(a)
+        assert nl.F_gap(a, dx) == pytest.approx(direct, rel=1e-12, abs=0)
 
 
 class TestA1:
@@ -189,6 +303,8 @@ class TestA2:
         assert rep.passes
         for beta, est in zip(rep.beta_values, rep.estimated_liminf_per_beta):
             assert est == pytest.approx(1.0 / beta, rel=1e-4)
+        assert rep.log_liminf_per_beta == pytest.approx(
+            [-math.log(b) for b in rep.beta_values], rel=1e-4)
 
     def test_power_scaling_exponent(self):
         # Psi ~ r^(-(q+1-p)/p) so the ratio at beta=0.5 is 2^((q+1-p)/p) = 2
@@ -206,6 +322,23 @@ class TestA2:
     def test_ratio_matrix_at_least_one(self):
         rep = check_a2(Nonlinearity.power(2, 3), 2.0, t_max=1e3)
         assert np.all(rep.ratio_matrix >= 1.0 - 1e-12)
+
+    def test_exponential_ratio_is_kept_as_a_log(self):
+        # Psi_2(beta t)/Psi_2(t) ~ e^((1 - beta) t / 2) for f = e^s - 1: the
+        # ratio overflows at t = 1e4, its log is minimal at t = 1e3
+        rep = check_a2(Nonlinearity.exp_minus_one(1.0), 2.0)
+        assert rep.passes
+        assert rep.log_liminf_per_beta == pytest.approx([375.0, 250.0, 125.0],
+                                                        rel=1e-12)
+        assert np.all(np.isfinite(rep.log_ratio_matrix))
+        assert rep.estimated_liminf_per_beta[0] == pytest.approx(
+            math.exp(375.0), rel=1e-10)
+
+    def test_extra_radii_ride_along(self):
+        radii = (0.5, 3.0, 2e4)
+        rep = check_a2(Nonlinearity.power(2, 3), 2.0, radii=radii)
+        assert np.exp(rep.log_psi_at_radii) == pytest.approx(
+            [1.0 / r for r in radii], rel=1e-12)
 
     def test_requires_keller_osserman(self):
         with pytest.raises(ValueError, match="diverges"):
