@@ -29,9 +29,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .grid import (GridFunction, Window, build_grid, cutoff_function,
-                   embed_cross_section, lp_norm_gradient,
-                   require_window_inside, window_node_mask)
+from .grid import (Window, build_grid, cutoff_function, embed_cross_section,
+                   lp_norm_gradient, require_window_inside, window_node_mask)
 from .minimize import NonConvergenceError, increasing_levels
 from .nonlinearity import Nonlinearity
 from .ode1d import (LargeSolution1D, solve_cross_finite, solve_cross_large,
@@ -184,12 +183,14 @@ def _reference_profile(spec: SweepSpec, ny: int):
                              tol=spec.tol, max_newton=spec.max_newton)
 
 
-def _solve_cylinder(spec: SweepSpec, ell: float, ny: int, initial=None):
+def _solve_cylinder(spec: SweepSpec, ell: float, ny: int, reference):
     """The solves of one cylinder, one per boundary level (a single one
-    for finite data), and the blow-up report (None for finite data);
-    ``initial`` warm-starts the first solve."""
+    for finite data), and the blow-up report (None for finite data).  The
+    first solve starts from the near-solution the cylinder converges to:
+    the cross-sectional ``reference`` at its first level, extended."""
     grid = build_grid(ell, spec.cross, spec.nx_for(ell, ny), ny)
     cfg = spec.solver_config()
+    initial = embed_cross_section(reference.start, grid).values
     if isinstance(spec.regime, FiniteData):
         res = solve_dirichlet(grid, spec.nl, cfg,
                               spec.regime.boundary_callable(),
@@ -197,19 +198,6 @@ def _solve_cylinder(spec: SweepSpec, ell: float, ny: int, initial=None):
         return [res], None
     return solve_blowup(grid, spec.nl, cfg, spec.regime.m_list,
                         window=spec.window, initial=initial)
-
-
-def _prolong(u: GridFunction) -> np.ndarray:
-    """Nodal values on the uniformly refined lattice (2 nx - 1 by
-    2 ny - 1) of the P1 interpolant of ``u``: its nodes, the midpoints of
-    its edges and of the SW-NE diagonals of its cells."""
-    c = u.as_rows()
-    fine = np.empty((2 * c.shape[0] - 1, 2 * c.shape[1] - 1))
-    fine[::2, ::2] = c
-    fine[::2, 1::2] = 0.5 * (c[:, :-1] + c[:, 1:])
-    fine[1::2, ::2] = 0.5 * (c[:-1] + c[1:])
-    fine[1::2, 1::2] = 0.5 * (c[:-1, :-1] + c[1:, 1:])
-    return fine.ravel()
 
 
 def _gradient_noise_floor(u, ref, p, w):
@@ -228,18 +216,18 @@ def _gradient_noise_floor(u, ref, p, w):
 
 
 def measure_row(spec: SweepSpec, ell: float, ny: Optional[int] = None, *,
-                reference, initial=None):
+                reference):
     """Solve one ell against the cross-sectional ``reference`` profile
-    solved on the same ``ny`` transverse nodes, the first solve
-    warm-started from ``initial`` if given; returns (error, noise_floor,
+    solved on the same ``ny`` transverse nodes, the first solve starting
+    from the reference's first level; returns (error, noise_floor,
     results, blowup_report), ``results`` holding one solve per boundary
     level."""
-    results, blow_report = _solve_cylinder(spec, ell, ny or spec.ny, initial)
+    results, blow = _solve_cylinder(spec, ell, ny or spec.ny, reference)
     res = results[-1]
     ref = embed_cross_section(reference, res.solution.grid)
     err = lp_norm_gradient(res.solution - ref, spec.p, spec.window)
     noise = _gradient_noise_floor(res.solution, ref, spec.p, spec.window)
-    return err, noise, results, blow_report
+    return err, noise, results, blow
 
 
 def sweep_ell(spec: SweepSpec, threads: int = 1):
@@ -248,12 +236,13 @@ def sweep_ell(spec: SweepSpec, threads: int = 1):
     A row whose solve fails numerically or on its input is recorded with
     the failure reason instead of aborting the whole sweep; any other
     exception propagates.  The discretization floor is estimated by
-    re-solving the largest ell at doubled resolution and comparing the two
-    measurements, warm-started from the largest ell's first solve
-    interpolated onto the refined grid; extras carries the blow-up
+    re-solving the largest ell at doubled resolution, one more
+    independent :func:`measure_row` against the reference on that grid,
+    and comparing the two measurements; extras carries the blow-up
     stabilization reports keyed by ell.  The cross-sectional reference is
-    solved once per transverse grid; when it fails, every row records that
-    failure.  Rows run on ``threads`` threads when it exceeds 1.
+    solved once per transverse grid, and every cylinder solve starts from
+    its first level; when it fails, every row records that failure.  Rows
+    run on ``threads`` threads when it exceeds 1.
     """
     extras = {}
 
@@ -268,12 +257,10 @@ def sweep_ell(spec: SweepSpec, threads: int = 1):
 
     def one(ell):
         try:
-            err, noise, results, blow = measure_row(spec, ell,
-                                                    reference=reference)
-            return RateRow(ell=ell, error=err), noise, blow, \
-                results[0].solution
+            err, noise, _, blow = measure_row(spec, ell, reference=reference)
+            return RateRow(ell=ell, error=err), noise, blow
         except _SOLVE_FAILURES as exc:  # recorded, not raised
-            return failed(ell, exc), 0.0, None, None
+            return failed(ell, exc), 0.0, None
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -282,7 +269,7 @@ def sweep_ell(spec: SweepSpec, threads: int = 1):
         outcome = [one(ell) for ell in spec.ells]
     rows = []
     noise_max = 0.0
-    for (row, noise, blow, _), ell in zip(outcome, spec.ells):
+    for (row, noise, blow), ell in zip(outcome, spec.ells):
         rows.append(row)
         noise_max = max(noise_max, noise)
         if blow is not None:
@@ -295,8 +282,7 @@ def sweep_ell(spec: SweepSpec, threads: int = 1):
         try:
             fine, noise_fine, _, _ = measure_row(
                 spec, ell_max, ny_fine,
-                reference=_reference_profile(spec, ny_fine),
-                initial=_prolong(outcome[-1][3]))
+                reference=_reference_profile(spec, ny_fine))
             # resolution sensitivity of the closest-to-floor row, bounded
             # below by the rounding level of the norm measurement itself
             floor = max(abs(coarse - fine), noise_max, noise_fine)

@@ -244,18 +244,34 @@ def cmd_ode1d(cfg, out: Path, args) -> int:
     return EXIT_OK
 
 
-def _geometry_single(cfg):
+def _geometry(cfg, default_ny):
+    """The ``geometry`` section, its cross-section (y0, y1) and ``ny``,
+    checked, and ``grid_for(ell, nx=None)``, the grid of half-length ell
+    with hx tied to hy unless ``nx`` is given."""
     geo = _require(cfg, "geometry")
+    cross = geo.get("cross")
+    if not (isinstance(cross, (list, tuple)) and len(cross) == 2
+            and float(cross[0]) < float(cross[1])):
+        raise ConfigError("geometry.cross must be [y0, y1] with y0 < y1")
+    cross = (float(cross[0]), float(cross[1]))
+    ny = int(geo.get("ny", default_ny))
+    if ny < 3:
+        raise ConfigError(f"geometry.ny must be at least 3, got {ny}")
+    hy = (cross[1] - cross[0]) / (ny - 1)
+
+    def grid_for(ell, nx=None):
+        nx = int(round(2 * ell / hy)) + 1 if nx is None else nx
+        return build_grid(ell, cross, nx, ny)
+
+    return geo, cross, ny, grid_for
+
+
+def _geometry_single(cfg):
+    geo, _, _, grid_for = _geometry(cfg, 33)
     if "ell" not in geo:
         raise ConfigError("geometry.ell is required for this subcommand")
-    ell = float(geo["ell"])
-    cross = geo.get("cross")
-    if not (isinstance(cross, (list, tuple)) and len(cross) == 2):
-        raise ConfigError("geometry.cross must be [y0, y1]")
-    ny = int(geo.get("ny", 33))
-    hy = (float(cross[1]) - float(cross[0])) / (ny - 1)
-    nx = int(geo.get("nx", round(2 * ell / hy) + 1))
-    return build_grid(ell, (float(cross[0]), float(cross[1])), nx, ny)
+    nx = int(geo["nx"]) if "nx" in geo else None
+    return grid_for(float(geo["ell"]), nx)
 
 
 def cmd_solve(cfg, out: Path, args) -> int:
@@ -300,17 +316,13 @@ def cmd_solve(cfg, out: Path, args) -> int:
 def _sweep_spec(cfg) -> SweepSpec:
     nl = build_nonlinearity(_require(cfg, "nonlinearity"))
     p = _get_p(cfg)
-    geo = _require(cfg, "geometry")
+    geo, cross, ny, _ = _geometry(cfg, 33)
     ells = geo.get("ell_list")
     if not ells:
         raise ConfigError("geometry.ell_list is required for sweeps")
-    cross = geo.get("cross")
-    if not (isinstance(cross, (list, tuple)) and len(cross) == 2):
-        raise ConfigError("geometry.cross must be [y0, y1]")
-    ny = int(geo.get("ny", 33))
     window = _get_window(cfg)
     kwargs = _solver_kwargs(cfg)
-    return SweepSpec(nl=nl, p=p, cross=(float(cross[0]), float(cross[1])),
+    return SweepSpec(nl=nl, p=p, cross=cross,
                      regime=_boundary_regime(cfg),
                      ells=tuple(float(e) for e in ells), window=window, ny=ny,
                      tol=kwargs.get("tol", 1e-11),
@@ -374,26 +386,15 @@ def cmd_check(cfg, out: Path, args) -> int:
     p = _get_p(cfg)
     regime = _boundary_regime(cfg)
     window = _get_window(cfg)
-    geo = _require(cfg, "geometry")
-    cross = geo.get("cross")
-    if not (isinstance(cross, (list, tuple)) and len(cross) == 2):
-        raise ConfigError("geometry.cross must be [y0, y1]")
-    cross = (float(cross[0]), float(cross[1]))
-    ny = int(geo.get("ny", 17))
+    geo, cross, _, grid_for = _geometry(cfg, 17)
     ells = [float(e) for e in geo.get("ell_list", [])] or \
         [float(geo.get("ell", 2.0))]
-    hy = (cross[1] - cross[0]) / (ny - 1)
     scfg = SolverConfig(p=p, **_solver_kwargs(cfg))
     check_cfg = cfg.get("check", {})
     n_pairs = int(check_cfg.get("pairs", 5))
     n_balls = int(check_cfg.get("balls", 5))
     n_windows = int(check_cfg.get("window_pairs", 3))
     reports = []
-
-    def grid_for(ell):
-        nx = int(round(2 * ell / hy)) + 1
-        return build_grid(ell, cross, nx, ny)
-
     grid = grid_for(ells[0])
     # ordered constant boundary data -> ordered solutions
     rng = np.random.default_rng(0)

@@ -47,15 +47,38 @@ __all__ = [
 _VALIDATION_GRID = np.concatenate(([0.0], np.geomspace(1e-6, 1e6, 49)))
 
 
+#: Taylor coefficients 1/k! of e^d - 1 - d for k = 18 down to 2; for
+#: |d| < 1 the omitted terms are below 1e-17 of the sum
+_EXPM1_MINUS_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(18, 1, -1))
+
+
+def _expm1_minus_series(x):
+    """The Taylor sum of e^x - 1 - x, for |x| < 1 (float or array)."""
+    s = 0.0
+    for c in _EXPM1_MINUS_TAYLOR:
+        s = s * x + c
+    return x * x * s
+
+
 def _expm1_minus(d):
-    """exp(d) - 1 - d without cancellation for small d."""
+    """exp(d) - 1 - d without cancellation: its Taylor series for |d| < 1,
+    where expm1(d) and d nearly cancel, and their difference beyond.  A
+    scalar stays in ``math``: the scalar calls come from quadrature
+    integrands, where numpy's per-call cost dominates."""
+    if np.ndim(d) == 0:
+        d = float(d)
+        if abs(d) < 1.0:
+            return _expm1_minus_series(d)
+        try:
+            return math.expm1(d) - d
+        except OverflowError:
+            return math.inf
     d = np.asarray(d, dtype=float)
-    small = np.abs(d) < 1e-4
+    small = np.abs(d) < 1.0
     with np.errstate(over="ignore"):
         direct = np.expm1(d) - d
-    series = 0.5 * d * d * (1.0 + d / 3.0 * (1.0 + d / 4.0 * (1.0 + d / 5.0)))
-    out = np.where(small, series, direct)
-    return out if out.ndim else float(out)
+    return np.where(small, _expm1_minus_series(np.where(small, d, 0.0)),
+                    direct)
 
 
 @dataclass(frozen=True)

@@ -268,7 +268,8 @@ class CrossProfile:
 
     ``mode`` is "finite" (endpoint data ``g``) or "blowup" (final member
     of an increasing M sweep, with the stabilization residual = max nodal
-    change over the last sweep step).
+    change over the last sweep step, and the profile of the sweep's first
+    level kept as ``first_level``).
     """
 
     y: np.ndarray
@@ -279,10 +280,17 @@ class CrossProfile:
     stabilization_residual: Optional[float] = None
     residual: float = 0.0
     tol: float = 0.0
+    first_level: Optional["CrossProfile"] = None
 
     @property
     def interval(self) -> tuple:
         return (float(self.y[0]), float(self.y[-1]))
+
+    @property
+    def start(self) -> "CrossProfile":
+        """The profile at the first boundary level (itself for finite
+        data), which the cylinder solves start from."""
+        return self if self.first_level is None else self.first_level
 
     def value_at(self, yq):
         return np.interp(yq, self.y, self.values)
@@ -332,9 +340,10 @@ def solve_cross_large(nl: Nonlinearity, p: float, interval, M_list,
     """Blow-up data approximated by an increasing sweep of constant levels.
 
     Runs :func:`plaplab.minimize.sweep_levels` over warm-started
-    :func:`solve_cross_finite` solves with g0 = g1 = M, and reports the
-    final member together with the stabilization residual (max nodal
-    change over the last step).
+    :func:`solve_cross_finite` solves with g0 = g1 = M (the first level
+    a cold start), and reports the final member together with the
+    stabilization residual (max nodal change over the last step) and the
+    first level's profile, which the cylinder solves start from.
     """
     def solve_level(M, initial):
         prof = solve_cross_finite(nl, p, interval, M, M, n_nodes, tol,
@@ -349,4 +358,5 @@ def solve_cross_large(nl: Nonlinearity, p: float, interval, M_list,
                         m_values=m_values,
                         stabilization_residual=changes[-1] if changes
                         else None,
-                        residual=last.residual, tol=tol)
+                        residual=last.residual, tol=tol,
+                        first_level=profiles[0])

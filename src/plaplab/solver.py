@@ -12,8 +12,8 @@ singular (p < 2) coefficient at critical points; a cold start runs a
 geometric continuation from the cell size down to 0.01 h^2, warm-starting
 damped Newton at every stage, while a solve warm-started from the
 solution of a nearby problem (the previous boundary level of a blow-up
-sweep, or the coarse solution interpolated onto a refined grid) runs only
-the last stage.  Each Newton system is solved by banded Cholesky
+sweep, or the cross-sectional reference extended along the cylinder)
+runs only the last stage.  Each Newton system is solved by banded Cholesky
 (LAPACK ``dpbtrf``) with the free nodes numbered along the shorter side
 of the lattice, so its half-bandwidth is ny - 1 whatever the cylinder
 length.  Since f is nondecreasing, F is convex and the minimizer is

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from plaplab import (BlowupData, FiniteData, GridFunction,
-                     NonConvergenceError, Nonlinearity, RateRow,
-                     RateUnresolvableError,
+from plaplab import (BlowupData, FiniteData, NonConvergenceError,
+                     Nonlinearity, RateRow, RateUnresolvableError,
                      SolverConfig, SweepSpec, Window, asymptotics, build_grid,
-                     fit_rate, solve_blowup, solve_dirichlet, solve_large_1d,
-                     sweep_ell, verify_barrier, verify_caccioppoli,
-                     verify_comparison, verify_monotone_in_ell)
-from plaplab.asymptotics import _prolong, caccioppoli_constant
+                     embed_cross_section, fit_rate, solve_blowup,
+                     solve_dirichlet, solve_large_1d, sweep_ell,
+                     verify_barrier, verify_caccioppoli, verify_comparison,
+                     verify_monotone_in_ell)
+from plaplab.asymptotics import caccioppoli_constant
 
 POWER23 = Nonlinearity.power(2, 3)
 LINEAR = Nonlinearity.power(1, 1)
@@ -152,31 +152,79 @@ class TestSweep:
         with pytest.raises(TypeError, match="stub bug"):
             sweep_ell(SweepSpec(**self.SPEC))
 
-    @pytest.mark.parametrize("regime", [FiniteData(1.0),
-                                        BlowupData((10.0, 100.0))],
-                             ids=["finite", "blowup"])
-    def test_floor_resolve_starts_from_the_largest_rows_first_level(
+    REGIMES = pytest.mark.parametrize(
+        "regime", [FiniteData(1.0), BlowupData((10.0, 100.0))],
+        ids=["finite", "blowup"])
+
+    @REGIMES
+    def test_every_solve_starts_from_its_references_first_level(
             self, monkeypatch, regime):
         spec = SweepSpec(**{**self.SPEC, "nl": POWER23, "regime": regime})
-        original = asymptotics.measure_row
-        calls = []
+        references = {}
+        original = asymptotics._reference_profile
 
-        def recording(spec, ell, ny=None, *, reference, initial=None):
-            out = original(spec, ell, ny, reference=reference,
-                           initial=initial)
-            calls.append((ell, ny, initial, out[2]))
-            return out
+        def recording_reference(spec, ny):
+            references[ny] = original(spec, ny)
+            return references[ny]
 
-        monkeypatch.setattr(asymptotics, "measure_row", recording)
-        rows, floor, _ = sweep_ell(spec)
+        starts = []
+
+        def recording(solve):
+            def wrapped(grid, *args, initial, **kwargs):
+                out = solve(grid, *args, initial=initial, **kwargs)
+                first = out[0][0] if isinstance(out, tuple) else out
+                starts.append((grid, initial, first))
+                return out
+            return wrapped
+
+        monkeypatch.setattr(asymptotics, "_reference_profile",
+                            recording_reference)
+        monkeypatch.setattr(asymptotics, "solve_dirichlet",
+                            recording(solve_dirichlet))
+        monkeypatch.setattr(asymptotics, "solve_blowup",
+                            recording(solve_blowup))
+        _, floor, _ = sweep_ell(spec)
         assert np.isfinite(floor)
-        *row_calls, (ell, ny, initial, fine) = calls
-        assert [c[0] for c in row_calls] == [2.0, 4.0]
-        assert (ell, ny) == (4.0, 17)
-        assert all(c[2] is None for c in row_calls)
-        assert np.array_equal(initial,
-                              _prolong(row_calls[-1][3][0].solution))
-        assert len(fine[0].stages) == 1
+        # the two rows, then the floor re-solve at doubled resolution
+        assert [(g.ell, g.ny) for g, _, _ in starts] == \
+            [(2.0, 9), (4.0, 9), (4.0, 17)]
+        for grid, initial, first in starts:
+            start = references[grid.ny].start
+            if isinstance(regime, BlowupData):
+                assert start.g == (10.0, 10.0)
+            assert np.array_equal(initial,
+                                  embed_cross_section(start, grid).values)
+            assert len(first.stages) == 1
+
+    @REGIMES
+    def test_row_agrees_with_a_cold_solve(self, regime):
+        # the minimizer is unique: the start changes the path, not the end;
+        # p = 1.5, since at p = 2 eps only adds a constant to the energy
+        spec = SweepSpec(**{**self.SPEC, "nl": POWER23, "regime": regime,
+                            "p": 1.5})
+        _, _, results, _ = asymptotics.measure_row(
+            spec, 4.0, reference=asymptotics._reference_profile(spec, 9))
+        warm = results[-1].solution
+        cfg = spec.solver_config()
+        if isinstance(regime, FiniteData):
+            cold = solve_dirichlet(warm.grid, POWER23, cfg,
+                                   regime.boundary_callable())
+        else:
+            cold = solve_blowup(warm.grid, POWER23, cfg, regime.m_list)[0][-1]
+        assert np.max(np.abs(warm.values - cold.solution.values)) <= \
+            10.0 * spec.tol
+
+    def test_first_levels_take_fewer_newton_steps_than_cold(self):
+        spec = SweepSpec(nl=POWER23, p=1.5, cross=(-2.0, 2.0),
+                         regime=BlowupData((10.0, 100.0)), ells=(2.0, 4.0),
+                         window=Window(-1.0, 1.0, -1.0, 1.0), ny=9)
+        _, _, extras = sweep_ell(spec)
+        assert set(extras) == {2.0, 4.0}
+        for ell, blow in extras.items():
+            grid = build_grid(ell, spec.cross, spec.nx_for(ell), spec.ny)
+            _, cold = solve_blowup(grid, POWER23, spec.solver_config(),
+                                   spec.regime.m_list)
+            assert blow.level_newton_steps[0] < cold.level_newton_steps[0]
 
     def test_threaded_sweep_matches_serial(self, monkeypatch):
         spec = SweepSpec(nl=LINEAR, p=2.0, cross=(0.0, 1.0),
@@ -192,38 +240,6 @@ class TestSweep:
         assert [(r.ell, r.error) for r in serial] == \
             [(r.ell, r.error) for r in threaded]
         assert floor_s == floor_t
-
-
-class TestProlong:
-    GRID = build_grid(1.0, (0.0, 1.0), 5, 4)
-
-    def coarse(self):
-        # integer nodal values keep every midpoint exact in floating point
-        rng = np.random.default_rng(3)
-        return rng.integers(-50, 50, size=self.GRID.n_nodes).astype(float)
-
-    def test_keeps_the_coarse_nodes(self):
-        u = GridFunction(self.GRID, self.coarse())
-        fine = _prolong(u).reshape(2 * self.GRID.ny - 1, 2 * self.GRID.nx - 1)
-        assert np.array_equal(fine[::2, ::2], u.as_rows())
-
-    def test_reproduces_the_p1_interpolant(self):
-        g = self.GRID
-        c = self.coarse().reshape(g.ny, g.nx)
-        fine = _prolong(GridFunction(g, c.ravel())).reshape(
-            2 * g.ny - 1, 2 * g.nx - 1)
-        for jf in range(2 * g.ny - 1):
-            for i_f in range(2 * g.nx - 1):
-                # fine node in the coarse cell (i, j) at local (s, t)
-                i, j = min(i_f // 2, g.nx - 2), min(jf // 2, g.ny - 2)
-                s, t = i_f / 2 - i, jf / 2 - j
-                if s >= t:   # lower triangle (n00, n10, n11)
-                    want = c[j, i] + s * (c[j, i + 1] - c[j, i]) \
-                        + t * (c[j + 1, i + 1] - c[j, i + 1])
-                else:        # upper triangle (n00, n11, n01)
-                    want = c[j, i] + t * (c[j + 1, i] - c[j, i]) \
-                        + s * (c[j + 1, i + 1] - c[j + 1, i])
-                assert fine[jf, i_f] == want
 
 
 @pytest.fixture(scope="module")

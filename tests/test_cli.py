@@ -290,6 +290,20 @@ class TestSweepAndRate:
             capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["solve", "check", "sweep", "rate"])
+    @pytest.mark.parametrize("geometry", [{"ny": 1}, {"cross": [1.0, 1.0]}],
+                             ids=["ny1", "flat_cross"])
+    def test_bad_geometry_is_validation_error(self, tmp_path, capsys,
+                                              command, geometry):
+        code, out = run(tmp_path, command, {
+            "geometry": {"ell": 2.0, **self.GEOMETRY, **geometry},
+            "boundary": {"dirichlet": 1.0},
+            "window": [-1.0, 1.0, 0.5, 1.5],
+        })
+        assert code == 2
+        assert "geometry." in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_flat_sweep_rate_unresolvable_is_exit_4(self, tmp_path):
         code, _ = run(tmp_path, "rate", {
             "nonlinearity": {"kind": "zero"},

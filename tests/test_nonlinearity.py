@@ -41,6 +41,21 @@ class TestPointwise:
         assert nl.f(math.log(2.0)) == pytest.approx(1.0, rel=1e-14)
         assert nl.F(1.0) == pytest.approx(E_MINUS_2, rel=1e-14)
 
+    def test_exp_minus_one_antiderivative_against_mpmath(self):
+        # expm1(s) - s loses digits to cancellation for small s (1.3e-12
+        # relative at s = 1.35e-4); checked against 50 digits up to s = 700,
+        # just below overflow, on the array and the scalar path
+        mp = pytest.importorskip("mpmath")
+        nl = Nonlinearity.exp_minus_one(1.0)
+        s = np.concatenate((np.geomspace(1e-8, 700.0, 2001),
+                            [1e-4, 1.35e-4, 2e-4, np.nextafter(1.0, 0.0),
+                             1.0]))
+        with mp.workdps(50):
+            for x, array_value in zip(s, nl.F(s)):
+                exact = mp.expm1(mp.mpf(x)) - mp.mpf(x)
+                for v in (array_value, nl.F(float(x))):
+                    assert abs(mp.mpf(v) / exact - 1) <= 1e-15, x
+
     def test_zero_everywhere(self):
         nl = Nonlinearity.zero()
         assert nl.F(17.3) == 0.0
@@ -256,15 +271,15 @@ class TestFGap:
            log_ratio=st.floats(-3.0, 2.0))
     def test_matches_well_conditioned_difference(self, data, log_a,
                                                  log_ratio):
-        # dx >= 1e-3 a keeps F(a + dx) - F(a) well conditioned; for e^s - 1
-        # that needs a >= 1 too, since F = e^s - 1 - s is itself computed
-        # with cancellation below 1, and a + dx <= 700 keeps F finite
+        # dx >= 1e-3 a keeps F(a + dx) - F(a) well conditioned; for e^s - 1,
+        # a + dx <= 700 keeps F finite
         if data.draw(st.booleans()):
             nl = Nonlinearity.power(data.draw(st.floats(1e-3, 1e3)),
                                     data.draw(st.floats(1e-3, 10.0)))
         else:
             nl = Nonlinearity.exp_minus_one(data.draw(st.floats(1e-3, 1e3)))
-            log_a = abs(log_a) * math.log10(300.0) / 3.0
+            # a in [1e-3, 300]
+            log_a = -3.0 + (log_a + 3.0) * (3.0 + math.log10(300.0)) / 6.0
         a = 10.0 ** log_a
         b = a + a * 10.0 ** log_ratio
         dx = b - a

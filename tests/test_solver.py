@@ -295,6 +295,26 @@ class TestSolveBlowup:
         gap = results[-1].solution.values - cold.solution.values
         assert np.max(np.abs(gap)) <= 2.0 * cfg.tol
 
+    @settings(max_examples=30, deadline=None)
+    @given(p=st.floats(1.2, 4.0), c=st.floats(0.5, 4.0),
+           nx=st.integers(3, 9), ny=st.integers(3, 9),
+           exponents=st.lists(st.floats(0.0, 4.0), min_size=2, max_size=4,
+                              unique=True))
+    def test_comparison_holds_along_random_ladders(self, p, c, nx, ny,
+                                                   exponents):
+        # higher constant boundary data give higher solutions
+        m_list = sorted(10.0 ** e for e in exponents)
+        assume(all(b > a for a, b in zip(m_list, m_list[1:])))
+        g = build_grid(1.0, (-1.0, 1.0), nx, ny)
+        cfg = SolverConfig(p=p)
+        results, report = solve_blowup(g, Nonlinearity.power(c, 4), cfg,
+                                       m_list)
+        assert report.monotone_margin >= -2.0 * cfg.tol
+        interior = g.interior_mask()
+        for lower, higher in zip(results, results[1:]):
+            gap = higher.solution.values - lower.solution.values
+            assert np.min(gap[interior]) >= -2.0 * cfg.tol
+
     def test_final_stage_below_barrier(self):
         g = build_grid(2.0, (-2.0, 2.0), 33, 33)
         results, _ = solve_blowup(g, POWER23, SolverConfig(p=2.0),
