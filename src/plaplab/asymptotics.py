@@ -25,13 +25,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .grid import (Window, build_grid, cutoff_function, embed_cross_section,
                    lp_norm_gradient, require_window_inside, window_node_mask)
-from .minimize import NonConvergenceError, increasing_levels
+from .minimize import NonConvergenceError, increasing_levels, require_a1
 from .nonlinearity import Nonlinearity
 from .ode1d import (LargeSolution1D, solve_cross_finite, solve_cross_large,
                     solve_large_1d)
@@ -66,20 +66,9 @@ class RateUnresolvableError(RuntimeError):
 
 @dataclass(frozen=True)
 class FiniteData:
-    """Dirichlet data depending on the cross coordinate only."""
-    g: Union[float, Callable]
-
-    def boundary_callable(self):
-        g = self.g
-        if callable(g):
-            return lambda X, Y: np.asarray(g(Y), dtype=float)
-        return float(g)
-
-    def endpoint_values(self, cross):
-        g = self.g
-        if callable(g):
-            return float(g(cross[0])), float(g(cross[1]))
-        return float(g), float(g)
+    """Finite Dirichlet data: the constant level ``g`` on the whole
+    boundary, the cross-section's ends included."""
+    g: float
 
 
 @dataclass(frozen=True)
@@ -97,7 +86,8 @@ class SweepSpec:
 
     The transverse spacing hy is fixed by ``ny`` and the x spacing is tied
     to it (hx = hy), so every ell row sees the same resolution density and
-    the discrete cross-sectional reference is matched exactly.
+    the discrete cross-sectional reference is matched exactly.  Blow-up
+    data is refused up front when the nonlinearity fails (A1).
     """
 
     nl: Nonlinearity
@@ -135,6 +125,8 @@ class SweepSpec:
                 raise ValueError(
                     f"ell={ell} is not resolvable with hx tied to "
                     f"hy={self.hy}; choose ny so that 2*ell/hy is integral")
+        if isinstance(self.regime, BlowupData):
+            require_a1(self.nl, self.p)
 
     @property
     def hy(self) -> float:
@@ -175,8 +167,8 @@ class RateReport:
 def _reference_profile(spec: SweepSpec, ny: int):
     y0, y1 = spec.cross
     if isinstance(spec.regime, FiniteData):
-        g0, g1 = spec.regime.endpoint_values(spec.cross)
-        return solve_cross_finite(spec.nl, spec.p, (y0, y1), g0, g1, ny,
+        g = spec.regime.g
+        return solve_cross_finite(spec.nl, spec.p, (y0, y1), g, g, ny,
                                   tol=spec.tol, max_newton=spec.max_newton)
     return solve_cross_large(spec.nl, spec.p, (y0, y1),
                              spec.regime.m_list, ny,
@@ -192,8 +184,7 @@ def _solve_cylinder(spec: SweepSpec, ell: float, ny: int, reference):
     cfg = spec.solver_config()
     initial = embed_cross_section(reference.start, grid).values
     if isinstance(spec.regime, FiniteData):
-        res = solve_dirichlet(grid, spec.nl, cfg,
-                              spec.regime.boundary_callable(),
+        res = solve_dirichlet(grid, spec.nl, cfg, spec.regime.g,
                               initial=initial)
         return [res], None
     return solve_blowup(grid, spec.nl, cfg, spec.regime.m_list,

@@ -104,14 +104,38 @@ def _require(cfg, key):
     return cfg[key]
 
 
+def _number(value, key, kind=float):
+    """The value of configuration key ``key`` as a finite ``kind`` (float
+    or int); null, booleans, strings, numbers beyond the float range (NaN
+    included) and, for int, fractional numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max or kind(value) != value:
+        what = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"'{key}' must be {what}, got {value!r}")
+    return kind(value)
+
+
+def _numbers(value, key, length=None) -> tuple:
+    """A list of numbers under configuration key ``key``, of ``length``
+    entries when given."""
+    if not isinstance(value, (list, tuple)) or \
+            len(value) != (length or len(value)):
+        raise ConfigError(f"'{key}' must be a list of {length or 'any'} "
+                          f"numbers, got {value!r}")
+    return tuple(_number(v, f"{key}[{i}]") for i, v in enumerate(value))
+
+
 def build_nonlinearity(spec) -> Nonlinearity:
     if not isinstance(spec, dict):
         raise ConfigError("'nonlinearity' must be an object")
     kind = spec.get("kind")
     if kind == "power":
-        return Nonlinearity.power(spec.get("c", 1.0), spec.get("q", 1.0))
+        return Nonlinearity.power(
+            _number(spec.get("c", 1.0), "nonlinearity.c"),
+            _number(spec.get("q", 1.0), "nonlinearity.q"))
     if kind == "exp_minus_one":
-        return Nonlinearity.exp_minus_one(spec.get("lam", 1.0))
+        return Nonlinearity.exp_minus_one(
+            _number(spec.get("lam", 1.0), "nonlinearity.lam"))
     if kind == "zero":
         return Nonlinearity.zero()
     raise ConfigError(
@@ -120,31 +144,23 @@ def build_nonlinearity(spec) -> Nonlinearity:
 
 
 def _get_p(cfg) -> float:
-    p = float(_require(cfg, "p"))
+    p = _number(_require(cfg, "p"), "p")
     if p <= 1.0:
         raise ConfigError(f"p must exceed 1, got {p}")
     return p
 
 
 def _get_window(cfg, required=True):
-    w = cfg.get("window")
-    if w is None:
-        if required:
-            raise ConfigError("missing required configuration key 'window'")
+    if "window" not in cfg and not required:
         return None
-    if not (isinstance(w, (list, tuple)) and len(w) == 4):
-        raise ConfigError("'window' must be [x_lo, x_hi, y_lo, y_hi]")
-    return Window(*map(float, w))
+    return Window(*_numbers(_require(cfg, "window"), "window", 4))
 
 
 def _solver_kwargs(cfg):
     s = cfg.get("solver", {})
-    out = {}
-    if "tol" in s:
-        out["tol"] = float(s["tol"])
-    if "max_newton" in s:
-        out["max_newton"] = int(s["max_newton"])
-    return out
+    kinds = {"tol": float, "max_newton": int}
+    return {key: _number(s[key], f"solver.{key}", kind)
+            for key, kind in kinds.items() if key in s}
 
 
 def _boundary_regime(cfg):
@@ -152,9 +168,9 @@ def _boundary_regime(cfg):
     if "dirichlet" in b and "blowup" in b:
         raise ConfigError("boundary must set either 'dirichlet' or 'blowup'")
     if "dirichlet" in b:
-        return FiniteData(float(b["dirichlet"]))
+        return FiniteData(_number(b["dirichlet"], "boundary.dirichlet"))
     if "blowup" in b:
-        return BlowupData(tuple(float(m) for m in b["blowup"]))
+        return BlowupData(_numbers(b["blowup"], "boundary.blowup"))
     raise ConfigError("boundary must set 'dirichlet' or 'blowup'")
 
 
@@ -186,9 +202,9 @@ def cmd_psi(cfg, out: Path, args) -> int:
     nl = build_nonlinearity(_require(cfg, "nonlinearity"))
     p = _get_p(cfg)
     psi_cfg = cfg.get("psi", {})
-    r_min = float(psi_cfg.get("r_min", 1e-2))
-    r_max = float(psi_cfg.get("r_max", 1e2))
-    points = int(psi_cfg.get("points", 25))
+    r_min = _number(psi_cfg.get("r_min", 1e-2), "psi.r_min")
+    r_max = _number(psi_cfg.get("r_max", 1e2), "psi.r_max")
+    points = _number(psi_cfg.get("points", 25), "psi.points", int)
     if not (0 < r_min < r_max) or points < 2:
         raise ConfigError("psi table needs 0 < r_min < r_max and points >= 2")
     radii = np.geomspace(r_min, r_max, points)
@@ -196,8 +212,8 @@ def cmd_psi(cfg, out: Path, args) -> int:
     verdict = {"p": p, "nonlinearity": nl.describe(), "a1": a1, "a2": None}
     if a1:
         a2_cfg = cfg.get("a2", {})
-        betas = tuple(float(b) for b in a2_cfg.get("betas", (0.25, 0.5, 0.75)))
-        t_max = float(a2_cfg.get("t_max", 1e4))
+        betas = _numbers(a2_cfg.get("betas", (0.25, 0.5, 0.75)), "a2.betas")
+        t_max = _number(a2_cfg.get("t_max", 1e4), "a2.t_max")
         # the table radii ride along in the probe's sweep: one shared tail
         rep = check_a2(nl, p, beta_grid=betas, t_max=t_max, radii=radii)
         log_values = rep.log_psi_at_radii
@@ -228,9 +244,9 @@ def cmd_ode1d(cfg, out: Path, args) -> int:
                           "'a' (center value)")
     if "a" in spec:
         from .ode1d import blowup_radius
-        r = blowup_radius(nl, p, float(spec["a"]))
+        r = blowup_radius(nl, p, _number(spec["a"], "ode1d.a"))
     else:
-        r = float(spec["r"])
+        r = _number(spec["r"], "ode1d.r")
     sol = solve_large_1d(nl, p, r)
     resid = sol.first_integral_residual()
     _write_csv(out / "profile.csv",
@@ -249,12 +265,10 @@ def _geometry(cfg, default_ny):
     checked, and ``grid_for(ell, nx=None)``, the grid of half-length ell
     with hx tied to hy unless ``nx`` is given."""
     geo = _require(cfg, "geometry")
-    cross = geo.get("cross")
-    if not (isinstance(cross, (list, tuple)) and len(cross) == 2
-            and float(cross[0]) < float(cross[1])):
+    cross = _numbers(geo.get("cross"), "geometry.cross", 2)
+    if not cross[0] < cross[1]:
         raise ConfigError("geometry.cross must be [y0, y1] with y0 < y1")
-    cross = (float(cross[0]), float(cross[1]))
-    ny = int(geo.get("ny", default_ny))
+    ny = _number(geo.get("ny", default_ny), "geometry.ny", int)
     if ny < 3:
         raise ConfigError(f"geometry.ny must be at least 3, got {ny}")
     hy = (cross[1] - cross[0]) / (ny - 1)
@@ -270,8 +284,8 @@ def _geometry_single(cfg):
     geo, _, _, grid_for = _geometry(cfg, 33)
     if "ell" not in geo:
         raise ConfigError("geometry.ell is required for this subcommand")
-    nx = int(geo["nx"]) if "nx" in geo else None
-    return grid_for(float(geo["ell"]), nx)
+    nx = _number(geo["nx"], "geometry.nx", int) if "nx" in geo else None
+    return grid_for(_number(geo["ell"], "geometry.ell"), nx)
 
 
 def cmd_solve(cfg, out: Path, args) -> int:
@@ -285,7 +299,7 @@ def cmd_solve(cfg, out: Path, args) -> int:
                    "grid": {"ell": grid.ell, "cross": list(grid.cross),
                             "nx": grid.nx, "ny": grid.ny}}
     if isinstance(regime, FiniteData):
-        res = solve_dirichlet(grid, nl, scfg, regime.boundary_callable())
+        res = solve_dirichlet(grid, nl, scfg, regime.g)
         diagnostics["boundary"] = res.boundary_mode
     else:
         results, report = solve_blowup(grid, nl, scfg, regime.m_list,
@@ -320,13 +334,9 @@ def _sweep_spec(cfg) -> SweepSpec:
     ells = geo.get("ell_list")
     if not ells:
         raise ConfigError("geometry.ell_list is required for sweeps")
-    window = _get_window(cfg)
-    kwargs = _solver_kwargs(cfg)
-    return SweepSpec(nl=nl, p=p, cross=cross,
-                     regime=_boundary_regime(cfg),
-                     ells=tuple(float(e) for e in ells), window=window, ny=ny,
-                     tol=kwargs.get("tol", 1e-11),
-                     max_newton=kwargs.get("max_newton", 200))
+    return SweepSpec(nl=nl, p=p, cross=cross, regime=_boundary_regime(cfg),
+                     ells=_numbers(ells, "geometry.ell_list"),
+                     window=_get_window(cfg), ny=ny, **_solver_kwargs(cfg))
 
 
 def _write_sweep_outputs(out, rows, floor, extras):
@@ -387,19 +397,20 @@ def cmd_check(cfg, out: Path, args) -> int:
     regime = _boundary_regime(cfg)
     window = _get_window(cfg)
     geo, cross, _, grid_for = _geometry(cfg, 17)
-    ells = [float(e) for e in geo.get("ell_list", [])] or \
-        [float(geo.get("ell", 2.0))]
+    ells = _numbers(geo.get("ell_list", []), "geometry.ell_list") or \
+        (_number(geo.get("ell", 2.0), "geometry.ell"),)
     scfg = SolverConfig(p=p, **_solver_kwargs(cfg))
     check_cfg = cfg.get("check", {})
-    n_pairs = int(check_cfg.get("pairs", 5))
-    n_balls = int(check_cfg.get("balls", 5))
-    n_windows = int(check_cfg.get("window_pairs", 3))
+    n_pairs = _number(check_cfg.get("pairs", 5), "check.pairs", int)
+    n_balls = _number(check_cfg.get("balls", 5), "check.balls", int)
+    n_windows = _number(check_cfg.get("window_pairs", 3),
+                        "check.window_pairs", int)
     reports = []
     grid = grid_for(ells[0])
     # ordered constant boundary data -> ordered solutions
     rng = np.random.default_rng(0)
     base = regime.m_list[0] if isinstance(regime, BlowupData) else \
-        abs(float(regime.g)) + 1.0
+        abs(regime.g) + 1.0
     for _ in range(n_pairs):
         g1, g2 = np.sort(rng.uniform(0.0, base, size=2))
         res1 = solve_dirichlet(grid, nl, scfg, float(g1))

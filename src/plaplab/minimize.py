@@ -10,6 +10,9 @@ it already lies in the basin the ladder exists to reach.
 Within a stage, damped Newton with Armijo backtracking is globally
 convergent because the energy is strictly convex for eps > 0.
 
+The levels of a blow-up sweep differ only in the constant on the fixed
+nodes, so :func:`sweep_levels` runs them all on one problem.
+
 The stopping test is an absolute bound on the lumped-mass-scaled gradient
 plus a roundoff allowance proportional to the magnitude of the assembled
 terms: near boundary blow-up data the gradient entries cancel between
@@ -150,44 +153,55 @@ def minimize_newton(problem, u0, eps_schedule, tol, max_newton):
 
 
 def increasing_levels(m_list) -> tuple:
-    """The boundary levels of an M sweep as floats; they must be strictly
-    increasing."""
+    """The boundary levels of an M sweep as floats; they must be finite
+    and strictly increasing."""
     ms = tuple(float(m) for m in m_list)
-    if not ms or any(b <= a for a, b in zip(ms, ms[1:])):
-        raise ValueError(f"M list must be strictly increasing, got {ms}")
+    if not (ms and np.all(np.isfinite(ms)) and np.all(np.diff(ms) > 0)):
+        raise ValueError(
+            f"M list must be finite and strictly increasing, got {ms}")
     return ms
 
 
-def sweep_levels(solve_level, m_list, nl, p, tol, interior, watch):
-    """Increasing sweep of constant boundary levels approximating blow-up,
-    for the cylinder and the cross-sectional solves alike.
-
-    ``solve_level(M, initial)`` solves with boundary level M, warm-started
-    from the nodal values ``initial`` (None at the first level), and
-    returns ``(result, values)``.  Refuses nonlinearities failing the
-    Keller-Osserman condition; interior values must be nondecreasing in M
-    (comparison principle), and a drop beyond twice ``tol`` at an
-    ``interior`` node aborts.  Returns ``(m_values, results, changes,
-    monotone_margin)``: ``changes`` are the max changes over the ``watch``
-    nodes between consecutive levels, the margin is the most negative
-    interior increment (0 for one level).
-    """
-    m_list = increasing_levels(m_list)
+def require_a1(nl, p) -> None:
+    """Refuse blow-up data for a nonlinearity failing the Keller-Osserman
+    condition (A1): no large solution exists then."""
     if not check_a1(nl, p):
         raise ValueError(
             f"no large solution exists: {nl.describe()} fails the "
             f"Keller-Osserman condition at p={p}")
-    results, changes, worst = [], [], []
-    prev = None
+
+
+def sweep_levels(problem, m_list, tol, max_newton, watch, initial=None):
+    """Increasing sweep of constant boundary levels approximating blow-up,
+    run on one ``problem`` (the cylinder's or the cross-section's) for
+    every level.
+
+    Each level M is set on the problem's fixed nodes and solved by
+    ``problem.minimize(tol, max_newton, start)``, warm-started from the
+    previous level (the first level from ``initial``, a cold start by
+    default).  Refuses nonlinearities failing the Keller-Osserman
+    condition; free values must be nondecreasing in M (comparison
+    principle), and a drop beyond twice ``tol`` at a free node aborts.
+    Returns ``(m_values, levels, changes, monotone_margin)``: ``levels``
+    holds one ``(u, stages, info)`` per level, ``changes`` the max changes
+    over the ``watch`` nodes between consecutive levels, and the margin is
+    the most negative free increment (0 for one level).
+    """
+    m_list = increasing_levels(m_list)
+    require_a1(problem.nl, problem.p)
+    fixed = ~problem.free
+    levels, changes, worst = [], [], []
+    prev = initial
     for M in m_list:
-        res, u = solve_level(M, prev)
-        if prev is not None:
-            worst.append(float(np.min((u - prev)[interior])))
+        problem.boundary_values[fixed] = M
+        u, stages, info = problem.minimize(tol, max_newton, prev)
+        if levels:
+            worst.append(float(np.min((u - prev)[problem.free])))
             if worst[-1] < -2.0 * tol:
                 raise NonConvergenceError(
                     f"M sweep lost monotonicity at M={M:g}: interior value "
                     f"dropped by {-worst[-1]:.3e}")
             changes.append(float(np.max(np.abs((u - prev)[watch]))))
-        results.append(res)
+        levels.append((u, stages, info))
         prev = u
-    return m_list, results, changes, min(worst, default=0.0)
+    return m_list, levels, changes, min(worst, default=0.0)

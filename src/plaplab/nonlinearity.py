@@ -362,6 +362,21 @@ def _log_F(nl: Nonlinearity) -> Callable[[float], float]:
     return log_F
 
 
+def _log_panel(log_F: Callable[[float], float], p: float, lo: float,
+               hi: float) -> float:
+    """``log int_lo^hi F^(-1/p)`` over one finite panel, ``lo < hi``, the
+    integrand scaled by F(lo) (see :func:`_log_tails`)."""
+    ref = log_F(lo)
+    h = lambda s: math.exp((ref - log_F(s)) / p)
+    if hi - lo < NARROW_PANEL * hi:
+        piece = narrow_panel_quad(h, lo, hi)
+    else:
+        piece = panel_quad(h, lo, hi)
+    if not piece > 0.0:
+        raise QuadratureError(f"Psi_p panel [{lo}, {hi}] is {piece!r}")
+    return math.log(piece) - ref / p
+
+
 def _log_tails(nl: Nonlinearity, p: float, log_F: Callable[[float], float],
                nodes: list) -> list:
     """``log int_x^inf F^(-1/p)`` at each of the sorted, distinct ``nodes``.
@@ -373,13 +388,10 @@ def _log_tails(nl: Nonlinearity, p: float, log_F: Callable[[float], float],
     ``(F(s)/F(x0))^(-1/p)`` from its left end ``x0``, where it is 1, so
     neither a huge nor a tiny F under- or overflows the integrand.
     """
-    def scaled(x0):
-        ref = log_F(x0)
-        return ref, lambda s: math.exp((ref - log_F(s)) / p)
-
     top = nodes[-1]
-    ref, h = scaled(top)
-    tail = integrate_to_infinity(h, top)
+    ref = log_F(top)
+    tail = integrate_to_infinity(lambda s: math.exp((ref - log_F(s)) / p),
+                                 top)
     if math.isinf(tail):
         if nl.tail_exponent_hint is not None and nl.tail_exponent_hint + 1.0 > p:
             raise QuadratureError(
@@ -398,14 +410,7 @@ def _log_tails(nl: Nonlinearity, p: float, log_F: Callable[[float], float],
     acc = math.log(tail) - ref / p
     log_at = {top: acc}
     for lo, hi in reversed(list(zip(edges, edges[1:]))):
-        ref, h = scaled(lo)
-        if hi - lo < NARROW_PANEL * hi:
-            piece = narrow_panel_quad(h, lo, hi)
-        else:
-            piece = panel_quad(h, lo, hi)
-        if not piece > 0.0:
-            raise QuadratureError(f"Psi_p panel [{lo}, {hi}] is {piece!r}")
-        acc = float(np.logaddexp(math.log(piece) - ref / p, acc))
+        acc = float(np.logaddexp(_log_panel(log_F, p, lo, hi), acc))
         log_at[lo] = acc
     return [log_at[x] for x in nodes]
 
@@ -542,39 +547,54 @@ def check_a2(nl: Nonlinearity, p: float, beta_grid=(0.25, 0.5, 0.75),
 def psi_inverse(nl: Nonlinearity, p: float, d: float) -> float:
     """Solve Psi_p(v) = d for v (Psi_p is strictly decreasing where f > 0).
 
-    Accurate to ``|Psi_p(v) - d| <= 1e-8 * d``; raises
+    The bracket grows from v = 1 by quadrupling, each step a one-point
+    Psi_p; below v = 1 each quartering, and each root-solver probe in the
+    final bracket, adds one panel to the known Psi_p above it instead of
+    integrating another tail.  Accurate to ``|Psi_p(v) - d| <= 1e-8 *
+    d``, checked against an independent :func:`psi_p`; raises
     :class:`QuadratureError` when no bracket of d is found.
     """
     if d <= 0.0:
         raise ValueError(f"psi_inverse requires d > 0, got {d}")
-    psi = lambda v: psi_p(nl, p, v)
-    hi = 1.0
-    val_hi = psi(hi)
-    if math.isinf(val_hi):
+    log_d, log_F = math.log(d), _log_F(nl)
+    log_const = math.log1p(-1.0 / p) / p
+    one_point = lambda v: float(log_psi_p(nl, p, (v,))[0])
+
+    def log_psi_below(v, hi, log_hi):
+        """log Psi_p(v) for v <= hi from log Psi_p(hi)."""
+        if v >= hi:
+            return log_hi
+        if log_F(v) == -math.inf:  # Psi_p(v) starts above v
+            return one_point(v)
+        return float(np.logaddexp(log_const + _log_panel(log_F, p, v, hi),
+                                  log_hi))
+
+    lo = hi = 1.0
+    log_lo = log_hi = one_point(hi)
+    if math.isinf(log_hi):
         raise ValueError("the Keller-Osserman integral diverges; Psi_p has "
                          "no inverse")
     grow = 0
-    while val_hi > d:
-        hi *= 4.0
-        val_hi = psi(hi)
+    while log_hi > log_d:
+        lo, log_lo, hi = hi, log_hi, 4.0 * hi
+        log_hi = one_point(hi)
         grow += 1
         if grow > 60:
             raise QuadratureError(
                 f"no v with Psi_p(v) <= {d} found below {hi:.3e}")
-    lo = hi
-    val_lo = val_hi
     shrink = 0
-    while val_lo < d:
-        lo /= 4.0
-        val_lo = psi(lo)
+    while log_lo < log_d:
+        hi, log_hi, lo = lo, log_lo, lo / 4.0
+        log_lo = log_psi_below(lo, hi, log_hi)
         shrink += 1
         if shrink > 60:
             raise QuadratureError(
                 f"d={d} exceeds sup Psi_p over the probe range (reached "
-                f"Psi_p({lo:.3e}) = {val_lo:.6e})")
+                f"Psi_p({lo:.3e}) = {math.exp(log_lo):.6e})")
     if lo == hi:
         return lo
-    v = brentq(lambda x: psi(x) - d, lo, hi, rtol=1e-13, maxiter=200)
-    if abs(psi(v) - d) > 1e-8 * d:
+    v = brentq(lambda x: log_psi_below(x, hi, log_hi) - log_d, lo, hi,
+               rtol=1e-13, maxiter=200)
+    if abs(psi_p(nl, p, v) - d) > 1e-8 * d:
         raise QuadratureError(f"psi_inverse round-trip check failed at d={d}")
     return float(v)

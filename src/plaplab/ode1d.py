@@ -22,9 +22,9 @@ handled by the doubling-panel machinery of :mod:`plaplab.quadrature`.
 The cross-sectional problem on an interval (finite data or blow-up data
 approximated through an increasing sweep of constant boundary levels M)
 is the 2D solver's P1 energy on a segment mesh, with the same eps ladder
-and blow-up sweep (:func:`plaplab.minimize.sweep_levels`), so its
-constant extension solves the cylinder's interior equations on a grid
-with the same transverse nodes.
+and blow-up sweep (:func:`plaplab.minimize.sweep_levels`, run on one
+segment problem for every level), so its constant extension solves the
+cylinder's interior equations on a grid with the same transverse nodes.
 """
 
 from __future__ import annotations
@@ -268,8 +268,8 @@ class CrossProfile:
 
     ``mode`` is "finite" (endpoint data ``g``) or "blowup" (final member
     of an increasing M sweep, with the stabilization residual = max nodal
-    change over the last sweep step, and the profile of the sweep's first
-    level kept as ``first_level``).
+    change over the last sweep step, and the sweep's first level kept as
+    ``first_level``, the finite profile with g = (M_1, M_1)).
     """
 
     y: np.ndarray
@@ -308,30 +308,36 @@ class _CrossProblem(_CylinderProblem):
         free = np.ones(n, dtype=bool)
         free[0] = free[-1] = False
         boundary = np.r_[g0, np.zeros(n - 2), g1]
-        super().__init__(cells, b, h, free, nl, p, boundary)
+        super().__init__(cells, b, h, free, nl, p, boundary, h)
 
 
-def solve_cross_finite(nl: Nonlinearity, p: float, interval, g0: float,
-                       g1: float, n_nodes: int, tol: float = 1e-9,
-                       max_newton: int = 200,
-                       initial: Optional[np.ndarray] = None) -> CrossProfile:
-    """Finite-data cross-sectional solve on ``interval`` with n_nodes.
-
-    ``initial``, the nodal values of a solution of a nearby problem (its
-    end values are overwritten), warm-starts Newton at the last eps of the
-    ladder only; the default cold start is the linear Laplace fill,
-    followed by the whole ladder."""
+def _segment(interval, n_nodes: int) -> np.ndarray:
+    """The ``n_nodes`` equispaced nodes of ``interval``, checked."""
     y0, y1 = float(interval[0]), float(interval[1])
     if n_nodes < 3:
         raise ValueError(f"need at least 3 nodes, got {n_nodes}")
     if y1 <= y0:
         raise ValueError(f"degenerate interval {interval}")
-    y = np.linspace(y0, y1, n_nodes)
-    problem = _CrossProblem(nl, p, y, float(g0), float(g1))
-    u, _, info = problem.minimize(float(y[1] - y[0]), tol, max_newton,
-                                  initial)
-    return CrossProfile(y=y, values=u, mode="finite", g=(float(g0), float(g1)),
-                        residual=info["residual"], tol=tol)
+    return np.linspace(y0, y1, n_nodes)
+
+
+def _profile(y, level, tol, **fields) -> CrossProfile:
+    """The :class:`CrossProfile` of one ``(u, stages, info)`` solve."""
+    u, _, info = level
+    return CrossProfile(y=y, values=u, residual=info["residual"], tol=tol,
+                        **fields)
+
+
+def solve_cross_finite(nl: Nonlinearity, p: float, interval, g0: float,
+                       g1: float, n_nodes: int, tol: float = 1e-9,
+                       max_newton: int = 200) -> CrossProfile:
+    """Finite-data cross-sectional solve on ``interval`` with n_nodes:
+    the linear Laplace fill, then Newton down the whole eps ladder."""
+    y = _segment(interval, n_nodes)
+    g = (float(g0), float(g1))
+    problem = _CrossProblem(nl, p, y, *g)
+    return _profile(y, problem.minimize(tol, max_newton), tol, mode="finite",
+                    g=g)
 
 
 def solve_cross_large(nl: Nonlinearity, p: float, interval, M_list,
@@ -339,24 +345,18 @@ def solve_cross_large(nl: Nonlinearity, p: float, interval, M_list,
                       max_newton: int = 200) -> CrossProfile:
     """Blow-up data approximated by an increasing sweep of constant levels.
 
-    Runs :func:`plaplab.minimize.sweep_levels` over warm-started
-    :func:`solve_cross_finite` solves with g0 = g1 = M (the first level
-    a cold start), and reports the final member together with the
+    One segment problem serves every level:
+    :func:`plaplab.minimize.sweep_levels` sets g0 = g1 = M on it and
+    solves, the first level from a cold start and each later level from
+    the previous one.  Reports the final member together with the
     stabilization residual (max nodal change over the last step) and the
     first level's profile, which the cylinder solves start from.
     """
-    def solve_level(M, initial):
-        prof = solve_cross_finite(nl, p, interval, M, M, n_nodes, tol,
-                                  max_newton, initial=initial)
-        return prof, prof.values
-
-    interior = slice(1, -1)
-    m_values, profiles, changes, _ = sweep_levels(
-        solve_level, M_list, nl, p, tol, interior, interior)
-    last = profiles[-1]
-    return CrossProfile(y=last.y, values=last.values, mode="blowup",
-                        m_values=m_values,
-                        stabilization_residual=changes[-1] if changes
-                        else None,
-                        residual=last.residual, tol=tol,
-                        first_level=profiles[0])
+    y = _segment(interval, n_nodes)
+    problem = _CrossProblem(nl, p, y, 0.0, 0.0)
+    m_values, levels, changes, _ = sweep_levels(problem, M_list, tol,
+                                                max_newton, problem.free)
+    return _profile(y, levels[-1], tol, mode="blowup", m_values=m_values,
+                    stabilization_residual=changes[-1] if changes else None,
+                    first_level=_profile(y, levels[0], tol, mode="finite",
+                                         g=(m_values[0], m_values[0])))

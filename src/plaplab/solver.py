@@ -20,10 +20,12 @@ length.  Since f is nondecreasing, F is convex and the minimizer is
 unique, so the discrete solution is deterministic given the grid.
 
 Boundary blow-up is approximated by an increasing sweep of constant
-Dirichlet levels M (the monotone-limit construction, run by
-:func:`plaplab.minimize.sweep_levels`): interior values are nondecreasing
-in M by the comparison principle, and the sweep reports the windowed
-change between consecutive stages as a stabilization residual.
+Dirichlet levels M (the monotone-limit construction): every level is the
+same energy on the same mesh with another constant on the boundary
+nodes, so one problem per grid serves the whole sweep, which
+:func:`plaplab.minimize.sweep_levels` runs on it.  Interior values are
+nondecreasing in M by the comparison principle, and the sweep reports the
+windowed change between consecutive stages as a stabilization residual.
 """
 
 from __future__ import annotations
@@ -115,17 +117,21 @@ class BlowupReport:
 class _CylinderProblem:
     """Regularized p-energy of P1 elements on a uniform simplex mesh:
     ``cells`` (cells x nodes), gradient coefficients ``b`` (cells x nodes
-    x dim, grad u|_T = sum_k u_k b_k), one cell ``measure`` and the
-    ``free`` node mask.  :meth:`on_grid` builds the cylinder problem.
+    x dim, grad u|_T = sum_k u_k b_k), one cell ``measure``, the ``free``
+    node mask and the cell size ``h`` that sets the eps ladder.  The
+    fixed nodes take their values from ``boundary_values``, which a
+    caller may reset between solves.  :meth:`on_grid` builds the cylinder
+    problem.
 
     The Newton system is solved by banded Cholesky with the free dofs in
     the node order ``band_order`` (default: the natural order), which
     should keep the half-bandwidth ``kd`` of the Hessian small."""
 
     def __init__(self, cells, b, measure, free, nl: Nonlinearity, p: float,
-                 boundary_values: np.ndarray, band_order=None):
+                 boundary_values: np.ndarray, h: float, band_order=None):
         self.nl = nl
         self.p = p
+        self.h = h
         self.cells = cells
         self.b = b
         self.measure = measure
@@ -177,7 +183,7 @@ class _CylinderProblem:
             np.arange(grid.n_nodes).reshape(grid.ny, grid.nx).T.ravel()
         return cls(grid.triangles(), grid.gradient_coefficients(),
                    grid.triangle_area(), grid.interior_mask(), nl, p,
-                   boundary_values, band_order)
+                   boundary_values, min(grid.hx, grid.hy), band_order)
 
     def with_boundary(self, u):
         out = np.array(u, dtype=float)
@@ -285,12 +291,12 @@ class _CylinderProblem:
         u0[self.free] += linear.newton_step(u0, eps, g)
         return u0
 
-    def minimize(self, h, tol, max_newton, initial=None):
+    def minimize(self, tol, max_newton, initial=None):
         """Damped Newton down the eps ladder of the cell size ``h`` from
         the Laplace fill, or only at its last eps from ``initial`` (its
         fixed entries overwritten); returns ``(u, stages, info)`` of
         :func:`plaplab.minimize.minimize_newton`."""
-        schedule = default_eps_schedule(h)
+        schedule = default_eps_schedule(self.h)
         if initial is None:
             u0 = self.laplace_fill(schedule[0])
         else:
@@ -337,29 +343,15 @@ def energy_gradient(u: GridFunction, nl: Nonlinearity, p: float,
     return g
 
 
-def solve_dirichlet(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig,
-                    bdata, initial: Optional[np.ndarray] = None,
-                    boundary_mode: Optional[str] = None) -> SolveResult:
-    """Minimize the discrete energy with the boundary nodes fixed.
-
-    ``bdata`` is a constant or a callable ``(X, Y) -> values`` evaluated
-    at the node coordinates.  ``initial``, the nodal values of a solution
-    of a nearby problem (its boundary entries are overwritten), warm-starts
-    Newton at the last eps of the ladder only; the default cold start is
-    the linear Laplace fill of the boundary data, followed by the whole
-    ladder.
-    """
-    problem = _CylinderProblem.on_grid(grid, nl, cfg.p,
-                                       _boundary_array(grid, bdata))
-    u, stages, info = problem.minimize(min(grid.hx, grid.hy), cfg.tol,
-                                       cfg.max_newton, initial)
-    mode = boundary_mode or ("dirichlet(constant "
-                             f"{bdata})" if not callable(bdata)
-                             else "dirichlet(callable)")
+def _solve_result(grid: RectGrid, problem: _CylinderProblem,
+                  cfg: SolverConfig, mode: str, level) -> SolveResult:
+    """The :class:`SolveResult` of one ``(u, stages, info)`` solve of
+    ``problem`` on ``grid``."""
+    u, stages, info = level
     return SolveResult(
         solution=GridFunction(grid, u),
         config=cfg,
-        nl=nl,
+        nl=problem.nl,
         boundary_mode=mode,
         stages=tuple(stages),
         energy=problem.full_energy(u, stages[-1].eps),
@@ -370,35 +362,53 @@ def solve_dirichlet(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig,
     )
 
 
+def solve_dirichlet(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig,
+                    bdata,
+                    initial: Optional[np.ndarray] = None) -> SolveResult:
+    """Minimize the discrete energy with the boundary nodes fixed.
+
+    ``bdata`` is a constant or a callable ``(X, Y) -> values`` evaluated
+    at the node coordinates.  ``initial``, the nodal values of a solution
+    of a nearby problem (its boundary entries are overwritten), warm-starts
+    Newton at the last eps of the ladder only; the default cold start is
+    the linear Laplace fill of the boundary data, followed by the whole
+    ladder.  Each call builds its own problem on ``grid``; the levels of
+    an M sweep share one (:func:`solve_blowup`).
+    """
+    problem = _CylinderProblem.on_grid(grid, nl, cfg.p,
+                                       _boundary_array(grid, bdata))
+    mode = "dirichlet(callable)" if callable(bdata) else \
+        f"dirichlet(constant {bdata})"
+    return _solve_result(grid, problem, cfg, mode,
+                         problem.minimize(cfg.tol, cfg.max_newton, initial))
+
+
 def solve_blowup(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig, M_list,
                  window: Optional[Window] = None,
                  initial: Optional[np.ndarray] = None):
     """Increasing sweep of constant boundary levels approximating blow-up.
 
-    Warm-started :func:`solve_dirichlet` levels driven by
-    :func:`plaplab.minimize.sweep_levels`; ``initial`` warm-starts the
-    first level (default: a cold start), each later level starts from the
-    previous one.  Returns the list of per-stage results and a
+    One problem on ``grid`` serves every level:
+    :func:`plaplab.minimize.sweep_levels` sets each level M on its
+    boundary nodes and solves, ``initial`` warm-starting the first level
+    (default: a cold start) and each later level starting from the
+    previous one.  Returns the list of per-level results and a
     :class:`BlowupReport` whose changes are measured on the window (all
     interior nodes without one).
     """
-    interior = grid.interior_mask()
-    watch = interior if window is None else \
-        window_node_mask(grid, window) & interior
-
-    def solve_level(M, prev):
-        res = solve_dirichlet(grid, nl, cfg, M,
-                              initial=initial if prev is None else prev,
-                              boundary_mode=f"blowup(M={M:g})")
-        return res, res.solution.values
-
-    m_values, results, changes, margin = sweep_levels(
-        solve_level, M_list, nl, cfg.p, cfg.tol, interior, watch)
+    problem = _CylinderProblem.on_grid(grid, nl, cfg.p,
+                                       np.zeros(grid.n_nodes))
+    watch = problem.free if window is None else \
+        window_node_mask(grid, window) & problem.free
+    m_values, levels, changes, margin = sweep_levels(
+        problem, M_list, cfg.tol, cfg.max_newton, watch, initial)
+    results = [_solve_result(grid, problem, cfg, f"blowup(M={M:g})", level)
+               for M, level in zip(m_values, levels)]
     report = BlowupReport(m_values=m_values,
                           stage_max_change=tuple(changes),
                           monotone_margin=margin,
                           window=window,
                           level_newton_steps=tuple(
-                              sum(s.iterations for s in res.stages)
-                              for res in results))
+                              sum(s.iterations for s in stages)
+                              for _, stages, _ in levels))
     return results, report

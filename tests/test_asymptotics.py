@@ -207,8 +207,7 @@ class TestSweep:
         warm = results[-1].solution
         cfg = spec.solver_config()
         if isinstance(regime, FiniteData):
-            cold = solve_dirichlet(warm.grid, POWER23, cfg,
-                                   regime.boundary_callable())
+            cold = solve_dirichlet(warm.grid, POWER23, cfg, regime.g)
         else:
             cold = solve_blowup(warm.grid, POWER23, cfg, regime.m_list)[0][-1]
         assert np.max(np.abs(warm.values - cold.solution.values)) <= \

@@ -61,6 +61,40 @@ class TestValidation:
         capsys.readouterr()
 
 
+    GOOD = {"geometry": {"ell": 2.0, "ell_list": [2.0, 4.0],
+                         "cross": [0.0, 2.0], "ny": 9},
+            "boundary": {"dirichlet": 1.0},
+            "window": [-1.0, 1.0, 0.5, 1.5]}
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("section, entry, key", [
+        (None, {"p": None}, "'p'"),
+        ("geometry", {"ny": None}, "'geometry.ny'"),
+        ("boundary", {"blowup": 10.0}, "'boundary.blowup'"),
+        ("geometry", {"cross": [None, 1.0]}, "'geometry.cross[0]'"),
+        ("geometry", {"ny": True}, "'geometry.ny'"),
+        ("solver", {"tol": "1e-9"}, "'solver.tol'"),
+        ("solver", {"tol": float("nan")}, "'solver.tol'"),
+        ("geometry", {"ny": 10 ** 400}, "'geometry.ny'"),
+    ], ids=["p_null", "ny_null", "blowup_scalar", "cross_null", "ny_bool",
+            "tol_string", "tol_nan", "ny_beyond_float"])
+    def test_wrong_json_type_is_validation_error(self, tmp_path, capsys,
+                                                 command, section, entry,
+                                                 key):
+        cfg = {k: dict(v) if isinstance(v, dict) else v
+               for k, v in self.GOOD.items()}
+        if section is None:
+            cfg.update(entry)
+        elif section == "boundary":
+            cfg[section] = entry
+        else:
+            cfg.setdefault(section, {}).update(entry)
+        code, out = run(tmp_path, command, cfg)
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestPsi:
     def test_table_and_verdict(self, tmp_path):
         code, out = run(tmp_path, "psi",
@@ -303,6 +337,21 @@ class TestSweepAndRate:
         assert code == 2
         assert "geometry." in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["sweep", "rate"])
+    def test_blowup_without_keller_osserman_is_validation_error(
+            self, tmp_path, capsys, command):
+        # f(s) = s at p = 2 fails (A1): no large solution exists
+        code, out = run(tmp_path, command, {
+            "nonlinearity": {"kind": "power", "c": 1, "q": 1},
+            "geometry": self.GEOMETRY,
+            "boundary": {"blowup": [10.0, 100.0]},
+            "window": [-1.0, 1.0, 0.5, 1.5],
+        })
+        assert code == 2
+        assert "no large solution" in capsys.readouterr().err
+        assert not (out / "rows.csv").exists()
+        assert not (out / "sweep.json").exists()
 
     def test_flat_sweep_rate_unresolvable_is_exit_4(self, tmp_path):
         code, _ = run(tmp_path, "rate", {

@@ -29,34 +29,72 @@ def test_non_increasing_levels_rejected(solve, m_list):
         solve(m_list)
 
 
-def test_interior_drop_beyond_twice_tol_aborts():
-    tol = 1e-9
-    interior = np.array([False, True, True, False])
+class _FakeSweepProblem:
+    """Five nodes, the outer two fixed; ``minimize`` returns ``rule(M,
+    start)`` for the level M found on the fixed nodes and records each
+    start it is given."""
 
-    def solve_level(M, initial):
-        # the second level lowers one interior value by 3 tol
-        values = np.full(4, M)
+    free = np.array([False, True, True, True, False])
+    nl = POWER23
+    p = 2.0
+
+    def __init__(self, rule):
+        self.rule = rule
+        self.boundary_values = np.zeros(5)
+        self.starts = []
+
+    def minimize(self, tol, max_newton, initial=None):
+        self.starts.append(initial)
+        level = self.boundary_values[~self.free]
+        assert np.all(level == level[0])
+        return (self.rule(float(level[0]), initial), ["stages"],
+                {"M": level[0]})
+
+
+def _lower_one_interior_value(drop):
+    """Sweep rule whose second level lowers one interior value by
+    ``drop``."""
+    def rule(M, initial):
+        values = np.full(5, M)
         if initial is not None:
             values[1:-1] = initial[1:-1]
-            values[2] -= 3.0 * tol
-        return None, values
+            values[2] -= drop
+        return values
 
+    return rule
+
+
+def test_interior_drop_beyond_twice_tol_aborts():
+    tol = 1e-9
+    problem = _FakeSweepProblem(_lower_one_interior_value(3.0 * tol))
     with pytest.raises(NonConvergenceError, match="lost monotonicity"):
-        sweep_levels(solve_level, (10.0, 100.0), POWER23, 2.0, tol,
-                     interior, interior)
+        sweep_levels(problem, (10.0, 100.0), tol, 50, problem.free)
+
+
+def test_interior_drop_within_twice_tol_is_the_margin():
+    tol = 1e-9
+    problem = _FakeSweepProblem(_lower_one_interior_value(1.5 * tol))
+    _, _, _, margin = sweep_levels(problem, (10.0, 100.0), tol, 50,
+                                   problem.free)
+    assert margin == pytest.approx(-1.5 * tol)
 
 
 def test_changes_and_margin_over_the_watched_nodes():
-    def solve_level(M, initial):
-        return M, np.array([M, 0.5 * M, 0.1 * M, M])
-
+    # the watched node is neither the one that changes most nor the one
+    # that changes least
+    problem = _FakeSweepProblem(
+        lambda M, initial: np.array([M, 0.5 * M, 0.1 * M, 0.3 * M, M]))
+    start = np.full(5, 7.0)
     levels, results, changes, margin = sweep_levels(
-        solve_level, [1, 2, 4], POWER23, 2.0, 1e-9,
-        np.array([False, True, True, False]), slice(2, 3))
+        problem, [1, 2, 4], 1e-9, 50, slice(3, 4), initial=start)
     assert levels == (1.0, 2.0, 4.0)
-    assert results == [1.0, 2.0, 4.0]
-    assert changes == pytest.approx([0.1, 0.2])
+    assert [info["M"] for _, _, info in results] == [1.0, 2.0, 4.0]
+    assert [stages for _, stages, _ in results] == [["stages"]] * 3
+    assert changes == pytest.approx([0.3, 0.6])
     assert margin == pytest.approx(0.1)
+    # the first level starts from ``initial``, each later one from the last
+    assert problem.starts[0] is start
+    assert all(s is u for s, (u, _, _) in zip(problem.starts[1:], results))
 
 
 class _BelowResolution:

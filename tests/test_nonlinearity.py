@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import plaplab.quadrature
 from plaplab import (Nonlinearity, QuadratureError, check_a1, check_a2,
                      log_psi_p, psi_inverse, psi_p)
 
@@ -385,6 +386,37 @@ class TestPsiInverse:
         sup = psi_p(nl, 3.0, 1e-12)
         with pytest.raises(QuadratureError, match="exceeds sup"):
             psi_inverse(nl, 3.0, 10.0 * sup)
+
+    @staticmethod
+    def count_panels(monkeypatch):
+        """QUADPACK calls from here on: at least one per panel."""
+        panels = []
+        quad = plaplab.quadrature.quad
+
+        def counting(*args, **kwargs):
+            panels.append(args[1:3])
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(plaplab.quadrature, "quad", counting)
+        return panels
+
+    def test_bracket_steps_add_one_panel_each(self, monkeypatch):
+        # 61 quarterings below v = 1 on top of one tail, where a fresh
+        # tail per probe took over 4000 panels
+        nl = Nonlinearity.exp_minus_one(1.0)
+        sup = psi_p(nl, 3.0, 1e-12)
+        panels = self.count_panels(monkeypatch)
+        with pytest.raises(QuadratureError, match="exceeds sup"):
+            psi_inverse(nl, 3.0, 10.0 * sup)
+        assert len(panels) < 1000
+
+    def test_root_probes_add_one_panel_each(self, monkeypatch):
+        # three tails (v = 1, v = 4 and the round-trip check) and one
+        # panel per root-solver probe; a tail per probe took over 400
+        panels = self.count_panels(monkeypatch)
+        v = psi_inverse(Nonlinearity.power(2, 3), 2.0, 0.3)
+        assert v == pytest.approx(1.0 / 0.3, rel=1e-8)
+        assert len(panels) < 200
 
     def test_level_below_the_probe_range_raises(self):
         # Psi_2(v) = 1/v for f = 2 s^3: 60 quadruplings reach only 5e36

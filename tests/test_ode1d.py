@@ -9,6 +9,7 @@ from plaplab import (DivergentBlowupError, Nonlinearity, QuadratureError,
                      blowup_radius, build_grid, embed_cross_section,
                      energy_gradient, psi_p, solve_cross_finite,
                      solve_cross_large, solve_large_1d)
+from plaplab import ode1d
 from plaplab.minimize import default_eps_schedule
 
 POWER23 = Nonlinearity.power(2, 3)
@@ -231,6 +232,45 @@ class TestCrossLarge:
         assert prof.mode == "blowup"
         assert prof.m_values == (10.0, 100.0)
         assert prof.stabilization_residual > 0
+
+    def test_one_problem_serves_every_level(self, monkeypatch):
+        built = []
+
+        class Counting(ode1d._CrossProblem):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(ode1d, "_CrossProblem", Counting)
+        prof = solve_cross_large(POWER23, 1.5, (-1, 1), self.M_LIST, 9)
+        assert prof.m_values == self.M_LIST
+        assert len(built) == 1
+
+    def test_levels_equal_the_chain_of_segment_solves(self):
+        # the sweep as one segment problem per level, each warm-started
+        # from the previous level, is the reference bit for bit
+        tol = 1e-11
+        prof = solve_cross_large(POWER23, 1.5, (-1, 1), self.M_LIST, 9,
+                                 tol=tol)
+        y = np.linspace(-1.0, 1.0, 9)
+        chain, previous = [], None
+        for M in self.M_LIST:
+            problem = ode1d._CrossProblem(POWER23, 1.5, y, M, M)
+            previous, _, info = problem.minimize(tol, 200, previous)
+            chain.append((previous, info["residual"]))
+        assert np.array_equal(prof.first_level.values, chain[0][0])
+        assert prof.first_level.g == (10.0, 10.0)
+        assert prof.first_level.residual == chain[0][1]
+        assert np.array_equal(prof.values, chain[-1][0])
+        assert prof.residual == chain[-1][1]
+        assert prof.stabilization_residual == np.max(
+            np.abs(chain[-1][0] - chain[-2][0])[1:-1])
+
+    def test_levels_do_not_alias(self):
+        prof = solve_cross_large(POWER23, 2.0, (-1, 1), (10.0, 100.0), 11)
+        assert not np.shares_memory(prof.values, prof.first_level.values)
+        assert prof.first_level.values[0] == 10.0
+        assert prof.values[0] == prof.values[-1] == 100.0
 
     @pytest.mark.parametrize("interval, n_nodes, message", [
         ((1.0, -1.0), 11, "degenerate interval"),

@@ -277,6 +277,51 @@ class TestSolveBlowup:
         assert np.array_equal(warm[0].solution.values,
                               cold[0].solution.values)
 
+    def test_one_problem_serves_every_level(self, monkeypatch):
+        built = []
+        on_grid = _CylinderProblem.on_grid.__func__
+
+        def counting(cls, *args, **kwargs):
+            built.append(cls)
+            return on_grid(cls, *args, **kwargs)
+
+        monkeypatch.setattr(_CylinderProblem, "on_grid",
+                            classmethod(counting))
+        g = build_grid(1.0, (-1.0, 1.0), 9, 9)
+        results, _ = solve_blowup(g, POWER23, SolverConfig(p=1.5),
+                                  [10.0, 100.0, 1000.0])
+        assert len(results) == 3
+        assert built == [_CylinderProblem]
+
+    def test_levels_equal_the_chain_of_dirichlet_solves(self):
+        # the sweep as one solve_dirichlet per level, each warm-started
+        # from the previous level, is the reference bit for bit
+        g = build_grid(1.0, (-1.0, 1.0), 17, 9)
+        cfg = SolverConfig(p=1.5)
+        m_list = (10.0, 100.0, 1000.0)
+        results, _ = solve_blowup(g, POWER23, cfg, m_list)
+        previous = None
+        for M, res in zip(m_list, results):
+            ref = solve_dirichlet(g, POWER23, cfg, M, initial=previous)
+            assert np.array_equal(res.solution.values, ref.solution.values)
+            assert res.stages == ref.stages
+            assert res.energy == ref.energy
+            assert res.residual == ref.residual
+            assert res.boundary_mode == f"blowup(M={M:g})"
+            previous = ref.solution.values
+
+    def test_levels_do_not_alias(self):
+        g = build_grid(1.0, (-1.0, 1.0), 9, 9)
+        m_list = (10.0, 100.0, 1000.0)
+        results, _ = solve_blowup(g, POWER23, SolverConfig(p=2.0), m_list)
+        values = [r.solution.values for r in results]
+        for i, a in enumerate(values):
+            assert not any(np.shares_memory(a, b) for b in values[i + 1:])
+        # each level keeps its own boundary value after the sweep moved on
+        bmask = g.boundary_mask()
+        for M, u in zip(m_list, values):
+            assert np.all(u[bmask] == M)
+
     @settings(max_examples=20, deadline=None)
     @given(p=st.floats(1.2, 4.0),
            exponents=st.lists(st.floats(0.0, 4.0), min_size=2, max_size=3,
