@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -61,7 +61,8 @@ _SOLVE_FAILURES = (NonConvergenceError, ArithmeticError, ValueError)
 
 
 class RateUnresolvableError(RuntimeError):
-    """Too few sweep rows rise above the discretization floor to fit."""
+    """Too few sweep rows rise above the discretization floor to fit, or
+    the floor itself is missing."""
 
 
 @dataclass(frozen=True)
@@ -229,11 +230,12 @@ def sweep_ell(spec: SweepSpec, threads: int = 1):
     exception propagates.  The discretization floor is estimated by
     re-solving the largest ell at doubled resolution, one more
     independent :func:`measure_row` against the reference on that grid,
-    and comparing the two measurements; extras carries the blow-up
-    stabilization reports keyed by ell.  The cross-sectional reference is
-    solved once per transverse grid, and every cylinder solve starts from
-    its first level; when it fails, every row records that failure.  Rows
-    run on ``threads`` threads when it exceeds 1.
+    and comparing the two measurements (NaN when either fails; the
+    re-solve's failure is noted on the largest-ell row); extras carries
+    the blow-up stabilization reports keyed by ell.  The cross-sectional
+    reference is solved once per transverse grid, and every cylinder
+    solve starts from its first level; when it fails, every row records
+    that failure.  Rows run on ``threads`` threads when it exceeds 1.
     """
     extras = {}
 
@@ -277,8 +279,9 @@ def sweep_ell(spec: SweepSpec, threads: int = 1):
             # resolution sensitivity of the closest-to-floor row, bounded
             # below by the rounding level of the norm measurement itself
             floor = max(abs(coarse - fine), noise_max, noise_fine)
-        except _SOLVE_FAILURES:
-            pass
+        except _SOLVE_FAILURES as exc:  # recorded on its row, not raised
+            rows[-1] = replace(rows[-1], note=f"floor re-solve at "
+                               f"ny={ny_fine} failed: {exc}")
     return rows, floor, extras
 
 
@@ -287,10 +290,16 @@ def fit_rate(rows, p: float, floor: float = 0.0) -> RateReport:
 
     Rows at or below ``FLOOR_EXCLUSION_FACTOR`` times the floor (or with
     zero/failed errors) are excluded; fewer than three usable rows raise
-    :class:`RateUnresolvableError`.
+    :class:`RateUnresolvableError`, and so does a missing (non-finite)
+    floor, with the reason the largest-ell row records: its own failure,
+    or that of the floor re-solve.
     """
     if not math.isfinite(floor):
-        floor = 0.0
+        last = max(rows, key=lambda r: r.ell)
+        failed = "" if math.isfinite(last.error) else \
+            f"the largest-ell row (ell={last.ell:g}) has no error: "
+        raise RateUnresolvableError(
+            f"no discretization floor: {failed}{last.note}")
     flagged = []
     for r in rows:
         usable = math.isfinite(r.error) and r.error > 0.0 \

@@ -115,6 +115,15 @@ def _number(value, key, kind=float):
     return kind(value)
 
 
+def _count(value, key) -> int:
+    """The value of configuration key ``key`` as an integer of at least
+    1."""
+    n = _number(value, key, int)
+    if n < 1:
+        raise ConfigError(f"'{key}' must be at least 1, got {n}")
+    return n
+
+
 def _numbers(value, key, length=None) -> tuple:
     """A list of numbers under configuration key ``key``, of ``length``
     entries when given."""
@@ -401,10 +410,9 @@ def cmd_check(cfg, out: Path, args) -> int:
         (_number(geo.get("ell", 2.0), "geometry.ell"),)
     scfg = SolverConfig(p=p, **_solver_kwargs(cfg))
     check_cfg = cfg.get("check", {})
-    n_pairs = _number(check_cfg.get("pairs", 5), "check.pairs", int)
-    n_balls = _number(check_cfg.get("balls", 5), "check.balls", int)
-    n_windows = _number(check_cfg.get("window_pairs", 3),
-                        "check.window_pairs", int)
+    n_pairs = _count(check_cfg.get("pairs", 5), "check.pairs")
+    n_balls = _count(check_cfg.get("balls", 5), "check.balls")
+    n_windows = _count(check_cfg.get("window_pairs", 3), "check.window_pairs")
     reports = []
     grid = grid_for(ells[0])
     # ordered constant boundary data -> ordered solutions

@@ -24,6 +24,7 @@ unattainable in double precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,8 @@ def minimize_newton(problem, u0, eps_schedule, tol, max_newton):
     Returns ``(u, stages, info)`` where ``info`` carries the final
     residual, its roundoff floor and whether a stage ended on a Newton
     step below resolution (accepted only with the residual within
-    ``_STALL_FACTOR`` (tol + floor)).
+    ``_STALL_FACTOR`` (tol + floor)).  A non-finite residual or floor,
+    as when f(u) overflows, raises :class:`NonConvergenceError`.
     """
     u = np.array(u0, dtype=float)
     free = problem.free
@@ -92,6 +94,13 @@ def minimize_newton(problem, u0, eps_schedule, tol, max_newton):
             floor_arr = _ROUNDOFF_FACTOR * _EPS_MACH * scale[free] / m_free
             resid = float(np.max(resid_arr)) if resid_arr.size else 0.0
             floor = float(np.max(floor_arr)) if floor_arr.size else 0.0
+            if not (math.isfinite(resid) and math.isfinite(floor)):
+                # an overflowed f(u) makes the floor infinite, and every
+                # residual would pass under it
+                raise NonConvergenceError(
+                    f"residual {resid:.3e} or its roundoff floor "
+                    f"{floor:.3e} is not finite at eps={eps:.3e}",
+                    trace=stages + [StageTrace(eps, it, resid, np.nan)])
             if np.all(resid_arr <= tol + floor_arr):
                 break
             if it >= max_newton:

@@ -511,12 +511,16 @@ def check_a2(nl: Nonlinearity, p: float, beta_grid=(0.25, 0.5, 0.75),
     All points t and beta t, and the optional extra ``radii``, are
     evaluated in one :func:`log_psi_p` sweep; the radii's values come back
     in ``A2Report.log_psi_at_radii``, so a caller that also tabulates
-    Psi_p pays for one tail.  Raises :class:`QuadratureError` when
-    Psi_p(t_max) is not resolvable.
+    Psi_p pays for one tail.  Raises ``ValueError`` unless ``t_max``
+    exceeds ``A2_T_MIN``, and :class:`QuadratureError` when Psi_p(t_max)
+    is not resolvable.
     """
     betas = tuple(float(b) for b in beta_grid)
     if any(not (0.0 < b < 1.0) for b in betas):
         raise ValueError(f"beta grid must lie in (0, 1), got {betas}")
+    if not t_max > A2_T_MIN:
+        raise ValueError(f"t_max must exceed the probe's smallest t "
+                         f"{A2_T_MIN:g}, got {t_max}")
     if not check_a1(nl, p):
         raise ValueError("the Keller-Osserman integral diverges; the scaling "
                          "condition probe is undefined")

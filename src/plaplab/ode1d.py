@@ -196,39 +196,26 @@ def solve_large_1d(nl: Nonlinearity, p: float, r: float) -> LargeSolution1D:
     if r <= 0.0:
         raise ValueError(f"radius must be positive, got r={r}")
     radius = lambda a: blowup_radius(nl, p, a)
-    a0 = 1.0
-    r0 = radius(a0)
-    probes = [(a0, r0)]
-    lo = hi = a0
-    if r0 > r:
-        # larger center value -> smaller radius
-        for _ in range(60):
-            lo, hi = hi, hi * 2.0
-            r_hi = radius(hi)
-            probes.append((hi, r_hi))
-            if r_hi <= r:
-                break
-        else:
-            raise QuadratureError(
-                f"no center value with radius <= {r} found within 60 "
-                f"doublings; probes end at {probes[-1]}")
-        monotone = all(p1[1] >= p2[1] for p1, p2 in zip(probes, probes[1:]))
+    probes = [(1.0, radius(1.0))]
+    # a larger center value has a smaller radius: double a while r(a) > r,
+    # else halve it until r(a) >= r
+    side = 1.0 if probes[0][1] > r else -1.0
+    for _ in range(60):
+        a = probes[-1][0] * 2.0 ** side
+        probes.append((a, radius(a)))
+        if side * (r - probes[-1][1]) >= 0.0:
+            break
     else:
-        for _ in range(60):
-            hi, lo = lo, lo / 2.0
-            r_lo = radius(lo)
-            probes.append((lo, r_lo))
-            if r_lo >= r:
-                break
-        else:
-            raise QuadratureError(
-                f"no center value with radius >= {r} found within 60 "
-                f"halvings; probes end at {probes[-1]}")
-        monotone = all(p1[1] <= p2[1] for p1, p2 in zip(probes, probes[1:]))
-    if not monotone:
+        raise QuadratureError(
+            f"no center value with radius {'<=' if side > 0 else '>='} {r} "
+            f"found within 60 {'doublings' if side > 0 else 'halvings'}; "
+            f"probes end at {probes[-1]}")
+    if not all(side * (r1 - r2) >= 0.0
+               for (_, r1), (_, r2) in zip(probes, probes[1:])):
         raise QuadratureError(
             f"a -> r(a) is not monotone along the probe sequence {probes}; "
             "cannot bracket the center value reliably")
+    lo, hi = sorted((probes[-2][0], probes[-1][0]))
     a = float(brentq(lambda x: radius(x) - r, lo, hi, rtol=1e-13, maxiter=200))
     r_check = radius(a)
     if abs(r_check - r) > 1e-10 * r:
@@ -332,7 +319,8 @@ def solve_cross_finite(nl: Nonlinearity, p: float, interval, g0: float,
                        g1: float, n_nodes: int, tol: float = 1e-9,
                        max_newton: int = 200) -> CrossProfile:
     """Finite-data cross-sectional solve on ``interval`` with n_nodes:
-    the linear Laplace fill, then Newton down the whole eps ladder."""
+    Newton down the whole eps ladder from min(g0, g1) at every interior
+    node."""
     y = _segment(interval, n_nodes)
     g = (float(g0), float(g1))
     problem = _CrossProblem(nl, p, y, *g)

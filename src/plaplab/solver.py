@@ -8,16 +8,17 @@ energy
 discretized with piecewise-linear elements on the structured triangulation
 (gradient term exact per triangle, absorption term by lumped-node
 quadrature).  The regularization eps tames the degenerate (p > 2) and
-singular (p < 2) coefficient at critical points; a cold start runs a
-geometric continuation from the cell size down to 0.01 h^2, warm-starting
-damped Newton at every stage, while a solve warm-started from the
-solution of a nearby problem (the previous boundary level of a blow-up
-sweep, or the cross-sectional reference extended along the cylinder)
-runs only the last stage.  Each Newton system is solved by banded Cholesky
-(LAPACK ``dpbtrf``) with the free nodes numbered along the shorter side
-of the lattice, so its half-bandwidth is ny - 1 whatever the cylinder
-length.  Since f is nondecreasing, F is convex and the minimizer is
-unique, so the discrete solution is deterministic given the grid.
+singular (p < 2) coefficient at critical points; a cold start from the
+smallest boundary value runs a geometric continuation from the cell
+size down to 0.01 h^2, warm-starting damped Newton at every stage, while
+a solve warm-started from the solution of a nearby problem (the previous
+boundary level of a blow-up sweep, or the cross-sectional reference
+extended along the cylinder) runs only the last stage.  Each Newton
+system is solved by banded Cholesky (LAPACK ``dpbtrf``) with the free
+nodes numbered along the shorter side of the lattice, so its
+half-bandwidth is ny - 1 whatever the cylinder length.  Since f is
+nondecreasing, F is convex and the minimizer is unique, so the discrete
+solution is deterministic given the grid.
 
 Boundary blow-up is approximated by an increasing sweep of constant
 Dirichlet levels M (the monotone-limit construction): every level is the
@@ -30,7 +31,6 @@ windowed change between consecutive stages as a stabilization residual.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -280,29 +280,20 @@ class _CylinderProblem:
                           overwrite_b=True, lower=True, check_finite=False)
         return x[self._from_band]
 
-    def laplace_fill(self, eps):
-        """Linear (p=2, f=0) solve with the stored boundary data; used as
-        the cold-start initial guess."""
-        linear = copy.copy(self)
-        linear.nl = Nonlinearity.zero()
-        linear.p = 2.0
-        u0 = self.with_boundary(np.zeros(len(self.free)))
-        g, _ = linear.gradient(u0, eps)
-        u0[self.free] += linear.newton_step(u0, eps, g)
-        return u0
-
     def minimize(self, tol, max_newton, initial=None):
         """Damped Newton down the eps ladder of the cell size ``h`` from
-        the Laplace fill, or only at its last eps from ``initial`` (its
-        fixed entries overwritten); returns ``(u, stages, info)`` of
-        :func:`plaplab.minimize.minimize_newton`."""
+        the smallest fixed value at every free node (for constant data,
+        its discrete harmonic extension), or only at its last eps from
+        ``initial`` (its fixed entries overwritten); returns ``(u, stages,
+        info)`` of :func:`plaplab.minimize.minimize_newton`."""
         schedule = default_eps_schedule(self.h)
         if initial is None:
-            u0 = self.laplace_fill(schedule[0])
+            initial = np.full(len(self.free),
+                              np.min(self.boundary_values[~self.free]))
         else:
-            u0 = self.with_boundary(initial)
             schedule = schedule[-1:]
-        return minimize_newton(self, u0, schedule, tol, max_newton)
+        return minimize_newton(self, self.with_boundary(initial), schedule,
+                               tol, max_newton)
 
 
 def _boundary_array(grid: RectGrid, bdata) -> np.ndarray:
@@ -346,15 +337,18 @@ def energy_gradient(u: GridFunction, nl: Nonlinearity, p: float,
 def _solve_result(grid: RectGrid, problem: _CylinderProblem,
                   cfg: SolverConfig, mode: str, level) -> SolveResult:
     """The :class:`SolveResult` of one ``(u, stages, info)`` solve of
-    ``problem`` on ``grid``."""
+    ``problem`` on ``grid``, refused when its energy overflows."""
     u, stages, info = level
+    energy = problem.full_energy(u, stages[-1].eps)
+    if not np.isfinite(energy):
+        raise NonConvergenceError(f"{mode}: the discrete energy overflows")
     return SolveResult(
         solution=GridFunction(grid, u),
         config=cfg,
         nl=problem.nl,
         boundary_mode=mode,
         stages=tuple(stages),
-        energy=problem.full_energy(u, stages[-1].eps),
+        energy=energy,
         residual=info["residual"],
         diagnostics={"roundoff_floor": info["roundoff_floor"],
                      "stalled_at_floor": info["stalled"],
@@ -370,9 +364,9 @@ def solve_dirichlet(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig,
     ``bdata`` is a constant or a callable ``(X, Y) -> values`` evaluated
     at the node coordinates.  ``initial``, the nodal values of a solution
     of a nearby problem (its boundary entries are overwritten), warm-starts
-    Newton at the last eps of the ladder only; the default cold start is
-    the linear Laplace fill of the boundary data, followed by the whole
-    ladder.  Each call builds its own problem on ``grid``; the levels of
+    Newton at the last eps of the ladder only; the default cold start
+    sets every interior node to the smallest boundary value and runs the
+    whole ladder.  Each call builds its own problem on ``grid``; the levels of
     an M sweep share one (:func:`solve_blowup`).
     """
     problem = _CylinderProblem.on_grid(grid, nl, cfg.p,

@@ -52,6 +52,20 @@ class TestFitRate:
         with pytest.raises(RateUnresolvableError):
             fit_rate(rows_from(lambda l: l ** -1.0, (2.0, 4.0)), p=2.0)
 
+    @pytest.mark.parametrize("last, reason", [
+        (RateRow(ell=16.0, error=1e-3, note="floor re-solve failed: X"),
+         "no discretization floor: floor re-solve failed: X"),
+        (RateRow(ell=16.0, error=float("nan"), note="solve failed: Y"),
+         "no discretization floor: the largest-ell row (ell=16) has no "
+         "error: solve failed: Y"),
+    ], ids=["floor_failed", "last_row_failed"])
+    def test_missing_floor_is_unresolvable(self, last, reason):
+        # a missing floor must not read as floor 0 with every row fitted
+        rows = rows_from(lambda l: l ** -1.0, (2.0, 4.0, 8.0)) + [last]
+        with pytest.raises(RateUnresolvableError) as err:
+            fit_rate(rows, p=2.0, floor=float("nan"))
+        assert str(err.value) == reason
+
 
 class TestSweepSpecValidation:
     def test_window_must_fit_smallest_half_cylinder(self):

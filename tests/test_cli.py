@@ -4,10 +4,13 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
+import plaplab.asymptotics
 import plaplab.quadrature
 from plaplab.cli import main
+from plaplab.minimize import NonConvergenceError
 
 BASE = {
     "schema_version": 1,
@@ -90,6 +93,25 @@ class TestValidation:
         else:
             cfg.setdefault(section, {}).update(entry)
         code, out = run(tmp_path, command, cfg)
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command, extra, key", [
+        ("check", {"check": {"balls": 0}}, "'check.balls'"),
+        ("check", {"check": {"pairs": -3}}, "'check.pairs'"),
+        ("check", {"check": {"window_pairs": 0}}, "'check.window_pairs'"),
+        ("psi", {"a2": {"t_max": 0.5}}, "t_max"),
+    ], ids=["balls_0", "pairs_negative", "window_pairs_0", "a2_t_max"])
+    def test_counts_and_ranges_below_their_minimum(self, tmp_path, capsys,
+                                                   command, extra, key):
+        code, out = run(tmp_path, command, {
+            "geometry": {"ell_list": [2.0, 4.0], "cross": [-2.0, 2.0],
+                         "ny": 17},
+            "boundary": {"blowup": [10.0, 100.0]},
+            "window": [-1.0, 1.0, -1.0, 1.0],
+            **extra,
+        })
         assert code == 2
         assert key in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
@@ -247,6 +269,26 @@ class TestSolve:
         assert code == 3
 
 
+    @pytest.mark.parametrize("command, extra, artifact", [
+        ("solve", {"geometry": {"ell": 1.0, "cross": [0.0, 1.0], "ny": 9},
+                   "boundary": {"dirichlet": 1000}}, "solve.json"),
+        ("check", {"geometry": {"ell": 2.0, "cross": [-2.0, 2.0], "ny": 9},
+                   "boundary": {"blowup": [10, 800]},
+                   "window": [-1.0, 1.0, -1.0, 1.0]}, "check.json"),
+    ], ids=["solve", "check"])
+    def test_overflowing_data_is_exit_3(self, tmp_path, capsys, command,
+                                        extra, artifact):
+        # e^800 and e^1000 overflow: the residual floor of the cold solve
+        # and the energy of the M = 800 level are infinite
+        with np.errstate(over="ignore"):
+            code, out = run(tmp_path, command, {
+                "nonlinearity": {"kind": "exp_minus_one", "lam": 1},
+                **extra})
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (out / artifact).exists()
+
+
 class TestSweepAndRate:
     GEOMETRY = {"ell_list": [2.0, 4.0, 8.0], "cross": [0.0, 2.0], "ny": 9}
 
@@ -352,6 +394,29 @@ class TestSweepAndRate:
         assert "no large solution" in capsys.readouterr().err
         assert not (out / "rows.csv").exists()
         assert not (out / "sweep.json").exists()
+
+    def test_failed_floor_resolve_is_exit_4(self, tmp_path, capsys,
+                                            monkeypatch):
+        original = plaplab.asymptotics.measure_row
+
+        def failing_floor(spec, ell, ny=None, *, reference):
+            if ny not in (None, spec.ny):
+                raise NonConvergenceError("stub floor failure")
+            return original(spec, ell, ny, reference=reference)
+
+        monkeypatch.setattr(plaplab.asymptotics, "measure_row",
+                            failing_floor)
+        code, out = run(tmp_path, "rate", {
+            "nonlinearity": {"kind": "power", "c": 1, "q": 1},
+            "geometry": self.GEOMETRY,
+            "boundary": {"dirichlet": 1.0},
+            "window": [-1.0, 1.0, 0.5, 1.5],
+        })
+        assert code == 4
+        assert "floor re-solve at ny=17 failed: stub floor failure" in \
+            capsys.readouterr().err
+        assert not (out / "rate.json").exists()
+        assert json.loads((out / "sweep.json").read_text())["floor"] is None
 
     def test_flat_sweep_rate_unresolvable_is_exit_4(self, tmp_path):
         code, _ = run(tmp_path, "rate", {

@@ -10,7 +10,7 @@ from plaplab import (DivergentBlowupError, Nonlinearity, QuadratureError,
                      energy_gradient, psi_p, solve_cross_finite,
                      solve_cross_large, solve_large_1d)
 from plaplab import ode1d
-from plaplab.minimize import default_eps_schedule
+from plaplab.minimize import NonConvergenceError, default_eps_schedule
 
 POWER23 = Nonlinearity.power(2, 3)
 
@@ -190,6 +190,24 @@ class TestCrossFinite:
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError):
             solve_cross_finite(POWER23, 2.0, (0, 1), 1.0, 1.0, 2)
+
+    @pytest.mark.parametrize("n_nodes", [33, 257])
+    def test_cold_start_between_unequal_ends(self, n_nodes):
+        # started from the mean of the ends, this solve exceeds the Newton
+        # budget; from the smaller end it converges
+        prof = solve_cross_finite(Nonlinearity.exp_minus_one(1.0), 1.25,
+                                  (0, 1), 1.0, 100.0, n_nodes)
+        assert prof.values[0] == 1.0 and prof.values[-1] == 100.0
+        assert np.all((prof.values >= 0.0) & (prof.values <= 100.0))
+
+    def test_overflowing_level_is_nonconvergence(self):
+        # f(800) = e^800 - 1 overflows: an infinite roundoff floor must not
+        # pass the residual test
+        with np.errstate(over="ignore"), \
+                pytest.raises(NonConvergenceError, match="not finite"):
+            ode1d._CrossProblem(Nonlinearity.exp_minus_one(1.0), 2.0,
+                                np.linspace(0.0, 1.0, 9), 800.0,
+                                800.0).minimize(1e-9, 200)
 
 
 class TestCrossLarge:

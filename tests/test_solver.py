@@ -9,6 +9,7 @@ from plaplab import (GridFunction, NonConvergenceError, Nonlinearity, Window,
                      SolverConfig, build_grid, energy, energy_gradient,
                      solve_blowup, solve_dirichlet, solve_large_1d,
                      verify_barrier)
+import plaplab.solver
 from plaplab.minimize import default_eps_schedule, minimize_newton
 from plaplab.ode1d import _CrossProblem
 from plaplab.solver import _CylinderProblem, _boundary_array
@@ -158,11 +159,44 @@ class TestBandedNewtonSolve:
 
 class TestSolveDirichlet:
     def test_constant_data_in_one_step(self):
+        # with f = 0 constant data is the exact solution, and a cold start
+        # begins there
         g = unit_square_grid()
         res = solve_dirichlet(g, Nonlinearity.zero(), SolverConfig(p=2.0),
                               4.0)
-        assert np.max(np.abs(res.solution.values - 4.0)) < 1e-12
-        assert all(s.iterations <= 1 for s in res.stages)
+        assert np.all(res.solution.values == 4.0)
+        assert all(s.iterations == 0 for s in res.stages)
+
+    def test_cold_solve_factors_once_per_newton_step(self, monkeypatch):
+        calls = []
+        original = plaplab.solver.solveh_banded
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(plaplab.solver, "solveh_banded", counting)
+        g = build_grid(2.0, (-2.0, 2.0), 17, 17)
+        res = solve_dirichlet(g, POWER23, SolverConfig(p=1.5), 10.0)
+        steps = sum(s.iterations for s in res.stages)
+        assert steps > 0 and len(calls) == steps
+
+    @pytest.mark.parametrize("bdata", [
+        lambda X, Y: 1.0 + 99.0 * (Y > 0.5),
+        lambda X, Y: np.exp(3.0 * (X + Y)),
+    ], ids=["step", "exponential"])
+    def test_cold_start_from_nonconstant_data(self, bdata):
+        # the Laplace fill of either data, or the mean of the step, as the
+        # start exceeds the Newton budget here; the smallest value does not
+        g = build_grid(1.0, (0.0, 1.0), 65, 33)
+        cfg = SolverConfig(p=1.25)
+        res = solve_dirichlet(g, Nonlinearity.exp_minus_one(1.0), cfg, bdata)
+        assert res.residual <= 4.0 * (cfg.tol
+                                      + res.diagnostics["roundoff_floor"])
+        # 0 and the largest boundary value bound the solution (comparison)
+        hi = np.max(res.solution.values[g.boundary_mask()])
+        assert np.all(res.solution.values >= -2.0 * cfg.tol)
+        assert np.all(res.solution.values <= hi + 2.0 * cfg.tol)
 
     def test_boundary_data_exact(self):
         g = build_grid(1.0, (0.0, 1.0), 9, 9)
@@ -227,12 +261,11 @@ class TestSolveDirichlet:
             h = min(g.hx, g.hy)
             problem = _CylinderProblem.on_grid(g, POWER23, p,
                                                _boundary_array(g, 1.0))
+            u0 = problem.with_boundary(np.ones(g.n_nodes))
             sols = []
             for k in range(3):
                 schedule = tuple(np.geomspace(h, 0.01 * h * h / 2 ** k, 6))
-                u, _, _ = minimize_newton(problem,
-                                          problem.laplace_fill(schedule[0]),
-                                          schedule, 1e-9, 200)
+                u, _, _ = minimize_newton(problem, u0, schedule, 1e-9, 200)
                 sols.append(u[mask])
             d1 = np.max(np.abs(sols[1] - sols[0]))
             d2 = np.max(np.abs(sols[2] - sols[1]))
