@@ -322,7 +322,9 @@ def cmd_solve(cfg, out: Path, args) -> int:
             "monotone_margin": report.monotone_margin,
         }
     diagnostics.update({
-        "energy": res.energy,
+        # F(M) of e^s - 1 overflows past M ~ 709.8 on the fixed nodes alone;
+        # JSON has no infinity
+        "energy": res.energy if math.isfinite(res.energy) else None,
         "residual": res.residual,
         "iterations": [s.iterations for s in res.stages],
         "eps_schedule": list(res.diagnostics["eps_schedule"]),

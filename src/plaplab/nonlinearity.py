@@ -162,7 +162,9 @@ class Nonlinearity:
             return c * np.power(arr, q)
         if self.kind == "exp_minus_one":
             (lam,) = self.params
-            return lam * np.expm1(arr)
+            # past s ~ 709.8 this is inf, which the solvers refuse
+            with np.errstate(over="ignore"):
+                return lam * np.expm1(arr)
         if self.kind == "zero":
             return np.zeros_like(arr)
         return np.vectorize(self.f_callable, otypes=[float])(arr)
@@ -180,7 +182,8 @@ class Nonlinearity:
                 out = c * q * np.power(np.maximum(arr, 1e-12), q - 1.0)
         elif self.kind == "exp_minus_one":
             (lam,) = self.params
-            out = lam * np.exp(arr)
+            with np.errstate(over="ignore"):
+                out = lam * np.exp(arr)
         elif self.kind == "zero":
             out = np.zeros_like(arr)
         else:

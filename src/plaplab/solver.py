@@ -337,18 +337,15 @@ def energy_gradient(u: GridFunction, nl: Nonlinearity, p: float,
 def _solve_result(grid: RectGrid, problem: _CylinderProblem,
                   cfg: SolverConfig, mode: str, level) -> SolveResult:
     """The :class:`SolveResult` of one ``(u, stages, info)`` solve of
-    ``problem`` on ``grid``, refused when its energy overflows."""
+    ``problem`` on ``grid``."""
     u, stages, info = level
-    energy = problem.full_energy(u, stages[-1].eps)
-    if not np.isfinite(energy):
-        raise NonConvergenceError(f"{mode}: the discrete energy overflows")
     return SolveResult(
         solution=GridFunction(grid, u),
         config=cfg,
         nl=problem.nl,
         boundary_mode=mode,
         stages=tuple(stages),
-        energy=energy,
+        energy=problem.full_energy(u, stages[-1].eps),
         residual=info["residual"],
         diagnostics={"roundoff_floor": info["roundoff_floor"],
                      "stalled_at_floor": info["stalled"],

@@ -4,7 +4,6 @@ import csv
 import json
 import math
 
-import numpy as np
 import pytest
 
 import plaplab.asymptotics
@@ -269,28 +268,60 @@ class TestSolve:
         assert code == 3
 
 
-    @pytest.mark.parametrize("command, extra, artifact", [
-        ("solve", {"geometry": {"ell": 1.0, "cross": [0.0, 1.0], "ny": 9},
-                   "boundary": {"dirichlet": 1000}}, "solve.json"),
-        ("check", {"geometry": {"ell": 2.0, "cross": [-2.0, 2.0], "ny": 9},
-                   "boundary": {"blowup": [10, 800]},
-                   "window": [-1.0, 1.0, -1.0, 1.0]}, "check.json"),
-    ], ids=["solve", "check"])
-    def test_overflowing_data_is_exit_3(self, tmp_path, capsys, command,
-                                        extra, artifact):
-        # e^800 and e^1000 overflow: the residual floor of the cold solve
-        # and the energy of the M = 800 level are infinite
-        with np.errstate(over="ignore"):
-            code, out = run(tmp_path, command, {
-                "nonlinearity": {"kind": "exp_minus_one", "lam": 1},
-                **extra})
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_data_is_exit_3(self, tmp_path, capsys):
+        # f(1000) = e^1000 - 1 overflows at every node of the cold start, so
+        # the residual and its roundoff floor are infinite
+        code, out = run(tmp_path, "solve", {
+            "nonlinearity": {"kind": "exp_minus_one", "lam": 1},
+            "geometry": {"ell": 1.0, "cross": [0.0, 1.0], "ny": 9},
+            "boundary": {"dirichlet": 1000}})
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
-        assert not (out / artifact).exists()
+        assert not (out / "solve.json").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_level_overflowing_only_on_the_boundary_converges(
+            self, tmp_path, command):
+        # F(800) overflows on the fixed nodes only: the free nodes stay far
+        # below 709.8, the level converges, and the energy it cannot report
+        # is null in solve.json
+        code, out = run(tmp_path, command, {
+            "nonlinearity": {"kind": "exp_minus_one", "lam": 1},
+            "geometry": {"ell": 2.0, "cross": [-2.0, 2.0], "ny": 9},
+            "boundary": {"blowup": [10, 800]},
+            "window": [-1.0, 1.0, -1.0, 1.0]})
+        assert code == 0
+        if command == "solve":
+            diag = json.loads((out / "solve.json").read_text(),
+                              parse_constant=pytest.fail)
+            assert diag["energy"] is None
+            assert diag["residual"] < 1e-9
+        else:
+            assert json.loads((out / "check.json").read_text())
 
 
 class TestSweepAndRate:
     GEOMETRY = {"ell_list": [2.0, 4.0, 8.0], "cross": [0.0, 2.0], "ny": 9}
+
+    @pytest.mark.parametrize("command", ["sweep", "rate"])
+    def test_blowup_levels_beyond_the_overflow_of_F(self, tmp_path, command):
+        # F(1000) of e^s - 1 overflows on the fixed nodes; every row still
+        # solves
+        code, out = run(tmp_path, command, {
+            "nonlinearity": {"kind": "exp_minus_one", "lam": 1},
+            "geometry": {"ell_list": [2.0, 3.0, 4.0], "cross": [-2.0, 2.0],
+                         "ny": 9},
+            "boundary": {"blowup": [10, 100, 1000]},
+            "window": [-1.0, 1.0, -1.0, 1.0]})
+        assert code == 0
+        rows = json.loads((out / "sweep.json").read_text())["rows"]
+        assert len(rows) == 3
+        assert all(math.isfinite(r["error"]) and r["note"] == ""
+                   for r in rows)
+        if command == "rate":
+            assert json.loads((out / "rate.json").read_text())["pass"]
 
     def test_sweep_rows(self, tmp_path):
         code, out = run(tmp_path, "sweep", {

@@ -203,8 +203,7 @@ class TestCrossFinite:
     def test_overflowing_level_is_nonconvergence(self):
         # f(800) = e^800 - 1 overflows: an infinite roundoff floor must not
         # pass the residual test
-        with np.errstate(over="ignore"), \
-                pytest.raises(NonConvergenceError, match="not finite"):
+        with pytest.raises(NonConvergenceError, match="not finite"):
             ode1d._CrossProblem(Nonlinearity.exp_minus_one(1.0), 2.0,
                                 np.linspace(0.0, 1.0, 9), 800.0,
                                 800.0).minimize(1e-9, 200)
