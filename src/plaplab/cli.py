@@ -328,6 +328,7 @@ def cmd_solve(cfg, out: Path, args) -> int:
         "residual": res.residual,
         "iterations": [s.iterations for s in res.stages],
         "eps_schedule": list(res.diagnostics["eps_schedule"]),
+        "stage_tol": [s.tol for s in res.stages],
         "stalled_at_floor": res.diagnostics["stalled_at_floor"],
     })
     write_grid_function(res.solution, out / "solution.csv",

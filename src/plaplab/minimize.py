@@ -4,9 +4,13 @@ The cylinder and cross-sectional solves minimize one regularized convex
 P1 energy (on a triangle or a segment mesh): the singular/degenerate
 coefficient ``|grad u|^(p-2)`` is replaced by
 ``(|grad u|^2 + eps^2)^((p-2)/2)``.  A cold start drives ``eps`` down a
-geometric schedule, warm-starting each stage; a warm start from the
-solution of a nearby problem runs only the schedule's last stage, since
-it already lies in the basin the ladder exists to reach.
+geometric schedule, warm-starting each stage from the last.  Only the
+last stage's minimizer is used, so a stage before it is solved inexactly:
+it stops once the residual is within max(tol, eps) (plus the roundoff
+floor), enough to bring the iterate into the next stage's basin (inexact
+continuation, Allgower & Georg 2003).  A warm start from the solution of
+a nearby problem runs only the schedule's last stage, since it already
+lies in the basin the ladder exists to reach.
 Within a stage, damped Newton with Armijo backtracking is globally
 convergent because the energy is strictly convex for eps > 0.
 
@@ -36,7 +40,7 @@ _ROUNDOFF_FACTOR = 64.0
 _BACKTRACK = 0.5
 _SUFFICIENT_DECREASE = 1e-4
 # a Newton step below resolution ends the stage only if the residual is
-# within this multiple of tol plus the roundoff floor
+# within this multiple of the stage's tol plus the roundoff floor
 _STALL_FACTOR = 4.0
 
 
@@ -50,11 +54,14 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class StageTrace:
-    """Per-continuation-stage convergence record."""
+    """Per-continuation-stage convergence record: ``tol`` is the residual
+    bound (before the roundoff floor) the stage stopped at, max(tol, eps)
+    for a stage before the last."""
     eps: float
     iterations: int
     residual: float
     objective: float
+    tol: float
 
 
 def default_eps_schedule(h: float) -> tuple:
@@ -73,11 +80,14 @@ def minimize_newton(problem, u0, eps_schedule, tol, max_newton):
       gradient(u, eps)             -> (grad, abs_scale) full-length arrays,
       newton_step(u, eps, grad)    -> Newton direction over the free dofs.
 
-    Returns ``(u, stages, info)`` where ``info`` carries the final
+    A stage before the last only has to bring the iterate into the next
+    stage's basin: it ends once every free residual is within max(tol,
+    eps) plus its roundoff floor; the last stage ends within tol plus the
+    floor.  Returns ``(u, stages, info)`` where ``info`` carries the final
     residual, its roundoff floor and whether a stage ended on a Newton
     step below resolution (accepted only with the residual within
-    ``_STALL_FACTOR`` (tol + floor)).  A non-finite residual or floor,
-    as when f(u) overflows, raises :class:`NonConvergenceError`.
+    ``_STALL_FACTOR`` (stage tol + floor)).  A non-finite residual or
+    floor, as when f(u) overflows, raises :class:`NonConvergenceError`.
     """
     u = np.array(u0, dtype=float)
     free = problem.free
@@ -86,8 +96,18 @@ def minimize_newton(problem, u0, eps_schedule, tol, max_newton):
     resid = np.inf
     floor = 0.0
     stalled = False
-    for eps in eps_schedule:
+    last = len(eps_schedule) - 1
+
+    def failure(message):
+        """The error of the current stage, its entry ending the trace."""
+        return NonConvergenceError(
+            message, trace=stages + [StageTrace(eps, it, resid, np.nan,
+                                                stage_tol)])
+
+    for k, eps in enumerate(eps_schedule):
+        stage_tol = tol if k == last else float(max(tol, eps))
         it = 0
+        energy = None  # objective at u for this eps, once evaluated
         while True:
             grad, scale = problem.gradient(u, eps)
             resid_arr = np.abs(grad[free]) / m_free
@@ -97,40 +117,35 @@ def minimize_newton(problem, u0, eps_schedule, tol, max_newton):
             if not (math.isfinite(resid) and math.isfinite(floor)):
                 # an overflowed f(u) makes the floor infinite, and every
                 # residual would pass under it
-                raise NonConvergenceError(
-                    f"residual {resid:.3e} or its roundoff floor "
-                    f"{floor:.3e} is not finite at eps={eps:.3e}",
-                    trace=stages + [StageTrace(eps, it, resid, np.nan)])
-            if np.all(resid_arr <= tol + floor_arr):
+                raise failure(f"residual {resid:.3e} or its roundoff floor "
+                              f"{floor:.3e} is not finite at eps={eps:.3e}")
+            if np.all(resid_arr <= stage_tol + floor_arr):
                 break
             if it >= max_newton:
-                raise NonConvergenceError(
-                    f"Newton exceeded {max_newton} iterations at eps={eps:.3e} "
-                    f"(residual {resid:.3e}, roundoff floor {floor:.3e})",
-                    trace=stages + [StageTrace(eps, it, resid, np.nan)])
+                raise failure(
+                    f"Newton exceeded {max_newton} iterations at eps="
+                    f"{eps:.3e} (residual {resid:.3e}, roundoff floor "
+                    f"{floor:.3e})")
             step = problem.newton_step(u, eps, grad)
             if np.all(np.abs(step) <=
                       8.0 * _EPS_MACH * (np.abs(u[free]) + 1.0)):
                 # every Newton increment is below the double-precision
                 # resolution of its own node; the residual floor is reached
-                if resid <= _STALL_FACTOR * (tol + floor):
+                if resid <= _STALL_FACTOR * (stage_tol + floor):
                     stalled = True
                     break
-                raise NonConvergenceError(
+                raise failure(
                     f"Newton step below resolution at eps={eps:.3e} with "
-                    f"residual {resid:.3e} beyond {_STALL_FACTOR:g} x (tol "
-                    f"+ roundoff floor {floor:.3e})",
-                    trace=stages + [StageTrace(eps, it, resid, np.nan)])
+                    f"residual {resid:.3e} beyond {_STALL_FACTOR:g} x "
+                    f"({stage_tol:.3e} + roundoff floor {floor:.3e})")
             slope = float(grad[free] @ step)
             if not np.isfinite(slope) or slope >= 0.0:
-                raise NonConvergenceError(
-                    f"Newton direction is not a descent direction at "
-                    f"eps={eps:.3e} (slope {slope:.3e})",
-                    trace=stages)
-            e0 = problem.objective(u, eps)
+                raise failure(f"Newton direction is not a descent direction "
+                              f"at eps={eps:.3e} (slope {slope:.3e})")
+            e0 = problem.objective(u, eps) if energy is None else energy
             allowance = 32.0 * _EPS_MACH * abs(e0)
             t = 1.0
-            accepted = False
+            energy = None
             while t >= 2.0 ** -45:
                 u_try = u.copy()
                 u_try[free] += t * step
@@ -138,10 +153,10 @@ def minimize_newton(problem, u0, eps_schedule, tol, max_newton):
                 if np.isfinite(e1) and \
                         e1 <= e0 + _SUFFICIENT_DECREASE * t * slope + allowance:
                     u = u_try
-                    accepted = True
+                    energy = e1
                     break
                 t *= _BACKTRACK
-            if not accepted:
+            if energy is None:
                 # energy comparison drowned in roundoff; fall back to a
                 # residual-decrease acceptance of the full step
                 u_try = u.copy()
@@ -150,13 +165,14 @@ def minimize_newton(problem, u0, eps_schedule, tol, max_newton):
                 if np.max(np.abs(g_try[free]) / m_free) < resid:
                     u = u_try
                 else:
-                    raise NonConvergenceError(
-                        f"line search stalled at eps={eps:.3e} "
-                        f"(residual {resid:.3e}, roundoff floor {floor:.3e})",
-                        trace=stages)
+                    raise failure(
+                        f"line search stalled at eps={eps:.3e} (residual "
+                        f"{resid:.3e}, roundoff floor {floor:.3e})")
             it += 1
-        stages.append(StageTrace(float(eps), it, resid,
-                                 float(problem.objective(u, eps))))
+        if energy is None:
+            energy = problem.objective(u, eps)
+        stages.append(StageTrace(float(eps), it, resid, float(energy),
+                                 stage_tol))
     info = {"residual": resid, "roundoff_floor": floor, "stalled": stalled}
     return u, stages, info
 

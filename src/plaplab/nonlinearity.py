@@ -502,6 +502,9 @@ def check_a1(nl: Nonlinearity, p: float) -> bool:
 A2_T_MIN = 1.0
 A2_POINTS_PER_DECADE = 4
 A2_MARGIN = 1e-3
+#: last exponent k of each run of bracket probes v = 4^k that
+#: :func:`psi_inverse` takes from one Psi_p sweep, up to 4^61 ~ 5e36
+_PSI_INVERSE_SWEEPS = (1, 2, 4, 8, 16, 32, 61)
 
 
 def check_a2(nl: Nonlinearity, p: float, beta_grid=(0.25, 0.5, 0.75),
@@ -554,41 +557,49 @@ def check_a2(nl: Nonlinearity, p: float, beta_grid=(0.25, 0.5, 0.75),
 def psi_inverse(nl: Nonlinearity, p: float, d: float) -> float:
     """Solve Psi_p(v) = d for v (Psi_p is strictly decreasing where f > 0).
 
-    The bracket grows from v = 1 by quadrupling, each step a one-point
-    Psi_p; below v = 1 each quartering, and each root-solver probe in the
-    final bracket, adds one panel to the known Psi_p above it instead of
-    integrating another tail.  Accurate to ``|Psi_p(v) - d| <= 1e-8 *
-    d``, checked against an independent :func:`psi_p`; raises
-    :class:`QuadratureError` when no bracket of d is found.
+    The bracket is found among the probes v = 4^k, k = 0..61, taken from
+    at most seven :func:`log_psi_p` sweeps over runs of k that double in
+    length, each with one tail from its largest probe and panels between
+    neighbours; the sweeps stop at the first run that brackets d, since a
+    tail from 4^61 underflows for an exponential F.  Below v = 1 each
+    quartering, and each root-solver probe in the final bracket, adds one
+    panel to the known Psi_p above it instead of integrating another tail.
+    Accurate to ``|Psi_p(v) - d| <= 1e-8 * d``, checked against an
+    independent :func:`psi_p`; raises :class:`QuadratureError` when no
+    bracket of d is found.
     """
     if d <= 0.0:
         raise ValueError(f"psi_inverse requires d > 0, got {d}")
     log_d, log_F = math.log(d), _log_F(nl)
     log_const = math.log1p(-1.0 / p) / p
-    one_point = lambda v: float(log_psi_p(nl, p, (v,))[0])
 
     def log_psi_below(v, hi, log_hi):
         """log Psi_p(v) for v <= hi from log Psi_p(hi)."""
         if v >= hi:
             return log_hi
         if log_F(v) == -math.inf:  # Psi_p(v) starts above v
-            return one_point(v)
+            return float(log_psi_p(nl, p, (v,))[0])
         return float(np.logaddexp(log_const + _log_panel(log_F, p, v, hi),
                                   log_hi))
 
-    lo = hi = 1.0
-    log_lo = log_hi = one_point(hi)
-    if math.isinf(log_hi):
-        raise ValueError("the Keller-Osserman integral diverges; Psi_p has "
-                         "no inverse")
-    grow = 0
-    while log_hi > log_d:
-        lo, log_lo, hi = hi, log_hi, 4.0 * hi
-        log_hi = one_point(hi)
-        grow += 1
-        if grow > 60:
-            raise QuadratureError(
-                f"no v with Psi_p(v) <= {d} found below {hi:.3e}")
+    probes, log_probes = [], []
+    start = 0
+    for end in _PSI_INVERSE_SWEEPS:
+        run = 4.0 ** np.arange(start, end + 1)
+        probes += run.tolist()
+        log_probes += log_psi_p(nl, p, run).tolist()
+        if math.isinf(log_probes[0]):
+            raise ValueError("the Keller-Osserman integral diverges; Psi_p "
+                             "has no inverse")
+        if log_probes[-1] <= log_d:
+            break
+        start = end + 1
+    else:
+        raise QuadratureError(
+            f"no v with Psi_p(v) <= {d} found below {probes[-1]:.3e}")
+    k = next(i for i, log_v in enumerate(log_probes) if log_v <= log_d)
+    hi, log_hi = probes[k], log_probes[k]
+    lo, log_lo = (probes[k - 1], log_probes[k - 1]) if k else (hi, log_hi)
     shrink = 0
     while log_lo < log_d:
         hi, log_hi, lo = lo, log_lo, lo / 4.0

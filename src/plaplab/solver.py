@@ -10,10 +10,12 @@ discretized with piecewise-linear elements on the structured triangulation
 quadrature).  The regularization eps tames the degenerate (p > 2) and
 singular (p < 2) coefficient at critical points; a cold start from the
 smallest boundary value runs a geometric continuation from the cell
-size down to 0.01 h^2, warm-starting damped Newton at every stage, while
-a solve warm-started from the solution of a nearby problem (the previous
-boundary level of a blow-up sweep, or the cross-sectional reference
-extended along the cylinder) runs only the last stage.  Each Newton
+size down to 0.01 h^2, warm-starting damped Newton at every stage and
+stopping each stage before the last at the looser residual bound
+max(tol, eps), while a solve warm-started from the solution of a nearby
+problem (the previous boundary level of a blow-up sweep, or the
+cross-sectional reference extended along the cylinder) runs only the
+last stage.  Each Newton
 system is solved by banded Cholesky (LAPACK ``dpbtrf``) with the free
 nodes numbered along the shorter side of the lattice, so its
 half-bandwidth is ny - 1 whatever the cylinder length.  Since f is

@@ -10,6 +10,7 @@ import plaplab.asymptotics
 import plaplab.quadrature
 from plaplab.cli import main
 from plaplab.minimize import NonConvergenceError
+from plaplab.solver import _CylinderProblem
 
 BASE = {
     "schema_version": 1,
@@ -237,6 +238,9 @@ class TestSolve:
         assert code == 0
         diag = json.loads((out / "solve.json").read_text())
         assert diag["residual"] <= 1e-9 or diag["stalled_at_floor"]
+        # every stage before the last stops at max(tol, eps)
+        assert diag["stage_tol"] == [max(1e-9, e) for e in
+                                     diag["eps_schedule"][:-1]] + [1e-9]
         meta = json.loads((out / "solution.meta.json").read_text())
         assert meta["ny"] == 9
         with open(out / "solution.csv") as fh:
@@ -474,3 +478,29 @@ class TestCheck:
         names = {c["name"] for c in payload["checks"]}
         assert names == {"comparison", "barrier", "caccioppoli",
                          "monotone_in_ell"}
+
+    def test_newton_steps_of_the_p15_battery(self, tmp_path, monkeypatch):
+        # the benchmark's p = 1.5 `check` config (perfbench/workloads.py)
+        # at the nominal c = 2, gated on a count, which does not vary
+        # between runs.  With every eps stage driven to tol it took 987
+        # Newton steps; with the stages before the last stopped at
+        # max(tol, eps), 589
+        calls = []
+        step = _CylinderProblem.newton_step
+
+        def counted(self, u, eps, grad):
+            calls.append(eps)
+            return step(self, u, eps, grad)
+
+        monkeypatch.setattr(_CylinderProblem, "newton_step", counted)
+        code, out = run(tmp_path, "check", {
+            "p": 1.5,
+            "geometry": {"ell_list": [2.0, 4.0], "cross": [-2.0, 2.0],
+                         "ny": 17},
+            "boundary": {"blowup": [10.0, 100.0, 1000.0, 10000.0]},
+            "window": [-1.0, 1.0, -1.0, 1.0],
+            "check": {"pairs": 20, "balls": 5, "window_pairs": 3},
+        })
+        assert code == 0
+        assert json.loads((out / "check.json").read_text())["all_passed"]
+        assert len(calls) <= 650

@@ -1,12 +1,16 @@
-"""The Newton iteration's stall exit and the M sweep shared by the cylinder
-and the cross-sectional blow-up solves."""
+"""The Newton iteration's stage tolerances, line-search energies and stall
+exit, and the M sweep shared by the cylinder and the cross-sectional
+blow-up solves."""
 
 import numpy as np
 import pytest
 
 from plaplab import (NonConvergenceError, Nonlinearity, SolverConfig,
                      build_grid, solve_blowup, solve_cross_large)
-from plaplab.minimize import minimize_newton, sweep_levels
+from plaplab.minimize import (_EPS_MACH, _ROUNDOFF_FACTOR,
+                              default_eps_schedule, minimize_newton,
+                              sweep_levels)
+from plaplab.solver import _CylinderProblem
 
 POWER23 = Nonlinearity.power(2, 3)
 
@@ -129,6 +133,7 @@ def test_stall_beyond_the_bound_raises_with_trace():
         minimize_newton(_BelowResolution(5e-9), np.zeros(3), (1e-2,), 1e-9,
                         10)
     assert err.value.trace[-1].residual == 5e-9
+    assert err.value.trace[-1].tol == 1e-9  # the only stage is the last
 
 
 class _SmallNodeBehind:
@@ -159,3 +164,110 @@ def test_step_resolved_at_its_own_node_is_taken():
     assert not info["stalled"]
     assert stages[0].iterations == 1
     assert u[2] == 1e-12
+
+
+class _Recorder:
+    """Stands in for a problem and records the iterate of every gradient
+    call and whether each objective call is a line-search trial (a point
+    other than the last iterate whose gradient was taken)."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.free = problem.free
+        self.mass = problem.mass
+        self.iterates = []        # (eps, u) per gradient call
+        self.trials = self.at_iterate = self.steps = 0
+
+    def gradient(self, u, eps):
+        self.iterates.append((eps, u.copy()))
+        return self.problem.gradient(u, eps)
+
+    def newton_step(self, u, eps, grad):
+        self.steps += 1
+        return self.problem.newton_step(u, eps, grad)
+
+    def objective(self, u, eps):
+        if np.array_equal(u, self.iterates[-1][1]):
+            self.at_iterate += 1
+        else:
+            self.trials += 1
+        return self.problem.objective(u, eps)
+
+
+TOL = 1e-11
+
+
+@pytest.fixture(scope="module")
+def cold_solve():
+    """A cold five-stage solve of a small blow-up level at p = 1.5."""
+    grid = build_grid(1.0, (-1.0, 1.0), 9, 9)
+    problem = _CylinderProblem.on_grid(grid, POWER23, 1.5,
+                                       np.zeros(grid.n_nodes))
+    problem.boundary_values[~problem.free] = 10.0
+    recorder = _Recorder(problem)
+    schedule = default_eps_schedule(problem.h)
+    u, stages, info = minimize_newton(
+        recorder, problem.with_boundary(np.full(grid.n_nodes, 10.0)),
+        schedule, TOL, 200)
+    return problem, recorder, schedule, u, stages
+
+
+def _stage_end(problem, recorder, eps):
+    """Residual and roundoff floor per free node where the stage at
+    ``eps`` stopped (its last gradient)."""
+    u = [u for e, u in recorder.iterates if e == eps][-1]
+    grad, scale = problem.gradient(u, eps)
+    m = problem.mass[problem.free]
+    return (np.abs(grad[problem.free]) / m,
+            _ROUNDOFF_FACTOR * _EPS_MACH * scale[problem.free] / m)
+
+
+def test_intermediate_stages_stop_at_the_looser_bound(cold_solve):
+    problem, recorder, schedule, _, stages = cold_solve
+    assert [s.eps for s in stages] == [float(e) for e in schedule]
+    above_tol = []
+    for stage in stages[:-1]:
+        resid, floor = _stage_end(problem, recorder, stage.eps)
+        assert stage.tol == max(TOL, stage.eps)
+        assert np.all(resid <= stage.tol + floor)
+        above_tol.append(np.any(resid > TOL + floor))
+    # the parent rule would have gone on iterating in some stage
+    assert any(above_tol)
+    resid, floor = _stage_end(problem, recorder, stages[-1].eps)
+    assert stages[-1].tol == TOL
+    assert np.all(resid <= TOL + floor)
+
+
+def test_each_line_search_energy_is_computed_once(cold_solve):
+    problem, recorder, _, u, stages = cold_solve
+    backtracks = recorder.trials - recorder.steps
+    assert recorder.steps == sum(s.iterations for s in stages) > 0
+    assert backtracks >= 0
+    assert recorder.trials + recorder.at_iterate <= \
+        recorder.steps + backtracks + len(stages)
+    assert stages[-1].objective == problem.objective(u, stages[-1].eps)
+
+
+class _EnergyDrownedInRoundoff:
+    """One free dof with gradient u - 1 and exact Newton steps, but an
+    objective that rises towards the minimizer, so that every Armijo trial
+    fails and the residual-decrease fallback takes the full step."""
+
+    free = np.array([False, True, False])
+    mass = np.ones(3)
+
+    def gradient(self, u, eps):
+        return np.where(self.free, u - 1.0, 0.0), np.zeros(3)
+
+    def newton_step(self, u, eps, grad):
+        return -grad[self.free]
+
+    def objective(self, u, eps):
+        return -float((u[1] - 1.0) ** 2)
+
+
+def test_energy_after_the_fallback_is_evaluated_afresh():
+    problem = _EnergyDrownedInRoundoff()
+    u, stages, _ = minimize_newton(problem, np.zeros(3), (1e-2,), 1e-12, 5)
+    assert u[1] == 1.0 and stages[0].iterations == 1
+    assert stages[0].objective == problem.objective(u, 1e-2) == 0.0

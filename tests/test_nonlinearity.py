@@ -411,17 +411,22 @@ class TestPsiInverse:
         assert len(panels) < 1000
 
     def test_root_probes_add_one_panel_each(self, monkeypatch):
-        # three tails (v = 1, v = 4 and the round-trip check) and one
-        # panel per root-solver probe; a tail per probe took over 400
+        # two tails (the probe sweep over v = 1 and 4, and the round-trip
+        # check) and one panel per root-solver probe; a tail per probe
+        # took over 400
         panels = self.count_panels(monkeypatch)
         v = psi_inverse(Nonlinearity.power(2, 3), 2.0, 0.3)
         assert v == pytest.approx(1.0 / 0.3, rel=1e-8)
         assert len(panels) < 200
 
-    def test_level_below_the_probe_range_raises(self):
-        # Psi_2(v) = 1/v for f = 2 s^3: 60 quadruplings reach only 5e36
+    def test_level_below_the_probe_range_raises(self, monkeypatch):
+        # Psi_2(v) = 1/v for f = 2 s^3: 61 quadruplings reach only 5e36;
+        # seven sweeps over the probes, where a tail per probe took 2480
+        # QUADPACK calls
+        panels = self.count_panels(monkeypatch)
         with pytest.raises(QuadratureError, match="no v with"):
             psi_inverse(Nonlinearity.power(2, 3), 2.0, 1e-40)
+        assert len(panels) <= 500
 
     def test_nonpositive_level_is_bad_input(self):
         with pytest.raises(ValueError, match="d > 0"):
