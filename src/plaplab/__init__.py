@@ -18,6 +18,7 @@ from .ode1d import (CrossProfile, DivergentBlowupError, LargeSolution1D,
                     solve_large_1d)
 from .quadrature import QuadratureError
 from .solver import (BlowupReport, SolveResult, SolverConfig, energy,
-                     energy_gradient, solve_blowup, solve_dirichlet)
+                     energy_gradient, solve_blowup, solve_dirichlet,
+                     solve_levels)
 
 __version__ = "0.1.0"

@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from .minimize import NonConvergenceError
 from .nonlinearity import Nonlinearity, check_a1, check_a2, log_psi_p
 from .ode1d import DivergentBlowupError, solve_large_1d
 from .quadrature import QuadratureError
-from .solver import SolverConfig, solve_blowup, solve_dirichlet
+from .solver import SolverConfig, solve_blowup, solve_dirichlet, solve_levels
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -418,15 +419,21 @@ def cmd_check(cfg, out: Path, args) -> int:
     n_windows = _count(check_cfg.get("window_pairs", 3), "check.window_pairs")
     reports = []
     grid = grid_for(ells[0])
-    # ordered constant boundary data -> ordered solutions
+    # ordered constant boundary data -> ordered solutions; the distinct
+    # levels of all pairs are solved in increasing order on one problem
     rng = np.random.default_rng(0)
     base = regime.m_list[0] if isinstance(regime, BlowupData) else \
         abs(regime.g) + 1.0
-    for _ in range(n_pairs):
-        g1, g2 = np.sort(rng.uniform(0.0, base, size=2))
-        res1 = solve_dirichlet(grid, nl, scfg, float(g1))
-        res2 = solve_dirichlet(grid, nl, scfg, float(g2))
-        reports.append(verify_comparison(res1, res2))
+    pairs = [tuple(float(g) for g in np.sort(rng.uniform(0.0, base, size=2)))
+             for _ in range(n_pairs)]
+    levels = sorted({g for pair in pairs for g in pair})
+    solved = dict(zip(levels, solve_levels(grid, nl, scfg, levels)))
+    for pair in pairs:
+        lower, upper = (solved[g] for g in pair)
+        rep = verify_comparison(lower, upper)
+        reports.append(replace(rep, details={
+            **rep.details, "levels": pair,
+            "newton_steps": (lower.newton_steps, upper.newton_steps)}))
 
     if isinstance(regime, BlowupData) or check_a1(nl, p):
         m_list = regime.m_list if isinstance(regime, BlowupData) else \

@@ -14,8 +14,10 @@ lies in the basin the ladder exists to reach.
 Within a stage, damped Newton with Armijo backtracking is globally
 convergent because the energy is strictly convex for eps > 0.
 
-The levels of a blow-up sweep differ only in the constant on the fixed
-nodes, so :func:`sweep_levels` runs them all on one problem.
+Constant boundary levels on one mesh differ only in the constant on the
+fixed nodes, so :func:`warm_levels` solves increasing levels on one
+problem, each warm from the level below; the blow-up sweep
+:func:`sweep_levels` adds the (A1) refusal and the monotonicity abort.
 
 The stopping test is an absolute bound on the lumped-mass-scaled gradient
 plus a roundoff allowance proportional to the magnitude of the assembled
@@ -196,37 +198,50 @@ def require_a1(nl, p) -> None:
             f"Keller-Osserman condition at p={p}")
 
 
-def sweep_levels(problem, m_list, tol, max_newton, watch, initial=None):
-    """Increasing sweep of constant boundary levels approximating blow-up,
-    run on one ``problem`` (the cylinder's or the cross-section's) for
-    every level.
+def warm_levels(problem, m_list, tol, max_newton, initial=None):
+    """Solve constant levels, strictly increasing (see
+    :func:`increasing_levels`), on one ``problem``.
 
     Each level M is set on the problem's fixed nodes and solved by
     ``problem.minimize(tol, max_newton, start)``, warm-started from the
     previous level (the first level from ``initial``, a cold start by
-    default).  Refuses nonlinearities failing the Keller-Osserman
-    condition; free values must be nondecreasing in M (comparison
-    principle), and a drop beyond twice ``tol`` at a free node aborts.
-    Returns ``(m_values, levels, changes, monotone_margin)``: ``levels``
-    holds one ``(u, stages, info)`` per level, ``changes`` the max changes
-    over the ``watch`` nodes between consecutive levels, and the margin is
-    the most negative free increment (0 for one level).
+    default).  Yields one ``(u, stages, info)`` per level as it is solved,
+    so that a caller may stop the sweep early.
+    """
+    fixed = ~problem.free
+    start = initial
+    for M in m_list:
+        problem.boundary_values[fixed] = M
+        level = problem.minimize(tol, max_newton, start)
+        yield level
+        start = level[0]
+
+
+def sweep_levels(problem, m_list, tol, max_newton, watch, initial=None):
+    """Increasing sweep of constant boundary levels approximating blow-up,
+    run on one ``problem`` (the cylinder's or the cross-section's) for
+    every level by :func:`warm_levels`.
+
+    Refuses nonlinearities failing the Keller-Osserman condition; free
+    values must be nondecreasing in M (comparison principle), and a drop
+    beyond twice ``tol`` at a free node aborts the sweep.  Returns
+    ``(m_values, levels, changes, monotone_margin)``: ``levels`` holds one
+    ``(u, stages, info)`` per level, ``changes`` the max changes over the
+    ``watch`` nodes between consecutive levels, and the margin is the most
+    negative free increment (0 for one level).
     """
     m_list = increasing_levels(m_list)
     require_a1(problem.nl, problem.p)
-    fixed = ~problem.free
     levels, changes, worst = [], [], []
-    prev = initial
-    for M in m_list:
-        problem.boundary_values[fixed] = M
-        u, stages, info = problem.minimize(tol, max_newton, prev)
+    for M, level in zip(m_list, warm_levels(problem, m_list, tol, max_newton,
+                                             initial)):
         if levels:
-            worst.append(float(np.min((u - prev)[problem.free])))
+            step = level[0] - levels[-1][0]
+            worst.append(float(np.min(step[problem.free])))
             if worst[-1] < -2.0 * tol:
                 raise NonConvergenceError(
                     f"M sweep lost monotonicity at M={M:g}: interior value "
                     f"dropped by {-worst[-1]:.3e}")
-            changes.append(float(np.max(np.abs((u - prev)[watch]))))
-        levels.append((u, stages, info))
-        prev = u
+            changes.append(float(np.max(np.abs(step[watch]))))
+        levels.append(level)
     return m_list, levels, changes, min(worst, default=0.0)

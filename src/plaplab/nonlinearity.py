@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .quadrature import (NARROW_PANEL, QuadratureError, integrate_to_infinity,
                          narrow_panel_quad, panel_quad)
@@ -225,6 +223,7 @@ class Nonlinearity:
     def _quad_F(self, x):
         if x == 0.0:
             return 0.0
+        from scipy.integrate import quad
         try:
             val, err = quad(self.f_callable, 0.0, x, epsabs=1e-12, epsrel=1e-10,
                             limit=200)
@@ -268,6 +267,7 @@ class Nonlinearity:
                 return float("inf")
         if self.kind == "zero":
             return 0.0
+        from scipy.integrate import quad
         val, _ = quad(self.f_callable, a, a + dx, epsabs=1e-14, epsrel=1e-11,
                       limit=200)
         return val
@@ -611,6 +611,7 @@ def psi_inverse(nl: Nonlinearity, p: float, d: float) -> float:
                 f"Psi_p({lo:.3e}) = {math.exp(log_lo):.6e})")
     if lo == hi:
         return lo
+    from scipy.optimize import brentq
     v = brentq(lambda x: log_psi_below(x, hi, log_hi) - log_d, lo, hi,
                rtol=1e-13, maxiter=200)
     if abs(psi_p(nl, p, v) - d) > 1e-8 * d:

@@ -37,7 +37,6 @@ import numpy as np
 # unused here: kept so that ``plaplab.ode1d.solve_banded`` stays a name the
 # benchmark's tracer test (perfbench/test_perfbench.py) wraps and restores
 from scipy.linalg import solve_banded  # noqa: F401
-from scipy.optimize import brentq
 
 from .minimize import sweep_levels
 from .nonlinearity import Nonlinearity
@@ -163,6 +162,7 @@ class LargeSolution1D:
         t_lo = float(self.t[i - 1])
         if v_lo == v_hi:
             return v_lo
+        from scipy.optimize import brentq
 
         def time_of(v):
             if i == 1:
@@ -216,6 +216,7 @@ def solve_large_1d(nl: Nonlinearity, p: float, r: float) -> LargeSolution1D:
             f"a -> r(a) is not monotone along the probe sequence {probes}; "
             "cannot bracket the center value reliably")
     lo, hi = sorted((probes[-2][0], probes[-1][0]))
+    from scipy.optimize import brentq
     a = float(brentq(lambda x: radius(x) - r, lo, hi, rtol=1e-13, maxiter=200))
     r_check = radius(a)
     if abs(r_check - r) > 1e-10 * r:

@@ -21,6 +21,11 @@ import math
 import warnings
 
 import numpy as np
+# module-level names, unlike the scipy imports that nonlinearity and ode1d
+# make inside the functions that use them: the benchmark's tracer test
+# (perfbench/test_perfbench.py) wraps and restores ``plaplab.quadrature.quad``.
+# This import is most of the time of ``import plaplab``, since
+# scipy.integrate also loads scipy.optimize.
 from scipy.integrate import IntegrationWarning, quad
 
 

@@ -29,6 +29,9 @@ nodes, so one problem per grid serves the whole sweep, which
 :func:`plaplab.minimize.sweep_levels` runs on it.  Interior values are
 nondecreasing in M by the comparison principle, and the sweep reports the
 windowed change between consecutive stages as a stabilization residual.
+:func:`solve_levels` solves any increasing constant levels on one grid
+the same way, each warm from the level below, without the sweep's (A1)
+refusal and monotonicity abort.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ from scipy.linalg import solveh_banded
 
 from .grid import GridFunction, RectGrid, Window, window_node_mask
 from .minimize import (NonConvergenceError, default_eps_schedule,
-                       minimize_newton, sweep_levels)
+                       increasing_levels, minimize_newton, sweep_levels,
+                       warm_levels)
 from .nonlinearity import Nonlinearity
 
 __all__ = [
@@ -52,6 +56,7 @@ __all__ = [
     "energy",
     "energy_gradient",
     "solve_dirichlet",
+    "solve_levels",
     "solve_blowup",
 ]
 
@@ -103,6 +108,10 @@ class SolveResult:
     @property
     def p(self) -> float:
         return self.config.p
+
+    @property
+    def newton_steps(self) -> int:
+        return sum(s.iterations for s in self.stages)
 
 
 @dataclass(frozen=True)
@@ -365,8 +374,9 @@ def solve_dirichlet(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig,
     of a nearby problem (its boundary entries are overwritten), warm-starts
     Newton at the last eps of the ladder only; the default cold start
     sets every interior node to the smallest boundary value and runs the
-    whole ladder.  Each call builds its own problem on ``grid``; the levels of
-    an M sweep share one (:func:`solve_blowup`).
+    whole ladder.  Each call builds its own problem on ``grid``; a
+    sequence of constant levels on one grid shares one
+    (:func:`solve_levels`, :func:`solve_blowup`).
     """
     problem = _CylinderProblem.on_grid(grid, nl, cfg.p,
                                        _boundary_array(grid, bdata))
@@ -374,6 +384,28 @@ def solve_dirichlet(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig,
         f"dirichlet(constant {bdata})"
     return _solve_result(grid, problem, cfg, mode,
                          problem.minimize(cfg.tol, cfg.max_newton, initial))
+
+
+def solve_levels(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig,
+                 levels) -> tuple:
+    """Solve the Dirichlet problem for each of the strictly increasing
+    constant boundary ``levels`` on one problem on ``grid``.
+
+    The lowest level starts cold and each later level warm from the level
+    below (:func:`plaplab.minimize.warm_levels`), so it runs only the last
+    eps stage; every solution matches a :func:`solve_dirichlet` at its
+    level to within the solver tolerance.  Unlike :func:`solve_blowup`
+    this neither refuses a nonlinearity failing (A1) nor checks that the
+    solutions increase, which is left to the caller.  Returns one
+    :class:`SolveResult` per level.
+    """
+    levels = increasing_levels(levels)
+    problem = _CylinderProblem.on_grid(grid, nl, cfg.p,
+                                       np.zeros(grid.n_nodes))
+    return tuple(
+        _solve_result(grid, problem, cfg, f"dirichlet(constant {g})", level)
+        for g, level in zip(levels, warm_levels(problem, levels, cfg.tol,
+                                                cfg.max_newton)))
 
 
 def solve_blowup(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig, M_list,
@@ -402,6 +434,5 @@ def solve_blowup(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig, M_list,
                           monotone_margin=margin,
                           window=window,
                           level_newton_steps=tuple(
-                              sum(s.iterations for s in stages)
-                              for _, stages, _ in levels))
+                              r.newton_steps for r in results))
     return results, report

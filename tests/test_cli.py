@@ -4,6 +4,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 import plaplab.asymptotics
@@ -478,13 +479,71 @@ class TestCheck:
         names = {c["name"] for c in payload["checks"]}
         assert names == {"comparison", "barrier", "caccioppoli",
                          "monotone_in_ell"}
+        # each comparison records its two levels and the Newton steps of
+        # their solves
+        comparisons = [c["details"] for c in payload["checks"]
+                       if c["name"] == "comparison"]
+        assert len(comparisons) == 2
+        for details in comparisons:
+            lower, upper = details["levels"]
+            assert 0.0 <= lower < upper < 10.0
+            assert [isinstance(n, int) and n > 0
+                    for n in details["newton_steps"]] == [True, True]
+
+    def test_injected_ordering_violation_fails_the_comparison(
+            self, tmp_path, monkeypatch):
+        # the upper level of the pair starts from the lower level's
+        # solution; pushing one interior node of it below the lower one
+        # must fail the comparison check (exit 4), not abort the solve
+        # (exit 3)
+        minimize = _CylinderProblem.minimize
+        lowered = []
+
+        def violating(self, tol, max_newton, initial=None):
+            u, stages, info = minimize(self, tol, max_newton, initial)
+            if initial is not None and np.max(self.boundary_values) < 10.0:
+                node = int(np.flatnonzero(self.free)[self.free.sum() // 2])
+                u[node] = initial[node] - 1e-6
+                lowered.append(node)
+            return u, stages, info
+
+        monkeypatch.setattr(_CylinderProblem, "minimize", violating)
+        code, out = run(tmp_path, "check", {
+            "geometry": {"ell": 2.0, "cross": [-2.0, 2.0], "ny": 9},
+            "boundary": {"blowup": [10.0, 100.0]},
+            "window": [-1.0, 1.0, -1.0, 1.0],
+            "check": {"pairs": 1, "balls": 1, "window_pairs": 1},
+        })
+        assert code == 4
+        assert len(lowered) == 1
+        checks = json.loads((out / "check.json").read_text())["checks"]
+        failed = [c for c in checks if not c["passed"]]
+        assert [c["name"] for c in failed] == ["comparison"]
+        assert failed[0]["worst"] == pytest.approx(-1e-6, rel=1e-6)
+        assert failed[0]["details"]["worst_node"] == lowered[0]
+
+    def test_finite_data_without_keller_osserman(self, tmp_path):
+        # no blow-up stage for a nonlinearity failing (A1): the battery is
+        # the comparison pairs alone
+        code, out = run(tmp_path, "check", {
+            "nonlinearity": {"kind": "zero"},
+            "geometry": {"ell": 2.0, "cross": [-2.0, 2.0], "ny": 9},
+            "boundary": {"dirichlet": 1.0},
+            "window": [-1.0, 1.0, -1.0, 1.0],
+            "check": {"pairs": 3},
+        })
+        assert code == 0
+        payload = json.loads((out / "check.json").read_text())
+        assert payload["all_passed"] is True
+        assert [c["name"] for c in payload["checks"]] == ["comparison"] * 3
 
     def test_newton_steps_of_the_p15_battery(self, tmp_path, monkeypatch):
         # the benchmark's p = 1.5 `check` config (perfbench/workloads.py)
         # at the nominal c = 2, gated on a count, which does not vary
         # between runs.  With every eps stage driven to tol it took 987
         # Newton steps; with the stages before the last stopped at
-        # max(tol, eps), 589
+        # max(tol, eps), 589; with the comparison levels solved as one
+        # increasing warm sweep on one problem, 234
         calls = []
         step = _CylinderProblem.newton_step
 
@@ -503,4 +562,4 @@ class TestCheck:
         })
         assert code == 0
         assert json.loads((out / "check.json").read_text())["all_passed"]
-        assert len(calls) <= 650
+        assert len(calls) <= 300

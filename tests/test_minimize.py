@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from plaplab import (NonConvergenceError, Nonlinearity, SolverConfig,
-                     build_grid, solve_blowup, solve_cross_large)
+                     build_grid, solve_blowup, solve_cross_large,
+                     solve_levels)
 from plaplab.minimize import (_EPS_MACH, _ROUNDOFF_FACTOR,
                               default_eps_schedule, minimize_newton,
                               sweep_levels)
@@ -24,8 +25,14 @@ def blowup_1d(m_list):
     return solve_cross_large(POWER23, 2.0, (-1.0, 1.0), m_list, 11)
 
 
-@pytest.mark.parametrize("solve", [blowup_2d, blowup_1d],
-                         ids=["solve_blowup", "solve_cross_large"])
+def levels_2d(m_list):
+    return solve_levels(build_grid(1.0, (0.0, 1.0), 9, 9), POWER23,
+                        SolverConfig(p=2.0), m_list)
+
+
+@pytest.mark.parametrize("solve", [blowup_2d, blowup_1d, levels_2d],
+                         ids=["solve_blowup", "solve_cross_large",
+                              "solve_levels"])
 @pytest.mark.parametrize("m_list", [(), (10.0, 10.0), (100.0, 10.0)],
                          ids=["empty", "repeated", "decreasing"])
 def test_non_increasing_levels_rejected(solve, m_list):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from plaplab import (GridFunction, NonConvergenceError, Nonlinearity, Window,
                      SolverConfig, build_grid, energy, energy_gradient,
                      solve_blowup, solve_dirichlet, solve_large_1d,
-                     verify_barrier)
+                     solve_levels, verify_barrier)
 import plaplab.solver
 from plaplab.minimize import default_eps_schedule, minimize_newton
 from plaplab.ode1d import _CrossProblem
@@ -270,6 +270,44 @@ class TestSolveDirichlet:
             d1 = np.max(np.abs(sols[1] - sols[0]))
             d2 = np.max(np.abs(sols[2] - sols[1]))
             assert d2 <= 10.0 * d1 + 1e-13
+
+
+class TestSolveLevels:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_every_level_matches_its_cold_solve(self, p):
+        # both minimize one strictly convex energy to a residual within
+        # tol; on this grid the warm and cold minimizers differ by at most
+        # 0.02 tol, and on the 17 x 17 `check` grid by at most 0.34 tol
+        g = build_grid(1.0, (-1.0, 1.0), 17, 9)
+        cfg = SolverConfig(p=p)
+        levels = (0.25, 1.0, 2.5, 4.0, 9.0)
+        results = solve_levels(g, POWER23, cfg, levels)
+        assert [len(r.stages) for r in results] == [5, 1, 1, 1, 1]
+        for M, res in zip(levels, results):
+            cold = solve_dirichlet(g, POWER23, cfg, M)
+            gap = res.solution.values - cold.solution.values
+            assert np.max(np.abs(gap)) <= 2.0 * cfg.tol
+            assert res.boundary_mode == cold.boundary_mode
+        # the lowest level is the cold solve itself
+        assert np.array_equal(results[0].solution.values,
+                              solve_dirichlet(g, POWER23, cfg,
+                                              levels[0]).solution.values)
+
+    def test_one_problem_serves_every_level(self, monkeypatch):
+        built = []
+        on_grid = _CylinderProblem.on_grid.__func__
+
+        def counting(cls, *args, **kwargs):
+            built.append(cls)
+            return on_grid(cls, *args, **kwargs)
+
+        monkeypatch.setattr(_CylinderProblem, "on_grid",
+                            classmethod(counting))
+        g = build_grid(1.0, (-1.0, 1.0), 9, 9)
+        results = solve_levels(g, POWER23, SolverConfig(p=1.5),
+                               [0.5, 1.0, 2.0])
+        assert len(results) == 3
+        assert built == [_CylinderProblem]
 
 
 class TestSolveBlowup:
