@@ -23,6 +23,7 @@ log ratios for the same reason.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -168,8 +169,14 @@ class Nonlinearity:
         return np.vectorize(self.f_callable, otypes=[float])(arr)
 
     def f_prime(self, s):
-        """Derivative of f, used for Newton linearization (>= 0)."""
+        """Derivative of :meth:`f_extended`, used for Newton linearization
+        (>= 0): 0 for s < 0, where the extension is constant.  Newton
+        iterates dip below 0 on a dead core (p > 2 with f growing slower
+        than s^(p-1) at 0); f'(0) there would give the Hessian a curvature
+        that the gradient lacks, and each step would cut the residual by
+        only a tiny fraction."""
         arr = np.asarray(s, dtype=float)
+        below = arr < 0.0
         arr = np.maximum(arr, 0.0)
         if self.kind == "power":
             c, q = self.params
@@ -189,6 +196,7 @@ class Nonlinearity:
             fp = np.vectorize(self.f_callable, otypes=[float])
             out = (fp(arr + h) - fp(np.maximum(arr - h, 0.0))) / (
                 h + np.minimum(arr, h))
+        out = np.where(below, 0.0, out)
         return out if np.asarray(s).ndim else float(out)
 
     def F(self, s):
@@ -482,6 +490,7 @@ def _first_positive_F(nl: Nonlinearity, r: float) -> Optional[float]:
     return hi
 
 
+@functools.lru_cache(maxsize=64)
 def check_a1(nl: Nonlinearity, p: float) -> bool:
     """True iff Psi_p is finite (the Keller-Osserman condition).
 
@@ -490,7 +499,9 @@ def check_a1(nl: Nonlinearity, p: float) -> bool:
     three evaluated in one sweep.
     Finiteness at one radius implies it for all larger radii (positive
     integrand); the small probes guard against non-integrable interior
-    zeros of F.
+    zeros of F.  The verdict is a pure function of the frozen ``nl`` and
+    ``p``, cached per pair: a blow-up sweep asks for it in its spec, in
+    each reference and in each M sweep.
     """
     diverges = _tail_diverges_analytically(nl, p)
     if diverges is not None:

@@ -22,6 +22,14 @@ half-bandwidth is ny - 1 whatever the cylinder length.  Since f is
 nondecreasing, F is convex and the minimizer is unique, so the discrete
 solution is deterministic given the grid.
 
+The per-cell data are stored slot-major, the cells along the last,
+contiguous axis: node ids (nodes x cells) and gradient coefficients
+(dim x nodes x cells), so every kernel sums over the short node and dim
+axes one contiguous row at a time.  The Hessian is computed only at the
+node pairs k <= l of each cell, the entries a symmetric band stores (6
+per triangle, not 9); each pair has one precomputed slot in the lower
+band, and one ``np.bincount`` per Newton step scatters them.
+
 Boundary blow-up is approximated by an increasing sweep of constant
 Dirichlet levels M (the monotone-limit construction): every level is the
 same energy on the same mesh with another constant on the boundary
@@ -125,6 +133,18 @@ class BlowupReport:
     level_newton_steps: tuple  # Newton steps of each M level
 
 
+def _contract(x, coef):
+    """``sum_i x[i] * coef[i]`` over the short leading axis of ``x``, whose
+    rows run over the cells (as do the last axes of ``coef``): one
+    multiply-add of contiguous rows per term, where a numpy reduction or
+    an ``einsum`` over a short last axis of cells-first arrays is several
+    times slower."""
+    out = x[0] * coef[0]
+    for xi, ci in zip(x[1:], coef[1:]):
+        out += xi * ci
+    return out
+
+
 class _CylinderProblem:
     """Regularized p-energy of P1 elements on a uniform simplex mesh:
     ``cells`` (cells x nodes), gradient coefficients ``b`` (cells x nodes
@@ -133,6 +153,11 @@ class _CylinderProblem:
     fixed nodes take their values from ``boundary_values``, which a
     caller may reset between solves.  :meth:`on_grid` builds the cylinder
     problem.
+
+    The mesh is kept slot-major: the node ids ``nodes`` (nodes x cells),
+    the gradient coefficients ``b`` and their absolute values (dim x
+    nodes x cells), and the products b_k . b_l of the node pairs k <= l
+    in ``_pairs`` (pairs x cells).
 
     The Newton system is solved by banded Cholesky with the free dofs in
     the node order ``band_order`` (default: the natural order), which
@@ -143,41 +168,51 @@ class _CylinderProblem:
         self.nl = nl
         self.p = p
         self.h = h
-        self.cells = cells
-        self.b = b
         self.measure = measure
+        self.nodes = np.ascontiguousarray(np.transpose(cells))
+        self.b = np.ascontiguousarray(np.transpose(b, (2, 1, 0)))
+        self._abs_b = np.abs(self.b)
+        self._pairs = np.triu_indices(len(self.nodes))
+        # pair by pair: a fancy index over all pairs at once copies the
+        # coefficients twice over, which makes set-up rather than a
+        # Newton step the memory peak of a solve
+        self._pair_dots = np.array([_contract(self.b[:, k], self.b[:, l])
+                                    for k, l in zip(*self._pairs)])
         n = len(free)
         # each cell spreads its measure evenly over its nodes
-        self.mass = np.bincount(cells.ravel(), minlength=n) * (
-            measure / cells.shape[1])
+        self.mass = np.bincount(self.nodes.ravel(), minlength=n) * (
+            measure / len(self.nodes))
         self.free = free
         self.boundary_values = boundary_values
         self.free_idx = np.flatnonzero(free)
-        self._dots = np.einsum("tkd,tld->tkl", b, b)
-        self._abs_b = np.abs(b)
-        self._band_layout(cells, free, band_order)
+        self._band_layout(free, band_order)
 
-    def _band_layout(self, cells, free, band_order):
-        """Scatter map from the per-cell Hessian blocks into LAPACK lower
-        band storage, ``ab[row - col, col] = H[row, col]`` for row >= col
-        with rows and columns in band order, laid out column by column
-        (Fortran order) so that LAPACK factors it without a copy."""
+    def _band_layout(self, free, band_order):
+        """Scatter map from the per-cell node-pair Hessian entries into
+        LAPACK lower band storage, ``ab[row - col, col] = H[row, col]`` for
+        row >= col with rows and columns in band order, laid out column by
+        column (Fortran order) so that LAPACK factors it without a copy.
+        Each pair k <= l of a cell has one slot, oriented once into the
+        lower triangle."""
         order = np.arange(len(free)) if band_order is None \
             else np.asarray(band_order)
         band_nodes = order[free[order]]
         nfree = len(band_nodes)
         pos = np.full(len(free), -1, dtype=np.int64)
         pos[band_nodes] = np.arange(nfree)
-        # block entry (t, k, l) is H[row, col] with row, col the band
-        # positions of nodes k, l of cell t (-1 at a fixed node)
-        at = pos[cells]
-        col = at[:, None, :]
-        slots = at[:, :, None] - col
-        keep = (col >= 0) & (slots >= 0)
+        # the band position of every node of every cell (-1 at a fixed
+        # node); a pair's slot lies in the column of its lower position,
+        # as far down as the two positions are apart
+        at = pos[self.nodes]
+        col = np.array([np.minimum(at[k], at[l]) for k, l in
+                        zip(*self._pairs)])
+        slots = np.array([np.abs(at[k] - at[l]) for k, l in
+                          zip(*self._pairs)])
+        keep = col >= 0
         self.kd = int(np.max(slots, where=keep, initial=0))
-        slots += col * (self.kd + 1)
-        # the entries not stored (above the diagonal, or at a fixed node)
-        # go to one spare slot past the end
+        col *= self.kd + 1
+        slots += col
+        # the pairs at a fixed node go to one spare slot past the end
         slots[~keep] = (self.kd + 1) * nfree
         self._band_slots = slots.ravel()
         # free_idx position of each band dof, and back
@@ -202,12 +237,12 @@ class _CylinderProblem:
         return out
 
     def _cell_gradients(self, u, eps):
-        """Per-cell gradients and their regularized squares |grad u|^2 +
-        eps^2."""
-        gu = np.einsum("tk,tkd->td", u[self.cells], self.b)
-        # column by column: a numpy reduction over the short last axis
-        # is an order of magnitude slower
-        return gu, sum(gu[:, d] ** 2 for d in range(gu.shape[1])) + eps * eps
+        """Per-cell gradients (dim x cells) and their regularized squares
+        |grad u|^2 + eps^2."""
+        gu = _contract(u[self.nodes], self.b.transpose(1, 0, 2))
+        g2e = _contract(gu, gu)
+        g2e += eps * eps
+        return gu, g2e
 
     def _gradient_energy(self, u, eps):
         _, g2e = self._cell_gradients(u, eps)
@@ -235,32 +270,38 @@ class _CylinderProblem:
         with np.errstate(divide="ignore", invalid="ignore"):
             sigma = np.where(g2e > 0.0, g2e ** (0.5 * self.p - 1.0), 0.0)
         w = self.measure * sigma
-        contrib = w[:, None] * np.einsum("td,tkd->tk", gu, self.b)
         n = len(self.free)
-        nodes = self.cells.ravel()
-        g = np.bincount(nodes, weights=contrib.ravel(), minlength=n)
+        nodes = self.nodes.ravel()
+        g = np.bincount(nodes, weights=(w * _contract(gu, self.b)).ravel(),
+                        minlength=n)
         fvals = self.mass * self.nl.f_extended(u)
         # roundoff scale of each entry: its summands, with every cell
         # gradient bounded by sum_k |u_k| |b_k|, since that sum cancels
         # where u is large and nearly flat
-        gabs = np.einsum("tk,tkd->td", np.abs(u[self.cells]), self._abs_b)
-        cabs = w[:, None] * np.einsum("td,tkd->tk", gabs, self._abs_b)
+        gabs = _contract(np.abs(u)[self.nodes],
+                         self._abs_b.transpose(1, 0, 2))
+        cabs = w * _contract(gabs, self._abs_b)
         scale = np.bincount(nodes, weights=cabs.ravel(),
                             minlength=n) + np.abs(fvals)
         return g + fvals, scale
 
     def _hessian_blocks(self, u, eps):
-        """Per-cell Hessian blocks of the gradient term (cells x nodes x
-        nodes).  A function of its own so that the per-cell temporaries
-        are freed before the band is allocated, which keeps them out of
-        the peak memory of a Newton step."""
+        """Hessian entries of the gradient term at every node pair k <= l
+        of every cell (pairs x cells, pairs in ``_pairs`` order).  A
+        function of its own so that the per-cell temporaries are freed
+        before the band is allocated, which keeps them out of the peak
+        memory of a Newton step."""
         gu, g2e = self._cell_gradients(u, eps)
-        sigma = g2e ** (0.5 * self.p - 1.0)
-        tau = (self.p - 2.0) * g2e ** (0.5 * self.p - 2.0)
-        gb = np.einsum("td,tkd->tk", gu, self.b)
-        return self.measure * (sigma[:, None, None] * self._dots
-                               + tau[:, None, None]
-                               * gb[:, :, None] * gb[:, None, :])
+        w = self.measure * g2e ** (0.5 * self.p - 1.0)
+        # measure * (p - 2) |g|_eps^(p - 4): the rank-one weight along
+        # grad u, from the pow already taken
+        wt = (self.p - 2.0) * w / g2e
+        gb = _contract(gu, self.b)
+        wgb = wt * gb
+        blocks = w * self._pair_dots
+        for block, k, l in zip(blocks, *self._pairs):
+            block += wgb[k] * gb[l]
+        return blocks
 
     def newton_step(self, u, eps, grad):
         fp = self.mass[self.free_idx] * self.nl.f_prime(u[self.free_idx])
@@ -279,9 +320,9 @@ class _CylinderProblem:
 
     def _solve(self, blocks, fp, rhs):
         """Solve (H + diag(fp)) x = rhs over the free dofs (``free_idx``
-        order), H assembled from the per-cell Hessian ``blocks``, by banded
-        Cholesky; raises ``LinAlgError`` unless the matrix is positive
-        definite."""
+        order), H assembled from the node-pair Hessian ``blocks`` of
+        :meth:`_hessian_blocks`, by banded Cholesky; raises
+        ``LinAlgError`` unless the matrix is positive definite."""
         nfree = len(rhs)
         ab = np.bincount(self._band_slots, weights=blocks.ravel(),
                          minlength=(self.kd + 1) * nfree + 1)

@@ -11,6 +11,7 @@ from plaplab import (BlowupData, FiniteData, NonConvergenceError,
                      verify_barrier, verify_caccioppoli, verify_comparison,
                      verify_monotone_in_ell)
 from plaplab.asymptotics import caccioppoli_constant
+import plaplab.nonlinearity
 
 POWER23 = Nonlinearity.power(2, 3)
 LINEAR = Nonlinearity.power(1, 1)
@@ -113,6 +114,26 @@ class TestSweep:
         rep = fit_rate(rows, 2.0, floor)
         assert rep.passed
         assert rep.slope <= -0.5 + 0.1
+
+    def test_blowup_sweep_probes_a1_once(self, monkeypatch):
+        # (A1) is a pure function of (nl, p): the spec, both references,
+        # every row and the floor share one Psi_p probe
+        probes = []
+        log_psi_p = plaplab.nonlinearity.log_psi_p
+
+        def counting(*args, **kwargs):
+            probes.append(args)
+            return log_psi_p(*args, **kwargs)
+
+        monkeypatch.setattr(plaplab.nonlinearity, "log_psi_p", counting)
+        nl = Nonlinearity.custom(lambda s: 2.0 * s ** 3,
+                                 F=lambda s: 0.5 * s ** 4)
+        spec = SweepSpec(nl=nl, p=2.0, cross=(-2.0, 2.0),
+                         regime=BlowupData((10.0, 100.0)), ells=(2.0, 4.0),
+                         window=Window(-1.0, 1.0, -1.0, 1.0), ny=9)
+        rows, _, _ = sweep_ell(spec)
+        assert len(rows) == 2
+        assert len(probes) == 1
 
     def test_blowup_errors_decrease(self):
         spec = SweepSpec(nl=POWER23, p=2.0, cross=(-2.0, 2.0),

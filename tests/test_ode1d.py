@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from plaplab import (DivergentBlowupError, Nonlinearity, QuadratureError,
-                     blowup_radius, build_grid, embed_cross_section,
-                     energy_gradient, psi_p, solve_cross_finite,
-                     solve_cross_large, solve_large_1d)
+from plaplab import (DivergentBlowupError, GridFunction, Nonlinearity,
+                     QuadratureError, blowup_radius, build_grid, check_a1,
+                     embed_cross_section, energy_gradient, psi_p,
+                     solve_cross_finite, solve_cross_large, solve_large_1d)
 from plaplab import ode1d
-from plaplab.minimize import NonConvergenceError, default_eps_schedule
+from plaplab.minimize import (_EPS_MACH, _ROUNDOFF_FACTOR,
+                              NonConvergenceError, default_eps_schedule)
+from plaplab.solver import _CylinderProblem
 
 POWER23 = Nonlinearity.power(2, 3)
 
@@ -186,6 +190,57 @@ class TestCrossFinite:
         interior = grid.interior_mask()
         scaled = np.abs(grad[interior]) / grid.lumped_mass()[interior]
         assert np.max(scaled) <= tol
+
+    @settings(max_examples=25, deadline=None)
+    @given(p=st.floats(1.1, 4.0),
+           nl=st.one_of(
+               st.builds(Nonlinearity.power, st.floats(0.5, 4.0),
+                         st.floats(1.0, 5.0)),
+               st.builds(Nonlinearity.exp_minus_one, st.floats(0.1, 4.0))),
+           log_level=st.floats(-1.0, 1.3), blowup=st.booleans())
+    def test_constant_extension_solves_cylinder_equations_for_any_data(
+            self, p, nl, log_level, blowup):
+        # the same, for any admissible data: the finite profile, or the
+        # first level of a blow-up sweep, which the cylinder rows start
+        # from; both equations hold to tol plus their roundoff floors
+        tol = 1e-11
+        level = 10.0 ** log_level
+        if blowup:
+            assume(check_a1(nl, p))
+            prof = solve_cross_large(nl, p, (0.0, 2.0), (level, 2.0 * level),
+                                     17, tol=tol).start
+        else:
+            prof = solve_cross_finite(nl, p, (0.0, 2.0), level, level, 17,
+                                      tol=tol)
+        assert prof.g == (level, level)
+        grid = build_grid(2.0, (0.0, 2.0), 33, 17)
+        eps = default_eps_schedule(grid.hy)[-1]
+        u = embed_cross_section(prof, grid).values
+        floor = 0.0
+        for problem, values in (
+                (ode1d._CrossProblem(nl, p, prof.y, level, level),
+                 prof.values),
+                (_CylinderProblem.on_grid(grid, nl, p, u), u)):
+            _, scale = problem.gradient(values, eps)
+            free = problem.free
+            floor += _ROUNDOFF_FACTOR * _EPS_MACH * np.max(
+                scale[free] / problem.mass[free])
+        grad = energy_gradient(GridFunction(grid, u), nl, p, eps)
+        interior = grid.interior_mask()
+        scaled = np.abs(grad[interior]) / grid.lumped_mass()[interior]
+        assert np.max(scaled) <= tol + floor
+
+    @pytest.mark.parametrize("p,lam,level", [(4.0, 2.0, 0.1),
+                                             (3.5, 4.0, 0.18)])
+    def test_dead_core_converges(self, p, lam, level):
+        # f ~ lam s at 0 grows slower than s^(p-1): the solution vanishes
+        # on a core, where Newton iterates dip below 0 and f' is that of
+        # the zero extension (with f'(0) they crept for 200 steps)
+        prof = solve_cross_finite(Nonlinearity.exp_minus_one(lam), p,
+                                  (0.0, 2.0), level, level, 17, tol=1e-11)
+        assert prof.residual <= 1e-11
+        assert np.min(prof.values) < 1e-6 * level
+        assert np.all((prof.values >= -1e-11) & (prof.values <= level))
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError):

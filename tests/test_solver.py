@@ -1,5 +1,7 @@
 """Energy assembly, Newton convergence, comparison and blow-up sweeps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -78,25 +80,31 @@ class TestEnergyGradient:
         assert np.max(np.abs(grad[interior]) / mass[interior]) <= 1e-9
 
 
-def dense_newton_step(problem, u, eps):
-    """Newton step of ``problem`` and a dense solve of the Hessian that
-    is assembled from the per-cell blocks it hands to its banded solve."""
-    seen = {}
-    banded = problem._solve
+def dense_hessian(cells, b, measure, p, u, eps):
+    """Hessian of the regularized gradient energy, written out cell by
+    cell: with g = sum_k u_k b_k and s = |g|^2 + eps^2 on a cell, its block
+    is measure (s^(p/2-1) b_k.b_l + (p-2) s^(p/2-2) (g.b_k)(g.b_l))."""
+    H = np.zeros((len(u), len(u)))
+    for cell, bt in zip(cells, b):
+        g = u[cell] @ bt
+        s = g @ g + eps * eps
+        gb = bt @ g
+        H[np.ix_(cell, cell)] += measure * (
+            s ** (0.5 * p - 1.0) * (bt @ bt.T)
+            + (p - 2.0) * s ** (0.5 * p - 2.0) * np.outer(gb, gb))
+    return H
 
-    def record(blocks, fp, rhs):
-        seen.update(blocks=blocks, fp=fp, rhs=rhs)
-        return banded(blocks, fp, rhs)
 
-    problem._solve = record
+def dense_newton_step(problem, cells, b, measure, u, eps):
+    """Newton step of ``problem`` on the mesh (``cells``, ``b``,
+    ``measure``) and a dense solve of the same system, its Hessian from
+    :func:`dense_hessian`."""
     grad, _ = problem.gradient(u, eps)
     step = problem.newton_step(u, eps, grad)
-    H = np.zeros((len(u), len(u)))
-    for cell, block in zip(problem.cells, seen["blocks"]):
-        H[np.ix_(cell, cell)] += block
     idx = problem.free_idx
-    H = H[np.ix_(idx, idx)] + np.diag(seen["fp"])
-    return step, np.linalg.solve(H, seen["rhs"])
+    H = dense_hessian(cells, b, measure, problem.p, u, eps)[np.ix_(idx, idx)]
+    H += np.diag(problem.mass[idx] * problem.nl.f_prime(u[idx]))
+    return step, np.linalg.solve(H, -grad[idx])
 
 
 class TestBandedNewtonSolve:
@@ -107,16 +115,21 @@ class TestBandedNewtonSolve:
                                            _boundary_array(g, 2.0))
         u = problem.with_boundary(
             1.0 + np.random.default_rng(7).random(g.n_nodes))
-        step, dense = dense_newton_step(problem, u, 1e-2)
+        step, dense = dense_newton_step(
+            problem, g.triangles(), g.gradient_coefficients(),
+            g.triangle_area(), u, 1e-2)
         assert np.max(np.abs(step - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_segment_step_matches_dense_solve(self, p):
-        problem = _CrossProblem(POWER23, p, np.linspace(0.0, 1.0, 12), 2.0,
-                                3.0)
+        y = np.linspace(0.0, 1.0, 12)
+        h = y[1] - y[0]
+        problem = _CrossProblem(POWER23, p, y, 2.0, 3.0)
         u = problem.with_boundary(
             1.0 + np.random.default_rng(8).random(12))
-        step, dense = dense_newton_step(problem, u, 1e-2)
+        cells = np.stack([np.arange(11), np.arange(1, 12)], axis=1)
+        b = np.broadcast_to([[-1.0 / h], [1.0 / h]], (11, 2, 1))
+        step, dense = dense_newton_step(problem, cells, b, h, u, 1e-2)
         assert problem.kd == 1
         assert np.max(np.abs(step - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -134,6 +147,28 @@ class TestBandedNewtonSolve:
                                            _boundary_array(g, 1.0))
         assert problem.kd == g.nx - 1
 
+    def test_newton_step_memory_stays_lean(self):
+        # tracemalloc peak of building a 257 x 33 problem and taking one
+        # Newton step: 7.22 MB with node-pair Hessian entries, 8.87 MB
+        # with per-cell 3 x 3 blocks.  A band buffer and a compact slot
+        # map kept on the problem read 9.56 MB, within 10 % of the
+        # latter, so the bound is 10 % over the former
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            g = build_grid(8.0, (-1.0, 1.0), 257, 33)
+            problem = _CylinderProblem.on_grid(g, POWER23, 1.5,
+                                               _boundary_array(g, 10.0))
+            u = problem.with_boundary(
+                1.0 + np.random.default_rng(0).random(g.n_nodes))
+            grad, _ = problem.gradient(u, 1e-4)
+            problem.newton_step(u, 1e-4, grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 1.10 * 7.22e6
+
     def test_indefinite_hessian_is_numerical_failure(self):
         g = unit_square_grid()
         problem = _CylinderProblem.on_grid(g, POWER23, 2.0,
@@ -143,7 +178,7 @@ class TestBandedNewtonSolve:
         nfree = len(problem.free_idx)
         with pytest.raises(np.linalg.LinAlgError):
             # the p = 2 Hessian has diagonal 4, so fp = -10 makes it indefinite
-            problem._solve(problem.measure * problem._dots,
+            problem._solve(problem._hessian_blocks(u, 1e-2),
                            np.full(nfree, -10.0), np.ones(nfree))
 
         class Decreasing:
@@ -155,6 +190,107 @@ class TestBandedNewtonSolve:
                            match=r"not positive definite \(eps=1\.000e-02, "
                                  r"p=2\.0\)"):
             problem.newton_step(u, 1e-2, grad)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A problem of p in (1, 4] with power or e^s - 1 absorption on a
+    wide grid, a tall grid (banded along its rows) or a segment, with
+    random nodal values (boundary data included) and eps."""
+    p = draw(st.floats(1.0, 4.0, exclude_min=True))
+    nl = draw(st.one_of(
+        st.builds(Nonlinearity.power, st.floats(0.5, 4.0),
+                  st.floats(1.0, 5.0)),
+        st.builds(Nonlinearity.exp_minus_one, st.floats(0.1, 4.0))))
+    mesh = draw(st.sampled_from(["wide", "tall", "segment"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if mesh == "segment":
+        n = draw(st.integers(3, 24))
+        problem = _CrossProblem(nl, p, np.linspace(0.0, 1.0, n),
+                                *rng.uniform(0.0, 2.0, 2))
+    else:
+        short, extra = draw(st.integers(3, 7)), draw(st.integers(0, 8))
+        nx, ny = (short + extra, short) if mesh == "wide" else \
+            (short, short + 1 + extra)
+        g = build_grid(1.0, (0.0, 1.0), nx, ny)
+        problem = _CylinderProblem.on_grid(
+            g, nl, p, rng.uniform(0.0, 2.0, g.n_nodes))
+        n = g.n_nodes
+    u = problem.with_boundary(rng.uniform(0.0, 2.0, n))
+    return problem, u, draw(st.floats(1e-3, 0.3))
+
+
+def free_direction(problem, seed=0):
+    """A random direction of max norm 1 that moves the free nodes only."""
+    v = np.random.default_rng(seed).standard_normal(len(problem.free))
+    v[~problem.free] = 0.0
+    return v / np.max(np.abs(v))
+
+
+def gradient_difference(problem, u, eps, v):
+    """Central difference of ``problem.gradient`` along ``v`` (max norm
+    1), its step a small fraction of eps h: the cell gradients then move
+    by much less than the regularization even on a flat cell, where the
+    gradient term bends most."""
+    delta = 3e-4 * eps * problem.h
+    up, _ = problem.gradient(u + delta * v, eps)
+    um, _ = problem.gradient(u - delta * v, eps)
+    return (up - um) / (2.0 * delta)
+
+
+def pair_matvec(problem, blocks, v):
+    """H v for the Hessian whose node-pair entries are ``blocks``."""
+    Hv = np.zeros(len(v))
+    for block, k, l in zip(blocks, *problem._pairs):
+        np.add.at(Hv, problem.nodes[k], block * v[problem.nodes[l]])
+        if k != l:
+            np.add.at(Hv, problem.nodes[l], block * v[problem.nodes[k]])
+    return Hv
+
+
+class TestKernelProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(case=kernel_cases())
+    def test_gradient_matches_objective_differences(self, case):
+        problem, u, eps = case
+        grad, _ = problem.gradient(u, eps)
+        delta = 1e-6
+        for i in problem.free_idx:
+            e = np.zeros(len(u))
+            e[i] = delta
+            fd = (problem.objective(u + e, eps)
+                  - problem.objective(u - e, eps)) / (2.0 * delta)
+            assert abs(fd - grad[i]) <= 1e-5 * (1.0 + np.max(np.abs(grad)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=kernel_cases())
+    def test_hessian_matches_gradient_differences(self, case):
+        problem, u, eps = case
+        free = problem.free_idx
+        fp = problem.mass * problem.nl.f_prime(u)
+        # the node-pair entries of _hessian_blocks, applied to a direction
+        v = free_direction(problem)
+        Hv = pair_matvec(problem, problem._hessian_blocks(u, eps), v) + fp * v
+        fd = gradient_difference(problem, u, eps, v)
+        assert np.max(np.abs(fd - Hv)[free]) <= 1e-5 * (
+            1.0 + np.max(np.abs(Hv[free])))
+        # the band the Newton step factors: H s = -grad on the free nodes
+        grad, _ = problem.gradient(u, eps)
+        s = np.zeros(len(u))
+        s[free] = problem.newton_step(u, eps, grad)
+        size = np.max(np.abs(s))
+        fd = gradient_difference(problem, u, eps, s / size) * size
+        assert np.max(np.abs(fd + grad)[free]) <= 1e-5 * (
+            1.0 + np.max(np.abs(grad[free])))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=kernel_cases())
+    def test_scale_bounds_the_gradient_term(self, case):
+        problem, u, eps = case
+        grad, scale = problem.gradient(u, eps)
+        fvals = problem.mass * problem.nl.f_extended(u)
+        assert np.all(np.abs(grad - fvals) + np.abs(fvals)
+                      <= scale * (1.0 + 1e-12))
 
 
 class TestSolveDirichlet:
