@@ -23,7 +23,6 @@ as paired-solve assertions with small discretization slacks.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
@@ -147,6 +146,7 @@ class RateRow:
     error: float
     used_in_fit: Optional[bool] = None
     note: str = ""
+    newton_steps: Optional[int] = None  # over the row's solves; None: failed
 
 
 @dataclass(frozen=True)
@@ -176,22 +176,6 @@ def _reference_profile(spec: SweepSpec, ny: int):
                              tol=spec.tol, max_newton=spec.max_newton)
 
 
-def _solve_cylinder(spec: SweepSpec, ell: float, ny: int, reference):
-    """The solves of one cylinder, one per boundary level (a single one
-    for finite data), and the blow-up report (None for finite data).  The
-    first solve starts from the near-solution the cylinder converges to:
-    the cross-sectional ``reference`` at its first level, extended."""
-    grid = build_grid(ell, spec.cross, spec.nx_for(ell, ny), ny)
-    cfg = spec.solver_config()
-    initial = embed_cross_section(reference.start, grid).values
-    if isinstance(spec.regime, FiniteData):
-        res = solve_dirichlet(grid, spec.nl, cfg, spec.regime.g,
-                              initial=initial)
-        return [res], None
-    return solve_blowup(grid, spec.nl, cfg, spec.regime.m_list,
-                        window=spec.window, initial=initial)
-
-
 def _gradient_noise_floor(u, ref, p, w):
     """Roundoff level of the measured gradient-difference norm.
 
@@ -210,32 +194,43 @@ def _gradient_noise_floor(u, ref, p, w):
 def measure_row(spec: SweepSpec, ell: float, ny: Optional[int] = None, *,
                 reference):
     """Solve one ell against the cross-sectional ``reference`` profile
-    solved on the same ``ny`` transverse nodes, the first solve starting
-    from the reference's first level; returns (error, noise_floor,
-    results, blowup_report), ``results`` holding one solve per boundary
-    level."""
-    results, blow = _solve_cylinder(spec, ell, ny or spec.ny, reference)
+    solved on the same ``ny`` transverse nodes; returns (error,
+    noise_floor, results, blowup_report), ``results`` holding one solve
+    per boundary level (a single one for finite data, whose report is
+    None).  The first solve starts from the near-solution the cylinder
+    converges to: the reference at its first level, extended."""
+    grid = build_grid(ell, spec.cross, spec.nx_for(ell, ny), ny or spec.ny)
+    cfg = spec.solver_config()
+    initial = embed_cross_section(reference.start, grid).values
+    if isinstance(spec.regime, FiniteData):
+        results = [solve_dirichlet(grid, spec.nl, cfg, spec.regime.g,
+                                   initial=initial)]
+        blow = None
+    else:
+        results, blow = solve_blowup(grid, spec.nl, cfg, spec.regime.m_list,
+                                     window=spec.window, initial=initial)
     res = results[-1]
-    ref = embed_cross_section(reference, res.solution.grid)
+    ref = embed_cross_section(reference, grid)
     err = lp_norm_gradient(res.solution - ref, spec.p, spec.window)
     noise = _gradient_noise_floor(res.solution, ref, spec.p, spec.window)
     return err, noise, results, blow
 
 
-def sweep_ell(spec: SweepSpec, threads: int = 1):
-    """Measure e(ell) over the ladder; returns (rows, floor, extras).
+def sweep_ell(spec: SweepSpec):
+    """Measure e(ell) over the ladder, one row after another; returns
+    (rows, floor, extras).
 
     A row whose solve fails numerically or on its input is recorded with
     the failure reason instead of aborting the whole sweep; any other
-    exception propagates.  The discretization floor is estimated by
-    re-solving the largest ell at doubled resolution, one more
-    independent :func:`measure_row` against the reference on that grid,
-    and comparing the two measurements (NaN when either fails; the
-    re-solve's failure is noted on the largest-ell row); extras carries
-    the blow-up stabilization reports keyed by ell.  The cross-sectional
-    reference is solved once per transverse grid, and every cylinder
-    solve starts from its first level; when it fails, every row records
-    that failure.  Rows run on ``threads`` threads when it exceeds 1.
+    exception propagates.  Each row records the Newton steps of its
+    solves.  The discretization floor is estimated by re-solving the
+    largest ell at doubled resolution, one more independent
+    :func:`measure_row` against the reference on that grid, and comparing
+    the two measurements (NaN when either fails; the re-solve's failure
+    is noted on the largest-ell row); extras carries the blow-up
+    stabilization reports keyed by ell.  The cross-sectional reference is
+    solved once per transverse grid, and every cylinder solve starts from
+    its first level; when it fails, every row records that failure.
     """
     extras = {}
 
@@ -248,33 +243,27 @@ def sweep_ell(spec: SweepSpec, threads: int = 1):
     except _SOLVE_FAILURES as exc:  # recorded, not raised
         return [failed(ell, exc) for ell in spec.ells], float("nan"), extras
 
-    def one(ell):
-        try:
-            err, noise, _, blow = measure_row(spec, ell, reference=reference)
-            return RateRow(ell=ell, error=err), noise, blow
-        except _SOLVE_FAILURES as exc:  # recorded, not raised
-            return failed(ell, exc), 0.0, None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcome = list(pool.map(one, spec.ells))
-    else:
-        outcome = [one(ell) for ell in spec.ells]
     rows = []
     noise_max = 0.0
-    for (row, noise, blow), ell in zip(outcome, spec.ells):
-        rows.append(row)
+    for ell in spec.ells:
+        try:
+            err, noise, results, blow = measure_row(spec, ell,
+                                                    reference=reference)
+        except _SOLVE_FAILURES as exc:  # recorded, not raised
+            rows.append(failed(ell, exc))
+            continue
+        rows.append(RateRow(ell=ell, error=err, newton_steps=sum(
+            r.newton_steps for r in results)))
         noise_max = max(noise_max, noise)
         if blow is not None:
             extras[ell] = blow
-    ell_max = spec.ells[-1]
-    coarse = next((r.error for r in rows if r.ell == ell_max), float("nan"))
+    coarse = rows[-1].error  # the largest ell
     floor = float("nan")
     if math.isfinite(coarse):
         ny_fine = 2 * spec.ny - 1
         try:
             fine, noise_fine, _, _ = measure_row(
-                spec, ell_max, ny_fine,
+                spec, spec.ells[-1], ny_fine,
                 reference=_reference_profile(spec, ny_fine))
             # resolution sensitivity of the closest-to-floor row, bounded
             # below by the rounding level of the norm measurement itself
@@ -304,8 +293,7 @@ def fit_rate(rows, p: float, floor: float = 0.0) -> RateReport:
     for r in rows:
         usable = math.isfinite(r.error) and r.error > 0.0 \
             and r.error > FLOOR_EXCLUSION_FACTOR * floor
-        flagged.append(RateRow(ell=r.ell, error=r.error, used_in_fit=usable,
-                               note=r.note))
+        flagged.append(replace(r, used_in_fit=usable))
     used = [r for r in flagged if r.used_in_fit]
     if len(used) < 3:
         raise RateUnresolvableError(

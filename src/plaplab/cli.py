@@ -23,7 +23,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -358,7 +357,8 @@ def _write_sweep_outputs(out, rows, floor, extras):
     data = {"floor": floor if math.isfinite(floor) else None,
             "rows": [{"ell": r.ell,
                       "error": r.error if math.isfinite(r.error) else None,
-                      "note": r.note} for r in rows],
+                      "note": r.note, "newton_steps": r.newton_steps}
+                     for r in rows],
             "blowup_reports": {
                 str(ell): {"m_values": list(b.m_values),
                            "stage_max_change": list(b.stage_max_change),
@@ -368,13 +368,9 @@ def _write_sweep_outputs(out, rows, floor, extras):
     _write_json(data, out / "sweep.json")
 
 
-def _thread_count(args) -> int:
-    return args.threads if args.threads > 0 else (os.cpu_count() or 1)
-
-
 def cmd_sweep(cfg, out: Path, args) -> int:
     spec = _sweep_spec(cfg)
-    rows, floor, extras = sweep_ell(spec, threads=_thread_count(args))
+    rows, floor, extras = sweep_ell(spec)
     _write_sweep_outputs(out, rows, floor, extras)
     print("sweep rows:", ", ".join(f"e({r.ell:g})={r.error:.3e}"
                                    for r in rows))
@@ -383,7 +379,7 @@ def cmd_sweep(cfg, out: Path, args) -> int:
 
 def cmd_rate(cfg, out: Path, args) -> int:
     spec = _sweep_spec(cfg)
-    rows, floor, extras = sweep_ell(spec, threads=_thread_count(args))
+    rows, floor, extras = sweep_ell(spec)
     _write_sweep_outputs(out, rows, floor, extras)
     report = fit_rate(rows, spec.p, floor)  # may raise RateUnresolvableError
     _write_csv(out / "rate_rows.csv", ["ell", "error", "used_in_fit"],
@@ -494,8 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None,
                         help="output directory (overrides the config's "
                              "'out'; default '.')")
-        sp.add_argument("--threads", type=int, default=0,
-                        help="sweep-row parallelism (0 = the CPU count)")
+        # ignored: sweep rows run serially; still parsed for command lines
+        # that pass it, such as perfbench/test_perfbench.py's
+        sp.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     return parser
 
 

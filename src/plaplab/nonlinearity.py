@@ -84,7 +84,7 @@ def _expm1_minus(d):
 class Nonlinearity:
     """Absorption term ``f`` with antiderivative ``F`` and tail metadata.
 
-    Instances are immutable and safe to share between concurrent solves.
+    Instances are immutable.
     Use the constructors :meth:`power`, :meth:`exp_minus_one`, :meth:`zero`
     and :meth:`custom` rather than calling the class directly.
     """

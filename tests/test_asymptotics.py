@@ -39,9 +39,10 @@ class TestFitRate:
 
     def test_floor_rows_excluded(self):
         rows = rows_from(lambda l: 1.0 * l ** -1.0, (2.0, 4.0, 8.0))
-        rows.append(RateRow(ell=16.0, error=1e-9))
+        rows.append(RateRow(ell=16.0, error=1e-9, note="n", newton_steps=7))
         rep = fit_rate(rows, p=2.0, floor=1e-9)
         assert [r.used_in_fit for r in rep.rows] == [True, True, True, False]
+        assert (rep.rows[-1].note, rep.rows[-1].newton_steps) == ("n", 7)
         assert rep.slope == pytest.approx(-1.0, abs=1e-12)
 
     def test_unresolvable_when_all_rows_at_floor(self):
@@ -153,7 +154,8 @@ class TestSweep:
 
         monkeypatch.setattr(asymptotics, "measure_row", fail)
         rows, floor, _ = sweep_ell(SweepSpec(**self.SPEC))
-        assert all(r.note == "solve failed: stub failure" for r in rows)
+        assert all(r.note == "solve failed: stub failure"
+                   and r.newton_steps is None for r in rows)
         assert np.isnan(floor)
 
     def test_reference_solved_once_per_transverse_grid(self, monkeypatch):
@@ -165,7 +167,7 @@ class TestSweep:
             return original(spec, ny)
 
         monkeypatch.setattr(asymptotics, "_reference_profile", counting)
-        rows, floor, _ = sweep_ell(SweepSpec(**self.SPEC), threads=2)
+        rows, floor, _ = sweep_ell(SweepSpec(**self.SPEC))
         assert all(np.isfinite(r.error) for r in rows) and np.isfinite(floor)
         assert solved == [9, 17]
 
@@ -259,21 +261,6 @@ class TestSweep:
             _, cold = solve_blowup(grid, POWER23, spec.solver_config(),
                                    spec.regime.m_list)
             assert blow.level_newton_steps[0] < cold.level_newton_steps[0]
-
-    def test_threaded_sweep_matches_serial(self, monkeypatch):
-        spec = SweepSpec(nl=LINEAR, p=2.0, cross=(0.0, 1.0),
-                         regime=FiniteData(1.0), ells=(2.0, 4.0),
-                         window=Window(-1.0, 1.0, 0.25, 0.75), ny=9)
-        threaded, floor_t, _ = sweep_ell(spec, threads=2)
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("thread pool started")
-
-        monkeypatch.setattr(asymptotics, "ThreadPoolExecutor", no_pool)
-        serial, floor_s, _ = sweep_ell(spec, threads=1)
-        assert [(r.ell, r.error) for r in serial] == \
-            [(r.ell, r.error) for r in threaded]
-        assert floor_s == floor_t
 
 
 @pytest.fixture(scope="module")

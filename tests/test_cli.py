@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -356,20 +357,28 @@ class TestSweepAndRate:
         plot = (out / "rate_plot.dat").read_text().strip().splitlines()
         assert len(plot) >= 3 and len(plot[0].split()) == 2
 
-    def test_sweep_rerun_is_byte_identical(self, tmp_path):
+    def test_sweep_rerun_is_byte_identical(self, tmp_path, monkeypatch):
+        # rows run one after another: no thread starts, and the ignored
+        # --threads flag changes no byte
+        def no_thread(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         cfg = write_cfg(tmp_path, {
             "nonlinearity": {"kind": "power", "c": 1, "q": 1},
-            "geometry": {"ell_list": [2.0, 4.0], "cross": [0.0, 2.0],
-                         "ny": 9},
+            "geometry": self.GEOMETRY,
             "boundary": {"dirichlet": 1.0},
             "window": [-1.0, 1.0, 0.5, 1.5],
         })
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
-        assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["sweep", "--config", cfg, "--out", str(out2),
+        assert main(["rate", "--config", cfg, "--out", str(out1)]) == 0
+        assert main(["rate", "--config", cfg, "--out", str(out2),
                      "--threads", "2"]) == 0
-        assert (out1 / "rows.csv").read_bytes() == \
-            (out2 / "rows.csv").read_bytes()
+        for name in ("rows.csv", "rate_rows.csv", "rate_plot.dat"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        rows = json.loads((out1 / "sweep.json").read_text())["rows"]
+        assert len(rows) == 3
+        assert all(r["newton_steps"] > 0 for r in rows)
 
     def test_blowup_sweep_reports_level_newton_steps(self, tmp_path):
         code, out = run(tmp_path, "sweep", {
@@ -379,11 +388,14 @@ class TestSweepAndRate:
             "window": [-1.0, 1.0, -1.0, 1.0],
         })
         assert code == 0
-        reports = json.loads((out / "sweep.json").read_text())[
-            "blowup_reports"]
+        sweep = json.loads((out / "sweep.json").read_text())
+        reports = sweep["blowup_reports"]
         assert set(reports) == {"2.0", "4.0"}
         for rep in reports.values():
             assert len(rep["level_newton_steps"]) == 2
+        for row in sweep["rows"]:
+            assert row["newton_steps"] == \
+                sum(reports[str(row["ell"])]["level_newton_steps"])
 
     @pytest.mark.parametrize("command", ["solve", "check", "sweep", "rate"])
     @pytest.mark.parametrize("key, value", [("n_eps_stages", 2),

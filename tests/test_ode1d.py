@@ -263,6 +263,17 @@ class TestCrossFinite:
                                 np.linspace(0.0, 1.0, 9), 800.0,
                                 800.0).minimize(1e-9, 200)
 
+    @pytest.mark.xfail(strict=True, raises=NonConvergenceError,
+                       reason="damped Newton exceeds its budget at p < 2 "
+                              "where u' vanishes on a fine segment")
+    def test_strong_data_on_a_fine_segment_at_small_p(self):
+        # the cold start's first eps stage ends its 200 steps with a
+        # residual of about 4e2; the Newton model is poor at the center,
+        # where the p < 2 weight (eps + |u'|^2)^((p-2)/2) is largest
+        prof = solve_cross_finite(Nonlinearity.power(2, 3), 1.25, (-1, 1),
+                                  10.0, 10.0, 801, tol=1e-11)
+        assert prof.residual <= 1e-11
+
 
 class TestCrossLarge:
     M_LIST = (10.0, 100.0, 1000.0, 10000.0)
