@@ -55,8 +55,8 @@ __all__ = [
 RATE_SLOPE_SLACK = 0.1
 FLOOR_EXCLUSION_FACTOR = 3.0
 
-# failures a sweep records; QuadratureError etc. are ArithmeticErrors
-_SOLVE_FAILURES = (NonConvergenceError, ArithmeticError, ValueError)
+# numerical failures a row records; QuadratureError etc. are ArithmeticErrors
+_SOLVE_FAILURES = (NonConvergenceError, ArithmeticError)
 
 
 class RateUnresolvableError(RuntimeError):
@@ -86,8 +86,11 @@ class SweepSpec:
 
     The transverse spacing hy is fixed by ``ny`` and the x spacing is tied
     to it (hx = hy), so every ell row sees the same resolution density and
-    the discrete cross-sectional reference is matched exactly.  Blow-up
-    data is refused up front when the nonlinearity fails (A1).
+    the discrete cross-sectional reference is matched exactly.  Every
+    input is checked before the first solve: ``cfg``, the one
+    :class:`SolverConfig` of its solves, checks p, ``tol`` and
+    ``max_newton``; the window must lie one cell inside the smallest
+    row's grid; and blow-up data must satisfy (A1).
     """
 
     nl: Nonlinearity
@@ -99,8 +102,11 @@ class SweepSpec:
     ny: int
     tol: float = 1e-11
     max_newton: int = 200
+    cfg: SolverConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "cfg", SolverConfig(
+            p=self.p, tol=self.tol, max_newton=self.max_newton))
         ells = tuple(float(e) for e in self.ells)
         if any(b <= a for a, b in zip(ells, ells[1:])) or not ells:
             raise ValueError(f"ell list must be strictly increasing: {ells}")
@@ -115,16 +121,14 @@ class SweepSpec:
             raise ValueError(
                 f"window {self.window} must lie inside the half-length "
                 f"{half} cylinder (smallest ell / 2)")
-        y0, y1 = self.cross
-        if self.window.y_lo <= y0 or self.window.y_hi >= y1:
-            raise ValueError(
-                f"window {self.window} must be interior to the cross-section "
-                f"{self.cross}")
         for ell in ells:
             if abs(2.0 * ell / self.hy - round(2.0 * ell / self.hy)) > 1e-9:
                 raise ValueError(
                     f"ell={ell} is not resolvable with hx tied to "
                     f"hy={self.hy}; choose ny so that 2*ell/hy is integral")
+        require_window_inside(build_grid(ells[0], self.cross,
+                                         self.nx_for(ells[0]), self.ny),
+                              self.window)
         if isinstance(self.regime, BlowupData):
             require_a1(self.nl, self.p)
 
@@ -135,9 +139,6 @@ class SweepSpec:
     def nx_for(self, ell: float, ny: Optional[int] = None) -> int:
         hy = (self.cross[1] - self.cross[0]) / ((ny or self.ny) - 1)
         return int(round(2.0 * ell / hy)) + 1
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(p=self.p, tol=self.tol, max_newton=self.max_newton)
 
 
 @dataclass(frozen=True)
@@ -166,14 +167,11 @@ class RateReport:
 
 
 def _reference_profile(spec: SweepSpec, ny: int):
-    y0, y1 = spec.cross
     if isinstance(spec.regime, FiniteData):
         g = spec.regime.g
-        return solve_cross_finite(spec.nl, spec.p, (y0, y1), g, g, ny,
-                                  tol=spec.tol, max_newton=spec.max_newton)
-    return solve_cross_large(spec.nl, spec.p, (y0, y1),
-                             spec.regime.m_list, ny,
-                             tol=spec.tol, max_newton=spec.max_newton)
+        return solve_cross_finite(spec.nl, spec.cfg, spec.cross, g, g, ny)
+    return solve_cross_large(spec.nl, spec.cfg, spec.cross,
+                             spec.regime.m_list, ny)
 
 
 def _gradient_noise_floor(u, ref, p, w):
@@ -200,15 +198,15 @@ def measure_row(spec: SweepSpec, ell: float, ny: Optional[int] = None, *,
     None).  The first solve starts from the near-solution the cylinder
     converges to: the reference at its first level, extended."""
     grid = build_grid(ell, spec.cross, spec.nx_for(ell, ny), ny or spec.ny)
-    cfg = spec.solver_config()
     initial = embed_cross_section(reference.start, grid).values
     if isinstance(spec.regime, FiniteData):
-        results = [solve_dirichlet(grid, spec.nl, cfg, spec.regime.g,
+        results = [solve_dirichlet(grid, spec.nl, spec.cfg, spec.regime.g,
                                    initial=initial)]
         blow = None
     else:
-        results, blow = solve_blowup(grid, spec.nl, cfg, spec.regime.m_list,
-                                     window=spec.window, initial=initial)
+        results, blow = solve_blowup(grid, spec.nl, spec.cfg,
+                                     spec.regime.m_list, window=spec.window,
+                                     initial=initial)
     res = results[-1]
     ref = embed_cross_section(reference, grid)
     err = lp_norm_gradient(res.solution - ref, spec.p, spec.window)
@@ -220,17 +218,18 @@ def sweep_ell(spec: SweepSpec):
     """Measure e(ell) over the ladder, one row after another; returns
     (rows, floor, extras).
 
-    A row whose solve fails numerically or on its input is recorded with
-    the failure reason instead of aborting the whole sweep; any other
-    exception propagates.  Each row records the Newton steps of its
-    solves.  The discretization floor is estimated by re-solving the
-    largest ell at doubled resolution, one more independent
-    :func:`measure_row` against the reference on that grid, and comparing
-    the two measurements (NaN when either fails; the re-solve's failure
-    is noted on the largest-ell row); extras carries the blow-up
-    stabilization reports keyed by ell.  The cross-sectional reference is
-    solved once per transverse grid, and every cylinder solve starts from
-    its first level; when it fails, every row records that failure.
+    A row whose solve fails numerically is recorded with the failure
+    reason instead of aborting the whole sweep; any other exception
+    propagates, since ``spec`` has checked the input.  Each row records
+    the Newton steps of its solves.  The discretization floor is
+    estimated by re-solving the largest ell at doubled resolution, one
+    more independent :func:`measure_row` against the reference on that
+    grid, and comparing the two measurements (NaN when either fails; the
+    re-solve's failure is noted on the largest-ell row); extras carries
+    the blow-up stabilization reports keyed by ell.  The cross-sectional
+    reference is solved once per transverse grid, and every cylinder
+    solve starts from its first level; when it fails, every row records
+    that failure.
     """
     extras = {}
 

@@ -36,8 +36,7 @@ from .asymptotics import (BlowupData, FiniteData, RateUnresolvableError,
 from .grid import Window, build_grid, write_grid_function
 from .minimize import NonConvergenceError
 from .nonlinearity import Nonlinearity, check_a1, check_a2, log_psi_p
-from .ode1d import DivergentBlowupError, solve_large_1d
-from .quadrature import QuadratureError
+from .ode1d import solve_large_1d
 from .solver import SolverConfig, solve_blowup, solve_dirichlet, solve_levels
 
 EXIT_OK = 0
@@ -196,6 +195,15 @@ def _write_json(data, path):
         fh.write("\n")
 
 
+def _blowup_json(report):
+    """The JSON record of a :class:`plaplab.solver.BlowupReport`, as
+    ``solve.json`` and ``sweep.json`` write it."""
+    return {"m_values": list(report.m_values),
+            "stage_max_change": list(report.stage_max_change),
+            "level_newton_steps": list(report.level_newton_steps),
+            "monotone_margin": report.monotone_margin}
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -207,7 +215,7 @@ def _write_csv(path, header, rows):
 
 # -- subcommands ------------------------------------------------------------
 
-def cmd_psi(cfg, out: Path, args) -> int:
+def cmd_psi(cfg, out: Path) -> int:
     nl = build_nonlinearity(_require(cfg, "nonlinearity"))
     p = _get_p(cfg)
     psi_cfg = cfg.get("psi", {})
@@ -244,7 +252,7 @@ def cmd_psi(cfg, out: Path, args) -> int:
     return EXIT_OK
 
 
-def cmd_ode1d(cfg, out: Path, args) -> int:
+def cmd_ode1d(cfg, out: Path) -> int:
     nl = build_nonlinearity(_require(cfg, "nonlinearity"))
     p = _get_p(cfg)
     spec = cfg.get("ode1d", {})
@@ -297,7 +305,7 @@ def _geometry_single(cfg):
     return grid_for(_number(geo["ell"], "geometry.ell"), nx)
 
 
-def cmd_solve(cfg, out: Path, args) -> int:
+def cmd_solve(cfg, out: Path) -> int:
     nl = build_nonlinearity(_require(cfg, "nonlinearity"))
     p = _get_p(cfg)
     grid = _geometry_single(cfg)
@@ -315,12 +323,7 @@ def cmd_solve(cfg, out: Path, args) -> int:
                                        window=window)
         res = results[-1]
         diagnostics["boundary"] = res.boundary_mode
-        diagnostics["blowup"] = {
-            "m_values": list(report.m_values),
-            "stage_max_change": list(report.stage_max_change),
-            "level_newton_steps": list(report.level_newton_steps),
-            "monotone_margin": report.monotone_margin,
-        }
+        diagnostics["blowup"] = _blowup_json(report)
     diagnostics.update({
         # F(M) of e^s - 1 overflows past M ~ 709.8 on the fixed nodes alone;
         # JSON has no infinity
@@ -359,16 +362,12 @@ def _write_sweep_outputs(out, rows, floor, extras):
                       "error": r.error if math.isfinite(r.error) else None,
                       "note": r.note, "newton_steps": r.newton_steps}
                      for r in rows],
-            "blowup_reports": {
-                str(ell): {"m_values": list(b.m_values),
-                           "stage_max_change": list(b.stage_max_change),
-                           "level_newton_steps": list(b.level_newton_steps),
-                           "monotone_margin": b.monotone_margin}
-                for ell, b in extras.items()}}
+            "blowup_reports": {str(ell): _blowup_json(b)
+                               for ell, b in extras.items()}}
     _write_json(data, out / "sweep.json")
 
 
-def cmd_sweep(cfg, out: Path, args) -> int:
+def cmd_sweep(cfg, out: Path) -> int:
     spec = _sweep_spec(cfg)
     rows, floor, extras = sweep_ell(spec)
     _write_sweep_outputs(out, rows, floor, extras)
@@ -377,7 +376,7 @@ def cmd_sweep(cfg, out: Path, args) -> int:
     return EXIT_OK
 
 
-def cmd_rate(cfg, out: Path, args) -> int:
+def cmd_rate(cfg, out: Path) -> int:
     spec = _sweep_spec(cfg)
     rows, floor, extras = sweep_ell(spec)
     _write_sweep_outputs(out, rows, floor, extras)
@@ -400,7 +399,7 @@ def cmd_rate(cfg, out: Path, args) -> int:
     return EXIT_OK if report.passed else EXIT_PROPERTY
 
 
-def cmd_check(cfg, out: Path, args) -> int:
+def cmd_check(cfg, out: Path) -> int:
     nl = build_nonlinearity(_require(cfg, "nonlinearity"))
     p = _get_p(cfg)
     regime = _boundary_regime(cfg)
@@ -507,12 +506,11 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out = Path(args.out if args.out is not None else cfg.get("out", "."))
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out, args)
+        return _COMMANDS[args.command](cfg, out)
     except (ConfigError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NonConvergenceError, QuadratureError, DivergentBlowupError,
-            ArithmeticError) as exc:
+    except (NonConvergenceError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except RateUnresolvableError as exc:

@@ -209,7 +209,7 @@ def require_window_inside(grid: RectGrid, w: Window):
             w.y_lo >= grid.cross[0] + grid.hy - tiny and
             w.y_hi <= grid.cross[1] - grid.hy + tiny):
         raise ValueError(
-            f"window {w} is not at least one cell inside the grid "
+            f"window {w} is not interior to the grid by one cell "
             f"(ell={grid.ell}, cross={grid.cross}, hx={grid.hx}, hy={grid.hy})")
 
 

@@ -14,10 +14,12 @@ lies in the basin the ladder exists to reach.
 Within a stage, damped Newton with Armijo backtracking is globally
 convergent because the energy is strictly convex for eps > 0.
 
-Constant boundary levels on one mesh differ only in the constant on the
-fixed nodes, so :func:`warm_levels` solves increasing levels on one
-problem, each warm from the level below; the blow-up sweep
-:func:`sweep_levels` adds the (A1) refusal and the monotonicity abort.
+A problem carries its :class:`plaplab.solver.SolverConfig` ``cfg`` and
+solves itself by ``problem.minimize(initial)``.  Constant boundary levels
+on one mesh differ only in the constant on the fixed nodes, so
+:func:`warm_levels` solves increasing levels on one problem, each warm
+from the level below; the blow-up sweep :func:`sweep_levels` adds the
+(A1) refusal and the monotonicity abort.
 
 The stopping test is an absolute bound on the lumped-mass-scaled gradient
 plus a roundoff allowance proportional to the magnitude of the assembled
@@ -198,47 +200,46 @@ def require_a1(nl, p) -> None:
             f"Keller-Osserman condition at p={p}")
 
 
-def warm_levels(problem, m_list, tol, max_newton, initial=None):
+def warm_levels(problem, m_list, initial=None):
     """Solve constant levels, strictly increasing (see
     :func:`increasing_levels`), on one ``problem``.
 
     Each level M is set on the problem's fixed nodes and solved by
-    ``problem.minimize(tol, max_newton, start)``, warm-started from the
-    previous level (the first level from ``initial``, a cold start by
-    default).  Yields one ``(u, stages, info)`` per level as it is solved,
-    so that a caller may stop the sweep early.
+    ``problem.minimize(start)``, warm-started from the previous level (the
+    first level from ``initial``, a cold start by default).  Yields one
+    ``(u, stages, info)`` per level as it is solved, so that a caller may
+    stop the sweep early.
     """
     fixed = ~problem.free
     start = initial
     for M in m_list:
         problem.boundary_values[fixed] = M
-        level = problem.minimize(tol, max_newton, start)
+        level = problem.minimize(start)
         yield level
         start = level[0]
 
 
-def sweep_levels(problem, m_list, tol, max_newton, watch, initial=None):
+def sweep_levels(problem, m_list, watch, initial=None):
     """Increasing sweep of constant boundary levels approximating blow-up,
     run on one ``problem`` (the cylinder's or the cross-section's) for
     every level by :func:`warm_levels`.
 
     Refuses nonlinearities failing the Keller-Osserman condition; free
     values must be nondecreasing in M (comparison principle), and a drop
-    beyond twice ``tol`` at a free node aborts the sweep.  Returns
-    ``(m_values, levels, changes, monotone_margin)``: ``levels`` holds one
-    ``(u, stages, info)`` per level, ``changes`` the max changes over the
-    ``watch`` nodes between consecutive levels, and the margin is the most
-    negative free increment (0 for one level).
+    beyond twice the ``tol`` of ``problem.cfg`` at a free node aborts the
+    sweep.  Returns ``(m_values, levels, changes, monotone_margin)``:
+    ``levels`` holds one ``(u, stages, info)`` per level, ``changes`` the
+    max changes over the ``watch`` nodes between consecutive levels, and
+    the margin is the most negative free increment (0 for one level).
     """
     m_list = increasing_levels(m_list)
-    require_a1(problem.nl, problem.p)
+    require_a1(problem.nl, problem.cfg.p)
     levels, changes, worst = [], [], []
-    for M, level in zip(m_list, warm_levels(problem, m_list, tol, max_newton,
-                                             initial)):
+    for M, level in zip(m_list, warm_levels(problem, m_list, initial)):
         if levels:
             step = level[0] - levels[-1][0]
             worst.append(float(np.min(step[problem.free])))
-            if worst[-1] < -2.0 * tol:
+            if worst[-1] < -2.0 * problem.cfg.tol:
                 raise NonConvergenceError(
                     f"M sweep lost monotonicity at M={M:g}: interior value "
                     f"dropped by {-worst[-1]:.3e}")

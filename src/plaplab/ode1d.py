@@ -21,10 +21,11 @@ handled by the doubling-panel machinery of :mod:`plaplab.quadrature`.
 
 The cross-sectional problem on an interval (finite data or blow-up data
 approximated through an increasing sweep of constant boundary levels M)
-is the 2D solver's P1 energy on a segment mesh, with the same eps ladder
-and blow-up sweep (:func:`plaplab.minimize.sweep_levels`, run on one
-segment problem for every level), so its constant extension solves the
-cylinder's interior equations on a grid with the same transverse nodes.
+is the 2D solver's P1 energy on a segment mesh, with the same
+:class:`plaplab.solver.SolverConfig`, eps ladder and blow-up sweep
+(:func:`plaplab.minimize.sweep_levels`, run on one segment problem for
+every level), so its constant extension solves the cylinder's interior
+equations on a grid with the same transverse nodes.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from scipy.linalg import solve_banded  # noqa: F401
 from .minimize import sweep_levels
 from .nonlinearity import Nonlinearity
 from .quadrature import QuadratureError, integrate_to_infinity, panel_quad
-from .solver import _CylinderProblem
+from .solver import SolverConfig, _CylinderProblem
 
 __all__ = [
     "DivergentBlowupError",
@@ -288,7 +289,7 @@ class _CrossProblem(_CylinderProblem):
     """The cylinder's P1 energy on the segment mesh of ``y``; in the
     natural node order its Hessian is tridiagonal."""
 
-    def __init__(self, nl, p, y, g0, g1):
+    def __init__(self, nl, cfg, y, g0, g1):
         n = len(y)
         h = float(y[1] - y[0])
         cells = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
@@ -296,7 +297,7 @@ class _CrossProblem(_CylinderProblem):
         free = np.ones(n, dtype=bool)
         free[0] = free[-1] = False
         boundary = np.r_[g0, np.zeros(n - 2), g1]
-        super().__init__(cells, b, h, free, nl, p, boundary, h)
+        super().__init__(cells, b, h, free, nl, cfg, boundary, h)
 
 
 def _segment(interval, n_nodes: int) -> np.ndarray:
@@ -309,29 +310,26 @@ def _segment(interval, n_nodes: int) -> np.ndarray:
     return np.linspace(y0, y1, n_nodes)
 
 
-def _profile(y, level, tol, **fields) -> CrossProfile:
+def _profile(y, level, cfg: SolverConfig, **fields) -> CrossProfile:
     """The :class:`CrossProfile` of one ``(u, stages, info)`` solve."""
     u, _, info = level
-    return CrossProfile(y=y, values=u, residual=info["residual"], tol=tol,
-                        **fields)
+    return CrossProfile(y=y, values=u, residual=info["residual"],
+                        tol=cfg.tol, **fields)
 
 
-def solve_cross_finite(nl: Nonlinearity, p: float, interval, g0: float,
-                       g1: float, n_nodes: int, tol: float = 1e-9,
-                       max_newton: int = 200) -> CrossProfile:
+def solve_cross_finite(nl: Nonlinearity, cfg: SolverConfig, interval,
+                       g0: float, g1: float, n_nodes: int) -> CrossProfile:
     """Finite-data cross-sectional solve on ``interval`` with n_nodes:
     Newton down the whole eps ladder from min(g0, g1) at every interior
     node."""
     y = _segment(interval, n_nodes)
     g = (float(g0), float(g1))
-    problem = _CrossProblem(nl, p, y, *g)
-    return _profile(y, problem.minimize(tol, max_newton), tol, mode="finite",
-                    g=g)
+    problem = _CrossProblem(nl, cfg, y, *g)
+    return _profile(y, problem.minimize(), cfg, mode="finite", g=g)
 
 
-def solve_cross_large(nl: Nonlinearity, p: float, interval, M_list,
-                      n_nodes: int, tol: float = 1e-9,
-                      max_newton: int = 200) -> CrossProfile:
+def solve_cross_large(nl: Nonlinearity, cfg: SolverConfig, interval, M_list,
+                      n_nodes: int) -> CrossProfile:
     """Blow-up data approximated by an increasing sweep of constant levels.
 
     One segment problem serves every level:
@@ -342,10 +340,9 @@ def solve_cross_large(nl: Nonlinearity, p: float, interval, M_list,
     first level's profile, which the cylinder solves start from.
     """
     y = _segment(interval, n_nodes)
-    problem = _CrossProblem(nl, p, y, 0.0, 0.0)
-    m_values, levels, changes, _ = sweep_levels(problem, M_list, tol,
-                                                max_newton, problem.free)
-    return _profile(y, levels[-1], tol, mode="blowup", m_values=m_values,
+    problem = _CrossProblem(nl, cfg, y, 0.0, 0.0)
+    m_values, levels, changes, _ = sweep_levels(problem, M_list, problem.free)
+    return _profile(y, levels[-1], cfg, mode="blowup", m_values=m_values,
                     stabilization_residual=changes[-1] if changes else None,
-                    first_level=_profile(y, levels[0], tol, mode="finite",
+                    first_level=_profile(y, levels[0], cfg, mode="finite",
                                          g=(m_values[0], m_values[0])))

@@ -20,7 +20,9 @@ system is solved by banded Cholesky (LAPACK ``dpbtrf``) with the free
 nodes numbered along the shorter side of the lattice, so its
 half-bandwidth is ny - 1 whatever the cylinder length.  Since f is
 nondecreasing, F is convex and the minimizer is unique, so the discrete
-solution is deterministic given the grid.
+solution is deterministic given the grid.  One :class:`SolverConfig`
+(p, tol, max_newton) is all the settings of a solve, of the cylinder's
+and of the cross-section's (:mod:`plaplab.ode1d`) alike.
 
 The per-cell data are stored slot-major, the cells along the last,
 contiguous axis: node ids (nodes x cells) and gradient coefficients
@@ -88,6 +90,9 @@ class SolverConfig:
             raise ValueError(f"requires p > 1, got p={self.p}")
         if self.tol <= 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.max_newton < 1:
+            raise ValueError(
+                f"max_newton must be at least 1, got {self.max_newton}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,10 +154,10 @@ class _CylinderProblem:
     """Regularized p-energy of P1 elements on a uniform simplex mesh:
     ``cells`` (cells x nodes), gradient coefficients ``b`` (cells x nodes
     x dim, grad u|_T = sum_k u_k b_k), one cell ``measure``, the ``free``
-    node mask and the cell size ``h`` that sets the eps ladder.  The
-    fixed nodes take their values from ``boundary_values``, which a
-    caller may reset between solves.  :meth:`on_grid` builds the cylinder
-    problem.
+    node mask, the :class:`SolverConfig` ``cfg`` of every solve on it and
+    the cell size ``h`` that sets the eps ladder.  The fixed nodes take
+    their values from ``boundary_values``, which a caller may reset
+    between solves.  :meth:`on_grid` builds the cylinder problem.
 
     The mesh is kept slot-major: the node ids ``nodes`` (nodes x cells),
     the gradient coefficients ``b`` and their absolute values (dim x
@@ -163,10 +168,10 @@ class _CylinderProblem:
     the node order ``band_order`` (default: the natural order), which
     should keep the half-bandwidth ``kd`` of the Hessian small."""
 
-    def __init__(self, cells, b, measure, free, nl: Nonlinearity, p: float,
+    def __init__(self, cells, b, measure, free, nl: Nonlinearity, cfg,
                  boundary_values: np.ndarray, h: float, band_order=None):
         self.nl = nl
-        self.p = p
+        self.cfg = cfg
         self.h = h
         self.measure = measure
         self.nodes = np.ascontiguousarray(np.transpose(cells))
@@ -220,7 +225,7 @@ class _CylinderProblem:
         self._from_band = np.argsort(self._to_band)
 
     @classmethod
-    def on_grid(cls, grid: RectGrid, nl: Nonlinearity, p: float,
+    def on_grid(cls, grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig,
                 boundary_values: np.ndarray) -> "_CylinderProblem":
         # number the nodes along the shorter lattice side first: the
         # half-bandwidth is min(nx, ny) - 1, so ny - 1 on a cylinder of any
@@ -228,7 +233,7 @@ class _CylinderProblem:
         band_order = None if grid.nx < grid.ny else \
             np.arange(grid.n_nodes).reshape(grid.ny, grid.nx).T.ravel()
         return cls(grid.triangles(), grid.gradient_coefficients(),
-                   grid.triangle_area(), grid.interior_mask(), nl, p,
+                   grid.triangle_area(), grid.interior_mask(), nl, cfg,
                    boundary_values, min(grid.hx, grid.hy), band_order)
 
     def with_boundary(self, u):
@@ -246,8 +251,8 @@ class _CylinderProblem:
 
     def _gradient_energy(self, u, eps):
         _, g2e = self._cell_gradients(u, eps)
-        return self.measure * np.sum(
-            (g2e ** (0.5 * self.p) - eps ** self.p)) / self.p
+        p = self.cfg.p
+        return self.measure * np.sum((g2e ** (0.5 * p) - eps ** p)) / p
 
     def full_energy(self, u, eps):
         """Spec energy: gradient term plus lumped F over all nodes."""
@@ -268,7 +273,7 @@ class _CylinderProblem:
     def gradient(self, u, eps):
         gu, g2e = self._cell_gradients(u, eps)
         with np.errstate(divide="ignore", invalid="ignore"):
-            sigma = np.where(g2e > 0.0, g2e ** (0.5 * self.p - 1.0), 0.0)
+            sigma = np.where(g2e > 0.0, g2e ** (0.5 * self.cfg.p - 1.0), 0.0)
         w = self.measure * sigma
         n = len(self.free)
         nodes = self.nodes.ravel()
@@ -292,10 +297,10 @@ class _CylinderProblem:
         before the band is allocated, which keeps them out of the peak
         memory of a Newton step."""
         gu, g2e = self._cell_gradients(u, eps)
-        w = self.measure * g2e ** (0.5 * self.p - 1.0)
+        w = self.measure * g2e ** (0.5 * self.cfg.p - 1.0)
         # measure * (p - 2) |g|_eps^(p - 4): the rank-one weight along
         # grad u, from the pow already taken
-        wt = (self.p - 2.0) * w / g2e
+        wt = (self.cfg.p - 2.0) * w / g2e
         gb = _contract(gu, self.b)
         wgb = wt * gb
         blocks = w * self._pair_dots
@@ -311,11 +316,11 @@ class _CylinderProblem:
         except np.linalg.LinAlgError as exc:
             raise NonConvergenceError(
                 f"Hessian is not positive definite (eps={eps:.3e}, "
-                f"p={self.p}): {exc}") from exc
+                f"p={self.cfg.p}): {exc}") from exc
         if not np.all(np.isfinite(step)):
             raise NonConvergenceError(
                 "Hessian solve produced non-finite entries "
-                f"(eps={eps:.3e}, p={self.p})")
+                f"(eps={eps:.3e}, p={self.cfg.p})")
         return step
 
     def _solve(self, blocks, fp, rhs):
@@ -332,10 +337,11 @@ class _CylinderProblem:
                           overwrite_b=True, lower=True, check_finite=False)
         return x[self._from_band]
 
-    def minimize(self, tol, max_newton, initial=None):
-        """Damped Newton down the eps ladder of the cell size ``h`` from
-        the smallest fixed value at every free node (for constant data,
-        its discrete harmonic extension), or only at its last eps from
+    def minimize(self, initial=None):
+        """Damped Newton to ``cfg.tol`` within ``cfg.max_newton`` steps a
+        stage, down the eps ladder of the cell size ``h`` from the
+        smallest fixed value at every free node (for constant data, its
+        discrete harmonic extension), or only at its last eps from
         ``initial`` (its fixed entries overwritten); returns ``(u, stages,
         info)`` of :func:`plaplab.minimize.minimize_newton`."""
         schedule = default_eps_schedule(self.h)
@@ -345,7 +351,7 @@ class _CylinderProblem:
         else:
             schedule = schedule[-1:]
         return minimize_newton(self, self.with_boundary(initial), schedule,
-                               tol, max_newton)
+                               self.cfg.tol, self.cfg.max_newton)
 
 
 def _boundary_array(grid: RectGrid, bdata) -> np.ndarray:
@@ -368,7 +374,8 @@ def energy(u: GridFunction, nl: Nonlinearity, p: float, eps: float) -> float:
     """Regularized discrete energy of a nodal field (all nodes included)."""
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    problem = _CylinderProblem.on_grid(u.grid, nl, p, np.zeros(u.grid.n_nodes))
+    problem = _CylinderProblem.on_grid(u.grid, nl, SolverConfig(p=p),
+                                       np.zeros(u.grid.n_nodes))
     return problem.full_energy(u.values, eps)
 
 
@@ -381,19 +388,20 @@ def energy_gradient(u: GridFunction, nl: Nonlinearity, p: float,
     """
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    problem = _CylinderProblem.on_grid(u.grid, nl, p, np.zeros(u.grid.n_nodes))
+    problem = _CylinderProblem.on_grid(u.grid, nl, SolverConfig(p=p),
+                                       np.zeros(u.grid.n_nodes))
     g, _ = problem.gradient(u.values, eps)
     return g
 
 
-def _solve_result(grid: RectGrid, problem: _CylinderProblem,
-                  cfg: SolverConfig, mode: str, level) -> SolveResult:
+def _solve_result(grid: RectGrid, problem: _CylinderProblem, mode: str,
+                  level) -> SolveResult:
     """The :class:`SolveResult` of one ``(u, stages, info)`` solve of
     ``problem`` on ``grid``."""
     u, stages, info = level
     return SolveResult(
         solution=GridFunction(grid, u),
-        config=cfg,
+        config=problem.cfg,
         nl=problem.nl,
         boundary_mode=mode,
         stages=tuple(stages),
@@ -419,12 +427,11 @@ def solve_dirichlet(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig,
     sequence of constant levels on one grid shares one
     (:func:`solve_levels`, :func:`solve_blowup`).
     """
-    problem = _CylinderProblem.on_grid(grid, nl, cfg.p,
+    problem = _CylinderProblem.on_grid(grid, nl, cfg,
                                        _boundary_array(grid, bdata))
     mode = "dirichlet(callable)" if callable(bdata) else \
         f"dirichlet(constant {bdata})"
-    return _solve_result(grid, problem, cfg, mode,
-                         problem.minimize(cfg.tol, cfg.max_newton, initial))
+    return _solve_result(grid, problem, mode, problem.minimize(initial))
 
 
 def solve_levels(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig,
@@ -441,12 +448,10 @@ def solve_levels(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig,
     :class:`SolveResult` per level.
     """
     levels = increasing_levels(levels)
-    problem = _CylinderProblem.on_grid(grid, nl, cfg.p,
-                                       np.zeros(grid.n_nodes))
+    problem = _CylinderProblem.on_grid(grid, nl, cfg, np.zeros(grid.n_nodes))
     return tuple(
-        _solve_result(grid, problem, cfg, f"dirichlet(constant {g})", level)
-        for g, level in zip(levels, warm_levels(problem, levels, cfg.tol,
-                                                cfg.max_newton)))
+        _solve_result(grid, problem, f"dirichlet(constant {g})", level)
+        for g, level in zip(levels, warm_levels(problem, levels)))
 
 
 def solve_blowup(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig, M_list,
@@ -462,13 +467,12 @@ def solve_blowup(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig, M_list,
     :class:`BlowupReport` whose changes are measured on the window (all
     interior nodes without one).
     """
-    problem = _CylinderProblem.on_grid(grid, nl, cfg.p,
-                                       np.zeros(grid.n_nodes))
+    problem = _CylinderProblem.on_grid(grid, nl, cfg, np.zeros(grid.n_nodes))
     watch = problem.free if window is None else \
         window_node_mask(grid, window) & problem.free
-    m_values, levels, changes, margin = sweep_levels(
-        problem, M_list, cfg.tol, cfg.max_newton, watch, initial)
-    results = [_solve_result(grid, problem, cfg, f"blowup(M={M:g})", level)
+    m_values, levels, changes, margin = sweep_levels(problem, M_list, watch,
+                                                     initial)
+    results = [_solve_result(grid, problem, f"blowup(M={M:g})", level)
                for M, level in zip(m_values, levels)]
     report = BlowupReport(m_values=m_values,
                           stage_max_change=tuple(changes),

@@ -76,7 +76,8 @@ def test_criterion_2_one_dimensional_large_solution():
 
 
 def test_criterion_3_linear_benchmark():
-    prof = solve_cross_finite(LINEAR, 2.0, (0.0, 1.0), 1.0, 1.0, 401)
+    prof = solve_cross_finite(LINEAR, SolverConfig(p=2.0), (0.0, 1.0), 1.0,
+                              1.0, 401)
     mid_err = abs(prof.value_at(0.5) - 1.0 / math.cosh(0.5))
     grid = build_grid(8.0, (0.0, 1.0), 257, 65)
     res = solve_dirichlet(grid, LINEAR, SolverConfig(p=2.0), 1.0)

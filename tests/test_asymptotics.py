@@ -88,6 +88,17 @@ class TestSweepSpecValidation:
                       regime=FiniteData(1.0), ells=(2.0, 3.1415),
                       window=Window(-1.0, 1.0, 0.25, 0.75), ny=9)
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"p": 0.8}, "p > 1"),
+        ({"tol": 0.0}, "tol must be positive"),
+        ({"max_newton": 0}, "max_newton must be at least 1"),
+        # hy = 0.125: a quarter cell from the cross-section's lower edge
+        ({"window": Window(-1.0, 1.0, 0.03125, 0.75)}, "one cell"),
+    ], ids=["p", "tol", "max_newton", "window_within_a_cell"])
+    def test_bad_input_is_refused_before_any_solve(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(**{**TestSweep.SPEC, **bad})
+
 
 class TestSweep:
     SPEC = dict(nl=LINEAR, p=2.0, cross=(0.0, 1.0), regime=FiniteData(1.0),
@@ -182,12 +193,15 @@ class TestSweep:
         assert np.isnan(floor)
 
     def test_programming_error_propagates(self, monkeypatch):
-        def broken(spec, ell, ny=None, *, reference):
-            raise TypeError("stub bug")
+        # a ValueError too: SweepSpec has refused bad input, so one raised
+        # inside a row is not recorded as that row's failure
+        for error in (TypeError, ValueError):
+            def broken(spec, ell, ny=None, *, reference):
+                raise error("stub bug")
 
-        monkeypatch.setattr(asymptotics, "measure_row", broken)
-        with pytest.raises(TypeError, match="stub bug"):
-            sweep_ell(SweepSpec(**self.SPEC))
+            monkeypatch.setattr(asymptotics, "measure_row", broken)
+            with pytest.raises(error, match="stub bug"):
+                sweep_ell(SweepSpec(**self.SPEC))
 
     REGIMES = pytest.mark.parametrize(
         "regime", [FiniteData(1.0), BlowupData((10.0, 100.0))],
@@ -242,7 +256,7 @@ class TestSweep:
         _, _, results, _ = asymptotics.measure_row(
             spec, 4.0, reference=asymptotics._reference_profile(spec, 9))
         warm = results[-1].solution
-        cfg = spec.solver_config()
+        cfg = spec.cfg
         if isinstance(regime, FiniteData):
             cold = solve_dirichlet(warm.grid, POWER23, cfg, regime.g)
         else:
@@ -258,7 +272,7 @@ class TestSweep:
         assert set(extras) == {2.0, 4.0}
         for ell, blow in extras.items():
             grid = build_grid(ell, spec.cross, spec.nx_for(ell), spec.ny)
-            _, cold = solve_blowup(grid, POWER23, spec.solver_config(),
+            _, cold = solve_blowup(grid, POWER23, spec.cfg,
                                    spec.regime.m_list)
             assert blow.level_newton_steps[0] < cold.level_newton_steps[0]
 

@@ -104,7 +104,12 @@ class TestValidation:
         ("check", {"check": {"pairs": -3}}, "'check.pairs'"),
         ("check", {"check": {"window_pairs": 0}}, "'check.window_pairs'"),
         ("psi", {"a2": {"t_max": 0.5}}, "t_max"),
-    ], ids=["balls_0", "pairs_negative", "window_pairs_0", "a2_t_max"])
+        ("sweep", {"solver": {"tol": 0}}, "tol must be positive"),
+        ("rate", {"solver": {"max_newton": 0}}, "max_newton"),
+        # hy = 0.25: a quarter cell from the cross-section's lower edge
+        ("sweep", {"window": [-1.0, 1.0, -1.9375, 1.0]}, "one cell"),
+    ], ids=["balls_0", "pairs_negative", "window_pairs_0", "a2_t_max",
+            "sweep_tol_0", "rate_max_newton_0", "sweep_window_within_a_cell"])
     def test_counts_and_ranges_below_their_minimum(self, tmp_path, capsys,
                                                    command, extra, key):
         code, out = run(tmp_path, command, {
@@ -511,8 +516,8 @@ class TestCheck:
         minimize = _CylinderProblem.minimize
         lowered = []
 
-        def violating(self, tol, max_newton, initial=None):
-            u, stages, info = minimize(self, tol, max_newton, initial)
+        def violating(self, initial=None):
+            u, stages, info = minimize(self, initial)
             if initial is not None and np.max(self.boundary_values) < 10.0:
                 node = int(np.flatnonzero(self.free)[self.free.sum() // 2])
                 u[node] = initial[node] - 1e-6

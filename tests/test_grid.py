@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from plaplab import (GridFunction, Nonlinearity, Window, build_grid,
-                     cutoff_function, embed_cross_section, gradient_per_cell,
-                     lp_norm_gradient, solve_cross_finite,
+from plaplab import (GridFunction, Nonlinearity, SolverConfig, Window,
+                     build_grid, cutoff_function, embed_cross_section,
+                     gradient_per_cell, lp_norm_gradient, solve_cross_finite,
                      write_grid_function)
 from plaplab.grid import triangle_window_weights
 
@@ -120,15 +120,15 @@ class TestLpNorms:
 
 class TestEmbed:
     def test_constant_profile(self):
-        prof = solve_cross_finite(Nonlinearity.zero(), 2.0, (0, 1), 2.5, 2.5,
-                                  41)
+        prof = solve_cross_finite(Nonlinearity.zero(), SolverConfig(p=2.0),
+                                  (0, 1), 2.5, 2.5, 41)
         g = build_grid(3.0, (0.0, 1.0), 13, 21)
         gf = embed_cross_section(prof, g)
         assert np.max(np.abs(gf.values - 2.5)) < 1e-12
 
     def test_embedded_field_has_no_axial_derivative(self):
-        prof = solve_cross_finite(Nonlinearity.power(1, 1), 2.0, (0, 1), 1.0,
-                                  1.0, 401)
+        prof = solve_cross_finite(Nonlinearity.power(1, 1),
+                                  SolverConfig(p=2.0), (0, 1), 1.0, 1.0, 401)
         g = build_grid(2.0, (0.0, 1.0), 9, 101)
         gf = embed_cross_section(prof, g)
         gu = gradient_per_cell(gf)
@@ -160,8 +160,8 @@ class TestEmbed:
         assert np.max(np.abs(gf2.as_rows()[:, 0] - table[::4])) == 0.0
 
     def test_interval_mismatch_rejected(self):
-        prof = solve_cross_finite(Nonlinearity.zero(), 2.0, (0, 1), 1.0, 1.0,
-                                  11)
+        prof = solve_cross_finite(Nonlinearity.zero(), SolverConfig(p=2.0),
+                                  (0, 1), 1.0, 1.0, 11)
         g = build_grid(1.0, (0.0, 2.0), 5, 5)
         with pytest.raises(ValueError, match="does not match"):
             embed_cross_section(prof, g)

@@ -22,7 +22,8 @@ def blowup_2d(m_list):
 
 
 def blowup_1d(m_list):
-    return solve_cross_large(POWER23, 2.0, (-1.0, 1.0), m_list, 11)
+    return solve_cross_large(POWER23, SolverConfig(p=2.0), (-1.0, 1.0),
+                             m_list, 11)
 
 
 def levels_2d(m_list):
@@ -41,20 +42,20 @@ def test_non_increasing_levels_rejected(solve, m_list):
 
 
 class _FakeSweepProblem:
-    """Five nodes, the outer two fixed; ``minimize`` returns ``rule(M,
-    start)`` for the level M found on the fixed nodes and records each
-    start it is given."""
+    """Five nodes, the outer two fixed, solved under ``cfg``; ``minimize``
+    returns ``rule(M, start)`` for the level M found on the fixed nodes and
+    records each start it is given."""
 
     free = np.array([False, True, True, True, False])
     nl = POWER23
-    p = 2.0
 
-    def __init__(self, rule):
+    def __init__(self, rule, tol=1e-9):
         self.rule = rule
+        self.cfg = SolverConfig(p=2.0, tol=tol, max_newton=50)
         self.boundary_values = np.zeros(5)
         self.starts = []
 
-    def minimize(self, tol, max_newton, initial=None):
+    def minimize(self, initial=None):
         self.starts.append(initial)
         level = self.boundary_values[~self.free]
         assert np.all(level == level[0])
@@ -77,16 +78,15 @@ def _lower_one_interior_value(drop):
 
 def test_interior_drop_beyond_twice_tol_aborts():
     tol = 1e-9
-    problem = _FakeSweepProblem(_lower_one_interior_value(3.0 * tol))
+    problem = _FakeSweepProblem(_lower_one_interior_value(3.0 * tol), tol)
     with pytest.raises(NonConvergenceError, match="lost monotonicity"):
-        sweep_levels(problem, (10.0, 100.0), tol, 50, problem.free)
+        sweep_levels(problem, (10.0, 100.0), problem.free)
 
 
 def test_interior_drop_within_twice_tol_is_the_margin():
     tol = 1e-9
-    problem = _FakeSweepProblem(_lower_one_interior_value(1.5 * tol))
-    _, _, _, margin = sweep_levels(problem, (10.0, 100.0), tol, 50,
-                                   problem.free)
+    problem = _FakeSweepProblem(_lower_one_interior_value(1.5 * tol), tol)
+    _, _, _, margin = sweep_levels(problem, (10.0, 100.0), problem.free)
     assert margin == pytest.approx(-1.5 * tol)
 
 
@@ -97,7 +97,7 @@ def test_changes_and_margin_over_the_watched_nodes():
         lambda M, initial: np.array([M, 0.5 * M, 0.1 * M, 0.3 * M, M]))
     start = np.full(5, 7.0)
     levels, results, changes, margin = sweep_levels(
-        problem, [1, 2, 4], 1e-9, 50, slice(3, 4), initial=start)
+        problem, [1, 2, 4], slice(3, 4), initial=start)
     assert levels == (1.0, 2.0, 4.0)
     assert [info["M"] for _, _, info in results] == [1.0, 2.0, 4.0]
     assert [stages for _, stages, _ in results] == [["stages"]] * 3
@@ -208,7 +208,7 @@ TOL = 1e-11
 def cold_solve():
     """A cold five-stage solve of a small blow-up level at p = 1.5."""
     grid = build_grid(1.0, (-1.0, 1.0), 9, 9)
-    problem = _CylinderProblem.on_grid(grid, POWER23, 1.5,
+    problem = _CylinderProblem.on_grid(grid, POWER23, SolverConfig(p=1.5),
                                        np.zeros(grid.n_nodes))
     problem.boundary_values[~problem.free] = 10.0
     recorder = _Recorder(problem)

@@ -8,9 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plaplab import (DivergentBlowupError, GridFunction, Nonlinearity,
-                     QuadratureError, blowup_radius, build_grid, check_a1,
-                     embed_cross_section, energy_gradient, psi_p,
-                     solve_cross_finite, solve_cross_large, solve_large_1d)
+                     QuadratureError, SolverConfig, blowup_radius,
+                     build_grid, check_a1, embed_cross_section,
+                     energy_gradient, psi_p, solve_cross_finite,
+                     solve_cross_large, solve_large_1d)
 from plaplab import ode1d
 from plaplab.minimize import (_EPS_MACH, _ROUNDOFF_FACTOR,
                               NonConvergenceError, default_eps_schedule)
@@ -148,29 +149,30 @@ COSH_MID = 0.8868188839700739  # 1 / cosh(1/2)
 
 class TestCrossFinite:
     def test_constants_are_solutions(self):
-        prof = solve_cross_finite(Nonlinearity.zero(), 2.0, (0, 1), 4.0, 4.0,
-                                  31)
+        prof = solve_cross_finite(Nonlinearity.zero(), SolverConfig(p=2.0),
+                                  (0, 1), 4.0, 4.0, 31)
         assert np.max(np.abs(prof.values - 4.0)) < 1e-12
         assert prof.values[0] == 4.0 and prof.values[-1] == 4.0
 
     def test_linear_benchmark_cosh(self):
         # f(u) = u, p = 2, g = 1 on (0,1): u(y) = cosh(y - 1/2) / cosh(1/2)
-        prof = solve_cross_finite(Nonlinearity.power(1, 1), 2.0, (0, 1), 1.0,
-                                  1.0, 401)
+        prof = solve_cross_finite(Nonlinearity.power(1, 1),
+                                  SolverConfig(p=2.0), (0, 1), 1.0, 1.0, 401)
         assert prof.value_at(0.5) == pytest.approx(COSH_MID, abs=1e-4)
         exact = np.cosh(prof.y - 0.5) / np.cosh(0.5)
         assert np.max(np.abs(prof.values - exact)) < 1e-4
 
     def test_affine_p_harmonic_any_p(self):
-        prof = solve_cross_finite(Nonlinearity.zero(), 3.0, (0, 1), 0.0, 1.0,
-                                  101)
+        prof = solve_cross_finite(Nonlinearity.zero(), SolverConfig(p=3.0),
+                                  (0, 1), 0.0, 1.0, 101)
         assert np.max(np.abs(prof.values - prof.y)) < 1e-10
 
     def test_quadratic_convergence_to_cosh(self):
         errors = []
         for n in (51, 101, 201):
-            prof = solve_cross_finite(Nonlinearity.power(1, 1), 2.0, (0, 1),
-                                      1.0, 1.0, n, tol=1e-12)
+            prof = solve_cross_finite(Nonlinearity.power(1, 1),
+                                      SolverConfig(p=2.0, tol=1e-12), (0, 1),
+                                      1.0, 1.0, n)
             exact = np.cosh(prof.y - 0.5) / np.cosh(0.5)
             errors.append(np.max(np.abs(prof.values - exact)))
         orders = [math.log2(e1 / e2) for e1, e2 in zip(errors, errors[1:])]
@@ -181,8 +183,8 @@ class TestCrossFinite:
         # matched discretization: the extended profile is a discrete
         # cylinder solution at the final eps, up to the solve tolerance
         tol = 1e-11
-        prof = solve_cross_finite(POWER23, p, (0.0, 2.0), 1.0, 1.0, 17,
-                                  tol=tol)
+        prof = solve_cross_finite(POWER23, SolverConfig(p=p, tol=tol),
+                                  (0.0, 2.0), 1.0, 1.0, 17)
         grid = build_grid(2.0, (0.0, 2.0), 33, 17)
         eps = default_eps_schedule(grid.hy)[-1]
         grad = energy_gradient(embed_cross_section(prof, grid), POWER23, p,
@@ -207,20 +209,22 @@ class TestCrossFinite:
         level = 10.0 ** log_level
         if blowup:
             assume(check_a1(nl, p))
-            prof = solve_cross_large(nl, p, (0.0, 2.0), (level, 2.0 * level),
-                                     17, tol=tol).start
+            prof = solve_cross_large(nl, SolverConfig(p=p, tol=tol),
+                                     (0.0, 2.0), (level, 2.0 * level),
+                                     17).start
         else:
-            prof = solve_cross_finite(nl, p, (0.0, 2.0), level, level, 17,
-                                      tol=tol)
+            prof = solve_cross_finite(nl, SolverConfig(p=p, tol=tol),
+                                      (0.0, 2.0), level, level, 17)
         assert prof.g == (level, level)
         grid = build_grid(2.0, (0.0, 2.0), 33, 17)
         eps = default_eps_schedule(grid.hy)[-1]
         u = embed_cross_section(prof, grid).values
         floor = 0.0
         for problem, values in (
-                (ode1d._CrossProblem(nl, p, prof.y, level, level),
+                (ode1d._CrossProblem(nl, SolverConfig(p=p), prof.y, level,
+                                     level),
                  prof.values),
-                (_CylinderProblem.on_grid(grid, nl, p, u), u)):
+                (_CylinderProblem.on_grid(grid, nl, SolverConfig(p=p), u), u)):
             _, scale = problem.gradient(values, eps)
             free = problem.free
             floor += _ROUNDOFF_FACTOR * _EPS_MACH * np.max(
@@ -236,22 +240,40 @@ class TestCrossFinite:
         # f ~ lam s at 0 grows slower than s^(p-1): the solution vanishes
         # on a core, where Newton iterates dip below 0 and f' is that of
         # the zero extension (with f'(0) they crept for 200 steps)
-        prof = solve_cross_finite(Nonlinearity.exp_minus_one(lam), p,
-                                  (0.0, 2.0), level, level, 17, tol=1e-11)
+        prof = solve_cross_finite(Nonlinearity.exp_minus_one(lam),
+                                  SolverConfig(p=p, tol=1e-11), (0.0, 2.0),
+                                  level, level, 17)
         assert prof.residual <= 1e-11
         assert np.min(prof.values) < 1e-6 * level
         assert np.all((prof.values >= -1e-11) & (prof.values <= level))
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError):
-            solve_cross_finite(POWER23, 2.0, (0, 1), 1.0, 1.0, 2)
+            solve_cross_finite(POWER23, SolverConfig(p=2.0), (0, 1), 1.0,
+                               1.0, 2)
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"p": 0.5}, "p > 1"),
+        ({"p": 2.0, "tol": 0.0}, "tol must be positive"),
+        ({"p": 2.0, "max_newton": 0}, "max_newton must be at least 1"),
+    ], ids=["p", "tol", "max_newton"])
+    def test_solver_settings_checked_before_any_solve(self, monkeypatch, bad,
+                                                      message):
+        def no_solve(*args):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(ode1d._CrossProblem, "minimize", no_solve)
+        with pytest.raises(ValueError, match=message):
+            solve_cross_finite(Nonlinearity.power(1, 1), SolverConfig(**bad),
+                               (0, 1), 1.0, 1.0, 9)
 
     @pytest.mark.parametrize("n_nodes", [33, 257])
     def test_cold_start_between_unequal_ends(self, n_nodes):
         # started from the mean of the ends, this solve exceeds the Newton
         # budget; from the smaller end it converges
-        prof = solve_cross_finite(Nonlinearity.exp_minus_one(1.0), 1.25,
-                                  (0, 1), 1.0, 100.0, n_nodes)
+        prof = solve_cross_finite(Nonlinearity.exp_minus_one(1.0),
+                                  SolverConfig(p=1.25), (0, 1), 1.0, 100.0,
+                                  n_nodes)
         assert prof.values[0] == 1.0 and prof.values[-1] == 100.0
         assert np.all((prof.values >= 0.0) & (prof.values <= 100.0))
 
@@ -259,9 +281,9 @@ class TestCrossFinite:
         # f(800) = e^800 - 1 overflows: an infinite roundoff floor must not
         # pass the residual test
         with pytest.raises(NonConvergenceError, match="not finite"):
-            ode1d._CrossProblem(Nonlinearity.exp_minus_one(1.0), 2.0,
-                                np.linspace(0.0, 1.0, 9), 800.0,
-                                800.0).minimize(1e-9, 200)
+            ode1d._CrossProblem(Nonlinearity.exp_minus_one(1.0),
+                                SolverConfig(p=2.0), np.linspace(0.0, 1.0, 9),
+                                800.0, 800.0).minimize()
 
     @pytest.mark.xfail(strict=True, raises=NonConvergenceError,
                        reason="damped Newton exceeds its budget at p < 2 "
@@ -270,8 +292,9 @@ class TestCrossFinite:
         # the cold start's first eps stage ends its 200 steps with a
         # residual of about 4e2; the Newton model is poor at the center,
         # where the p < 2 weight (eps + |u'|^2)^((p-2)/2) is largest
-        prof = solve_cross_finite(Nonlinearity.power(2, 3), 1.25, (-1, 1),
-                                  10.0, 10.0, 801, tol=1e-11)
+        prof = solve_cross_finite(Nonlinearity.power(2, 3),
+                                  SolverConfig(p=1.25, tol=1e-11), (-1, 1),
+                                  10.0, 10.0, 801)
         assert prof.residual <= 1e-11
 
 
@@ -282,7 +305,8 @@ class TestCrossLarge:
         # The finite-M solution on (-1, 1) is exactly the restriction of the
         # blow-up profile on the slightly larger interval where phi reaches M
         # at y = +-1, so the matched oracle radius is 1 + Psi_p(M).
-        prof = solve_cross_large(POWER23, 2.0, (-1, 1), self.M_LIST, 25601)
+        prof = solve_cross_large(POWER23, SolverConfig(p=2.0), (-1, 1),
+                                 self.M_LIST, 25601)
         delta = psi_p(POWER23, 2.0, self.M_LIST[-1])
         oracle = solve_large_1d(POWER23, 2.0, 1.0 + delta).a
         assert prof.value_at(0.0) == pytest.approx(oracle, abs=1e-4)
@@ -294,7 +318,8 @@ class TestCrossLarge:
     def test_interior_nondecreasing_in_m(self):
         previous = None
         for m in self.M_LIST:
-            prof = solve_cross_finite(POWER23, 2.0, (-1, 1), m, m, 201)
+            prof = solve_cross_finite(POWER23, SolverConfig(p=2.0), (-1, 1),
+                                      m, m, 201)
             if previous is not None:
                 assert np.min(prof.values[1:-1] - previous[1:-1]) >= -2e-9
             previous = prof.values
@@ -303,7 +328,8 @@ class TestCrossLarge:
         # each interior value is dominated at its own location by the
         # blow-up profile of the inscribed ball (radius = distance to the
         # nearest endpoint), evaluated at its half radius
-        prof = solve_cross_large(POWER23, 2.0, (-1, 1), self.M_LIST, 801)
+        prof = solve_cross_large(POWER23, SolverConfig(p=2.0), (-1, 1),
+                                 self.M_LIST, 801)
         for idx in (100, 200, 400, 600):
             y = prof.y[idx]
             dist = min(y - prof.interval[0], prof.interval[1] - y)
@@ -311,7 +337,8 @@ class TestCrossLarge:
             assert prof.values[idx] <= barrier.value_at(dist / 2.0)
 
     def test_stabilization_residual_reported(self):
-        prof = solve_cross_large(POWER23, 2.0, (-1, 1), (10.0, 100.0), 101)
+        prof = solve_cross_large(POWER23, SolverConfig(p=2.0), (-1, 1),
+                                 (10.0, 100.0), 101)
         assert prof.mode == "blowup"
         assert prof.m_values == (10.0, 100.0)
         assert prof.stabilization_residual > 0
@@ -325,7 +352,8 @@ class TestCrossLarge:
                 super().__init__(*args)
 
         monkeypatch.setattr(ode1d, "_CrossProblem", Counting)
-        prof = solve_cross_large(POWER23, 1.5, (-1, 1), self.M_LIST, 9)
+        prof = solve_cross_large(POWER23, SolverConfig(p=1.5), (-1, 1),
+                                 self.M_LIST, 9)
         assert prof.m_values == self.M_LIST
         assert len(built) == 1
 
@@ -333,13 +361,14 @@ class TestCrossLarge:
         # the sweep as one segment problem per level, each warm-started
         # from the previous level, is the reference bit for bit
         tol = 1e-11
-        prof = solve_cross_large(POWER23, 1.5, (-1, 1), self.M_LIST, 9,
-                                 tol=tol)
+        prof = solve_cross_large(POWER23, SolverConfig(p=1.5, tol=tol),
+                                 (-1, 1), self.M_LIST, 9)
         y = np.linspace(-1.0, 1.0, 9)
         chain, previous = [], None
         for M in self.M_LIST:
-            problem = ode1d._CrossProblem(POWER23, 1.5, y, M, M)
-            previous, _, info = problem.minimize(tol, 200, previous)
+            problem = ode1d._CrossProblem(
+                POWER23, SolverConfig(p=1.5, tol=tol), y, M, M)
+            previous, _, info = problem.minimize(previous)
             chain.append((previous, info["residual"]))
         assert np.array_equal(prof.first_level.values, chain[0][0])
         assert prof.first_level.g == (10.0, 10.0)
@@ -350,7 +379,8 @@ class TestCrossLarge:
             np.abs(chain[-1][0] - chain[-2][0])[1:-1])
 
     def test_levels_do_not_alias(self):
-        prof = solve_cross_large(POWER23, 2.0, (-1, 1), (10.0, 100.0), 11)
+        prof = solve_cross_large(POWER23, SolverConfig(p=2.0), (-1, 1),
+                                 (10.0, 100.0), 11)
         assert not np.shares_memory(prof.values, prof.first_level.values)
         assert prof.first_level.values[0] == 10.0
         assert prof.values[0] == prof.values[-1] == 100.0
@@ -362,9 +392,10 @@ class TestCrossLarge:
     def test_input_checks_of_the_finite_solve(self, interval, n_nodes,
                                               message):
         with pytest.raises(ValueError, match=message):
-            solve_cross_large(POWER23, 2.0, interval, (10.0, 100.0), n_nodes)
+            solve_cross_large(POWER23, SolverConfig(p=2.0), interval,
+                              (10.0, 100.0), n_nodes)
 
     def test_no_large_solution_without_keller_osserman(self):
         with pytest.raises(ValueError, match="no large solution"):
-            solve_cross_large(Nonlinearity.power(1, 1), 2.0, (-1, 1),
-                              (10.0, 100.0), 51)
+            solve_cross_large(Nonlinearity.power(1, 1), SolverConfig(p=2.0),
+                              (-1, 1), (10.0, 100.0), 51)

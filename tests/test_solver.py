@@ -102,7 +102,8 @@ def dense_newton_step(problem, cells, b, measure, u, eps):
     grad, _ = problem.gradient(u, eps)
     step = problem.newton_step(u, eps, grad)
     idx = problem.free_idx
-    H = dense_hessian(cells, b, measure, problem.p, u, eps)[np.ix_(idx, idx)]
+    H = dense_hessian(cells, b, measure, problem.cfg.p, u, eps)
+    H = H[np.ix_(idx, idx)]
     H += np.diag(problem.mass[idx] * problem.nl.f_prime(u[idx]))
     return step, np.linalg.solve(H, -grad[idx])
 
@@ -111,7 +112,7 @@ class TestBandedNewtonSolve:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_grid_step_matches_dense_solve(self, p):
         g = build_grid(2.0, (0.0, 1.0), 13, 6)
-        problem = _CylinderProblem.on_grid(g, POWER23, p,
+        problem = _CylinderProblem.on_grid(g, POWER23, SolverConfig(p=p),
                                            _boundary_array(g, 2.0))
         u = problem.with_boundary(
             1.0 + np.random.default_rng(7).random(g.n_nodes))
@@ -124,7 +125,7 @@ class TestBandedNewtonSolve:
     def test_segment_step_matches_dense_solve(self, p):
         y = np.linspace(0.0, 1.0, 12)
         h = y[1] - y[0]
-        problem = _CrossProblem(POWER23, p, y, 2.0, 3.0)
+        problem = _CrossProblem(POWER23, SolverConfig(p=p), y, 2.0, 3.0)
         u = problem.with_boundary(
             1.0 + np.random.default_rng(8).random(12))
         cells = np.stack([np.arange(11), np.arange(1, 12)], axis=1)
@@ -137,13 +138,13 @@ class TestBandedNewtonSolve:
     def test_grid_bandwidth_does_not_grow_with_length(self, ell):
         # square cells: nx = 9 at ell = 2, 65 at ell = 16
         g = build_grid(ell, (-2.0, 2.0), 4 * int(ell) + 1, 9)
-        problem = _CylinderProblem.on_grid(g, POWER23, 1.5,
+        problem = _CylinderProblem.on_grid(g, POWER23, SolverConfig(p=1.5),
                                            _boundary_array(g, 1.0))
         assert problem.kd == g.ny - 1
 
     def test_tall_grid_is_banded_along_its_rows(self):
         g = build_grid(0.5, (0.0, 8.0), 5, 33)
-        problem = _CylinderProblem.on_grid(g, POWER23, 1.5,
+        problem = _CylinderProblem.on_grid(g, POWER23, SolverConfig(p=1.5),
                                            _boundary_array(g, 1.0))
         assert problem.kd == g.nx - 1
 
@@ -158,7 +159,7 @@ class TestBandedNewtonSolve:
             start, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             g = build_grid(8.0, (-1.0, 1.0), 257, 33)
-            problem = _CylinderProblem.on_grid(g, POWER23, 1.5,
+            problem = _CylinderProblem.on_grid(g, POWER23, SolverConfig(p=1.5),
                                                _boundary_array(g, 10.0))
             u = problem.with_boundary(
                 1.0 + np.random.default_rng(0).random(g.n_nodes))
@@ -171,7 +172,7 @@ class TestBandedNewtonSolve:
 
     def test_indefinite_hessian_is_numerical_failure(self):
         g = unit_square_grid()
-        problem = _CylinderProblem.on_grid(g, POWER23, 2.0,
+        problem = _CylinderProblem.on_grid(g, POWER23, SolverConfig(p=2.0),
                                            _boundary_array(g, 1.0))
         u = problem.with_boundary(np.ones(g.n_nodes))
         grad, _ = problem.gradient(u, 1e-2)
@@ -206,7 +207,8 @@ def kernel_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if mesh == "segment":
         n = draw(st.integers(3, 24))
-        problem = _CrossProblem(nl, p, np.linspace(0.0, 1.0, n),
+        problem = _CrossProblem(nl, SolverConfig(p=p),
+                                np.linspace(0.0, 1.0, n),
                                 *rng.uniform(0.0, 2.0, 2))
     else:
         short, extra = draw(st.integers(3, 7)), draw(st.integers(0, 8))
@@ -214,7 +216,7 @@ def kernel_cases(draw):
             (short, short + 1 + extra)
         g = build_grid(1.0, (0.0, 1.0), nx, ny)
         problem = _CylinderProblem.on_grid(
-            g, nl, p, rng.uniform(0.0, 2.0, g.n_nodes))
+            g, nl, SolverConfig(p=p), rng.uniform(0.0, 2.0, g.n_nodes))
         n = g.n_nodes
     u = problem.with_boundary(rng.uniform(0.0, 2.0, n))
     return problem, u, draw(st.floats(1e-3, 0.3))
@@ -395,7 +397,7 @@ class TestSolveDirichlet:
         mask = window_node_mask(g, w)
         for p in (1.5, 3.0):
             h = min(g.hx, g.hy)
-            problem = _CylinderProblem.on_grid(g, POWER23, p,
+            problem = _CylinderProblem.on_grid(g, POWER23, SolverConfig(p=p),
                                                _boundary_array(g, 1.0))
             u0 = problem.with_boundary(np.ones(g.n_nodes))
             sols = []
