@@ -29,7 +29,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .grid import (Window, build_grid, cutoff_function, embed_cross_section,
-                   lp_norm_gradient, require_window_inside, window_node_mask)
+                   lp_norm_gradient, require_window_inside, tied_nx,
+                   window_node_mask)
 from .minimize import NonConvergenceError, increasing_levels, require_a1
 from .nonlinearity import Nonlinearity
 from .ode1d import (LargeSolution1D, solve_cross_finite, solve_cross_large,
@@ -137,8 +138,7 @@ class SweepSpec:
         return (self.cross[1] - self.cross[0]) / (self.ny - 1)
 
     def nx_for(self, ell: float, ny: Optional[int] = None) -> int:
-        hy = (self.cross[1] - self.cross[0]) / ((ny or self.ny) - 1)
-        return int(round(2.0 * ell / hy)) + 1
+        return tied_nx(ell, self.cross, ny or self.ny)
 
 
 @dataclass(frozen=True)
@@ -166,12 +166,15 @@ class RateReport:
         return math.exp(self.intercept)
 
 
-def _reference_profile(spec: SweepSpec, ny: int):
+def _reference_profile(spec: SweepSpec, ny: int) -> list:
+    """The cross-sectional reference on ``ny`` transverse nodes: one
+    profile per boundary level (a single one for finite data)."""
     if isinstance(spec.regime, FiniteData):
         g = spec.regime.g
-        return solve_cross_finite(spec.nl, spec.cfg, spec.cross, g, g, ny)
-    return solve_cross_large(spec.nl, spec.cfg, spec.cross,
-                             spec.regime.m_list, ny)
+        return [solve_cross_finite(spec.nl, spec.cfg, spec.cross, g, g, ny)]
+    profiles, _ = solve_cross_large(spec.nl, spec.cfg, spec.cross,
+                                    spec.regime.m_list, ny)
+    return profiles
 
 
 def _gradient_noise_floor(u, ref, p, w):
@@ -191,14 +194,15 @@ def _gradient_noise_floor(u, ref, p, w):
 
 def measure_row(spec: SweepSpec, ell: float, ny: Optional[int] = None, *,
                 reference):
-    """Solve one ell against the cross-sectional ``reference`` profile
+    """Solve one ell against the cross-sectional ``reference`` profiles
     solved on the same ``ny`` transverse nodes; returns (error,
     noise_floor, results, blowup_report), ``results`` holding one solve
     per boundary level (a single one for finite data, whose report is
     None).  The first solve starts from the near-solution the cylinder
-    converges to: the reference at its first level, extended."""
+    converges to: the reference's first level, extended; the error is
+    measured against its last."""
     grid = build_grid(ell, spec.cross, spec.nx_for(ell, ny), ny or spec.ny)
-    initial = embed_cross_section(reference.start, grid).values
+    initial = embed_cross_section(reference[0], grid).values
     if isinstance(spec.regime, FiniteData):
         results = [solve_dirichlet(grid, spec.nl, spec.cfg, spec.regime.g,
                                    initial=initial)]
@@ -208,7 +212,7 @@ def measure_row(spec: SweepSpec, ell: float, ny: Optional[int] = None, *,
                                      spec.regime.m_list, window=spec.window,
                                      initial=initial)
     res = results[-1]
-    ref = embed_cross_section(reference, grid)
+    ref = embed_cross_section(reference[-1], grid)
     err = lp_norm_gradient(res.solution - ref, spec.p, spec.window)
     noise = _gradient_noise_floor(res.solution, ref, spec.p, spec.window)
     return err, noise, results, blow

@@ -33,7 +33,8 @@ from .asymptotics import (BlowupData, FiniteData, RateUnresolvableError,
                           SweepSpec, fit_rate, sweep_ell, verify_barrier,
                           verify_caccioppoli, verify_comparison,
                           verify_monotone_in_ell)
-from .grid import Window, build_grid, write_grid_function
+from .grid import (Window, build_grid, require_window_inside, tied_nx,
+                   write_grid_function)
 from .minimize import NonConvergenceError
 from .nonlinearity import Nonlinearity, check_a1, check_a2, log_psi_p
 from .ode1d import solve_large_1d
@@ -288,11 +289,10 @@ def _geometry(cfg, default_ny):
     ny = _number(geo.get("ny", default_ny), "geometry.ny", int)
     if ny < 3:
         raise ConfigError(f"geometry.ny must be at least 3, got {ny}")
-    hy = (cross[1] - cross[0]) / (ny - 1)
 
     def grid_for(ell, nx=None):
-        nx = int(round(2 * ell / hy)) + 1 if nx is None else nx
-        return build_grid(ell, cross, nx, ny)
+        return build_grid(ell, cross,
+                          tied_nx(ell, cross, ny) if nx is None else nx, ny)
 
     return geo, cross, ny, grid_for
 
@@ -412,8 +412,12 @@ def cmd_check(cfg, out: Path) -> int:
     n_pairs = _count(check_cfg.get("pairs", 5), "check.pairs")
     n_balls = _count(check_cfg.get("balls", 5), "check.balls")
     n_windows = _count(check_cfg.get("window_pairs", 3), "check.window_pairs")
+    if len(ells) >= 2 and not ells[1] > ells[0]:
+        raise ConfigError(f"the second ell of 'geometry.ell_list' must "
+                          f"exceed the first, got {list(ells)}")
     reports = []
     grid = grid_for(ells[0])
+    require_window_inside(grid, window)
     # ordered constant boundary data -> ordered solutions; the distinct
     # levels of all pairs are solved in increasing order on one problem
     rng = np.random.default_rng(0)

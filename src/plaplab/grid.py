@@ -26,6 +26,7 @@ __all__ = [
     "GridFunction",
     "Window",
     "build_grid",
+    "tied_nx",
     "gradient_per_cell",
     "lp_norm_gradient",
     "embed_cross_section",
@@ -137,6 +138,14 @@ def build_grid(ell: float, cross, nx: int, ny: int) -> RectGrid:
     """Structured triangulated mesh on (-ell, ell) x cross."""
     return RectGrid(ell=float(ell), cross=(float(cross[0]), float(cross[1])),
                     nx=int(nx), ny=int(ny))
+
+
+def tied_nx(ell: float, cross, ny: int) -> int:
+    """The node count along (-ell, ell) that ties the spacing hx to the
+    transverse spacing hy of ``ny`` nodes on ``cross`` (hx = hy, rounded
+    to the nearest node count)."""
+    hy = (cross[1] - cross[0]) / (ny - 1)
+    return int(round(2.0 * ell / hy)) + 1
 
 
 @dataclass(frozen=True, eq=False)

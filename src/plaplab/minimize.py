@@ -19,7 +19,7 @@ solves itself by ``problem.minimize(initial)``.  Constant boundary levels
 on one mesh differ only in the constant on the fixed nodes, so
 :func:`warm_levels` solves increasing levels on one problem, each warm
 from the level below; the blow-up sweep :func:`sweep_levels` adds the
-(A1) refusal and the monotonicity abort.
+(A1) refusal, the monotonicity abort and the sweep's :class:`BlowupReport`.
 
 The stopping test is an absolute bound on the lumped-mass-scaled gradient
 plus a roundoff allowance proportional to the magnitude of the assembled
@@ -66,6 +66,16 @@ class StageTrace:
     residual: float
     objective: float
     tol: float
+
+
+@dataclass(frozen=True)
+class BlowupReport:
+    """Stabilization record of an increasing-M sweep."""
+
+    m_values: tuple
+    stage_max_change: tuple   # watched max |u_{M_k+1} - u_{M_k}|
+    monotone_margin: float    # most negative interior increment (>= -2 tol)
+    level_newton_steps: tuple  # Newton steps of each M level
 
 
 def default_eps_schedule(h: float) -> tuple:
@@ -227,10 +237,10 @@ def sweep_levels(problem, m_list, watch, initial=None):
     Refuses nonlinearities failing the Keller-Osserman condition; free
     values must be nondecreasing in M (comparison principle), and a drop
     beyond twice the ``tol`` of ``problem.cfg`` at a free node aborts the
-    sweep.  Returns ``(m_values, levels, changes, monotone_margin)``:
-    ``levels`` holds one ``(u, stages, info)`` per level, ``changes`` the
-    max changes over the ``watch`` nodes between consecutive levels, and
-    the margin is the most negative free increment (0 for one level).
+    sweep.  Returns ``(levels, report)``: one ``(u, stages, info)`` per
+    level, and the :class:`BlowupReport` of the max changes over the
+    ``watch`` nodes between consecutive levels, the most negative free
+    increment (0 for one level) and each level's Newton steps.
     """
     m_list = increasing_levels(m_list)
     require_a1(problem.nl, problem.cfg.p)
@@ -245,4 +255,9 @@ def sweep_levels(problem, m_list, watch, initial=None):
                     f"dropped by {-worst[-1]:.3e}")
             changes.append(float(np.max(np.abs(step[watch]))))
         levels.append(level)
-    return m_list, levels, changes, min(worst, default=0.0)
+    report = BlowupReport(
+        m_values=m_list, stage_max_change=tuple(changes),
+        monotone_margin=min(worst, default=0.0),
+        level_newton_steps=tuple(sum(s.iterations for s in stages)
+                                 for _, stages, _ in levels))
+    return levels, report

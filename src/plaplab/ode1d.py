@@ -25,14 +25,14 @@ is the 2D solver's P1 energy on a segment mesh, with the same
 :class:`plaplab.solver.SolverConfig`, eps ladder and blow-up sweep
 (:func:`plaplab.minimize.sweep_levels`, run on one segment problem for
 every level), so its constant extension solves the cylinder's interior
-equations on a grid with the same transverse nodes.
+equations on a grid with the same transverse nodes; a blow-up sweep
+gives one :class:`CrossProfile` per level and the cylinder's report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 # unused here: kept so that ``plaplab.ode1d.solve_banded`` stays a name the
@@ -253,33 +253,18 @@ def solve_large_1d(nl: Nonlinearity, p: float, r: float) -> LargeSolution1D:
 
 @dataclass(frozen=True, eq=False)
 class CrossProfile:
-    """Nodal solution of the cross-sectional problem on an interval.
-
-    ``mode`` is "finite" (endpoint data ``g``) or "blowup" (final member
-    of an increasing M sweep, with the stabilization residual = max nodal
-    change over the last sweep step, and the sweep's first level kept as
-    ``first_level``, the finite profile with g = (M_1, M_1)).
-    """
+    """Nodal solution of the cross-sectional problem on an interval, for
+    one pair of end values ``(values[0], values[-1])``; ``residual`` is its
+    final area-scaled gradient max norm, solved to ``tol``."""
 
     y: np.ndarray
     values: np.ndarray
-    mode: str
-    g: Optional[tuple] = None
-    m_values: Optional[tuple] = None
-    stabilization_residual: Optional[float] = None
-    residual: float = 0.0
-    tol: float = 0.0
-    first_level: Optional["CrossProfile"] = None
+    residual: float
+    tol: float
 
     @property
     def interval(self) -> tuple:
         return (float(self.y[0]), float(self.y[-1]))
-
-    @property
-    def start(self) -> "CrossProfile":
-        """The profile at the first boundary level (itself for finite
-        data), which the cylinder solves start from."""
-        return self if self.first_level is None else self.first_level
 
     def value_at(self, yq):
         return np.interp(yq, self.y, self.values)
@@ -310,39 +295,29 @@ def _segment(interval, n_nodes: int) -> np.ndarray:
     return np.linspace(y0, y1, n_nodes)
 
 
-def _profile(y, level, cfg: SolverConfig, **fields) -> CrossProfile:
-    """The :class:`CrossProfile` of one ``(u, stages, info)`` solve."""
-    u, _, info = level
-    return CrossProfile(y=y, values=u, residual=info["residual"],
-                        tol=cfg.tol, **fields)
-
-
 def solve_cross_finite(nl: Nonlinearity, cfg: SolverConfig, interval,
                        g0: float, g1: float, n_nodes: int) -> CrossProfile:
     """Finite-data cross-sectional solve on ``interval`` with n_nodes:
     Newton down the whole eps ladder from min(g0, g1) at every interior
     node."""
     y = _segment(interval, n_nodes)
-    g = (float(g0), float(g1))
-    problem = _CrossProblem(nl, cfg, y, *g)
-    return _profile(y, problem.minimize(), cfg, mode="finite", g=g)
+    u, _, info = _CrossProblem(nl, cfg, y, float(g0), float(g1)).minimize()
+    return CrossProfile(y, u, info["residual"], cfg.tol)
 
 
 def solve_cross_large(nl: Nonlinearity, cfg: SolverConfig, interval, M_list,
-                      n_nodes: int) -> CrossProfile:
+                      n_nodes: int) -> tuple:
     """Blow-up data approximated by an increasing sweep of constant levels.
 
     One segment problem serves every level:
     :func:`plaplab.minimize.sweep_levels` sets g0 = g1 = M on it and
     solves, the first level from a cold start and each later level from
-    the previous one.  Reports the final member together with the
-    stabilization residual (max nodal change over the last step) and the
-    first level's profile, which the cylinder solves start from.
+    the previous one.  Returns one :class:`CrossProfile` per level and
+    the sweep's :class:`~plaplab.minimize.BlowupReport` over every
+    interior node.
     """
     y = _segment(interval, n_nodes)
     problem = _CrossProblem(nl, cfg, y, 0.0, 0.0)
-    m_values, levels, changes, _ = sweep_levels(problem, M_list, problem.free)
-    return _profile(y, levels[-1], cfg, mode="blowup", m_values=m_values,
-                    stabilization_residual=changes[-1] if changes else None,
-                    first_level=_profile(y, levels[0], cfg, mode="finite",
-                                         g=(m_values[0], m_values[0])))
+    levels, report = sweep_levels(problem, M_list, problem.free)
+    return [CrossProfile(y, u, info["residual"], cfg.tol)
+            for u, _, info in levels], report

@@ -37,8 +37,9 @@ Dirichlet levels M (the monotone-limit construction): every level is the
 same energy on the same mesh with another constant on the boundary
 nodes, so one problem per grid serves the whole sweep, which
 :func:`plaplab.minimize.sweep_levels` runs on it.  Interior values are
-nondecreasing in M by the comparison principle, and the sweep reports the
-windowed change between consecutive stages as a stabilization residual.
+nondecreasing in M by the comparison principle; the sweep's report, the
+same for both meshes, records each level's Newton steps and the windowed
+change between consecutive levels as a stabilization residual.
 :func:`solve_levels` solves any increasing constant levels on one grid
 the same way, each warm from the level below, without the sweep's (A1)
 refusal and monotonicity abort.
@@ -52,10 +53,11 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from .grid import GridFunction, RectGrid, Window, window_node_mask
-from .minimize import (NonConvergenceError, default_eps_schedule,
-                       increasing_levels, minimize_newton, sweep_levels,
-                       warm_levels)
+from .grid import (GridFunction, RectGrid, Window, require_window_inside,
+                   window_node_mask)
+from .minimize import (BlowupReport, NonConvergenceError,
+                       default_eps_schedule, increasing_levels,
+                       minimize_newton, sweep_levels, warm_levels)
 from .nonlinearity import Nonlinearity
 
 __all__ = [
@@ -125,17 +127,6 @@ class SolveResult:
     @property
     def newton_steps(self) -> int:
         return sum(s.iterations for s in self.stages)
-
-
-@dataclass(frozen=True)
-class BlowupReport:
-    """Stabilization record of an increasing-M sweep."""
-
-    m_values: tuple
-    stage_max_change: tuple   # windowed max |u_{M_k+1} - u_{M_k}|
-    monotone_margin: float    # most negative interior increment (>= -2 tol)
-    window: Optional[Window]
-    level_newton_steps: tuple  # Newton steps of each M level
 
 
 def _contract(x, coef):
@@ -463,21 +454,17 @@ def solve_blowup(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig, M_list,
     :func:`plaplab.minimize.sweep_levels` sets each level M on its
     boundary nodes and solves, ``initial`` warm-starting the first level
     (default: a cold start) and each later level starting from the
-    previous one.  Returns the list of per-level results and a
-    :class:`BlowupReport` whose changes are measured on the window (all
-    interior nodes without one).
+    previous one.  Returns the list of per-level results and the sweep's
+    :class:`~plaplab.minimize.BlowupReport`, whose changes are measured on
+    the window (all interior nodes without one).  The window must lie one
+    cell inside ``grid``, which is checked before any solve.
     """
+    if window is not None:
+        require_window_inside(grid, window)
     problem = _CylinderProblem.on_grid(grid, nl, cfg, np.zeros(grid.n_nodes))
     watch = problem.free if window is None else \
         window_node_mask(grid, window) & problem.free
-    m_values, levels, changes, margin = sweep_levels(problem, M_list, watch,
-                                                     initial)
+    levels, report = sweep_levels(problem, M_list, watch, initial)
     results = [_solve_result(grid, problem, f"blowup(M={M:g})", level)
-               for M, level in zip(m_values, levels)]
-    report = BlowupReport(m_values=m_values,
-                          stage_max_change=tuple(changes),
-                          monotone_margin=margin,
-                          window=window,
-                          level_newton_steps=tuple(
-                              r.newton_steps for r in results))
+               for M, level in zip(report.m_values, levels)]
     return results, report

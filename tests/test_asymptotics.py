@@ -240,9 +240,10 @@ class TestSweep:
         assert [(g.ell, g.ny) for g, _, _ in starts] == \
             [(2.0, 9), (4.0, 9), (4.0, 17)]
         for grid, initial, first in starts:
-            start = references[grid.ny].start
-            if isinstance(regime, BlowupData):
-                assert start.g == (10.0, 10.0)
+            start = references[grid.ny][0]
+            level = regime.m_list[0] if isinstance(regime, BlowupData) \
+                else regime.g
+            assert (start.values[0], start.values[-1]) == (level, level)
             assert np.array_equal(initial,
                                   embed_cross_section(start, grid).values)
             assert len(first.stages) == 1

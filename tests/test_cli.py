@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import plaplab.asymptotics
+import plaplab.cli
 import plaplab.quadrature
 from plaplab.cli import main
 from plaplab.minimize import NonConvergenceError
@@ -108,8 +109,14 @@ class TestValidation:
         ("rate", {"solver": {"max_newton": 0}}, "max_newton"),
         # hy = 0.25: a quarter cell from the cross-section's lower edge
         ("sweep", {"window": [-1.0, 1.0, -1.9375, 1.0]}, "one cell"),
+        # beyond the cylinder (-1, 1), then reaching past its right end
+        ("solve", {"geometry": {"ell": 1.0, "cross": [0.0, 1.0], "ny": 9},
+                   "window": [5.0, 6.0, 0.2, 0.8]}, "one cell"),
+        ("solve", {"geometry": {"ell": 1.0, "cross": [0.0, 1.0], "ny": 9},
+                   "window": [0.5, 3.0, 0.2, 0.8]}, "one cell"),
     ], ids=["balls_0", "pairs_negative", "window_pairs_0", "a2_t_max",
-            "sweep_tol_0", "rate_max_newton_0", "sweep_window_within_a_cell"])
+            "sweep_tol_0", "rate_max_newton_0", "sweep_window_within_a_cell",
+            "solve_window_outside", "solve_window_overlapping"])
     def test_counts_and_ranges_below_their_minimum(self, tmp_path, capsys,
                                                    command, extra, key):
         code, out = run(tmp_path, command, {
@@ -506,6 +513,28 @@ class TestCheck:
             assert 0.0 <= lower < upper < 10.0
             assert [isinstance(n, int) and n > 0
                     for n in details["newton_steps"]] == [True, True]
+
+    @pytest.mark.parametrize("geometry, window, key", [
+        ({"ell": 2.0}, [-5.0, 5.0, -1.0, 1.0],
+         "window Window(x_lo=-5.0, x_hi=5.0"),
+        ({"ell_list": [4.0, 2.0]}, [-1.0, 1.0, -1.0, 1.0],
+         "'geometry.ell_list'"),
+    ], ids=["window_outside", "ells_decreasing"])
+    def test_input_checked_before_any_solve(self, tmp_path, capsys,
+                                            monkeypatch, geometry, window,
+                                            key):
+        def no_solve(*args):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(plaplab.cli, "solve_levels", no_solve)
+        code, out = run(tmp_path, "check", {
+            "geometry": {**geometry, "cross": [-2.0, 2.0], "ny": 9},
+            "boundary": {"blowup": [10.0, 100.0]},
+            "window": window,
+        })
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (out / "check.json").exists()
 
     def test_injected_ordering_violation_fails_the_comparison(
             self, tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from plaplab import (GridFunction, Nonlinearity, SolverConfig, Window,
                      build_grid, cutoff_function, embed_cross_section,
                      gradient_per_cell, lp_norm_gradient, solve_cross_finite,
                      write_grid_function)
-from plaplab.grid import triangle_window_weights
+from plaplab.grid import tied_nx, triangle_window_weights
 
 
 class TestBuildGrid:
@@ -32,6 +32,16 @@ class TestBuildGrid:
             build_grid(1.0, (1.0, 0.0), 5, 5)
         with pytest.raises(ValueError):
             build_grid(0.0, (0.0, 1.0), 5, 5)
+
+    @pytest.mark.parametrize("ell, cross, ny, nx", [
+        (2.0, (-2.0, 2.0), 33, 33),
+        (16.0, (-2.0, 2.0), 65, 513),
+        (1.0, (0.0, 1.0), 9, 17),
+        # 2 ell / hy = 5.2: the nearest node count, hx = 2.6 / 5 ~ hy
+        (1.3, (0.0, 1.0), 3, 6),
+    ])
+    def test_tied_spacing(self, ell, cross, ny, nx):
+        assert tied_nx(ell, cross, ny) == nx
 
     def test_lumped_mass_partitions_area(self):
         g = build_grid(1.5, (0.0, 2.0), 7, 9)

@@ -8,7 +8,7 @@ import pytest
 from plaplab import (NonConvergenceError, Nonlinearity, SolverConfig,
                      build_grid, solve_blowup, solve_cross_large,
                      solve_levels)
-from plaplab.minimize import (_EPS_MACH, _ROUNDOFF_FACTOR,
+from plaplab.minimize import (_EPS_MACH, _ROUNDOFF_FACTOR, StageTrace,
                               default_eps_schedule, minimize_newton,
                               sweep_levels)
 from plaplab.solver import _CylinderProblem
@@ -43,8 +43,9 @@ def test_non_increasing_levels_rejected(solve, m_list):
 
 class _FakeSweepProblem:
     """Five nodes, the outer two fixed, solved under ``cfg``; ``minimize``
-    returns ``rule(M, start)`` for the level M found on the fixed nodes and
-    records each start it is given."""
+    returns ``rule(M, start)`` for the level M found on the fixed nodes,
+    with one stage of ``int(M)`` Newton steps, and records each start it
+    is given."""
 
     free = np.array([False, True, True, True, False])
     nl = POWER23
@@ -59,8 +60,9 @@ class _FakeSweepProblem:
         self.starts.append(initial)
         level = self.boundary_values[~self.free]
         assert np.all(level == level[0])
-        return (self.rule(float(level[0]), initial), ["stages"],
-                {"M": level[0]})
+        stage = StageTrace(eps=1e-3, iterations=int(level[0]),
+                           residual=0.0, objective=0.0, tol=self.cfg.tol)
+        return self.rule(float(level[0]), initial), [stage], {"M": level[0]}
 
 
 def _lower_one_interior_value(drop):
@@ -86,8 +88,8 @@ def test_interior_drop_beyond_twice_tol_aborts():
 def test_interior_drop_within_twice_tol_is_the_margin():
     tol = 1e-9
     problem = _FakeSweepProblem(_lower_one_interior_value(1.5 * tol), tol)
-    _, _, _, margin = sweep_levels(problem, (10.0, 100.0), problem.free)
-    assert margin == pytest.approx(-1.5 * tol)
+    _, report = sweep_levels(problem, (10.0, 100.0), problem.free)
+    assert report.monotone_margin == pytest.approx(-1.5 * tol)
 
 
 def test_changes_and_margin_over_the_watched_nodes():
@@ -96,13 +98,15 @@ def test_changes_and_margin_over_the_watched_nodes():
     problem = _FakeSweepProblem(
         lambda M, initial: np.array([M, 0.5 * M, 0.1 * M, 0.3 * M, M]))
     start = np.full(5, 7.0)
-    levels, results, changes, margin = sweep_levels(
-        problem, [1, 2, 4], slice(3, 4), initial=start)
-    assert levels == (1.0, 2.0, 4.0)
+    results, report = sweep_levels(problem, [1, 2, 4], slice(3, 4),
+                                   initial=start)
+    assert report.m_values == (1.0, 2.0, 4.0)
     assert [info["M"] for _, _, info in results] == [1.0, 2.0, 4.0]
-    assert [stages for _, stages, _ in results] == [["stages"]] * 3
-    assert changes == pytest.approx([0.3, 0.6])
-    assert margin == pytest.approx(0.1)
+    assert [[s.iterations for s in stages] for _, stages, _ in results] == \
+        [[1], [2], [4]]
+    assert report.stage_max_change == pytest.approx([0.3, 0.6])
+    assert report.monotone_margin == pytest.approx(0.1)
+    assert report.level_newton_steps == (1, 2, 4)
     # the first level starts from ``initial``, each later one from the last
     assert problem.starts[0] is start
     assert all(s is u for s, (u, _, _) in zip(problem.starts[1:], results))

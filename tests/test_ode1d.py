@@ -211,11 +211,11 @@ class TestCrossFinite:
             assume(check_a1(nl, p))
             prof = solve_cross_large(nl, SolverConfig(p=p, tol=tol),
                                      (0.0, 2.0), (level, 2.0 * level),
-                                     17).start
+                                     17)[0][0]
         else:
             prof = solve_cross_finite(nl, SolverConfig(p=p, tol=tol),
                                       (0.0, 2.0), level, level, 17)
-        assert prof.g == (level, level)
+        assert (prof.values[0], prof.values[-1]) == (level, level)
         grid = build_grid(2.0, (0.0, 2.0), 33, 17)
         eps = default_eps_schedule(grid.hy)[-1]
         u = embed_cross_section(prof, grid).values
@@ -306,7 +306,7 @@ class TestCrossLarge:
         # blow-up profile on the slightly larger interval where phi reaches M
         # at y = +-1, so the matched oracle radius is 1 + Psi_p(M).
         prof = solve_cross_large(POWER23, SolverConfig(p=2.0), (-1, 1),
-                                 self.M_LIST, 25601)
+                                 self.M_LIST, 25601)[0][-1]
         delta = psi_p(POWER23, 2.0, self.M_LIST[-1])
         oracle = solve_large_1d(POWER23, 2.0, 1.0 + delta).a
         assert prof.value_at(0.0) == pytest.approx(oracle, abs=1e-4)
@@ -329,7 +329,7 @@ class TestCrossLarge:
         # blow-up profile of the inscribed ball (radius = distance to the
         # nearest endpoint), evaluated at its half radius
         prof = solve_cross_large(POWER23, SolverConfig(p=2.0), (-1, 1),
-                                 self.M_LIST, 801)
+                                 self.M_LIST, 801)[0][-1]
         for idx in (100, 200, 400, 600):
             y = prof.y[idx]
             dist = min(y - prof.interval[0], prof.interval[1] - y)
@@ -337,11 +337,11 @@ class TestCrossLarge:
             assert prof.values[idx] <= barrier.value_at(dist / 2.0)
 
     def test_stabilization_residual_reported(self):
-        prof = solve_cross_large(POWER23, SolverConfig(p=2.0), (-1, 1),
-                                 (10.0, 100.0), 101)
-        assert prof.mode == "blowup"
-        assert prof.m_values == (10.0, 100.0)
-        assert prof.stabilization_residual > 0
+        profiles, report = solve_cross_large(POWER23, SolverConfig(p=2.0),
+                                             (-1, 1), (10.0, 100.0), 101)
+        assert len(profiles) == 2
+        assert report.m_values == (10.0, 100.0)
+        assert report.stage_max_change[-1] > 0
 
     def test_one_problem_serves_every_level(self, monkeypatch):
         built = []
@@ -352,17 +352,18 @@ class TestCrossLarge:
                 super().__init__(*args)
 
         monkeypatch.setattr(ode1d, "_CrossProblem", Counting)
-        prof = solve_cross_large(POWER23, SolverConfig(p=1.5), (-1, 1),
-                                 self.M_LIST, 9)
-        assert prof.m_values == self.M_LIST
+        profiles, report = solve_cross_large(POWER23, SolverConfig(p=1.5),
+                                             (-1, 1), self.M_LIST, 9)
+        assert report.m_values == self.M_LIST
+        assert len(profiles) == len(self.M_LIST)
         assert len(built) == 1
 
     def test_levels_equal_the_chain_of_segment_solves(self):
         # the sweep as one segment problem per level, each warm-started
         # from the previous level, is the reference bit for bit
         tol = 1e-11
-        prof = solve_cross_large(POWER23, SolverConfig(p=1.5, tol=tol),
-                                 (-1, 1), self.M_LIST, 9)
+        profiles, report = solve_cross_large(
+            POWER23, SolverConfig(p=1.5, tol=tol), (-1, 1), self.M_LIST, 9)
         y = np.linspace(-1.0, 1.0, 9)
         chain, previous = [], None
         for M in self.M_LIST:
@@ -370,20 +371,42 @@ class TestCrossLarge:
                 POWER23, SolverConfig(p=1.5, tol=tol), y, M, M)
             previous, _, info = problem.minimize(previous)
             chain.append((previous, info["residual"]))
-        assert np.array_equal(prof.first_level.values, chain[0][0])
-        assert prof.first_level.g == (10.0, 10.0)
-        assert prof.first_level.residual == chain[0][1]
-        assert np.array_equal(prof.values, chain[-1][0])
-        assert prof.residual == chain[-1][1]
-        assert prof.stabilization_residual == np.max(
-            np.abs(chain[-1][0] - chain[-2][0])[1:-1])
+        assert len(profiles) == len(chain)
+        for M, prof, (u, residual) in zip(self.M_LIST, profiles, chain):
+            assert np.array_equal(prof.values, u)
+            assert (prof.values[0], prof.values[-1]) == (M, M)
+            assert prof.residual == residual
+            assert prof.tol == tol
+        assert report.stage_max_change == tuple(
+            np.max(np.abs(b[0] - a[0])[1:-1])
+            for a, b in zip(chain, chain[1:]))
+
+    def test_report_counts_the_newton_steps_of_every_level(self,
+                                                          monkeypatch):
+        stages_of = []
+        minimize = ode1d._CrossProblem.minimize
+
+        def recording(self, initial=None):
+            level = minimize(self, initial)
+            stages_of.append(level[1])
+            return level
+
+        monkeypatch.setattr(ode1d._CrossProblem, "minimize", recording)
+        _, report = solve_cross_large(POWER23, SolverConfig(p=1.5), (-1, 1),
+                                      self.M_LIST, 33)
+        assert report.level_newton_steps == tuple(
+            sum(s.iterations for s in stages) for stages in stages_of)
+        # the first level climbs the eps ladder from a cold start; each
+        # later one runs its last stage from the level below
+        first, *later = report.level_newton_steps
+        assert len(later) == 3 and first > max(later)
 
     def test_levels_do_not_alias(self):
-        prof = solve_cross_large(POWER23, SolverConfig(p=2.0), (-1, 1),
-                                 (10.0, 100.0), 11)
-        assert not np.shares_memory(prof.values, prof.first_level.values)
-        assert prof.first_level.values[0] == 10.0
-        assert prof.values[0] == prof.values[-1] == 100.0
+        (first, last), _ = solve_cross_large(POWER23, SolverConfig(p=2.0),
+                                             (-1, 1), (10.0, 100.0), 11)
+        assert not np.shares_memory(last.values, first.values)
+        assert first.values[0] == first.values[-1] == 10.0
+        assert last.values[0] == last.values[-1] == 100.0
 
     @pytest.mark.parametrize("interval, n_nodes, message", [
         ((1.0, -1.0), 11, "degenerate interval"),
