@@ -312,19 +312,20 @@ def cmd_solve(cfg, out: Path) -> int:
     regime = _boundary_regime(cfg)
     scfg = SolverConfig(p=p, **_solver_kwargs(cfg))
     window = _get_window(cfg, required=False)
+    if window is not None:
+        require_window_inside(grid, window)
     diagnostics = {"p": p, "nonlinearity": nl.describe(),
                    "grid": {"ell": grid.ell, "cross": list(grid.cross),
                             "nx": grid.nx, "ny": grid.ny}}
     if isinstance(regime, FiniteData):
         res = solve_dirichlet(grid, nl, scfg, regime.g)
-        diagnostics["boundary"] = res.boundary_mode
     else:
         results, report = solve_blowup(grid, nl, scfg, regime.m_list,
                                        window=window)
         res = results[-1]
-        diagnostics["boundary"] = res.boundary_mode
         diagnostics["blowup"] = _blowup_json(report)
     diagnostics.update({
+        "boundary": res.boundary_mode,
         # F(M) of e^s - 1 overflows past M ~ 709.8 on the fixed nodes alone;
         # JSON has no infinity
         "energy": res.energy if math.isfinite(res.energy) else None,

@@ -114,9 +114,17 @@ class TestValidation:
                    "window": [5.0, 6.0, 0.2, 0.8]}, "one cell"),
         ("solve", {"geometry": {"ell": 1.0, "cross": [0.0, 1.0], "ny": 9},
                    "window": [0.5, 3.0, 0.2, 0.8]}, "one cell"),
+        # the same two windows with finite data, which never reads them
+        ("solve", {"geometry": {"ell": 1.0, "cross": [0.0, 1.0], "ny": 9},
+                   "boundary": {"dirichlet": 1.0},
+                   "window": [5.0, 6.0, 0.2, 0.8]}, "one cell"),
+        ("solve", {"geometry": {"ell": 1.0, "cross": [0.0, 1.0], "ny": 9},
+                   "boundary": {"dirichlet": 1.0},
+                   "window": [0.5, 3.0, 0.2, 0.8]}, "one cell"),
     ], ids=["balls_0", "pairs_negative", "window_pairs_0", "a2_t_max",
             "sweep_tol_0", "rate_max_newton_0", "sweep_window_within_a_cell",
-            "solve_window_outside", "solve_window_overlapping"])
+            "solve_window_outside", "solve_window_overlapping",
+            "solve_finite_window_outside", "solve_finite_window_overlapping"])
     def test_counts_and_ranges_below_their_minimum(self, tmp_path, capsys,
                                                    command, extra, key):
         code, out = run(tmp_path, command, {

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from plaplab import (GridFunction, Nonlinearity, SolverConfig, Window,
                      build_grid, cutoff_function, embed_cross_section,
@@ -126,6 +128,91 @@ class TestLpNorms:
         u = GridFunction.constant(g, 0.0)
         with pytest.raises(ValueError, match="one cell"):
             lp_norm_gradient(u, 2.0, Window(-0.99, 0.5, 0.2, 0.8))
+
+
+def cell_weights(g, w):
+    """Triangle weights as (lower, upper) arrays of shape (ny-1, nx-1)."""
+    lower, upper = np.split(triangle_window_weights(g, w), 2)
+    shape = (g.ny - 1, g.nx - 1)
+    return lower.reshape(shape), upper.reshape(shape)
+
+
+@st.composite
+def grids_and_windows(draw):
+    """A grid and a window inside it whose edges are grid lines or
+    arbitrary abscissae and ordinates."""
+    y0 = draw(st.floats(-4.0, 4.0))
+    cross = (y0, y0 + draw(st.floats(0.1, 8.0)))
+    g = build_grid(draw(st.floats(0.25, 8.0)), cross,
+                   draw(st.integers(3, 40)), draw(st.integers(3, 40)))
+
+    def edges(nodes):
+        edge = st.one_of(st.sampled_from(list(nodes)),
+                         st.floats(nodes[0], nodes[-1]))
+        lo, hi = sorted(draw(st.tuples(edge, edge)))
+        assume(hi - lo > 1e-9 * (nodes[-1] - nodes[0]))
+        return lo, hi
+
+    return g, Window(*edges(g.x), *edges(g.y))
+
+
+class TestWindowWeights:
+    @pytest.mark.parametrize("window, share", [
+        ((0.0, 0.5, 0.25, 0.375), (3 / 8, 1 / 8)),
+        ((0.0, 0.5, 0.375, 0.5), (1 / 8, 3 / 8)),
+        ((0.0, 0.25, 0.25, 0.5), (1 / 8, 3 / 8)),
+        ((0.25, 0.5, 0.25, 0.5), (3 / 8, 1 / 8)),
+    ], ids=["bottom", "top", "left", "right"])
+    def test_half_of_one_cell(self, window, share):
+        # in unit coordinates the lower triangle is v <= u: below v = 1/2
+        # it covers int_0^1 min(u, 1/2) du = 3/8 of the cell, above it 1/8
+        g = build_grid(2.0, (0.0, 1.0), 9, 5)   # hx = 0.5, hy = 0.25
+        lower, upper = cell_weights(g, Window(*window))
+        cell = g.hx * g.hy
+        assert lower[1, 4] == pytest.approx(share[0] * cell, rel=1e-15)
+        assert upper[1, 4] == pytest.approx(share[1] * cell, rel=1e-15)
+        lower[1, 4] = upper[1, 4] = 0.0
+        assert not np.any(lower) and not np.any(upper)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 30),
+           edges=st.tuples(*[st.floats(-1.0, 1.0)] * 4))
+    def test_transposition_swaps_lower_and_upper(self, n, edges):
+        # on a square lattice the reflection x <-> y maps the lower
+        # triangle of cell (j, i) onto the upper triangle of cell (i, j)
+        a, b = sorted(edges[:2])
+        c, d = sorted(edges[2:])
+        assume(b > a and d > c)
+        g = build_grid(1.0, (-1.0, 1.0), n, n)
+        lower, upper = cell_weights(g, Window(a, b, c, d))
+        lower_t, upper_t = cell_weights(g, Window(c, d, a, b))
+        tol = 1e-14 * g.hx * g.hy
+        assert np.max(np.abs(lower - upper_t.T)) <= tol
+        assert np.max(np.abs(upper - lower_t.T)) <= tol
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=grids_and_windows())
+    def test_cells_partition_the_window(self, case):
+        g, w = case
+        lower, upper = cell_weights(g, w)
+        assert np.all(lower >= 0.0) and np.all(upper >= 0.0)
+        # per cell, the two triangles share the window clipped to the cell;
+        # the nodes sit hx, hy apart only to the roundoff of coordinates
+        # of their size, which moves a cell's area by that times a side
+        x, y = g.x, g.y
+        dx = np.clip(w.x_hi, x[:-1], x[1:]) - np.clip(w.x_lo, x[:-1], x[1:])
+        dy = np.clip(w.y_hi, y[:-1], y[1:]) - np.clip(w.y_lo, y[:-1], y[1:])
+        clipped = dy[:, None] * dx[None, :]
+        roundoff = np.finfo(float).eps * max(g.ell, *np.abs(g.cross))
+        tol = 1e-13 * g.hx * g.hy + 4.0 * roundoff * (g.hx + g.hy)
+        assert np.max(np.abs(lower + upper - clipped)) <= tol
+        assert abs(np.sum(lower + upper) - w.area) <= (
+            1e-12 * w.area + tol * (g.nx + g.ny))
+        # fully covered cells carry exactly the triangle area
+        inside = (((w.y_lo <= y[:-1]) & (y[1:] <= w.y_hi))[:, None] &
+                  ((w.x_lo <= x[:-1]) & (x[1:] <= w.x_hi))[None, :])
+        assert np.all(lower[inside] == g.triangle_area())
+        assert np.all(upper[inside] == g.triangle_area())
 
 
 class TestEmbed:
