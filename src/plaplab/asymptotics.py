@@ -31,7 +31,8 @@ import numpy as np
 from .grid import (Window, build_grid, cutoff_function, embed_cross_section,
                    lp_norm_gradient, require_window_inside, tied_nx,
                    window_node_mask)
-from .minimize import NonConvergenceError, increasing_levels, require_a1
+from .minimize import (BlowupReport, NonConvergenceError, increasing_levels,
+                       require_a1)
 from .nonlinearity import Nonlinearity
 from .ode1d import (LargeSolution1D, solve_cross_finite, solve_cross_large,
                     solve_large_1d)
@@ -41,6 +42,7 @@ __all__ = [
     "FiniteData",
     "BlowupData",
     "SweepSpec",
+    "SweepReports",
     "RateRow",
     "RateReport",
     "RateUnresolvableError",
@@ -166,15 +168,26 @@ class RateReport:
         return math.exp(self.intercept)
 
 
-def _reference_profile(spec: SweepSpec, ny: int) -> list:
+@dataclass(frozen=True)
+class SweepReports:
+    """The blow-up sweep reports of a :func:`sweep_ell`: each row's, keyed
+    by ell, and that of the cross-sectional reference on the sweep's
+    transverse grid (None for finite data or when it failed)."""
+
+    cylinder: dict = field(default_factory=dict)
+    cross_section: Optional[BlowupReport] = None
+
+
+def _reference_profile(spec: SweepSpec, ny: int) -> tuple:
     """The cross-sectional reference on ``ny`` transverse nodes: one
-    profile per boundary level (a single one for finite data)."""
+    profile per boundary level (a single one for finite data), and the
+    sweep's :class:`BlowupReport` (None for finite data)."""
     if isinstance(spec.regime, FiniteData):
         g = spec.regime.g
-        return [solve_cross_finite(spec.nl, spec.cfg, spec.cross, g, g, ny)]
-    profiles, _ = solve_cross_large(spec.nl, spec.cfg, spec.cross,
-                                    spec.regime.m_list, ny)
-    return profiles
+        return [solve_cross_finite(spec.nl, spec.cfg, spec.cross, g, g,
+                                   ny)], None
+    return solve_cross_large(spec.nl, spec.cfg, spec.cross,
+                             spec.regime.m_list, ny)
 
 
 def _gradient_noise_floor(u, ref, p, w):
@@ -229,24 +242,24 @@ def sweep_ell(spec: SweepSpec):
     estimated by re-solving the largest ell at doubled resolution, one
     more independent :func:`measure_row` against the reference on that
     grid, and comparing the two measurements (NaN when either fails; the
-    re-solve's failure is noted on the largest-ell row); extras carries
-    the blow-up stabilization reports keyed by ell.  The cross-sectional
-    reference is solved once per transverse grid, and every cylinder
-    solve starts from its first level; when it fails, every row records
-    that failure.
+    re-solve's failure is noted on the largest-ell row); extras, the
+    :class:`SweepReports`, carries the blow-up stabilization reports of
+    the rows and of the cross-sectional reference.  The reference is
+    solved once per transverse grid, and every cylinder solve starts from
+    its first level; when it fails, every row records that failure.
     """
-    extras = {}
 
     def failed(ell, exc):
         return RateRow(ell=ell, error=float("nan"),
                        note=f"solve failed: {exc}")
 
     try:
-        reference = _reference_profile(spec, spec.ny)
+        reference, cross_report = _reference_profile(spec, spec.ny)
     except _SOLVE_FAILURES as exc:  # recorded, not raised
-        return [failed(ell, exc) for ell in spec.ells], float("nan"), extras
+        return [failed(ell, exc) for ell in spec.ells], float("nan"), \
+            SweepReports()
 
-    rows = []
+    rows, cylinder = [], {}
     noise_max = 0.0
     for ell in spec.ells:
         try:
@@ -259,7 +272,7 @@ def sweep_ell(spec: SweepSpec):
             r.newton_steps for r in results)))
         noise_max = max(noise_max, noise)
         if blow is not None:
-            extras[ell] = blow
+            cylinder[ell] = blow
     coarse = rows[-1].error  # the largest ell
     floor = float("nan")
     if math.isfinite(coarse):
@@ -267,14 +280,14 @@ def sweep_ell(spec: SweepSpec):
         try:
             fine, noise_fine, _, _ = measure_row(
                 spec, spec.ells[-1], ny_fine,
-                reference=_reference_profile(spec, ny_fine))
+                reference=_reference_profile(spec, ny_fine)[0])
             # resolution sensitivity of the closest-to-floor row, bounded
             # below by the rounding level of the norm measurement itself
             floor = max(abs(coarse - fine), noise_max, noise_fine)
         except _SOLVE_FAILURES as exc:  # recorded on its row, not raised
             rows[-1] = replace(rows[-1], note=f"floor re-solve at "
                                f"ny={ny_fine} failed: {exc}")
-    return rows, floor, extras
+    return rows, floor, SweepReports(cylinder, cross_report)
 
 
 def fit_rate(rows, p: float, floor: float = 0.0) -> RateReport:

@@ -14,7 +14,8 @@ Subcommands map one-to-one onto the computational modules:
 Configuration is one strict JSON file (schema_version 1, unknown keys
 rejected so a typo in p or q cannot silently invalidate an experiment).
 Exit codes: 0 success, 2 validation error, 3 numerical failure, 4
-property-check failure.
+property-check failure.  Every artifact is written to a temporary file
+beside it and renamed into place, so none is ever half-written.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .asymptotics import (BlowupData, FiniteData, RateUnresolvableError,
                           SweepSpec, fit_rate, sweep_ell, verify_barrier,
                           verify_caccioppoli, verify_comparison,
                           verify_monotone_in_ell)
-from .grid import (Window, build_grid, require_window_inside, tied_nx,
-                   write_grid_function)
+from .grid import (Window, build_grid, replacing_file, require_window_inside,
+                   tied_nx, write_grid_function)
 from .minimize import NonConvergenceError
 from .nonlinearity import Nonlinearity, check_a1, check_a2, log_psi_p
 from .ode1d import solve_large_1d
@@ -191,7 +192,7 @@ def _write_json(data, path):
             return obj.tolist()
         raise TypeError(f"cannot serialize {type(obj)}")
 
-    with open(path, "w") as fh:
+    with replacing_file(path) as fh:
         json.dump(data, fh, indent=2, sort_keys=True, default=default)
         fh.write("\n")
 
@@ -206,7 +207,7 @@ def _blowup_json(report):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with replacing_file(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -364,7 +365,9 @@ def _write_sweep_outputs(out, rows, floor, extras):
                       "note": r.note, "newton_steps": r.newton_steps}
                      for r in rows],
             "blowup_reports": {str(ell): _blowup_json(b)
-                               for ell, b in extras.items()}}
+                               for ell, b in extras.cylinder.items()},
+            "cross_section_report": None if extras.cross_section is None
+            else _blowup_json(extras.cross_section)}
     _write_json(data, out / "sweep.json")
 
 
@@ -377,15 +380,29 @@ def cmd_sweep(cfg, out: Path) -> int:
     return EXIT_OK
 
 
+#: the artifacts of a rate fit, written only when the fit resolves
+_FIT_ARTIFACTS = ("rate_rows.csv", "rate_plot.dat", "rate.json")
+
+
 def cmd_rate(cfg, out: Path) -> int:
+    """Sweep, then fit.  An unresolvable fit exits 4 and leaves the
+    sweep's ``rows.csv`` and ``sweep.json`` (each whole: they record why)
+    and none of :data:`_FIT_ARTIFACTS`, which it removes when an earlier
+    run left them in ``out``; a fit that misses the bound exits 4 with
+    every artifact written."""
     spec = _sweep_spec(cfg)
     rows, floor, extras = sweep_ell(spec)
     _write_sweep_outputs(out, rows, floor, extras)
-    report = fit_rate(rows, spec.p, floor)  # may raise RateUnresolvableError
+    try:
+        report = fit_rate(rows, spec.p, floor)
+    except RateUnresolvableError:
+        for name in _FIT_ARTIFACTS:
+            (out / name).unlink(missing_ok=True)
+        raise
     _write_csv(out / "rate_rows.csv", ["ell", "error", "used_in_fit"],
                [(r.ell, r.error, int(bool(r.used_in_fit)))
                 for r in report.rows])
-    with open(out / "rate_plot.dat", "w") as fh:
+    with replacing_file(out / "rate_plot.dat") as fh:
         for r in report.rows:
             if r.used_in_fit:
                 fh.write(f"{r.ell!r} {r.error!r}\n")

@@ -13,9 +13,12 @@ cells at once (:func:`triangle_window_weights`).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -325,10 +328,28 @@ def cutoff_function(inner: Window, outer: Window, g: RectGrid) -> GridFunction:
     return GridFunction(g, np.clip(ramp, 0.0, 1.0))
 
 
+@contextlib.contextmanager
+def replacing_file(path, newline=None):
+    """A text file to write ``path`` through: a temporary file in the same
+    directory that replaces ``path`` (``os.replace``) only once the block
+    has finished, and is removed if it raises, so that no file is ever
+    half-written."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_grid_function(u: GridFunction, path, sidecar_path=None):
-    """CSV (x, y, value) in row-major node order, plus a JSON sidecar."""
+    """CSV (x, y, value) in row-major node order, plus a JSON sidecar, each
+    written through :func:`replacing_file`."""
     X, Y = u.grid.node_coords()
-    with open(path, "w", newline="") as fh:
+    with replacing_file(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "value"])
         for x, y, v in zip(X, Y, u.values):
@@ -336,6 +357,6 @@ def write_grid_function(u: GridFunction, path, sidecar_path=None):
     if sidecar_path is not None:
         meta = {"ell": u.grid.ell, "cross": list(u.grid.cross),
                 "nx": u.grid.nx, "ny": u.grid.ny}
-        with open(sidecar_path, "w") as fh:
+        with replacing_file(sidecar_path) as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")

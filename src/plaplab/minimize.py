@@ -17,8 +17,12 @@ convergent because the energy is strictly convex for eps > 0.
 A problem carries its :class:`plaplab.solver.SolverConfig` ``cfg`` and
 solves itself by ``problem.minimize(initial)``.  Constant boundary levels
 on one mesh differ only in the constant on the fixed nodes, so
-:func:`warm_levels` solves increasing levels on one problem, each warm
-from the level below; the blow-up sweep :func:`sweep_levels` adds the
+:func:`warm_levels` solves increasing levels on one problem, each from
+the Euler predictor of the level below (predictor-corrector continuation
+in M, Allgower & Georg 2003, ch. 2): the tangent du/dM comes from the
+problem's ``tangent``, one back-substitution with the factor of the
+level's last Newton step, and the step is taken in log M
+(:func:`level_step`); the blow-up sweep :func:`sweep_levels` adds the
 (A1) refusal, the monotonicity abort and the sweep's :class:`BlowupReport`.
 
 The stopping test is an absolute bound on the lumped-mass-scaled gradient
@@ -210,19 +214,36 @@ def require_a1(nl, p) -> None:
             f"Keller-Osserman condition at p={p}")
 
 
+def level_step(m_from: float, m_to: float) -> float:
+    """The Euler step from level ``m_from`` to ``m_to`` along du/dM: in
+    log M, ``m_from ln(m_to / m_from)``, for a positive ``m_from``, else
+    (no log) ``m_to - m_from``.  The logs are taken apart, since the ratio
+    overflows from a subnormal ``m_from``."""
+    if m_from <= 0.0:
+        return m_to - m_from
+    return m_from * (math.log(m_to) - math.log(m_from))
+
+
 def warm_levels(problem, m_list, initial=None):
     """Solve constant levels, strictly increasing (see
     :func:`increasing_levels`), on one ``problem``.
 
     Each level M is set on the problem's fixed nodes and solved by
-    ``problem.minimize(start)``, warm-started from the previous level (the
-    first level from ``initial``, a cold start by default).  Yields one
-    ``(u, stages, info)`` per level as it is solved, so that a caller may
-    stop the sweep early.
+    ``problem.minimize(start)``: the first level from ``initial`` (a cold
+    start by default), each later one from the Euler predictor
+    u_k + Δ w of the level below (Allgower & Georg 2003, ch. 2), w =
+    du/dM from ``problem.tangent(u_k)`` (the factor of the level's last
+    Newton step) and Δ = :func:`level_step`, or from u_k itself when the
+    level below took no Newton step.  Yields one ``(u, stages, info)``
+    per level as it is solved, so that a caller may stop the sweep early.
     """
     fixed = ~problem.free
     start = initial
-    for M in m_list:
+    for k, M in enumerate(m_list):
+        if k:
+            w = problem.tangent(start)
+            if w is not None:
+                start = start + level_step(m_list[k - 1], M) * w
         problem.boundary_values[fixed] = M
         level = problem.minimize(start)
         yield level

@@ -312,9 +312,9 @@ def solve_cross_large(nl: Nonlinearity, cfg: SolverConfig, interval, M_list,
     One segment problem serves every level:
     :func:`plaplab.minimize.sweep_levels` sets g0 = g1 = M on it and
     solves, the first level from a cold start and each later level from
-    the previous one.  Returns one :class:`CrossProfile` per level and
-    the sweep's :class:`~plaplab.minimize.BlowupReport` over every
-    interior node.
+    the Euler predictor of the previous one.  Returns one
+    :class:`CrossProfile` per level and the sweep's
+    :class:`~plaplab.minimize.BlowupReport` over every interior node.
     """
     y = _segment(interval, n_nodes)
     problem = _CrossProblem(nl, cfg, y, 0.0, 0.0)

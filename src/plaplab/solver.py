@@ -16,7 +16,7 @@ max(tol, eps), while a solve warm-started from the solution of a nearby
 problem (the previous boundary level of a blow-up sweep, or the
 cross-sectional reference extended along the cylinder) runs only the
 last stage.  Each Newton
-system is solved by banded Cholesky (LAPACK ``dpbtrf``) with the free
+system is factored by banded Cholesky (LAPACK ``dpbtrf``) with the free
 nodes numbered along the shorter side of the lattice, so its
 half-bandwidth is ny - 1 whatever the cylinder length.  Since f is
 nondecreasing, F is convex and the minimizer is unique, so the discrete
@@ -36,12 +36,17 @@ Boundary blow-up is approximated by an increasing sweep of constant
 Dirichlet levels M (the monotone-limit construction): every level is the
 same energy on the same mesh with another constant on the boundary
 nodes, so one problem per grid serves the whole sweep, which
-:func:`plaplab.minimize.sweep_levels` runs on it.  Interior values are
-nondecreasing in M by the comparison principle; the sweep's report, the
-same for both meshes, records each level's Newton steps and the windowed
-change between consecutive levels as a stabilization residual.
-:func:`solve_levels` solves any increasing constant levels on one grid
-the same way, each warm from the level below, without the sweep's (A1)
+:func:`plaplab.minimize.sweep_levels` runs on it.  Each later level
+starts from the Euler predictor of the level below: the problem keeps
+the Cholesky factor of its most recent Newton step (dropped before the
+next step's band is assembled, so two bands are never alive at once),
+and ``tangent`` turns the factor of a level's last step into du/dM by
+one back-substitution, since the gradient term's Hessian annihilates
+constants.  Interior values are nondecreasing in M by the comparison
+principle; the sweep's report, the same for both meshes, records each
+level's Newton steps and the windowed change between consecutive levels
+as a stabilization residual.  :func:`solve_levels` solves any increasing
+constant levels on one grid the same way, without the sweep's (A1)
 refusal and monotonicity abort.
 """
 
@@ -51,7 +56,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grid import (GridFunction, RectGrid, Window, require_window_inside,
                    window_node_mask)
@@ -182,6 +188,8 @@ class _CylinderProblem:
         self.boundary_values = boundary_values
         self.free_idx = np.flatnonzero(free)
         self._band_layout(free, band_order)
+        # Cholesky band of the current solve's most recent Newton step
+        self._factor = None
 
     def _band_layout(self, free, band_order):
         """Scatter map from the per-cell node-pair Hessian entries into
@@ -262,24 +270,34 @@ class _CylinderProblem:
         return float(self._gradient_energy(u, eps) + f_term)
 
     def gradient(self, u, eps):
+        # the factor of the last Newton step stays alive through this call,
+        # so the per-cell temporaries are few: each node term is scaled in
+        # place and freed once scattered
         gu, g2e = self._cell_gradients(u, eps)
         with np.errstate(divide="ignore", invalid="ignore"):
-            sigma = np.where(g2e > 0.0, g2e ** (0.5 * self.cfg.p - 1.0), 0.0)
-        w = self.measure * sigma
-        n = len(self.free)
-        nodes = self.nodes.ravel()
-        g = np.bincount(nodes, weights=(w * _contract(gu, self.b)).ravel(),
-                        minlength=n)
-        fvals = self.mass * self.nl.f_extended(u)
+            w = np.where(g2e > 0.0, g2e ** (0.5 * self.cfg.p - 1.0), 0.0)
+        del g2e
+        w *= self.measure
+        g = self._scatter(_contract(gu, self.b), w)
+        del gu
         # roundoff scale of each entry: its summands, with every cell
         # gradient bounded by sum_k |u_k| |b_k|, since that sum cancels
         # where u is large and nearly flat
         gabs = _contract(np.abs(u)[self.nodes],
                          self._abs_b.transpose(1, 0, 2))
-        cabs = w * _contract(gabs, self._abs_b)
-        scale = np.bincount(nodes, weights=cabs.ravel(),
-                            minlength=n) + np.abs(fvals)
-        return g + fvals, scale
+        scale = self._scatter(_contract(gabs, self._abs_b), w)
+        fvals = self.mass * self.nl.f_extended(u)
+        scale += np.abs(fvals)
+        g += fvals
+        return g, scale
+
+    def _scatter(self, terms, w):
+        """The node sums of the per-cell node ``terms`` (nodes x cells)
+        weighted by the cell weights ``w``, which scale ``terms`` in
+        place."""
+        terms *= w
+        return np.bincount(self.nodes.ravel(), weights=terms.ravel(),
+                           minlength=len(self.free))
 
     def _hessian_blocks(self, u, eps):
         """Hessian entries of the gradient term at every node pair k <= l
@@ -300,6 +318,9 @@ class _CylinderProblem:
         return blocks
 
     def newton_step(self, u, eps, grad):
+        # the previous step's factor goes before this step's band is built:
+        # two bands are never alive at once
+        self._factor = None
         fp = self.mass[self.free_idx] * self.nl.f_prime(u[self.free_idx])
         try:
             step = self._solve(self._hessian_blocks(u, eps), fp,
@@ -317,16 +338,60 @@ class _CylinderProblem:
     def _solve(self, blocks, fp, rhs):
         """Solve (H + diag(fp)) x = rhs over the free dofs (``free_idx``
         order), H assembled from the node-pair Hessian ``blocks`` of
-        :meth:`_hessian_blocks`, by banded Cholesky; raises
-        ``LinAlgError`` unless the matrix is positive definite."""
+        :meth:`_hessian_blocks`, by banded Cholesky, and keep the factor
+        for :meth:`tangent`; raises ``LinAlgError`` unless the matrix is
+        positive definite.
+
+        A tridiagonal band (kd = 1, as on a segment) is factored as
+        L D L^T by LAPACK ``dpttrf``, the factorization of the ``dptsv``
+        that ``scipy.linalg.solveh_banded`` takes for it, so that its
+        solves keep their last bits."""
         nfree = len(rhs)
         ab = np.bincount(self._band_slots, weights=blocks.ravel(),
                          minlength=(self.kd + 1) * nfree + 1)
         ab = ab[:-1].reshape(nfree, self.kd + 1).T
         ab[0] += fp[self._to_band]
-        x = solveh_banded(ab, rhs[self._to_band], overwrite_ab=True,
-                          overwrite_b=True, lower=True, check_finite=False)
+        if self.kd == 1:
+            d, e, info = dpttrf(ab[0], ab[1, :-1], overwrite_d=1,
+                                overwrite_e=1)
+            if info > 0:
+                raise np.linalg.LinAlgError(
+                    f"{info}th leading minor not positive definite")
+            self._factor = (d, e)
+        else:
+            self._factor = cholesky_banded(ab, overwrite_ab=True,
+                                           lower=True, check_finite=False)
+        return self._back_substitute(rhs)
+
+    def _back_substitute(self, rhs):
+        """Solve with the kept factor over the free dofs (``free_idx``
+        order)."""
+        b = rhs[self._to_band]
+        if self.kd == 1:
+            x, _ = dpttrs(*self._factor, b, overwrite_b=1)
+        else:
+            x = cho_solve_banded((self._factor, True), b, overwrite_b=True,
+                                 check_finite=False)
         return x[self._from_band]
+
+    def tangent(self, u):
+        """du/dM at the solution ``u`` of a constant level M, from the
+        factor of the solve's last Newton step, which it releases; None
+        when the solve took no Newton step.
+
+        The gradient term's Hessian H annihilates constants (the P1
+        gradient coefficients of a cell sum to zero), so differentiating
+        the free equations in M gives w = 1 on the fixed nodes and
+        w = 1 - (H + D)^-1 D 1 on the free ones, D = diag(mass f'(u)); the
+        factor is that of the last Newton iterate rather than of ``u``,
+        which costs the predictor one back-substitution."""
+        if self._factor is None:
+            return None
+        d = self.mass[self.free_idx] * self.nl.f_prime(u[self.free_idx])
+        w = np.ones(len(self.free))
+        w[self.free_idx] -= self._back_substitute(d)
+        self._factor = None
+        return w
 
     def minimize(self, initial=None):
         """Damped Newton to ``cfg.tol`` within ``cfg.max_newton`` steps a
@@ -335,6 +400,7 @@ class _CylinderProblem:
         discrete harmonic extension), or only at its last eps from
         ``initial`` (its fixed entries overwritten); returns ``(u, stages,
         info)`` of :func:`plaplab.minimize.minimize_newton`."""
+        self._factor = None  # a solve in 0 steps leaves no factor
         schedule = default_eps_schedule(self.h)
         if initial is None:
             initial = np.full(len(self.free),
@@ -430,13 +496,13 @@ def solve_levels(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig,
     """Solve the Dirichlet problem for each of the strictly increasing
     constant boundary ``levels`` on one problem on ``grid``.
 
-    The lowest level starts cold and each later level warm from the level
-    below (:func:`plaplab.minimize.warm_levels`), so it runs only the last
-    eps stage; every solution matches a :func:`solve_dirichlet` at its
-    level to within the solver tolerance.  Unlike :func:`solve_blowup`
-    this neither refuses a nonlinearity failing (A1) nor checks that the
-    solutions increase, which is left to the caller.  Returns one
-    :class:`SolveResult` per level.
+    The lowest level starts cold and each later level from the Euler
+    predictor of the level below (:func:`plaplab.minimize.warm_levels`),
+    so it runs only the last eps stage; every solution matches a
+    :func:`solve_dirichlet` at its level to within the solver tolerance.
+    Unlike :func:`solve_blowup` this neither refuses a nonlinearity
+    failing (A1) nor checks that the solutions increase, which is left to
+    the caller.  Returns one :class:`SolveResult` per level.
     """
     levels = increasing_levels(levels)
     problem = _CylinderProblem.on_grid(grid, nl, cfg, np.zeros(grid.n_nodes))
@@ -454,10 +520,11 @@ def solve_blowup(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig, M_list,
     :func:`plaplab.minimize.sweep_levels` sets each level M on its
     boundary nodes and solves, ``initial`` warm-starting the first level
     (default: a cold start) and each later level starting from the
-    previous one.  Returns the list of per-level results and the sweep's
-    :class:`~plaplab.minimize.BlowupReport`, whose changes are measured on
-    the window (all interior nodes without one).  The window must lie one
-    cell inside ``grid``, which is checked before any solve.
+    Euler predictor of the previous one.  Returns the list of per-level
+    results and the sweep's :class:`~plaplab.minimize.BlowupReport`, whose
+    changes are measured on the window (all interior nodes without one).
+    The window must lie one cell inside ``grid``, which is checked before
+    any solve.
     """
     if window is not None:
         require_window_inside(grid, window)

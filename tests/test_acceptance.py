@@ -125,7 +125,7 @@ def test_criterion_5_rate_blowup(p):
     stabilizing = all(
         all(a > b for a, b in zip(blow.stage_max_change,
                                   blow.stage_max_change[1:]))
-        for blow in extras.values())
+        for blow in extras.cylinder.values())
     report(5, rep.passed and used >= 3 and stabilizing,
            f"blow-up p={p}: slope {rep.slope:.3f} <= {-1.0 / p:.3f} + 0.1 "
            f"with {used} rows above floor {rep.floor:.2e}; windowed "

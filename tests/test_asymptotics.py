@@ -155,8 +155,8 @@ class TestSweep:
         rows, floor, extras = sweep_ell(spec)
         errors = [r.error for r in rows]
         assert all(a > b for a, b in zip(errors, errors[1:]))
-        assert set(extras) == {2.0, 4.0, 8.0}
-        for blow in extras.values():
+        assert set(extras.cylinder) == {2.0, 4.0, 8.0}
+        for blow in extras.cylinder.values():
             assert blow.monotone_margin >= -2e-11
 
     def test_numerical_failure_is_recorded(self, monkeypatch):
@@ -240,7 +240,7 @@ class TestSweep:
         assert [(g.ell, g.ny) for g, _, _ in starts] == \
             [(2.0, 9), (4.0, 9), (4.0, 17)]
         for grid, initial, first in starts:
-            start = references[grid.ny][0]
+            start = references[grid.ny][0][0]  # the profiles' first level
             level = regime.m_list[0] if isinstance(regime, BlowupData) \
                 else regime.g
             assert (start.values[0], start.values[-1]) == (level, level)
@@ -255,7 +255,7 @@ class TestSweep:
         spec = SweepSpec(**{**self.SPEC, "nl": POWER23, "regime": regime,
                             "p": 1.5})
         _, _, results, _ = asymptotics.measure_row(
-            spec, 4.0, reference=asymptotics._reference_profile(spec, 9))
+            spec, 4.0, reference=asymptotics._reference_profile(spec, 9)[0])
         warm = results[-1].solution
         cfg = spec.cfg
         if isinstance(regime, FiniteData):
@@ -270,8 +270,8 @@ class TestSweep:
                          regime=BlowupData((10.0, 100.0)), ells=(2.0, 4.0),
                          window=Window(-1.0, 1.0, -1.0, 1.0), ny=9)
         _, _, extras = sweep_ell(spec)
-        assert set(extras) == {2.0, 4.0}
-        for ell, blow in extras.items():
+        assert set(extras.cylinder) == {2.0, 4.0}
+        for ell, blow in extras.cylinder.items():
             grid = build_grid(ell, spec.cross, spec.nx_for(ell), spec.ny)
             _, cold = solve_blowup(grid, POWER23, spec.cfg,
                                    spec.regime.m_list)

@@ -1,6 +1,7 @@
 """Command-line front end: configs, artifacts, exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 import threading
@@ -12,6 +13,7 @@ import plaplab.asymptotics
 import plaplab.cli
 import plaplab.quadrature
 from plaplab.cli import main
+from plaplab import Nonlinearity, SolverConfig, solve_cross_large
 from plaplab.minimize import NonConvergenceError
 from plaplab.solver import _CylinderProblem
 
@@ -417,6 +419,39 @@ class TestSweepAndRate:
             assert row["newton_steps"] == \
                 sum(reports[str(row["ell"])]["level_newton_steps"])
 
+    def test_sweep_json_carries_the_cross_section_report(self, tmp_path):
+        # the reference's own blow-up sweep, as solve_cross_large reports it
+        # on the sweep's transverse grid, beside the rows' reports
+        code, out = run(tmp_path, "sweep", {
+            "geometry": {"ell_list": [2.0, 4.0], "cross": [-2.0, 2.0],
+                         "ny": 9},
+            "boundary": {"blowup": [10.0, 100.0, 1000.0]},
+            "window": [-1.0, 1.0, -1.0, 1.0],
+        })
+        assert code == 0
+        sweep = json.loads((out / "sweep.json").read_text())
+        _, report = solve_cross_large(Nonlinearity.power(2, 3),
+                                      SolverConfig(p=2.0), (-2.0, 2.0),
+                                      (10.0, 100.0, 1000.0), 9)
+        assert sweep["cross_section_report"] == {
+            "m_values": [10.0, 100.0, 1000.0],
+            "stage_max_change": list(report.stage_max_change),
+            "level_newton_steps": list(report.level_newton_steps),
+            "monotone_margin": report.monotone_margin}
+        assert all(n > 0 for n in report.level_newton_steps)
+
+    def test_finite_sweep_has_no_cross_section_report(self, tmp_path):
+        code, out = run(tmp_path, "sweep", {
+            "nonlinearity": {"kind": "power", "c": 1, "q": 1},
+            "geometry": self.GEOMETRY,
+            "boundary": {"dirichlet": 1.0},
+            "window": [-1.0, 1.0, 0.5, 1.5],
+        })
+        assert code == 0
+        sweep = json.loads((out / "sweep.json").read_text())
+        assert sweep["cross_section_report"] is None
+        assert sweep["blowup_reports"] == {}
+
     @pytest.mark.parametrize("command", ["solve", "check", "sweep", "rate"])
     @pytest.mark.parametrize("key, value", [("n_eps_stages", 2),
                                             ("eps_schedule", [1e-30, 1e-31])])
@@ -495,6 +530,76 @@ class TestSweepAndRate:
         })
         assert code == 4
 
+    def test_unresolvable_rate_leaves_the_sweep_and_no_fit(self, tmp_path):
+        # the sweep's artifacts stay, whole, since they record why; the fit
+        # artifacts an earlier run left in the directory go
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("rate.json", "rate_rows.csv", "rate_plot.dat"):
+            (out / name).write_text("from an earlier run\n")
+        code, _ = run(tmp_path, "rate", {
+            "nonlinearity": {"kind": "zero"},
+            "geometry": self.GEOMETRY,
+            "boundary": {"dirichlet": 2.0},
+            "window": [-1.0, 1.0, 0.5, 1.5],
+        })
+        assert code == 4
+        assert sorted(p.name for p in out.iterdir()) == ["rows.csv",
+                                                         "sweep.json"]
+        assert len(json.loads((out / "sweep.json").read_text())["rows"]) == 3
+        with open(out / "rows.csv") as fh:
+            assert len(list(csv.reader(fh))) == 4
+
+    def test_failed_slope_is_exit_4_with_every_artifact(self, tmp_path,
+                                                        monkeypatch):
+        fit_rate = plaplab.cli.fit_rate
+
+        def failing(*args, **kwargs):
+            return dataclasses.replace(fit_rate(*args, **kwargs),
+                                       passed=False)
+
+        monkeypatch.setattr(plaplab.cli, "fit_rate", failing)
+        code, out = run(tmp_path, "rate", {
+            "nonlinearity": {"kind": "power", "c": 1, "q": 1},
+            "geometry": self.GEOMETRY,
+            "boundary": {"dirichlet": 1.0},
+            "window": [-1.0, 1.0, 0.5, 1.5],
+        })
+        assert code == 4
+        assert sorted(p.name for p in out.iterdir()) == [
+            "rate.json", "rate_plot.dat", "rate_rows.csv", "rows.csv",
+            "sweep.json"]
+        assert json.loads((out / "rate.json").read_text())["pass"] is False
+
+
+class TestArtifactWrites:
+    @pytest.mark.parametrize("write", [
+        lambda path: plaplab.cli._write_json(
+            {"a": 1.0, "b": [2.0, 3.0], "z": object()}, path),
+        lambda path: plaplab.cli._write_csv(
+            path, ["ell", "error"],
+            ((1.0, 2.0) if i < 2 else 1 / 0 for i in range(3))),
+    ], ids=["json", "csv"])
+    def test_a_write_that_raises_leaves_no_partial_file(self, tmp_path,
+                                                        write):
+        path = tmp_path / "artifact"
+        path.write_text("old\n")
+        with pytest.raises((TypeError, ZeroDivisionError)):
+            write(path)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+        path.unlink()
+        with pytest.raises((TypeError, ZeroDivisionError)):
+            write(path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_write_replaces_the_file_whole(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("a much longer earlier content\n" * 10)
+        plaplab.cli._write_csv(path, ["ell", "error"], [(2.0, 0.5)])
+        assert path.read_bytes() == b"ell,error\r\n2.0,0.5\r\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
 
 class TestCheck:
     def test_structural_battery(self, tmp_path):
@@ -546,19 +651,20 @@ class TestCheck:
 
     def test_injected_ordering_violation_fails_the_comparison(
             self, tmp_path, monkeypatch):
-        # the upper level of the pair starts from the lower level's
-        # solution; pushing one interior node of it below the lower one
+        # the upper level of the pair is solved right after the lower one;
+        # pushing one interior node of it below the lower level's solution
         # must fail the comparison check (exit 4), not abort the solve
         # (exit 3)
         minimize = _CylinderProblem.minimize
-        lowered = []
+        solved, lowered = [], []
 
         def violating(self, initial=None):
             u, stages, info = minimize(self, initial)
             if initial is not None and np.max(self.boundary_values) < 10.0:
                 node = int(np.flatnonzero(self.free)[self.free.sum() // 2])
-                u[node] = initial[node] - 1e-6
+                u[node] = solved[-1][node] - 1e-6
                 lowered.append(node)
+            solved.append(u)
             return u, stages, info
 
         monkeypatch.setattr(_CylinderProblem, "minimize", violating)
@@ -597,7 +703,9 @@ class TestCheck:
         # between runs.  With every eps stage driven to tol it took 987
         # Newton steps; with the stages before the last stopped at
         # max(tol, eps), 589; with the comparison levels solved as one
-        # increasing warm sweep on one problem, 234
+        # increasing warm sweep on one problem, 234; with each later level
+        # of a sweep started from the Euler predictor of the level below,
+        # 177
         calls = []
         step = _CylinderProblem.newton_step
 
@@ -616,4 +724,4 @@ class TestCheck:
         })
         assert code == 0
         assert json.loads((out / "check.json").read_text())["all_passed"]
-        assert len(calls) <= 300
+        assert len(calls) <= 177

@@ -359,18 +359,23 @@ class TestCrossLarge:
         assert len(built) == 1
 
     def test_levels_equal_the_chain_of_segment_solves(self):
-        # the sweep as one segment problem per level, each warm-started
-        # from the previous level, is the reference bit for bit
+        # the sweep as one segment problem per level, each started from
+        # the Euler predictor u + M ln(M_next / M) w of the level below, w
+        # the tangent of that level's problem, is the reference bit for bit
         tol = 1e-11
         profiles, report = solve_cross_large(
             POWER23, SolverConfig(p=1.5, tol=tol), (-1, 1), self.M_LIST, 9)
         y = np.linspace(-1.0, 1.0, 9)
-        chain, previous = [], None
-        for M in self.M_LIST:
+        chain, start = [], None
+        for M, M_next in zip(self.M_LIST, self.M_LIST[1:] + (None,)):
             problem = ode1d._CrossProblem(
                 POWER23, SolverConfig(p=1.5, tol=tol), y, M, M)
-            previous, _, info = problem.minimize(previous)
-            chain.append((previous, info["residual"]))
+            u, _, info = problem.minimize(start)
+            chain.append((u, info["residual"]))
+            w = problem.tangent(u)
+            assert w is not None
+            if M_next is not None:
+                start = u + M * (math.log(M_next) - math.log(M)) * w
         assert len(profiles) == len(chain)
         for M, prof, (u, residual) in zip(self.M_LIST, profiles, chain):
             assert np.array_equal(prof.values, u)

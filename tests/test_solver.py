@@ -1,11 +1,13 @@
 """Energy assembly, Newton convergence, comparison and blow-up sweeps."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solveh_banded
 
 from plaplab import (GridFunction, NonConvergenceError, Nonlinearity, Window,
                      SolverConfig, build_grid, energy, energy_gradient,
@@ -133,6 +135,63 @@ class TestBandedNewtonSolve:
         step, dense = dense_newton_step(problem, cells, b, h, u, 1e-2)
         assert problem.kd == 1
         assert np.max(np.abs(step - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("short", [3, 4, 6])
+    def test_steps_keep_the_bits_of_solveh_banded(self, short):
+        # the band is factored and solved as scipy's solveh_banded solves
+        # it: by dptsv's L D L^T when it is tridiagonal (a segment, or a
+        # grid of one interior row), else by dpbtrf and dpbtrs
+        g = build_grid(1.0, (0.0, 1.0), 9, short)
+        problems = [_CylinderProblem.on_grid(g, POWER23, SolverConfig(p=1.5),
+                                             _boundary_array(g, 2.0)),
+                    _CrossProblem(POWER23, SolverConfig(p=1.5),
+                                  np.linspace(0.0, 1.0, 3 * short), 2.0,
+                                  3.0)]
+        assert [pr.kd for pr in problems] == [1 if short == 3 else short - 1,
+                                              1]
+        for problem in problems:
+            u = problem.with_boundary(
+                1.0 + np.random.default_rng(9).random(len(problem.free)))
+            grad, _ = problem.gradient(u, 1e-2)
+            blocks = problem._hessian_blocks(u, 1e-2)
+            fp = problem.mass[problem.free_idx] * POWER23.f_prime(
+                u[problem.free_idx])
+            nfree = len(problem.free_idx)
+            ab = np.bincount(problem._band_slots, weights=blocks.ravel(),
+                             minlength=(problem.kd + 1) * nfree + 1)
+            ab = ab[:-1].reshape(nfree, problem.kd + 1).T
+            ab[0] += fp[problem._to_band]
+            x = solveh_banded(ab, -grad[problem.free_idx][problem._to_band],
+                              lower=True)
+            step = problem.newton_step(u, 1e-2, grad)
+            assert np.array_equal(step, x[problem._from_band])
+
+    @pytest.mark.parametrize("mesh", ["grid", "segment"])
+    def test_indefinite_band_leaves_no_factor(self, mesh):
+        # a steeply decreasing f makes the Hessian indefinite on either
+        # mesh, under either factorization; the failed step has dropped
+        # the factor of the step before
+        if mesh == "grid":
+            g = unit_square_grid()
+            problem = _CylinderProblem.on_grid(g, POWER23, SolverConfig(p=2.0),
+                                               _boundary_array(g, 1.0))
+        else:
+            problem = _CrossProblem(POWER23, SolverConfig(p=2.0),
+                                    np.linspace(0.0, 1.0, 9), 1.0, 1.0)
+            assert problem.kd == 1
+        u = problem.with_boundary(np.ones(len(problem.free)))
+        grad, _ = problem.gradient(u, 1e-2)
+        problem.newton_step(u, 1e-2, grad)
+
+        class Decreasing:
+            def f_prime(self, s):
+                return np.full(np.shape(s), -1e3)
+
+        problem.nl = Decreasing()
+        with pytest.raises(NonConvergenceError,
+                           match="not positive definite"):
+            problem.newton_step(u, 1e-2, grad)
+        assert problem.tangent(u) is None
 
     @pytest.mark.parametrize("ell", [2.0, 16.0])
     def test_grid_bandwidth_does_not_grow_with_length(self, ell):
@@ -312,13 +371,13 @@ class TestSolveDirichlet:
 
     def test_cold_solve_factors_once_per_newton_step(self, monkeypatch):
         calls = []
-        original = plaplab.solver.solveh_banded
+        original = plaplab.solver.cholesky_banded
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(plaplab.solver, "solveh_banded", counting)
+        monkeypatch.setattr(plaplab.solver, "cholesky_banded", counting)
         g = build_grid(2.0, (-2.0, 2.0), 17, 17)
         res = solve_dirichlet(g, POWER23, SolverConfig(p=1.5), 10.0)
         steps = sum(s.iterations for s in res.stages)
@@ -508,21 +567,30 @@ class TestSolveBlowup:
         assert built == [_CylinderProblem]
 
     def test_levels_equal_the_chain_of_dirichlet_solves(self):
-        # the sweep as one solve_dirichlet per level, each warm-started
-        # from the previous level, is the reference bit for bit
+        # the sweep as one solve_dirichlet per level, each started from
+        # the Euler predictor of the level below, is the reference bit for
+        # bit; the predictor's tangent comes from the same solve repeated
+        # on a problem of its own
         g = build_grid(1.0, (-1.0, 1.0), 17, 9)
         cfg = SolverConfig(p=1.5)
         m_list = (10.0, 100.0, 1000.0)
         results, _ = solve_blowup(g, POWER23, cfg, m_list)
-        previous = None
-        for M, res in zip(m_list, results):
-            ref = solve_dirichlet(g, POWER23, cfg, M, initial=previous)
+        start = None
+        for k, (M, res) in enumerate(zip(m_list, results)):
+            ref = solve_dirichlet(g, POWER23, cfg, M, initial=start)
             assert np.array_equal(res.solution.values, ref.solution.values)
             assert res.stages == ref.stages
             assert res.energy == ref.energy
             assert res.residual == ref.residual
             assert res.boundary_mode == f"blowup(M={M:g})"
-            previous = ref.solution.values
+            problem = _CylinderProblem.on_grid(g, POWER23, cfg,
+                                               _boundary_array(g, M))
+            u, _, _ = problem.minimize(start)
+            assert np.array_equal(u, ref.solution.values)
+            w = problem.tangent(u)
+            assert w is not None
+            if k + 1 < len(m_list):
+                start = u + M * (math.log(m_list[k + 1]) - math.log(M)) * w
 
     def test_levels_do_not_alias(self):
         g = build_grid(1.0, (-1.0, 1.0), 9, 9)
