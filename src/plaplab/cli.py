@@ -38,7 +38,7 @@ from .grid import (Window, build_grid, replacing_file, require_window_inside,
                    tied_nx, write_grid_function)
 from .minimize import NonConvergenceError
 from .nonlinearity import Nonlinearity, check_a1, check_a2, log_psi_p
-from .ode1d import solve_large_1d
+from .ode1d import blowup_radius, solve_large_1d
 from .solver import SolverConfig, solve_blowup, solve_dirichlet, solve_levels
 
 EXIT_OK = 0
@@ -262,7 +262,6 @@ def cmd_ode1d(cfg, out: Path) -> int:
         raise ConfigError("ode1d needs exactly one of 'r' (radius) or "
                           "'a' (center value)")
     if "a" in spec:
-        from .ode1d import blowup_radius
         r = blowup_radius(nl, p, _number(spec["a"], "ode1d.a"))
     else:
         r = _number(spec["r"], "ode1d.r")

@@ -10,23 +10,26 @@ is decided by finiteness of
 
 and uniqueness of the blow-up solution additionally needs the scaling
 condition ``liminf_{t->inf} Psi_p(beta*t) / Psi_p(t) > 1`` for every
-``beta in (0, 1)``.  Both are probed numerically here.
+``beta in (0, 1)``.  Three kinds of f are built in: ``c s^q``,
+``lam (e^s - 1)`` and zero.  For them finiteness (A1) is decided
+analytically (Keller 1957, Osserman 1957); the scaling condition is
+probed numerically.
 
 Every value of Psi_p comes from one evaluator, :func:`log_psi_p`.  It
 takes all the points a caller needs at once, sorts them, integrates one
-tail from the largest and one panel between neighbours, and accumulates
-``log Psi_p`` from the top.  Each panel's integrand is ``(F(s) /
-F(x0))^(-1/p)``, computed from a scalar ``log F``, so e^s - 1, whose
-Psi_2(1e4) is about e^(-5000), stays resolvable; the A2 probe compares
-log ratios for the same reason.
+tail from the largest (or from 1, if larger) and one panel between
+neighbours, and accumulates ``log Psi_p`` from the top.  Each panel's
+integrand is ``(F(s) / F(x0))^(-1/p)``, computed from a scalar ``log F``,
+so e^s - 1, whose Psi_2(1e4) is about e^(-5000), stays resolvable; the
+A2 probe compares log ratios for the same reason.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -43,8 +46,8 @@ __all__ = [
     "psi_inverse",
 ]
 
-_VALIDATION_GRID = np.concatenate(([0.0], np.geomspace(1e-6, 1e6, 49)))
-
+#: the built-in kinds of absorption term
+_KINDS = ("power", "exp_minus_one", "zero")
 
 #: Taylor coefficients 1/k! of e^d - 1 - d for k = 18 down to 2; for
 #: |d| < 1 the omitted terms are below 1e-17 of the sum
@@ -82,18 +85,20 @@ def _expm1_minus(d):
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Absorption term ``f`` with antiderivative ``F`` and tail metadata.
+    """Absorption term ``f`` of a built-in kind, with antiderivative ``F``.
 
     Instances are immutable.
-    Use the constructors :meth:`power`, :meth:`exp_minus_one`, :meth:`zero`
-    and :meth:`custom` rather than calling the class directly.
+    Use the constructors :meth:`power`, :meth:`exp_minus_one` and
+    :meth:`zero` rather than calling the class directly.
     """
 
     kind: str
     params: tuple = ()
-    tail_exponent_hint: Optional[float] = None
-    f_callable: Optional[Callable] = field(default=None, repr=False)
-    F_callable: Optional[Callable] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown nonlinearity kind {self.kind!r}; "
+                             f"expected one of {', '.join(_KINDS)}")
 
     # -- constructors -----------------------------------------------------
 
@@ -102,8 +107,7 @@ class Nonlinearity:
         """f(s) = c * s**q with c > 0, q > 0."""
         if c <= 0 or q <= 0:
             raise ValueError(f"power nonlinearity needs c, q > 0, got c={c}, q={q}")
-        return cls(kind="power", params=(float(c), float(q)),
-                   tail_exponent_hint=float(q))
+        return cls(kind="power", params=(float(c), float(q)))
 
     @classmethod
     def exp_minus_one(cls, lam: float) -> "Nonlinearity":
@@ -116,28 +120,6 @@ class Nonlinearity:
     def zero(cls) -> "Nonlinearity":
         """f identically zero (no absorption)."""
         return cls(kind="zero")
-
-    @classmethod
-    def custom(cls, f: Callable, F: Optional[Callable] = None,
-               tail_exponent_hint: Optional[float] = None) -> "Nonlinearity":
-        """Wrap a user-supplied evaluator, validating admissibility by sampling."""
-        nl = cls(kind="custom", f_callable=f, F_callable=F,
-                 tail_exponent_hint=tail_exponent_hint)
-        nl._validate_samples()
-        return nl
-
-    def _validate_samples(self):
-        vals = np.array([self.f_callable(s) for s in _VALIDATION_GRID], dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("custom nonlinearity produced non-finite values")
-        if abs(vals[0]) > 1e-12:
-            raise ValueError(f"custom nonlinearity violates f(0)=0: f(0)={vals[0]}")
-        if np.any(vals < -1e-12):
-            raise ValueError("custom nonlinearity takes negative values")
-        drops = np.diff(vals)
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        if np.any(drops < -1e-12 * scale):
-            raise ValueError("custom nonlinearity is not nondecreasing")
 
     # -- pointwise evaluation ---------------------------------------------
 
@@ -164,9 +146,7 @@ class Nonlinearity:
             # past s ~ 709.8 this is inf, which the solvers refuse
             with np.errstate(over="ignore"):
                 return lam * np.expm1(arr)
-        if self.kind == "zero":
-            return np.zeros_like(arr)
-        return np.vectorize(self.f_callable, otypes=[float])(arr)
+        return np.zeros_like(arr)
 
     def f_prime(self, s):
         """Derivative of :meth:`f_extended`, used for Newton linearization
@@ -189,13 +169,8 @@ class Nonlinearity:
             (lam,) = self.params
             with np.errstate(over="ignore"):
                 out = lam * np.exp(arr)
-        elif self.kind == "zero":
-            out = np.zeros_like(arr)
         else:
-            h = 1e-6
-            fp = np.vectorize(self.f_callable, otypes=[float])
-            out = (fp(arr + h) - fp(np.maximum(arr - h, 0.0))) / (
-                h + np.minimum(arr, h))
+            out = np.zeros_like(arr)
         out = np.where(below, 0.0, out)
         return out if np.asarray(s).ndim else float(out)
 
@@ -220,28 +195,7 @@ class Nonlinearity:
         if self.kind == "exp_minus_one":
             (lam,) = self.params
             return lam * _expm1_minus(arr)
-        if self.kind == "zero":
-            return np.zeros_like(arr)
-        if self.F_callable is not None:
-            return np.vectorize(self.F_callable, otypes=[float])(arr)
-        flat = np.atleast_1d(arr).ravel()
-        vals = np.array([self._quad_F(x) for x in flat])
-        return vals.reshape(np.shape(arr))
-
-    def _quad_F(self, x):
-        if x == 0.0:
-            return 0.0
-        from scipy.integrate import quad
-        try:
-            val, err = quad(self.f_callable, 0.0, x, epsabs=1e-12, epsrel=1e-10,
-                            limit=200)
-        except Exception as exc:
-            raise QuadratureError(f"antiderivative quadrature failed at {x}: {exc}")
-        if err > 1e-12 + 1e-10 * abs(val):
-            raise QuadratureError(
-                f"antiderivative quadrature at {x}: error estimate {err:.3e} "
-                f"exceeds tolerance (value {val:.6e})")
-        return val
+        return np.zeros_like(arr)
 
     def F_gap(self, a: float, dx: float) -> float:
         """F(a + dx) - F(a) for a >= 0, dx >= 0, without cancellation.
@@ -273,12 +227,7 @@ class Nonlinearity:
                               + float(_expm1_minus(dx)))
             except OverflowError:
                 return float("inf")
-        if self.kind == "zero":
-            return 0.0
-        from scipy.integrate import quad
-        val, _ = quad(self.f_callable, a, a + dx, epsabs=1e-14, epsrel=1e-11,
-                      limit=200)
-        return val
+        return 0.0
 
     # -- descriptive ------------------------------------------------------
 
@@ -288,9 +237,7 @@ class Nonlinearity:
             return f"f(s) = {c:g} s^{q:g}"
         if self.kind == "exp_minus_one":
             return f"f(s) = {self.params[0]:g} (e^s - 1)"
-        if self.kind == "zero":
-            return "f = 0"
-        return "custom f"
+        return "f = 0"
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,47 +275,38 @@ class A2Report:
 
 # -- module-level operations ----------------------------------------------
 
-def _tail_diverges_analytically(nl: Nonlinearity, p: float) -> Optional[bool]:
-    """Analytic tail verdict where the growth is known exactly.
-
-    Returns True/False when decidable, None when only numerics can tell.
-    """
-    if nl.kind == "zero":
-        return True
+def _psi_diverges(nl: Nonlinearity, p: float) -> bool:
+    """True iff Psi_p is infinite, decided from the growth of F alone:
+    ``F^(-1/p) ~ s^(-(q+1)/p)`` is integrable at infinity iff q + 1 > p,
+    ``e^(-s/p)`` always, and ``F = 0`` never."""
     if nl.kind == "power":
-        _, q = nl.params
-        return q + 1.0 <= p
-    if nl.kind == "exp_minus_one":
-        return False
-    return None
+        return nl.params[1] + 1.0 <= p
+    return nl.kind == "zero"
 
 
 def _log_F(nl: Nonlinearity) -> Callable[[float], float]:
-    """Scalar ``s -> log F(s)`` for ``s > 0``, ``-inf`` where F vanishes.
+    """Scalar ``s -> log F(s)`` for ``s > 0`` and a kind with F > 0 there.
 
-    The built-in kinds take a closed form in ``math`` that neither
-    underflows nor overflows: ``log(c/(q+1)) + (q+1) log s`` for a power,
-    and ``log lam + s + log1p(-(1+s) e^-s)`` for ``e^s - 1`` when s >= 1.
+    A closed form in ``math`` that neither underflows nor overflows:
+    ``log(c/(q+1)) + (q+1) log s`` for a power; for ``e^s - 1``,
+    ``log lam + s + log1p(-(1+s) e^-s)`` when s >= 1, the log of its
+    Taylor sum below 1, and ``log lam + 2 log s - log 2`` where that sum
+    is subnormal (s below about 1.5e-154).
     """
     if nl.kind == "power":
         c, q = nl.params
         log_coeff = math.log(c / (q + 1.0))
         return lambda s: log_coeff + (q + 1.0) * math.log(s)
-    if nl.kind == "exp_minus_one":
-        log_lam = math.log(nl.params[0])
-
-        def log_F(s):
-            if s >= 1.0:
-                # e^s - 1 - s = e^s (1 - (1 + s) e^-s)
-                return log_lam + s + math.log1p(-(1.0 + s) * math.exp(-s))
-            small = _expm1_minus(s)
-            return log_lam + math.log(small) if small > 0.0 else -math.inf
-
-        return log_F
+    log_lam = math.log(nl.params[0])
 
     def log_F(s):
-        Fs = nl.F(s)
-        return math.log(Fs) if Fs > 0.0 else -math.inf
+        if s >= 1.0:
+            # e^s - 1 - s = e^s (1 - (1 + s) e^-s)
+            return log_lam + s + math.log1p(-(1.0 + s) * math.exp(-s))
+        small = _expm1_minus_series(s)
+        if small < sys.float_info.min:  # subnormal: take s^2 / 2
+            return log_lam + 2.0 * math.log(s) - math.log(2.0)
+        return log_lam + math.log(small)
 
     return log_F
 
@@ -388,31 +326,32 @@ def _log_panel(log_F: Callable[[float], float], p: float, lo: float,
     return math.log(piece) - ref / p
 
 
-def _log_tails(nl: Nonlinearity, p: float, log_F: Callable[[float], float],
+def _log_tails(log_F: Callable[[float], float], p: float,
                nodes: list) -> list:
-    """``log int_x^inf F^(-1/p)`` at each of the sorted, distinct ``nodes``.
+    """``log int_x^inf F^(-1/p)`` at each of the sorted, distinct ``nodes``,
+    for an F whose integral converges.
 
-    One tail is integrated from the largest node and one panel between
-    each pair of neighbours (split into doubling panels where neighbours
-    lie more than a factor 2 apart); the sums are accumulated from the top
-    with ``int_x^inf = int_x^y + int_y^inf``.  Each piece integrates
-    ``(F(s)/F(x0))^(-1/p)`` from its left end ``x0``, where it is 1, so
-    neither a huge nor a tiny F under- or overflows the integrand.
+    One tail is integrated from the largest node, or from 1 if larger
+    (near 0, e^s - 1 has F ~ s^2/2, where doubling panels shrink slowly or
+    not at all, so a tail from far below 1 runs out of doublings before it
+    converges), and one panel between each pair of neighbours (split into
+    doubling panels where neighbours lie more than a factor 2 apart); the
+    sums are accumulated from the top with ``int_x^inf = int_x^y +
+    int_y^inf``.  Each piece integrates ``(F(s)/F(x0))^(-1/p)`` from its
+    left end ``x0``, where it is 1, so neither a huge nor a tiny F under-
+    or overflows the integrand.  Raises :class:`QuadratureError` when the
+    tail does not converge numerically.
     """
-    top = nodes[-1]
+    bounds = nodes if nodes[-1] >= 1.0 else nodes + [1.0]
+    top = bounds[-1]
     ref = log_F(top)
     tail = integrate_to_infinity(lambda s: math.exp((ref - log_F(s)) / p),
                                  top)
-    if math.isinf(tail):
-        if nl.tail_exponent_hint is not None and nl.tail_exponent_hint + 1.0 > p:
-            raise QuadratureError(
-                "tail integral did not converge numerically although the "
-                "tail exponent hint guarantees integrability")
-        return [math.inf] * len(nodes)
-    if not tail > 0.0:
-        raise QuadratureError(f"tail integral from {top} is {tail!r}")
+    if not 0.0 < tail < math.inf:
+        raise QuadratureError(
+            f"tail integral from {top} is {tail!r} although (A1) holds")
     edges = []
-    for lo, hi in zip(nodes, nodes[1:]):
+    for lo, hi in zip(bounds, bounds[1:]):
         while 2.0 * lo < hi:
             edges.append(lo)
             lo *= 2.0
@@ -430,11 +369,11 @@ def log_psi_p(nl: Nonlinearity, p: float, points) -> np.ndarray:
     """``log Psi_p`` at each of ``points``; ``+inf`` where Psi_p diverges.
 
     All points share one sweep: the distinct points are sorted, one tail
-    is integrated from the largest and one panel between neighbours (see
-    :func:`_log_tails`).  Working with logs keeps values such as
-    ``Psi_2(1e4) ~ e^(-5000)`` for ``f = e^s - 1`` representable.  A point
-    where F vanishes starts its integral at the first point above it
-    where F is positive.
+    is integrated from the largest (or from 1, when all lie below 1) and
+    one panel between neighbours (see :func:`_log_tails`).  Working with
+    logs keeps values such as ``Psi_2(1e4) ~ e^(-5000)`` for ``f = e^s -
+    1`` representable.  Where (A1) fails every value is ``+inf`` and
+    nothing is integrated.
     """
     if p <= 1.0:
         raise ValueError(f"Psi_p requires p > 1, got p={p}")
@@ -442,18 +381,13 @@ def log_psi_p(nl: Nonlinearity, p: float, points) -> np.ndarray:
     bad = x[~(x > 0.0)]
     if bad.size:
         raise ValueError(f"Psi_p requires r > 0, got r={bad[0]}")
-    if _tail_diverges_analytically(nl, p) is True:
+    if _psi_diverges(nl, p):
         return np.full(x.shape, math.inf)
-    log_F = _log_F(nl)
-    starts = {}
-    for r in np.unique(x).tolist():
-        starts[r] = r if log_F(r) > -math.inf else _first_positive_F(nl, r)
-    nodes = sorted({s for s in starts.values() if s is not None})
-    log_at = dict(zip(nodes, _log_tails(nl, p, log_F, nodes))) if nodes else {}
+    nodes = np.unique(x).tolist()
+    log_at = dict(zip(nodes, _log_tails(_log_F(nl), p, nodes)))
     log_const = math.log1p(-1.0 / p) / p
-    out = [math.inf if starts[r] is None else log_const + log_at[starts[r]]
-           for r in x.ravel().tolist()]
-    return np.array(out).reshape(x.shape)
+    return np.array([log_const + log_at[r]
+                     for r in x.ravel().tolist()]).reshape(x.shape)
 
 
 def psi_p(nl: Nonlinearity, p: float, r: float) -> float:
@@ -465,48 +399,13 @@ def psi_p(nl: Nonlinearity, p: float, r: float) -> float:
     return math.exp(log_psi_p(nl, p, (r,))[0])
 
 
-def _first_positive_F(nl: Nonlinearity, r: float) -> Optional[float]:
-    """Smallest probe point above r where F > 0, or None if F stays zero.
-
-    Declares F identically zero ahead of r when probing up to 1e6 * r
-    finds nothing; otherwise bisects the boundary of the zero set so the
-    integrable-singularity case (f rising continuously from zero beyond r)
-    is still handled.
-    """
-    hi = None
-    for factor in (1.0 + 1e-6, 1.0 + 1e-3, 2.0, 10.0, 1e3, 1e6):
-        if nl.F(r * factor) > 0.0:
-            hi = r * factor
-            break
-    if hi is None:
-        return None
-    lo = r
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if nl.F(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-@functools.lru_cache(maxsize=64)
 def check_a1(nl: Nonlinearity, p: float) -> bool:
     """True iff Psi_p is finite (the Keller-Osserman condition).
 
-    Decided analytically for the built-in kinds; a custom nonlinearity
-    passes when Psi_p is finite at the probe radii {1e-2, 1, 1e2}, all
-    three evaluated in one sweep.
-    Finiteness at one radius implies it for all larger radii (positive
-    integrand); the small probes guard against non-integrable interior
-    zeros of F.  The verdict is a pure function of the frozen ``nl`` and
-    ``p``, cached per pair: a blow-up sweep asks for it in its spec, in
-    each reference and in each M sweep.
+    Decided analytically: q + 1 > p for ``c s^q``, always for
+    ``lam (e^s - 1)``, never for zero.  No Psi_p is evaluated.
     """
-    diverges = _tail_diverges_analytically(nl, p)
-    if diverges is not None:
-        return not diverges
-    return bool(np.all(log_psi_p(nl, p, (1e-2, 1.0, 1e2)) < math.inf))
+    return not _psi_diverges(nl, p)
 
 
 #: smallest t of the A2 probe grid, its density and the pass margin
@@ -576,11 +475,15 @@ def psi_inverse(nl: Nonlinearity, p: float, d: float) -> float:
     quartering, and each root-solver probe in the final bracket, adds one
     panel to the known Psi_p above it instead of integrating another tail.
     Accurate to ``|Psi_p(v) - d| <= 1e-8 * d``, checked against an
-    independent :func:`psi_p`; raises :class:`QuadratureError` when no
+    independent :func:`psi_p`.  Raises ``ValueError`` where (A1) fails,
+    before any Psi_p is evaluated, and :class:`QuadratureError` when no
     bracket of d is found.
     """
     if d <= 0.0:
         raise ValueError(f"psi_inverse requires d > 0, got {d}")
+    if _psi_diverges(nl, p):
+        raise ValueError("the Keller-Osserman integral diverges; Psi_p "
+                         "has no inverse")
     log_d, log_F = math.log(d), _log_F(nl)
     log_const = math.log1p(-1.0 / p) / p
 
@@ -588,8 +491,6 @@ def psi_inverse(nl: Nonlinearity, p: float, d: float) -> float:
         """log Psi_p(v) for v <= hi from log Psi_p(hi)."""
         if v >= hi:
             return log_hi
-        if log_F(v) == -math.inf:  # Psi_p(v) starts above v
-            return float(log_psi_p(nl, p, (v,))[0])
         return float(np.logaddexp(log_const + _log_panel(log_F, p, v, hi),
                                   log_hi))
 
@@ -599,9 +500,6 @@ def psi_inverse(nl: Nonlinearity, p: float, d: float) -> float:
         run = 4.0 ** np.arange(start, end + 1)
         probes += run.tolist()
         log_probes += log_psi_p(nl, p, run).tolist()
-        if math.isinf(log_probes[0]):
-            raise ValueError("the Keller-Osserman integral diverges; Psi_p "
-                             "has no inverse")
         if log_probes[-1] <= log_d:
             break
         start = end + 1

@@ -128,8 +128,8 @@ class TestSweep:
         assert rep.slope <= -0.5 + 0.1
 
     def test_blowup_sweep_probes_a1_once(self, monkeypatch):
-        # (A1) is a pure function of (nl, p): the spec, both references,
-        # every row and the floor share one Psi_p probe
+        # (A1) is decided analytically: the spec, both references, every
+        # row and the floor ask for it, and none evaluates Psi_p
         probes = []
         log_psi_p = plaplab.nonlinearity.log_psi_p
 
@@ -138,14 +138,12 @@ class TestSweep:
             return log_psi_p(*args, **kwargs)
 
         monkeypatch.setattr(plaplab.nonlinearity, "log_psi_p", counting)
-        nl = Nonlinearity.custom(lambda s: 2.0 * s ** 3,
-                                 F=lambda s: 0.5 * s ** 4)
-        spec = SweepSpec(nl=nl, p=2.0, cross=(-2.0, 2.0),
+        spec = SweepSpec(nl=POWER23, p=2.0, cross=(-2.0, 2.0),
                          regime=BlowupData((10.0, 100.0)), ells=(2.0, 4.0),
                          window=Window(-1.0, 1.0, -1.0, 1.0), ny=9)
         rows, _, _ = sweep_ell(spec)
         assert len(rows) == 2
-        assert len(probes) == 1
+        assert probes == []
 
     def test_blowup_errors_decrease(self):
         spec = SweepSpec(nl=POWER23, p=2.0, cross=(-2.0, 2.0),

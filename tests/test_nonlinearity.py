@@ -106,24 +106,11 @@ class TestPointwise:
         assert nl.F_gap(a, dx) == pytest.approx(nl.f(a) * dx, rel=1e-10)
 
 
-class TestCustomValidation:
-    def test_valid_custom_matches_power(self):
-        nl = Nonlinearity.custom(lambda s: 2.0 * s ** 3,
-                                 tail_exponent_hint=3.0)
-        assert nl.F(2.0) == pytest.approx(8.0, rel=1e-9)
-        assert psi_p(nl, 2.0, 1.0) == pytest.approx(1.0, rel=1e-7)
-
-    def test_nonzero_at_origin_rejected(self):
-        with pytest.raises(ValueError, match="f\\(0\\)=0"):
-            Nonlinearity.custom(lambda s: s + 1.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            Nonlinearity.custom(lambda s: -s)
-
-    def test_decreasing_rejected(self):
-        with pytest.raises(ValueError, match="nondecreasing"):
-            Nonlinearity.custom(lambda s: s * math.exp(-s))
+class TestKinds:
+    @pytest.mark.parametrize("kind", ["custom", "Power", "exp"])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match="unknown nonlinearity kind"):
+            Nonlinearity(kind=kind)
 
 
 class TestPsi:
@@ -254,6 +241,24 @@ class TestLogPsiSweep:
                             - math.log(nl.F(lo)) / 1.125)
         assert got[0] == pytest.approx(want, abs=1e-13)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("r", [1e-20, 1e-60, 1e-160, 1e-300])
+    def test_tiny_point_alone_matches_it_beside_a_large_one(self, r, p):
+        # near 0 e^s - 1 has F ~ s^2/2, where doubling tail panels do not
+        # shrink, and below about 1.5e-154 the Taylor sum of F is subnormal
+        nl = Nonlinearity.exp_minus_one(1.0)
+        alone = log_psi_p(nl, p, [r])[0]
+        beside = log_psi_p(nl, p, [r, 10.0])[0]
+        assert math.isfinite(alone)
+        assert abs(alone - beside) <= 1e-12
+
+    def test_exponential_psi2_grows_like_log_near_zero(self):
+        # F^(-1/2) = sqrt(2)/s (1 + O(s)) for f = e^s - 1, so
+        # Psi_2(1e-200) - Psi_2(1e-100) = log(1e100) up to O(1e-100)
+        nl = Nonlinearity.exp_minus_one(1.0)
+        gap = psi_p(nl, 2.0, 1e-200) - psi_p(nl, 2.0, 1e-100)
+        assert gap == pytest.approx(100.0 * math.log(10.0), rel=1e-13)
+
     def test_output_follows_the_input_order(self):
         nl = Nonlinearity.power(2, 3)
         got = np.exp(log_psi_p(nl, 2.0, [4.0, 0.5, 2.0, 0.5]))
@@ -307,8 +312,13 @@ class TestA1:
     @pytest.mark.parametrize("q, p", [(3.0, 1.5), (3.0, 2.0), (3.0, 3.0),
                                       (0.5, 2.0), (1.0, 3.0), (1.0, 2.0),
                                       (5.0, 2.0)])
-    def test_numeric_probe_of_custom_power_agrees(self, q, p):
-        nl = Nonlinearity.custom(lambda s: s ** q)
+    def test_tail_quadrature_agrees_with_power_rule(self, q, p):
+        # numeric evidence for the analytic rule: the doubling tail of
+        # F^(-1/p) from 1 fails its Cauchy test exactly when q + 1 <= p
+        nl = Nonlinearity.power(1.0, q)
+        tail = plaplab.quadrature.integrate_to_infinity(
+            lambda s: nl.F(s) ** (-1.0 / p), 1.0)
+        assert math.isinf(tail) is (q + 1.0 <= p)
         assert check_a1(nl, p) is (q + 1.0 > p)
 
 
