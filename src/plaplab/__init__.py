@@ -3,6 +3,13 @@
 1D cross-section, including boundary blow-up approximation and
 convergence-rate measurement."""
 
+import os
+
+# The Newton bands are narrow (half-bandwidth ny - 1), and OpenBLAS's
+# threads cost more than they save on them; the setting must precede
+# numpy's import, and a caller's own setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .asymptotics import (BlowupData, CheckReport, FiniteData, RateReport,
                           RateRow, RateUnresolvableError, SweepSpec, fit_rate,
                           sweep_ell, verify_barrier, verify_caccioppoli,

@@ -475,10 +475,12 @@ def psi_inverse(nl: Nonlinearity, p: float, d: float) -> float:
     quartering, and each root-solver probe in the final bracket, adds one
     panel to the known Psi_p above it instead of integrating another tail.
     Accurate to ``|Psi_p(v) - d| <= 1e-8 * d``, checked against an
-    independent :func:`psi_p`.  Raises ``ValueError`` where (A1) fails,
-    before any Psi_p is evaluated, and :class:`QuadratureError` when no
-    bracket of d is found.
+    independent :func:`psi_p`.  Raises ``ValueError`` for p <= 1 and
+    where (A1) fails, before any Psi_p is evaluated, and
+    :class:`QuadratureError` when no bracket of d is found.
     """
+    if p <= 1.0:
+        raise ValueError(f"Psi_p requires p > 1, got p={p}")
     if d <= 0.0:
         raise ValueError(f"psi_inverse requires d > 0, got {d}")
     if _psi_diverges(nl, p):

@@ -48,6 +48,22 @@ level's Newton steps and the windowed change between consecutive levels
 as a stabilization residual.  :func:`solve_levels` solves any increasing
 constant levels on one grid the same way, without the sweep's (A1)
 refusal and monotonicity abort.
+
+A solve whose boundary data the half-turn (x, y) -> (-x, y0 + y1 - y)
+leaves unchanged runs on half the mesh (:meth:`_CylinderProblem.on_half_mesh`):
+every constant level, so every sweep and every :func:`solve_levels`, and
+every :func:`solve_dirichlet` with ``bvals == bvals[::-1]``.  The half-turn
+maps node n to N - 1 - n and each lower triangle onto an upper one, so
+the unique minimizer is symmetric, and the energy of a symmetric field is
+twice that of the lower triangles with each node read as its dof
+min(n, N - 1 - n).  Newton then takes the whole mesh's iterates on half
+the dofs, with the band no wider; a cell pair k < l whose nodes fold onto
+one dof (where the rectangle's centre is not a node) adds 2 H_kl to that
+diagonal entry.  Solutions are lifted back onto the whole mesh, and the
+reported energy is twice the half's.  :func:`energy` and
+:func:`energy_gradient` take any field and keep the whole mesh.  The
+bands are factored on one OpenBLAS thread unless the caller chose
+otherwise (see :mod:`plaplab`).
 """
 
 from __future__ import annotations
@@ -163,10 +179,15 @@ class _CylinderProblem:
 
     The Newton system is solved by banded Cholesky with the free dofs in
     the node order ``band_order`` (default: the natural order), which
-    should keep the half-bandwidth ``kd`` of the Hessian small."""
+    should keep the half-bandwidth ``kd`` of the Hessian small.
+
+    ``lift`` gives the dof of every node of the grid when the problem is
+    the half mesh of :meth:`on_half_mesh`, whose energy is then half the
+    grid's (``copies`` = 2); by default each node is its own dof."""
 
     def __init__(self, cells, b, measure, free, nl: Nonlinearity, cfg,
-                 boundary_values: np.ndarray, h: float, band_order=None):
+                 boundary_values: np.ndarray, h: float, band_order=None,
+                 lift=None):
         self.nl = nl
         self.cfg = cfg
         self.h = h
@@ -190,6 +211,10 @@ class _CylinderProblem:
         self._band_layout(free, band_order)
         # Cholesky band of the current solve's most recent Newton step
         self._factor = None
+        # the dof of every node of the whole mesh, and how many copies of
+        # this problem's energy the whole mesh's is
+        self.lift = np.arange(n) if lift is None else lift
+        self.copies = 1 if lift is None else 2
 
     def _band_layout(self, free, band_order):
         """Scatter map from the per-cell node-pair Hessian entries into
@@ -214,11 +239,16 @@ class _CylinderProblem:
                           zip(*self._pairs)])
         keep = col >= 0
         self.kd = int(np.max(slots, where=keep, initial=0))
+        # a pair k < l of one cell whose nodes share a dof (on a folded
+        # mesh) adds H_kl + H_lk = 2 H_kl to that diagonal entry
+        twice = keep & (slots == 0)
+        twice[self._pairs[0] == self._pairs[1]] = False
         col *= self.kd + 1
         slots += col
         # the pairs at a fixed node go to one spare slot past the end
         slots[~keep] = (self.kd + 1) * nfree
         self._band_slots = slots.ravel()
+        self._twice = np.flatnonzero(twice.ravel())
         # free_idx position of each band dof, and back
         self._to_band = np.searchsorted(self.free_idx, band_nodes)
         self._from_band = np.argsort(self._to_band)
@@ -234,6 +264,40 @@ class _CylinderProblem:
         return cls(grid.triangles(), grid.gradient_coefficients(),
                    grid.triangle_area(), grid.interior_mask(), nl, cfg,
                    boundary_values, min(grid.hx, grid.hy), band_order)
+
+    @classmethod
+    def on_half_mesh(cls, grid: RectGrid, nl: Nonlinearity,
+                     cfg: SolverConfig,
+                     boundary_values: np.ndarray) -> "_CylinderProblem":
+        """The cylinder problem restricted to the fields that the half-turn
+        (x, y) -> (-x, y0 + y1 - y) leaves unchanged, for ``boundary_values``
+        that it leaves unchanged.
+
+        The half-turn maps node n to N - 1 - n and every lower triangle
+        onto an upper one, so the energy of such a field is twice that of
+        the lower triangles alone with each node n read as its dof
+        min(n, N - 1 - n): the nodes 0 .. (N - 1) // 2 keep their ids, and
+        ``lift`` reads a dof vector back onto the whole mesh.  The band
+        order numbers the lines across the shorter lattice side up to the
+        middle one, each line whole, read through the fold (the half-turn
+        maps line i onto its mirror, so these lines hold every dof): the
+        half-bandwidth is that of the whole mesh, min(nx, ny) - 1, at half
+        the dofs."""
+        n = grid.n_nodes
+        lift = np.minimum(np.arange(n), np.arange(n)[::-1])
+        half = grid.n_triangles // 2  # the lower triangles come first
+        lines = np.arange(n).reshape(grid.ny, grid.nx)
+        if grid.nx >= grid.ny:
+            lines = lines.T
+        # only the middle line of an odd count meets its own dofs twice
+        order = lift[lines[:(len(lines) + 1) // 2].ravel()]
+        _, first = np.unique(order, return_index=True)
+        kept = (n + 1) // 2
+        return cls(lift[grid.triangles()[:half]],
+                   grid.gradient_coefficients()[:half], grid.triangle_area(),
+                   grid.interior_mask()[:kept], nl, cfg,
+                   boundary_values[:kept].copy(), min(grid.hx, grid.hy),
+                   order[np.sort(first)], lift)
 
     def with_boundary(self, u):
         out = np.array(u, dtype=float)
@@ -349,6 +413,8 @@ class _CylinderProblem:
         nfree = len(rhs)
         ab = np.bincount(self._band_slots, weights=blocks.ravel(),
                          minlength=(self.kd + 1) * nfree + 1)
+        np.add.at(ab, self._band_slots[self._twice],
+                  blocks.ravel()[self._twice])
         ab = ab[:-1].reshape(nfree, self.kd + 1).T
         ab[0] += fp[self._to_band]
         if self.kd == 1:
@@ -457,12 +523,12 @@ def _solve_result(grid: RectGrid, problem: _CylinderProblem, mode: str,
     ``problem`` on ``grid``."""
     u, stages, info = level
     return SolveResult(
-        solution=GridFunction(grid, u),
+        solution=GridFunction(grid, u[problem.lift]),
         config=problem.cfg,
         nl=problem.nl,
         boundary_mode=mode,
         stages=tuple(stages),
-        energy=problem.full_energy(u, stages[-1].eps),
+        energy=problem.copies * problem.full_energy(u, stages[-1].eps),
         residual=info["residual"],
         diagnostics={"roundoff_floor": info["roundoff_floor"],
                      "stalled_at_floor": info["stalled"],
@@ -480,14 +546,21 @@ def solve_dirichlet(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig,
     of a nearby problem (its boundary entries are overwritten), warm-starts
     Newton at the last eps of the ladder only; the default cold start
     sets every interior node to the smallest boundary value and runs the
-    whole ladder.  Each call builds its own problem on ``grid``; a
-    sequence of constant levels on one grid shares one
-    (:func:`solve_levels`, :func:`solve_blowup`).
+    whole ladder.  Each call builds its own problem on ``grid``, on the
+    half mesh when the half-turn leaves the boundary values unchanged
+    (``initial`` is then read on the kept nodes); a sequence of constant
+    levels on one grid shares one (:func:`solve_levels`,
+    :func:`solve_blowup`).
     """
-    problem = _CylinderProblem.on_grid(grid, nl, cfg,
-                                       _boundary_array(grid, bdata))
+    bvals = _boundary_array(grid, bdata)
+    if np.array_equal(bvals, bvals[::-1]):
+        problem = _CylinderProblem.on_half_mesh(grid, nl, cfg, bvals)
+    else:
+        problem = _CylinderProblem.on_grid(grid, nl, cfg, bvals)
     mode = "dirichlet(callable)" if callable(bdata) else \
         f"dirichlet(constant {bdata})"
+    if initial is not None:
+        initial = initial[:len(problem.free)]
     return _solve_result(grid, problem, mode, problem.minimize(initial))
 
 
@@ -502,10 +575,13 @@ def solve_levels(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig,
     :func:`solve_dirichlet` at its level to within the solver tolerance.
     Unlike :func:`solve_blowup` this neither refuses a nonlinearity
     failing (A1) nor checks that the solutions increase, which is left to
-    the caller.  Returns one :class:`SolveResult` per level.
+    the caller.  Constant data are symmetric under the half-turn, so the
+    problem is the half mesh's.  Returns one :class:`SolveResult` per
+    level.
     """
     levels = increasing_levels(levels)
-    problem = _CylinderProblem.on_grid(grid, nl, cfg, np.zeros(grid.n_nodes))
+    problem = _CylinderProblem.on_half_mesh(grid, nl, cfg,
+                                            np.zeros(grid.n_nodes))
     return tuple(
         _solve_result(grid, problem, f"dirichlet(constant {g})", level)
         for g, level in zip(levels, warm_levels(problem, levels)))
@@ -516,21 +592,30 @@ def solve_blowup(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig, M_list,
                  initial: Optional[np.ndarray] = None):
     """Increasing sweep of constant boundary levels approximating blow-up.
 
-    One problem on ``grid`` serves every level:
+    One problem on the half mesh of ``grid`` serves every level:
     :func:`plaplab.minimize.sweep_levels` sets each level M on its
-    boundary nodes and solves, ``initial`` warm-starting the first level
-    (default: a cold start) and each later level starting from the
-    Euler predictor of the previous one.  Returns the list of per-level
-    results and the sweep's :class:`~plaplab.minimize.BlowupReport`, whose
-    changes are measured on the window (all interior nodes without one).
+    boundary nodes and solves, ``initial`` (read on the kept nodes)
+    warm-starting the first level (default: a cold start) and each later
+    level starting from the Euler predictor of the previous one.  Returns
+    the list of per-level results and the sweep's
+    :class:`~plaplab.minimize.BlowupReport`, whose changes are measured on
+    the window, a node or its image in it (all interior nodes without one).
     The window must lie one cell inside ``grid``, which is checked before
     any solve.
     """
     if window is not None:
         require_window_inside(grid, window)
-    problem = _CylinderProblem.on_grid(grid, nl, cfg, np.zeros(grid.n_nodes))
-    watch = problem.free if window is None else \
-        window_node_mask(grid, window) & problem.free
+    problem = _CylinderProblem.on_half_mesh(grid, nl, cfg,
+                                            np.zeros(grid.n_nodes))
+    kept = len(problem.free)
+    if window is None:
+        watch = problem.free
+    else:
+        # a node is watched when it or its image lies in the window
+        watch = window_node_mask(grid, window)
+        watch = (watch | watch[::-1])[:kept] & problem.free
+    if initial is not None:
+        initial = initial[:kept]
     levels, report = sweep_levels(problem, M_list, watch, initial)
     results = [_solve_result(grid, problem, f"blowup(M={M:g})", level)
                for M, level in zip(report.m_values, levels)]

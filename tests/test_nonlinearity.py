@@ -442,6 +442,12 @@ class TestPsiInverse:
         with pytest.raises(ValueError, match="d > 0"):
             psi_inverse(Nonlinearity.power(2, 3), 2.0, 0.0)
 
+    @pytest.mark.parametrize("p", [1.0, 0.5])
+    def test_p_at_most_one_is_bad_input(self, p):
+        # refused like log_psi_p refuses it, not by a math domain error
+        with pytest.raises(ValueError, match=r"Psi_p requires p > 1"):
+            psi_inverse(Nonlinearity.power(2, 3), p, 1.0)
+
     def test_divergent_psi_raises(self):
         with pytest.raises(ValueError):
             psi_inverse(Nonlinearity.power(1, 1), 2.0, 1.0)

@@ -1,7 +1,11 @@
 """Energy assembly, Newton convergence, comparison and blow-up sweeps."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +16,10 @@ from scipy.linalg import solveh_banded
 from plaplab import (GridFunction, NonConvergenceError, Nonlinearity, Window,
                      SolverConfig, build_grid, energy, energy_gradient,
                      solve_blowup, solve_dirichlet, solve_large_1d,
-                     solve_levels, verify_barrier)
+                     solve_levels, verify_barrier, window_node_mask)
 import plaplab.solver
-from plaplab.minimize import default_eps_schedule, minimize_newton
+from plaplab.minimize import (default_eps_schedule, minimize_newton,
+                              sweep_levels, warm_levels)
 from plaplab.ode1d import _CrossProblem
 from plaplab.solver import _CylinderProblem, _boundary_array
 
@@ -255,8 +260,9 @@ class TestBandedNewtonSolve:
 @st.composite
 def kernel_cases(draw):
     """A problem of p in (1, 4] with power or e^s - 1 absorption on a
-    wide grid, a tall grid (banded along its rows) or a segment, with
-    random nodal values (boundary data included) and eps."""
+    wide grid, a tall grid (banded along its rows), either of them folded
+    onto its half mesh, or a segment, with random nodal values (boundary
+    data included) and eps."""
     p = draw(st.floats(1.0, 4.0, exclude_min=True))
     nl = draw(st.one_of(
         st.builds(Nonlinearity.power, st.floats(0.5, 4.0),
@@ -274,9 +280,11 @@ def kernel_cases(draw):
         nx, ny = (short + extra, short) if mesh == "wide" else \
             (short, short + 1 + extra)
         g = build_grid(1.0, (0.0, 1.0), nx, ny)
-        problem = _CylinderProblem.on_grid(
-            g, nl, SolverConfig(p=p), rng.uniform(0.0, 2.0, g.n_nodes))
-        n = g.n_nodes
+        build = _CylinderProblem.on_half_mesh if draw(st.booleans()) \
+            else _CylinderProblem.on_grid
+        problem = build(g, nl, SolverConfig(p=p),
+                        rng.uniform(0.0, 2.0, g.n_nodes))
+        n = len(problem.free)
     u = problem.with_boundary(rng.uniform(0.0, 2.0, n))
     return problem, u, draw(st.floats(1e-3, 0.3))
 
@@ -457,7 +465,6 @@ class TestSolveDirichlet:
         # halving eps_min must not amplify the solution change
         g = build_grid(2.0, (0.0, 1.0), 33, 17)
         w = Window(-1.0, 1.0, 0.25, 0.75)
-        from plaplab import window_node_mask
         mask = window_node_mask(g, w)
         for p in (1.5, 3.0):
             h = min(g.hx, g.hy)
@@ -497,13 +504,13 @@ class TestSolveLevels:
 
     def test_one_problem_serves_every_level(self, monkeypatch):
         built = []
-        on_grid = _CylinderProblem.on_grid.__func__
+        on_half_mesh = _CylinderProblem.on_half_mesh.__func__
 
         def counting(cls, *args, **kwargs):
             built.append(cls)
-            return on_grid(cls, *args, **kwargs)
+            return on_half_mesh(cls, *args, **kwargs)
 
-        monkeypatch.setattr(_CylinderProblem, "on_grid",
+        monkeypatch.setattr(_CylinderProblem, "on_half_mesh",
                             classmethod(counting))
         g = build_grid(1.0, (-1.0, 1.0), 9, 9)
         results = solve_levels(g, POWER23, SolverConfig(p=1.5),
@@ -552,13 +559,13 @@ class TestSolveBlowup:
 
     def test_one_problem_serves_every_level(self, monkeypatch):
         built = []
-        on_grid = _CylinderProblem.on_grid.__func__
+        on_half_mesh = _CylinderProblem.on_half_mesh.__func__
 
         def counting(cls, *args, **kwargs):
             built.append(cls)
-            return on_grid(cls, *args, **kwargs)
+            return on_half_mesh(cls, *args, **kwargs)
 
-        monkeypatch.setattr(_CylinderProblem, "on_grid",
+        monkeypatch.setattr(_CylinderProblem, "on_half_mesh",
                             classmethod(counting))
         g = build_grid(1.0, (-1.0, 1.0), 9, 9)
         results, _ = solve_blowup(g, POWER23, SolverConfig(p=1.5),
@@ -570,7 +577,7 @@ class TestSolveBlowup:
         # the sweep as one solve_dirichlet per level, each started from
         # the Euler predictor of the level below, is the reference bit for
         # bit; the predictor's tangent comes from the same solve repeated
-        # on a problem of its own
+        # on a half-mesh problem of its own
         g = build_grid(1.0, (-1.0, 1.0), 17, 9)
         cfg = SolverConfig(p=1.5)
         m_list = (10.0, 100.0, 1000.0)
@@ -583,14 +590,17 @@ class TestSolveBlowup:
             assert res.energy == ref.energy
             assert res.residual == ref.residual
             assert res.boundary_mode == f"blowup(M={M:g})"
-            problem = _CylinderProblem.on_grid(g, POWER23, cfg,
-                                               _boundary_array(g, M))
-            u, _, _ = problem.minimize(start)
-            assert np.array_equal(u, ref.solution.values)
+            problem = _CylinderProblem.on_half_mesh(g, POWER23, cfg,
+                                                    _boundary_array(g, M))
+            kept = len(problem.free)
+            u, _, _ = problem.minimize(None if start is None
+                                       else start[:kept])
+            assert np.array_equal(u[problem.lift], ref.solution.values)
             w = problem.tangent(u)
             assert w is not None
             if k + 1 < len(m_list):
-                start = u + M * (math.log(m_list[k + 1]) - math.log(M)) * w
+                start = (u + M * (math.log(m_list[k + 1]) - math.log(M))
+                         * w)[problem.lift]
 
     def test_levels_do_not_alias(self):
         g = build_grid(1.0, (-1.0, 1.0), 9, 9)
@@ -660,3 +670,140 @@ class TestSolveBlowup:
         center = results[-1].solution.as_rows()[(ny - 1) // 2, 32]
         a = solve_large_1d(POWER23, 2.0, 1.0).a
         assert center == pytest.approx(a, abs=1e-2)
+
+
+@st.composite
+def half_turn_cases(draw):
+    """A grid of any parity of (nx, ny), long or tall, on a cross-section
+    that may sit off the x axis, and p in [1.2, 4]."""
+    g = build_grid(draw(st.sampled_from([0.5, 1.0, 2.0])),
+                   draw(st.sampled_from([(-1.0, 1.0), (0.0, 2.0),
+                                         (0.5, 1.5)])),
+                   draw(st.integers(3, 12)), draw(st.integers(3, 12)))
+    return g, SolverConfig(p=draw(st.floats(1.2, 4.0)))
+
+
+class TestHalfMesh:
+    """Solves whose boundary data the half-turn (x, y) -> (-x, y0 + y1 - y)
+    leaves unchanged run on the half mesh; the whole mesh's problem is the
+    reference."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=half_turn_cases(),
+           exponents=st.lists(st.floats(0.0, 3.0), min_size=2, max_size=3,
+                              unique=True))
+    def test_sweeps_take_the_whole_meshs_steps_to_its_values(self, case,
+                                                             exponents):
+        g, cfg = case
+        m_list = sorted(10.0 ** e for e in exponents)
+        assume(all(b > a for a, b in zip(m_list, m_list[1:])))
+        nl = Nonlinearity.power(2, 4)
+        full = _CylinderProblem.on_grid(g, nl, cfg, np.zeros(g.n_nodes))
+        levels, report = sweep_levels(full, m_list, full.free)
+        results, half_report = solve_blowup(g, nl, cfg, m_list)
+        assert half_report.level_newton_steps == report.level_newton_steps
+        for M, (u, _, _), res in zip(m_list, levels, results):
+            assert np.max(np.abs(res.solution.values - u)) <= (
+                10.0 * cfg.tol * max(1.0, M))
+        for M, (u, stages, _), res in zip(
+                m_list, warm_levels(full, m_list),
+                solve_levels(g, nl, cfg, m_list)):
+            assert res.newton_steps == sum(s.iterations for s in stages)
+            assert np.max(np.abs(res.solution.values - u)) <= (
+                10.0 * cfg.tol * max(1.0, M))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=half_turn_cases(), seed=st.integers(0, 2 ** 32 - 1),
+           eps=st.floats(1e-3, 0.3))
+    def test_lift_doubles_the_energy_and_carries_gradient_and_step(
+            self, case, seed, eps):
+        # for v on the half mesh: E(lift v) = 2 E_half(v), the half's
+        # gradient is half the whole gradient summed over each node and
+        # its image, and the whole mesh's Newton step is the lift of the
+        # half's
+        g, cfg = case
+        rng = np.random.default_rng(seed)
+        data = rng.uniform(0.0, 2.0, g.n_nodes)
+        data += data[::-1]
+        half = _CylinderProblem.on_half_mesh(g, POWER23, cfg, data)
+        v = half.with_boundary(rng.uniform(0.0, 4.0, len(half.free)))
+        u = GridFunction(g, v[half.lift])
+        whole = energy(u, POWER23, cfg.p, eps)
+        assert whole == pytest.approx(2.0 * half.full_energy(v, eps),
+                                      rel=1e-12)
+        fold = np.bincount(half.lift, minlength=len(v),
+                           weights=energy_gradient(u, POWER23, cfg.p, eps))
+        grad, scale = half.gradient(v, eps)
+        assert np.all(np.abs(fold - 2.0 * grad) <= 1e-12 * 2.0 * scale)
+        full = _CylinderProblem.on_grid(g, POWER23, cfg, data)
+        whole_step = np.zeros(g.n_nodes)
+        whole_step[full.free_idx] = full.newton_step(
+            u.values, eps, full.gradient(u.values, eps)[0])
+        step = np.zeros(len(v))
+        step[half.free_idx] = half.newton_step(v, eps, grad)
+        assert np.max(np.abs(whole_step - step[half.lift])) <= (
+            1e-10 * np.max(np.abs(whole_step)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(nx=st.integers(3, 70), ny=st.integers(3, 70))
+    def test_band_is_no_wider_than_the_whole_meshs(self, nx, ny):
+        # the lines across the shorter side, read through the fold, keep
+        # the whole mesh's half-bandwidth min(nx, ny) - 1; lines along the
+        # longer side would give the longer one
+        g = build_grid(1.0, (0.0, 2.0), nx, ny)
+        half = _CylinderProblem.on_half_mesh(g, POWER23, SolverConfig(p=2.0),
+                                             np.zeros(g.n_nodes))
+        assert half.kd <= min(nx, ny) - 1
+        assert len(half.free) == (g.n_nodes + 1) // 2
+
+    def test_an_off_centre_window_watches_its_image_too(self):
+        # a window in one corner: the half mesh keeps only the image of
+        # some of its nodes, and the sweep's changes are still the whole
+        # mesh's over the window
+        g = build_grid(1.0, (0.0, 2.0), 17, 9)
+        cfg = SolverConfig(p=1.5)
+        m_list = (10.0, 100.0, 1000.0)
+        window = Window(0.2, 0.8, 1.3, 1.7)
+        full = _CylinderProblem.on_grid(g, POWER23, cfg, np.zeros(g.n_nodes))
+        _, report = sweep_levels(full, m_list,
+                                 window_node_mask(g, window) & full.free)
+        _, half_report = solve_blowup(g, POWER23, cfg, m_list, window=window)
+        assert half_report.stage_max_change == pytest.approx(
+            report.stage_max_change, abs=10.0 * cfg.tol * m_list[-1])
+
+    def test_asymmetric_data_solve_on_the_whole_mesh(self, monkeypatch):
+        built = []
+        on_half_mesh = _CylinderProblem.on_half_mesh.__func__
+
+        def counting(cls, *args, **kwargs):
+            built.append(cls)
+            return on_half_mesh(cls, *args, **kwargs)
+
+        monkeypatch.setattr(_CylinderProblem, "on_half_mesh",
+                            classmethod(counting))
+        g = build_grid(1.0, (0.0, 1.0), 9, 7)
+        cfg = SolverConfig(p=2.0)
+        tilted = solve_dirichlet(g, LINEAR, cfg, lambda X, Y: 1.0 + X)
+        assert built == []
+        flat = solve_dirichlet(g, LINEAR, cfg, lambda X, Y: 1.0 + X * X)
+        assert built == [_CylinderProblem]
+        for res in (tilted, flat):
+            u = res.solution
+            assert res.energy == pytest.approx(
+                energy(u, LINEAR, 2.0, res.stages[-1].eps), rel=1e-12)
+
+
+@pytest.mark.parametrize("caller,seen", [(None, "1"), ("2", "2")])
+def test_importing_plaplab_sets_one_openblas_thread_unless_set(caller, seen):
+    # the default must be in place before numpy loads OpenBLAS, so it is
+    # read in a fresh interpreter, one per case
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    env["PYTHONPATH"] = str(Path(plaplab.solver.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import os, plaplab; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == seen
