@@ -38,7 +38,7 @@ from .grid import (Window, build_grid, replacing_file, require_window_inside,
                    tied_nx, write_grid_function)
 from .minimize import NonConvergenceError
 from .nonlinearity import Nonlinearity, check_a1, check_a2, log_psi_p
-from .ode1d import blowup_radius, solve_large_1d
+from .ode1d import _tabulate, blowup_radius, solve_large_1d
 from .solver import SolverConfig, solve_blowup, solve_dirichlet, solve_levels
 
 EXIT_OK = 0
@@ -262,10 +262,11 @@ def cmd_ode1d(cfg, out: Path) -> int:
         raise ConfigError("ode1d needs exactly one of 'r' (radius) or "
                           "'a' (center value)")
     if "a" in spec:
-        r = blowup_radius(nl, p, _number(spec["a"], "ode1d.a"))
+        # tabulated from the given center value: its radius is one quadrature
+        a = _number(spec["a"], "ode1d.a")
+        sol = _tabulate(nl, p, a, blowup_radius(nl, p, a))
     else:
-        r = _number(spec["r"], "ode1d.r")
-    sol = solve_large_1d(nl, p, r)
+        sol = solve_large_1d(nl, p, _number(spec["r"], "ode1d.r"))
     resid = sol.first_integral_residual()
     _write_csv(out / "profile.csv",
                ["t", "phi", "dphi", "first_integral_residual"],

@@ -186,54 +186,102 @@ LEVEL_DECADES = (-6.0, 9.0)
 LEVEL_POINTS_PER_DECADE = 8
 
 
+#: center values are searched in [2^-CENTER_DOUBLINGS, 2^CENTER_DOUBLINGS]
+CENTER_DOUBLINGS = 60
+
+#: a probe is accepted once its own radius is within this of r, relative
+RADIUS_REL_TOL = 1e-10
+
+#: probe budget of one center-value search
+MAX_PROBES = 200
+
+
 def solve_large_1d(nl: Nonlinearity, p: float, r: float) -> LargeSolution1D:
     """Profile with prescribed blow-up radius r, via root solve for a.
 
-    The center value bracket is grown geometrically from a = 1 (r(a) is
-    strictly decreasing).  A bracket not found within 60 doublings or
-    halvings, a non-monotone probe sequence and a stalled root solve raise
-    :class:`QuadratureError` rather than return a wrong profile.
+    The center value is found by a secant on g(x) = ln r(e^x) - ln r in
+    x = ln a (r(a) is strictly decreasing), started from a = 1 and
+    a = 2^(+-1) on the side that r(1) points to.  For a power f = c s^q,
+    r(lam a) = lam^(-(q-p+1)/p) r(a), so g is affine and the first secant
+    step lands on the root.  Before the probes straddle r, steps stop at
+    the end of the range a in [2^-60, 2^60]; after, a step that leaves the
+    bracket is replaced by a bisection in ln a.  The first probe whose own
+    radius is within ``RADIUS_REL_TOL`` of r is the center value.  No root
+    in range, a non-monotone set of probes and a bracket that shrinks to
+    roundoff raise :class:`QuadratureError` rather than return a wrong
+    profile.
     """
     if r <= 0.0:
         raise ValueError(f"radius must be positive, got r={r}")
-    radius = lambda a: blowup_radius(nl, p, a)
-    probes = [(1.0, radius(1.0))]
-    # a larger center value has a smaller radius: double a while r(a) > r,
-    # else halve it until r(a) >= r
-    side = 1.0 if probes[0][1] > r else -1.0
-    for _ in range(60):
-        a = probes[-1][0] * 2.0 ** side
-        probes.append((a, radius(a)))
-        if side * (r - probes[-1][1]) >= 0.0:
-            break
-    else:
-        raise QuadratureError(
-            f"no center value with radius {'<=' if side > 0 else '>='} {r} "
-            f"found within 60 {'doublings' if side > 0 else 'halvings'}; "
-            f"probes end at {probes[-1]}")
-    if not all(side * (r1 - r2) >= 0.0
-               for (_, r1), (_, r2) in zip(probes, probes[1:])):
-        raise QuadratureError(
-            f"a -> r(a) is not monotone along the probe sequence {probes}; "
-            "cannot bracket the center value reliably")
-    lo, hi = sorted((probes[-2][0], probes[-1][0]))
-    from scipy.optimize import brentq
-    a = float(brentq(lambda x: radius(x) - r, lo, hi, rtol=1e-13, maxiter=200))
-    r_check = radius(a)
-    if abs(r_check - r) > 1e-10 * r:
-        raise QuadratureError(
-            f"center-value root solve stalled: r({a}) = {r_check} vs "
-            f"target {r}")
+    probes = []  # (a, r(a)) in probe order
 
+    def g(a):
+        ra = blowup_radius(nl, p, a)
+        probes.append((a, ra))
+        if any((a - b) * (ra - rb) > 0.0 for b, rb in probes):
+            raise QuadratureError(
+                f"a -> r(a) is not monotone along the probes {probes}; "
+                "cannot bracket the center value reliably")
+        # a radius below the smallest double reads 0: a bracket end
+        return math.log(ra / r) if ra > 0.0 else -math.inf
+
+    x, gx = 0.0, g(1.0)
+    # g decreases in x: step up from a = 1 while r(a) > r, else down
+    side = 1.0 if gx > 0.0 else -1.0
+    edge = side * CENTER_DOUBLINGS * math.log(2.0)
+    x_prev = g_prev = None
+    lo = hi = None  # the nearest probes with g > 0 and g <= 0
+    while abs(probes[-1][1] - r) > RADIUS_REL_TOL * r:
+        if len(probes) >= MAX_PROBES:
+            raise QuadratureError(
+                f"center-value root solve stalled after {len(probes)} "
+                f"probes at {probes[-1]}; target radius {r}")
+        if gx > 0.0:
+            lo = x
+        else:
+            hi = x
+        secant = None if g_prev is None or gx == g_prev or \
+            math.isinf(gx) else x - gx * (x - x_prev) / (gx - g_prev)
+        if g_prev is None:
+            x_next = side * math.log(2.0)
+        elif lo is None or hi is None:
+            if x == edge:
+                raise QuadratureError(
+                    f"no center value with radius "
+                    f"{'<=' if side > 0 else '>='} {r} found within "
+                    f"{CENTER_DOUBLINGS} "
+                    f"{'doublings' if side > 0 else 'halvings'}; probes "
+                    f"end at {probes[-1]}")
+            x_next = edge if secant is None or side * (secant - edge) > 0.0 \
+                else secant
+        elif secant is not None and lo < secant < hi:
+            x_next = secant
+        else:
+            x_next = 0.5 * (lo + hi)
+            if not lo < x_next < hi:
+                raise QuadratureError(
+                    f"center-value root solve stalled: the bracket "
+                    f"[{math.exp(lo)!r}, {math.exp(hi)!r}] shrank to "
+                    f"roundoff with r = {probes[-1][1]!r}, target {r!r}")
+        x_prev, g_prev, x = x, gx, x_next
+        gx = g(math.exp(x))
+    return _tabulate(nl, p, probes[-1][0], r)
+
+
+def _tabulate(nl: Nonlinearity, p: float, a: float,
+              r: float) -> LargeSolution1D:
+    """The profile with center value a and blow-up radius r = r(a),
+    sampled on the ladder of level offsets ``LEVEL_DECADES``."""
     lo_dec, hi_dec = LEVEL_DECADES
     n = int(round((hi_dec - lo_dec) * LEVEL_POINTS_PER_DECADE)) + 1
     offsets = a * np.power(10.0, np.linspace(lo_dec, hi_dec, n))
     levels = a + offsets
-    # truncate the ladder where F(level) - F(a) saturates double precision
-    # (fast-growing nonlinearities); the remaining climb time is below any
-    # representable tolerance there
+    # truncate the ladder where |phi'|^p = (p/(p-1)) (F(level) - F(a))
+    # saturates double precision (fast-growing nonlinearities); the
+    # remaining climb time is below any representable tolerance there
+    coeff = p / (p - 1.0)
     gaps_tail = np.array([nl.F_gap(a, d) for d in offsets])
-    keep = np.isfinite(gaps_tail)
+    keep = gaps_tail <= np.finfo(float).max / coeff
     levels = levels[keep]
     n = len(levels)
     inv_speed = _inverse_speed(nl, p, a)
@@ -244,8 +292,8 @@ def solve_large_1d(nl: Nonlinearity, p: float, r: float) -> LargeSolution1D:
     times = np.concatenate(([0.0], np.cumsum(panels)))
     phi = np.concatenate(([a], levels))
     gaps = np.concatenate(([0.0], gaps_tail[keep]))
-    dphi = (p / (p - 1.0) * gaps) ** (1.0 / p)
-    return LargeSolution1D(r=float(r), a=a, p=float(p), nl=nl,
+    dphi = (coeff * gaps) ** (1.0 / p)
+    return LargeSolution1D(r=float(r), a=float(a), p=float(p), nl=nl,
                            t=times, phi=phi, dphi=dphi)
 
 

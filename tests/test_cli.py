@@ -11,6 +11,7 @@ import pytest
 
 import plaplab.asymptotics
 import plaplab.cli
+import plaplab.ode1d
 import plaplab.quadrature
 from plaplab.cli import main
 from plaplab import Nonlinearity, SolverConfig, solve_cross_large
@@ -233,6 +234,28 @@ class TestOde1d:
         with open(out / "profile.csv") as fh:
             header = fh.readline().strip().split(",")
         assert header == ["t", "phi", "dphi", "first_integral_residual"]
+
+    def test_given_center_value_is_tabulated_without_a_root_solve(
+            self, tmp_path, monkeypatch):
+        # r(a) is computed once and the profile keeps the given a, not a
+        # round trip of it through a root solve
+        calls = []
+        radius = plaplab.ode1d.blowup_radius
+
+        def counted(nl, p, a):
+            calls.append(a)
+            return radius(nl, p, a)
+
+        monkeypatch.setattr("plaplab.ode1d.blowup_radius", counted)
+        monkeypatch.setattr("plaplab.cli.blowup_radius", counted)
+        a = 1.2345678901234567
+        code, out = run(tmp_path, "ode1d", {"ode1d": {"a": a}})
+        assert code == 0
+        summary = json.loads((out / "ode1d.json").read_text())
+        assert summary["a"] == a
+        assert calls == [a]
+        assert summary["r"] == radius(Nonlinearity.power(2, 3), 2.0, a)
+        assert summary["residual_max"] <= 1e-8
 
     def test_requires_exactly_one_of_r_a(self, tmp_path):
         code, _ = run(tmp_path, "ode1d", {"ode1d": {"r": 1.0, "a": 1.0}})

@@ -1,6 +1,8 @@
 """Blow-up profiles by quadrature and the cross-sectional solves."""
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +25,26 @@ POWER23 = Nonlinearity.power(2, 3)
 # center value 1 for f = 2 s^3, p = 2.  Frozen from the mpmath tanh-sinh
 # oracle below (30 significant digits agree to 1e-15 with scipy).
 RADIUS_ORACLE = 1.311028777146060
+
+
+#: most r(a) evaluations one solve_large_1d takes for e^s - 1 over the
+#: domain of test_exponential_center_value_round_trip: the largest count in
+#: scans of 2785 draws from it (lam in [0.1, 10], p in {1.5, 2, 3},
+#: r in [0.05, 2]), reached at p = 3 with r below 0.11
+EXP_MAX_PROBES = 16
+
+
+@contextlib.contextmanager
+def probed_radius():
+    """The center values at which solve_large_1d evaluates r(a)."""
+    probes = []
+
+    def radius(nl, p, a):
+        probes.append(a)
+        return blowup_radius(nl, p, a)
+
+    with mock.patch.object(ode1d, "blowup_radius", radius):
+        yield probes
 
 
 def mpmath_radius_oracle():
@@ -62,6 +84,19 @@ class TestBlowupRadius:
         with pytest.raises(ValueError):
             blowup_radius(POWER23, 2.0, 0.0)
 
+    @pytest.mark.xfail(strict=True, reason="a tail decaying slower than "
+                       "s^(-0.12) outlasts the doubling budget, and below "
+                       "p = 1.05 the near integral underflows or overflows")
+    @pytest.mark.parametrize("p,q", [(4.0, 3.25), (1.001, 3.0), (1.003, 3.0)],
+                             ids=["slow_tail", "p_1.001", "p_1.003"])
+    def test_finite_for_every_keller_osserman_power(self, p, q):
+        # q > p - 1 makes the integral finite: here the tail decays like
+        # s^(-(q-p+1)/p) = s^(-1/16), which reads divergent; at p = 1.001
+        # the offsets sigma^(p/(p-1)) vanish against a and the radius
+        # reads inf; at p = 1.003 the integrand overflows
+        radius = blowup_radius(Nonlinearity.power(2.0, q), p, 1.0)
+        assert 0.0 < radius < math.inf
+
 
 class TestLargeSolution:
     def test_center_value_recovery(self):
@@ -71,8 +106,44 @@ class TestLargeSolution:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("r", [0.25, 1.0, 4.0])
     def test_radius_round_trip(self, p, r):
-        sol = solve_large_1d(POWER23, p, r)
+        with probed_radius() as probes:
+            sol = solve_large_1d(POWER23, p, r)
         assert blowup_radius(POWER23, p, sol.a) == pytest.approx(r, rel=1e-8)
+        # ln r is affine in ln a: a = 1, a = 2^(+-1) and one secant step
+        assert len(probes) <= 3
+
+    @settings(max_examples=30, deadline=None)
+    @given(c=st.floats(0.5, 4.0), p=st.floats(1.05, 4.0),
+           k=st.floats(0.25, 4.0), r=st.floats(0.05, 20.0))
+    def test_power_center_value_is_the_scaling_law(self, c, p, k, r):
+        # r(lam a) = lam^(-k/p) r(a) with k = q - p + 1 gives
+        # a = (r(1)/r)^(p/k), which the first secant step lands on.  The
+        # tail of r(a) decays like s^(-k/p): below k/p = 0.25 it outlasts
+        # the quadrature's doubling budget, so r(a) loses digits (1e-8 at
+        # 0.15) or reads divergent; below p = 1.05 r(a) fails too (see
+        # test_finite_for_every_keller_osserman_power)
+        assume(k / p >= 0.25)
+        nl = Nonlinearity.power(c, p - 1.0 + k)
+        with probed_radius() as probes:
+            sol = solve_large_1d(nl, p, r)
+        assert len(probes) <= 3
+        expected = (blowup_radius(nl, p, 1.0) / r) ** (p / k)
+        assert sol.a == pytest.approx(expected, rel=1e-10)
+        assert blowup_radius(nl, p, sol.a) == pytest.approx(r, rel=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(lam=st.floats(0.1, 10.0), p=st.sampled_from([1.5, 2.0, 3.0]),
+           r=st.floats(0.05, 2.0))
+    def test_exponential_center_value_round_trip(self, lam, p, r):
+        # every r here has a center value: at p = 3, r(a) rises to about
+        # 5.34 lam^(-1/3) > 2 as a -> 0
+        nl = Nonlinearity.exp_minus_one(lam)
+        with probed_radius() as probes:
+            sol = solve_large_1d(nl, p, r)
+        assert len(probes) <= EXP_MAX_PROBES
+        assert blowup_radius(nl, p, sol.a) == pytest.approx(r, rel=1e-10)
+        assert np.all(np.isfinite(sol.dphi))
+        assert sol.first_integral_residual().max() <= 1e-8
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_first_integral_residual(self, p):
@@ -121,10 +192,22 @@ class TestLargeSolution:
         # F saturates double precision along the level ladder; the
         # tabulation truncates there instead of overflowing
         exp = Nonlinearity.exp_minus_one(1.0)
-        sol = solve_large_1d(exp, p, 0.5)
+        with probed_radius() as probes:
+            sol = solve_large_1d(exp, p, 0.5)
+        assert len(probes) <= EXP_MAX_PROBES
         assert blowup_radius(exp, p, sol.a) == pytest.approx(0.5, rel=1e-8)
         assert sol.first_integral_residual().max() <= 1e-8
         assert np.all(np.isfinite(sol.dphi))
+
+    def test_ladder_stops_where_the_speed_overflows(self):
+        # the level 101 a = 709.2 has F ~ 1.0e308, finite, but at p = 1.5
+        # |phi'|^p = 3 F is not: the ladder stops below it
+        exp = Nonlinearity.exp_minus_one(1.0)
+        a = 709.2 / 101.0
+        sol = ode1d._tabulate(exp, 1.5, a, blowup_radius(exp, 1.5, a))
+        assert sol.phi[-1] < 709.0
+        assert np.all(np.isfinite(sol.dphi))
+        assert sol.first_integral_residual().max() <= 1e-8
 
     @pytest.mark.parametrize("radius,message", [
         (lambda a: 10.0, "60 doublings"),
@@ -138,6 +221,26 @@ class TestLargeSolution:
                             lambda nl, p, a: radius(a))
         with pytest.raises(QuadratureError, match=message):
             solve_large_1d(POWER23, 2.0, 1.0)
+
+    def test_bisection_keeps_a_curved_secant_in_its_bracket(self,
+                                                             monkeypatch):
+        # ln r = -tanh(4 (ln a - 1)) is flat away from its root a = e: the
+        # third probe overshoots and closes the bracket, and a secant
+        # through two probes on its flat side leaves it; a bisection
+        # replaces that step
+        probes = []
+
+        def radius(nl, p, a):
+            probes.append(a)
+            return math.exp(-math.tanh(4.0 * (math.log(a) - 1.0)))
+
+        monkeypatch.setattr("plaplab.ode1d.blowup_radius", radius)
+        sol = solve_large_1d(POWER23, 2.0, 1.0)
+        assert sol.a == pytest.approx(math.e, rel=1e-10)
+        assert len(probes) <= 12
+        lo, hi = probes[1], probes[2]
+        assert lo < math.e < hi
+        assert all(lo < a < hi for a in probes[3:])
 
     def test_nonpositive_radius_is_bad_input(self):
         with pytest.raises(ValueError, match="radius must be positive"):
