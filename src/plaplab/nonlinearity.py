@@ -104,16 +104,18 @@ class Nonlinearity:
 
     @classmethod
     def power(cls, c: float, q: float) -> "Nonlinearity":
-        """f(s) = c * s**q with c > 0, q > 0."""
-        if c <= 0 or q <= 0:
-            raise ValueError(f"power nonlinearity needs c, q > 0, got c={c}, q={q}")
+        """f(s) = c * s**q with finite c > 0, q > 0."""
+        if not (c > 0 and q > 0 and math.isfinite(c) and math.isfinite(q)):
+            raise ValueError("power nonlinearity needs finite c, q > 0, "
+                             f"got c={c}, q={q}")
         return cls(kind="power", params=(float(c), float(q)))
 
     @classmethod
     def exp_minus_one(cls, lam: float) -> "Nonlinearity":
-        """f(s) = lam * (exp(s) - 1) with lam > 0."""
-        if lam <= 0:
-            raise ValueError(f"exp_minus_one nonlinearity needs lam > 0, got {lam}")
+        """f(s) = lam * (exp(s) - 1) with finite lam > 0."""
+        if not (lam > 0 and math.isfinite(lam)):
+            raise ValueError("exp_minus_one nonlinearity needs finite "
+                             f"lam > 0, got {lam}")
         return cls(kind="exp_minus_one", params=(float(lam),))
 
     @classmethod

@@ -40,7 +40,7 @@ import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401
 
 from .minimize import sweep_levels
-from .nonlinearity import Nonlinearity
+from .nonlinearity import Nonlinearity, check_a1
 from .quadrature import QuadratureError, integrate_to_infinity, panel_quad
 from .solver import SolverConfig, _CylinderProblem
 
@@ -99,24 +99,30 @@ def _near_integral(nl: Nonlinearity, p: float, a: float, b: float) -> float:
 def blowup_radius(nl: Nonlinearity, p: float, a: float) -> float:
     """Blow-up radius r(a) of the symmetric profile with center value a.
 
-    Raises :class:`DivergentBlowupError` when the quadrature diverges,
-    either because the tail fails the Keller-Osserman condition or because
-    F is flat immediately above ``a`` (the profile cannot leave ``a``).
+    Raises :class:`DivergentBlowupError`, before any quadrature, when the
+    Keller-Osserman condition (A1) fails (:func:`check_a1`), and
+    :class:`QuadratureError` when it holds but the integral does not come
+    out finite: a tail that outlasts the doubling budget, or a p so close
+    to 1 that the near integrand underflows or overflows.
     """
     if a <= 0.0:
         raise ValueError(f"center value must be positive, got a={a}")
     if p <= 1.0:
         raise ValueError(f"requires p > 1, got p={p}")
-    if nl.F_gap(a, a) == 0.0:
-        raise DivergentBlowupError(
-            f"f vanishes on [{a}, {2 * a}]; the profile cannot leave its "
-            "center value")
-    near = _near_integral(nl, p, a, 2.0 * a)
-    tail = integrate_to_infinity(_inverse_speed(nl, p, a), 2.0 * a)
-    if math.isinf(tail):
+    if not check_a1(nl, p):
         raise DivergentBlowupError(
             "the blow-up integral diverges; the Keller-Osserman condition "
             f"fails for {nl.describe()} at p={p}")
+    try:
+        near = _near_integral(nl, p, a, 2.0 * a)
+    except OverflowError as exc:
+        raise QuadratureError(
+            f"the near integral of r({a}) overflows at p={p}: {exc}") from exc
+    tail = integrate_to_infinity(_inverse_speed(nl, p, a), 2.0 * a)
+    if not (math.isfinite(near) and math.isfinite(tail)):
+        raise QuadratureError(
+            f"r({a}) reads {near!r} + {tail!r} (near integral + tail) "
+            f"although (A1) holds for {nl.describe()} at p={p}")
     return near + tail
 
 

@@ -68,12 +68,12 @@ otherwise (see :mod:`plaplab`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grid import (GridFunction, RectGrid, Window, require_window_inside,
                    window_node_mask)
@@ -110,13 +110,15 @@ class SolverConfig:
     max_newton: int = 200
 
     def __post_init__(self):
-        if self.p <= 1.0:
-            raise ValueError(f"requires p > 1, got p={self.p}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_newton < 1:
+        if not (self.p > 1.0 and math.isfinite(self.p)):
+            raise ValueError(f"requires a finite p > 1, got p={self.p}")
+        if not (self.tol > 0.0 and math.isfinite(self.tol)):
             raise ValueError(
-                f"max_newton must be at least 1, got {self.max_newton}")
+                f"tol must be positive and finite, got {self.tol}")
+        # a NaN budget would never be reached: Newton would run unbounded
+        if not (self.max_newton >= 1 and math.isfinite(self.max_newton)):
+            raise ValueError(f"max_newton must be at least 1 and finite, "
+                             f"got {self.max_newton}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,14 +404,10 @@ class _CylinderProblem:
     def _solve(self, blocks, fp, rhs):
         """Solve (H + diag(fp)) x = rhs over the free dofs (``free_idx``
         order), H assembled from the node-pair Hessian ``blocks`` of
-        :meth:`_hessian_blocks`, by banded Cholesky, and keep the factor
-        for :meth:`tangent`; raises ``LinAlgError`` unless the matrix is
-        positive definite.
-
-        A tridiagonal band (kd = 1, as on a segment) is factored as
-        L D L^T by LAPACK ``dpttrf``, the factorization of the ``dptsv``
-        that ``scipy.linalg.solveh_banded`` takes for it, so that its
-        solves keep their last bits."""
+        :meth:`_hessian_blocks`, by banded Cholesky (LAPACK ``dpbtrf``, a
+        segment's tridiagonal band included), and keep the factor for
+        :meth:`tangent`; raises ``LinAlgError`` unless the matrix is
+        positive definite."""
         nfree = len(rhs)
         ab = np.bincount(self._band_slots, weights=blocks.ravel(),
                          minlength=(self.kd + 1) * nfree + 1)
@@ -417,27 +415,15 @@ class _CylinderProblem:
                   blocks.ravel()[self._twice])
         ab = ab[:-1].reshape(nfree, self.kd + 1).T
         ab[0] += fp[self._to_band]
-        if self.kd == 1:
-            d, e, info = dpttrf(ab[0], ab[1, :-1], overwrite_d=1,
-                                overwrite_e=1)
-            if info > 0:
-                raise np.linalg.LinAlgError(
-                    f"{info}th leading minor not positive definite")
-            self._factor = (d, e)
-        else:
-            self._factor = cholesky_banded(ab, overwrite_ab=True,
-                                           lower=True, check_finite=False)
+        self._factor = cholesky_banded(ab, overwrite_ab=True, lower=True,
+                                       check_finite=False)
         return self._back_substitute(rhs)
 
     def _back_substitute(self, rhs):
         """Solve with the kept factor over the free dofs (``free_idx``
         order)."""
-        b = rhs[self._to_band]
-        if self.kd == 1:
-            x, _ = dpttrs(*self._factor, b, overwrite_b=1)
-        else:
-            x = cho_solve_banded((self._factor, True), b, overwrite_b=True,
-                                 check_finite=False)
+        x = cho_solve_banded((self._factor, True), rhs[self._to_band],
+                             overwrite_b=True, check_finite=False)
         return x[self._from_band]
 
     def tangent(self, u):

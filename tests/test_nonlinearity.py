@@ -76,6 +76,17 @@ class TestPointwise:
         with pytest.raises(ValueError):
             Nonlinearity.exp_minus_one(0.0)
 
+    @pytest.mark.parametrize("c,q", [(math.nan, 3.0), (2.0, math.nan),
+                                     (math.inf, 3.0), (2.0, math.inf)])
+    def test_non_finite_power_rejected(self, c, q):
+        with pytest.raises(ValueError, match="finite"):
+            Nonlinearity.power(c, q)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_exp_minus_one_rejected(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            Nonlinearity.exp_minus_one(lam)
+
     def test_monotonicity_sampled(self):
         rng = np.random.default_rng(11)
         for nl in (Nonlinearity.power(2, 3), Nonlinearity.power(0.5, 0.7),

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solveh_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from plaplab import (GridFunction, NonConvergenceError, Nonlinearity, Window,
                      SolverConfig, build_grid, energy, energy_gradient,
-                     solve_blowup, solve_dirichlet, solve_large_1d,
-                     solve_levels, verify_barrier, window_node_mask)
+                     solve_blowup, solve_cross_finite, solve_dirichlet,
+                     solve_large_1d, solve_levels, verify_barrier,
+                     window_node_mask)
 import plaplab.solver
 from plaplab.minimize import (default_eps_schedule, minimize_newton,
                               sweep_levels, warm_levels)
@@ -142,10 +143,10 @@ class TestBandedNewtonSolve:
         assert np.max(np.abs(step - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("short", [3, 4, 6])
-    def test_steps_keep_the_bits_of_solveh_banded(self, short):
-        # the band is factored and solved as scipy's solveh_banded solves
-        # it: by dptsv's L D L^T when it is tridiagonal (a segment, or a
-        # grid of one interior row), else by dpbtrf and dpbtrs
+    def test_steps_keep_the_bits_of_cholesky_banded(self, short):
+        # every band, tridiagonal (a segment, or a grid of one interior
+        # row) or wider, is factored by cholesky_banded and solved by
+        # cho_solve_banded from the band assembled here
         g = build_grid(1.0, (0.0, 1.0), 9, short)
         problems = [_CylinderProblem.on_grid(g, POWER23, SolverConfig(p=1.5),
                                              _boundary_array(g, 2.0)),
@@ -166,16 +167,17 @@ class TestBandedNewtonSolve:
                              minlength=(problem.kd + 1) * nfree + 1)
             ab = ab[:-1].reshape(nfree, problem.kd + 1).T
             ab[0] += fp[problem._to_band]
-            x = solveh_banded(ab, -grad[problem.free_idx][problem._to_band],
-                              lower=True)
+            x = cho_solve_banded(
+                (cholesky_banded(ab, lower=True), True),
+                -grad[problem.free_idx][problem._to_band])
             step = problem.newton_step(u, 1e-2, grad)
             assert np.array_equal(step, x[problem._from_band])
 
     @pytest.mark.parametrize("mesh", ["grid", "segment"])
     def test_indefinite_band_leaves_no_factor(self, mesh):
         # a steeply decreasing f makes the Hessian indefinite on either
-        # mesh, under either factorization; the failed step has dropped
-        # the factor of the step before
+        # mesh, the segment's tridiagonal band included; the failed step
+        # has dropped the factor of the step before
         if mesh == "grid":
             g = unit_square_grid()
             problem = _CylinderProblem.on_grid(g, POWER23, SolverConfig(p=2.0),
@@ -368,6 +370,19 @@ class TestKernelProperties:
 
 
 class TestSolveDirichlet:
+    @pytest.mark.parametrize("bad", [
+        {"p": math.nan}, {"p": math.inf}, {"p": 2.0, "tol": math.nan},
+        {"p": 2.0, "tol": math.inf}, {"p": 2.0, "max_newton": math.nan},
+        {"p": 2.0, "max_newton": math.inf},
+    ], ids=["p_nan", "p_inf", "tol_nan", "tol_inf", "max_newton_nan",
+            "max_newton_inf"])
+    def test_non_finite_settings_rejected(self, bad):
+        # a NaN tol would otherwise surface as NonConvergenceError, a
+        # numerical failure, at the first solve, and a NaN max_newton
+        # would lift the Newton budget
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(**bad)
+
     def test_constant_data_in_one_step(self):
         # with f = 0 constant data is the exact solution, and a cold start
         # begins there
@@ -378,18 +393,34 @@ class TestSolveDirichlet:
         assert all(s.iterations == 0 for s in res.stages)
 
     def test_cold_solve_factors_once_per_newton_step(self, monkeypatch):
-        calls = []
+        # a tridiagonal band (one interior row, or a segment) is factored
+        # by the same cholesky_banded as a wider one
+        calls, steps = [], []
         original = plaplab.solver.cholesky_banded
+        original_step = _CylinderProblem.newton_step
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
+        def stepping(problem, *args):
+            steps.append(problem.kd)
+            return original_step(problem, *args)
+
         monkeypatch.setattr(plaplab.solver, "cholesky_banded", counting)
-        g = build_grid(2.0, (-2.0, 2.0), 17, 17)
-        res = solve_dirichlet(g, POWER23, SolverConfig(p=1.5), 10.0)
-        steps = sum(s.iterations for s in res.stages)
-        assert steps > 0 and len(calls) == steps
+        monkeypatch.setattr(_CylinderProblem, "newton_step", stepping)
+        cfg = SolverConfig(p=1.5)
+        for ny, kd in [(17, 16), (3, 1), (None, 1)]:
+            calls.clear()
+            steps.clear()
+            if ny is None:
+                solve_cross_finite(POWER23, cfg, (-2.0, 2.0), 10.0, 10.0, 17)
+            else:
+                g = build_grid(2.0, (-2.0, 2.0), 17, ny)
+                res = solve_dirichlet(g, POWER23, cfg, 10.0)
+                assert len(steps) == sum(s.iterations for s in res.stages)
+            assert steps and len(calls) == len(steps)
+            assert set(steps) == {kd}
 
     @pytest.mark.parametrize("bdata", [
         lambda X, Y: 1.0 + 99.0 * (Y > 0.5),
