@@ -31,9 +31,8 @@ import numpy as np
 from .grid import (Window, build_grid, cutoff_function, embed_cross_section,
                    lp_norm_gradient, require_window_inside, tied_nx,
                    window_node_mask)
-from .minimize import (BlowupReport, NonConvergenceError, increasing_levels,
-                       require_a1)
-from .nonlinearity import Nonlinearity
+from .minimize import BlowupReport, increasing_levels
+from .nonlinearity import Nonlinearity, require_a1
 from .ode1d import (LargeSolution1D, solve_cross_finite, solve_cross_large,
                     solve_large_1d)
 from .solver import SolveResult, SolverConfig, solve_blowup, solve_dirichlet
@@ -57,9 +56,6 @@ __all__ = [
 
 RATE_SLOPE_SLACK = 0.1
 FLOOR_EXCLUSION_FACTOR = 3.0
-
-# numerical failures a row records; QuadratureError etc. are ArithmeticErrors
-_SOLVE_FAILURES = (NonConvergenceError, ArithmeticError)
 
 
 class RateUnresolvableError(RuntimeError):
@@ -255,7 +251,7 @@ def sweep_ell(spec: SweepSpec):
 
     try:
         reference, cross_report = _reference_profile(spec, spec.ny)
-    except _SOLVE_FAILURES as exc:  # recorded, not raised
+    except ArithmeticError as exc:  # recorded, not raised
         return [failed(ell, exc) for ell in spec.ells], float("nan"), \
             SweepReports()
 
@@ -265,7 +261,7 @@ def sweep_ell(spec: SweepSpec):
         try:
             err, noise, results, blow = measure_row(spec, ell,
                                                     reference=reference)
-        except _SOLVE_FAILURES as exc:  # recorded, not raised
+        except ArithmeticError as exc:  # recorded, not raised
             rows.append(failed(ell, exc))
             continue
         rows.append(RateRow(ell=ell, error=err, newton_steps=sum(
@@ -284,7 +280,7 @@ def sweep_ell(spec: SweepSpec):
             # resolution sensitivity of the closest-to-floor row, bounded
             # below by the rounding level of the norm measurement itself
             floor = max(abs(coarse - fine), noise_max, noise_fine)
-        except _SOLVE_FAILURES as exc:  # recorded on its row, not raised
+        except ArithmeticError as exc:  # recorded on its row, not raised
             rows[-1] = replace(rows[-1], note=f"floor re-solve at "
                                f"ny={ny_fine} failed: {exc}")
     return rows, floor, SweepReports(cylinder, cross_report)

@@ -11,11 +11,12 @@ Subcommands map one-to-one onto the computational modules:
     check   structural battery (comparison, barrier, cutoff estimate,
             monotonicity in ell)
 
-Configuration is one strict JSON file (schema_version 1, unknown keys
-rejected so a typo in p or q cannot silently invalidate an experiment).
-Exit codes: 0 success, 2 validation error, 3 numerical failure, 4
-property-check failure.  Every artifact is written to a temporary file
-beside it and renamed into place, so none is ever half-written.
+Configuration is one strict JSON file (schema_version 1; unknown keys
+and values of the wrong kind are rejected on load, so a typo in p or q
+cannot silently invalidate an experiment).  Exit codes: 0 success, 2
+validation error, 3 numerical failure, 4 property-check failure.  Every
+artifact is written to a temporary file beside it and renamed into
+place, so none is ever half-written.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .asymptotics import (BlowupData, FiniteData, RateUnresolvableError,
                           verify_monotone_in_ell)
 from .grid import (Window, build_grid, replacing_file, require_window_inside,
                    tied_nx, write_grid_function)
-from .minimize import NonConvergenceError
-from .nonlinearity import Nonlinearity, check_a1, check_a2, log_psi_p
+from .nonlinearity import (Nonlinearity, check_a1, check_a2, log_psi_p,
+                           require_a1)
 from .ode1d import _tabulate, blowup_radius, solve_large_1d
 from .solver import SolverConfig, solve_blowup, solve_dirichlet, solve_levels
 
@@ -51,37 +52,71 @@ class ConfigError(ValueError):
     """Malformed configuration; the message names the offending key."""
 
 
-# allowed configuration tree: key -> nested dict or None (leaf)
+#: the value kind of a count: an integer of at least 1
+_COUNT = "count"
+
+# the configuration tree: key -> nested dict, or the leaf's value kind:
+# float, int, _COUNT, str, [float] (a list of numbers) or [float, n] (of n)
 _SCHEMA = {
-    "schema_version": None,
-    "p": None,
-    "nonlinearity": {"kind": None, "c": None, "q": None, "lam": None},
-    "geometry": {"ell": None, "ell_list": None, "cross": None, "nx": None,
-                 "ny": None},
-    "boundary": {"dirichlet": None, "blowup": None},
-    "solver": {"tol": None, "max_newton": None},
-    "window": None,
-    "psi": {"r_min": None, "r_max": None, "points": None},
-    "a2": {"betas": None, "t_max": None},
-    "ode1d": {"r": None, "a": None},
-    "check": {"pairs": None, "balls": None, "window_pairs": None},
-    "out": None,
+    "schema_version": int,
+    "p": float,
+    "nonlinearity": {"kind": str, "c": float, "q": float, "lam": float},
+    "geometry": {"ell": float, "ell_list": [float], "cross": [float, 2],
+                 "nx": int, "ny": int},
+    "boundary": {"dirichlet": float, "blowup": [float]},
+    "solver": {"tol": float, "max_newton": int},
+    "window": [float, 4],
+    "psi": {"r_min": float, "r_max": float, "points": int},
+    "a2": {"betas": [float], "t_max": float},
+    "ode1d": {"r": float, "a": float},
+    "check": {"pairs": _COUNT, "balls": _COUNT, "window_pairs": _COUNT},
+    "out": str,
 }
 
 
-def _check_keys(cfg, schema, path=""):
-    for key, value in cfg.items():
-        where = f"{path}.{key}" if path else key
-        if key not in schema:
-            raise ConfigError(f"unknown configuration key '{where}'")
-        sub = schema[key]
-        if isinstance(sub, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"'{where}' must be an object")
-            _check_keys(value, sub, where)
+def _typed(value, kind, key=""):
+    """``value`` checked against ``kind``, a node of :data:`_SCHEMA`, and
+    converted to it; ``key`` is its path, which a :class:`ConfigError`
+    names.  An object's keys must be known.  A number must be finite:
+    null, booleans, strings, numbers beyond the float range (NaN
+    included) and, for an int or a count, fractional numbers are
+    rejected; a list of numbers becomes a tuple of floats."""
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"'{key}' must be an object")
+        typed = {}
+        for name, item in value.items():
+            where = f"{key}.{name}" if key else name
+            if name not in kind:
+                raise ConfigError(f"unknown configuration key '{where}'")
+            typed[name] = _typed(item, kind[name], where)
+        return typed
+    if isinstance(kind, list):
+        length = kind[1] if len(kind) == 2 else None
+        if not isinstance(value, list) or \
+                len(value) != (length or len(value)):
+            raise ConfigError(f"'{key}' must be a list of {length or 'any'} "
+                              f"numbers, got {value!r}")
+        return tuple(_typed(v, float, f"{key}[{i}]")
+                     for i, v in enumerate(value))
+    if kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"'{key}' must be a string, got {value!r}")
+        return value
+    number = float if kind is float else int
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max or number(value) != value:
+        what = "an integer" if number is int else "a finite number"
+        raise ConfigError(f"'{key}' must be {what}, got {value!r}")
+    if kind is _COUNT and value < 1:
+        raise ConfigError(f"'{key}' must be at least 1, got {number(value)}")
+    return number(value)
 
 
 def load_config(path) -> dict:
+    """The configuration in the JSON file ``path``, every key checked and
+    converted by one walk over :data:`_SCHEMA`, whether or not the
+    command reads it."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -92,7 +127,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(cfg, _SCHEMA)
+    cfg = _typed(cfg, _SCHEMA)
     if cfg.get("schema_version") != 1:
         raise ConfigError(
             f"schema_version must be 1, got {cfg.get('schema_version')!r}")
@@ -105,47 +140,12 @@ def _require(cfg, key):
     return cfg[key]
 
 
-def _number(value, key, kind=float):
-    """The value of configuration key ``key`` as a finite ``kind`` (float
-    or int); null, booleans, strings, numbers beyond the float range (NaN
-    included) and, for int, fractional numbers are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not abs(value) <= sys.float_info.max or kind(value) != value:
-        what = "an integer" if kind is int else "a finite number"
-        raise ConfigError(f"'{key}' must be {what}, got {value!r}")
-    return kind(value)
-
-
-def _count(value, key) -> int:
-    """The value of configuration key ``key`` as an integer of at least
-    1."""
-    n = _number(value, key, int)
-    if n < 1:
-        raise ConfigError(f"'{key}' must be at least 1, got {n}")
-    return n
-
-
-def _numbers(value, key, length=None) -> tuple:
-    """A list of numbers under configuration key ``key``, of ``length``
-    entries when given."""
-    if not isinstance(value, (list, tuple)) or \
-            len(value) != (length or len(value)):
-        raise ConfigError(f"'{key}' must be a list of {length or 'any'} "
-                          f"numbers, got {value!r}")
-    return tuple(_number(v, f"{key}[{i}]") for i, v in enumerate(value))
-
-
 def build_nonlinearity(spec) -> Nonlinearity:
-    if not isinstance(spec, dict):
-        raise ConfigError("'nonlinearity' must be an object")
     kind = spec.get("kind")
     if kind == "power":
-        return Nonlinearity.power(
-            _number(spec.get("c", 1.0), "nonlinearity.c"),
-            _number(spec.get("q", 1.0), "nonlinearity.q"))
+        return Nonlinearity.power(spec.get("c", 1.0), spec.get("q", 1.0))
     if kind == "exp_minus_one":
-        return Nonlinearity.exp_minus_one(
-            _number(spec.get("lam", 1.0), "nonlinearity.lam"))
+        return Nonlinearity.exp_minus_one(spec.get("lam", 1.0))
     if kind == "zero":
         return Nonlinearity.zero()
     raise ConfigError(
@@ -154,23 +154,10 @@ def build_nonlinearity(spec) -> Nonlinearity:
 
 
 def _get_p(cfg) -> float:
-    p = _number(_require(cfg, "p"), "p")
+    p = _require(cfg, "p")
     if p <= 1.0:
         raise ConfigError(f"p must exceed 1, got {p}")
     return p
-
-
-def _get_window(cfg, required=True):
-    if "window" not in cfg and not required:
-        return None
-    return Window(*_numbers(_require(cfg, "window"), "window", 4))
-
-
-def _solver_kwargs(cfg):
-    s = cfg.get("solver", {})
-    kinds = {"tol": float, "max_newton": int}
-    return {key: _number(s[key], f"solver.{key}", kind)
-            for key, kind in kinds.items() if key in s}
 
 
 def _boundary_regime(cfg):
@@ -178,9 +165,9 @@ def _boundary_regime(cfg):
     if "dirichlet" in b and "blowup" in b:
         raise ConfigError("boundary must set either 'dirichlet' or 'blowup'")
     if "dirichlet" in b:
-        return FiniteData(_number(b["dirichlet"], "boundary.dirichlet"))
+        return FiniteData(b["dirichlet"])
     if "blowup" in b:
-        return BlowupData(_numbers(b["blowup"], "boundary.blowup"))
+        return BlowupData(b["blowup"])
     raise ConfigError("boundary must set 'dirichlet' or 'blowup'")
 
 
@@ -221,9 +208,9 @@ def cmd_psi(cfg, out: Path) -> int:
     nl = build_nonlinearity(_require(cfg, "nonlinearity"))
     p = _get_p(cfg)
     psi_cfg = cfg.get("psi", {})
-    r_min = _number(psi_cfg.get("r_min", 1e-2), "psi.r_min")
-    r_max = _number(psi_cfg.get("r_max", 1e2), "psi.r_max")
-    points = _number(psi_cfg.get("points", 25), "psi.points", int)
+    r_min = psi_cfg.get("r_min", 1e-2)
+    r_max = psi_cfg.get("r_max", 1e2)
+    points = psi_cfg.get("points", 25)
     if not (0 < r_min < r_max) or points < 2:
         raise ConfigError("psi table needs 0 < r_min < r_max and points >= 2")
     radii = np.geomspace(r_min, r_max, points)
@@ -231,10 +218,9 @@ def cmd_psi(cfg, out: Path) -> int:
     verdict = {"p": p, "nonlinearity": nl.describe(), "a1": a1, "a2": None}
     if a1:
         a2_cfg = cfg.get("a2", {})
-        betas = _numbers(a2_cfg.get("betas", (0.25, 0.5, 0.75)), "a2.betas")
-        t_max = _number(a2_cfg.get("t_max", 1e4), "a2.t_max")
         # the table radii ride along in the probe's sweep: one shared tail
-        rep = check_a2(nl, p, beta_grid=betas, t_max=t_max, radii=radii)
+        rep = check_a2(nl, p, beta_grid=a2_cfg.get("betas", (0.25, 0.5, 0.75)),
+                       t_max=a2_cfg.get("t_max", 1e4), radii=radii)
         log_values = rep.log_psi_at_radii
         verdict["a2"] = {
             "passes": rep.passes,
@@ -263,10 +249,9 @@ def cmd_ode1d(cfg, out: Path) -> int:
                           "'a' (center value)")
     if "a" in spec:
         # tabulated from the given center value: its radius is one quadrature
-        a = _number(spec["a"], "ode1d.a")
-        sol = _tabulate(nl, p, a, blowup_radius(nl, p, a))
+        sol = _tabulate(nl, p, spec["a"], blowup_radius(nl, p, spec["a"]))
     else:
-        sol = solve_large_1d(nl, p, _number(spec["r"], "ode1d.r"))
+        sol = solve_large_1d(nl, p, spec["r"])
     resid = sol.first_integral_residual()
     _write_csv(out / "profile.csv",
                ["t", "phi", "dphi", "first_integral_residual"],
@@ -284,10 +269,10 @@ def _geometry(cfg, default_ny):
     checked, and ``grid_for(ell, nx=None)``, the grid of half-length ell
     with hx tied to hy unless ``nx`` is given."""
     geo = _require(cfg, "geometry")
-    cross = _numbers(geo.get("cross"), "geometry.cross", 2)
-    if not cross[0] < cross[1]:
+    cross = geo.get("cross")
+    if not (cross and cross[0] < cross[1]):
         raise ConfigError("geometry.cross must be [y0, y1] with y0 < y1")
-    ny = _number(geo.get("ny", default_ny), "geometry.ny", int)
+    ny = geo.get("ny", default_ny)
     if ny < 3:
         raise ConfigError(f"geometry.ny must be at least 3, got {ny}")
 
@@ -302,8 +287,7 @@ def _geometry_single(cfg):
     geo, _, _, grid_for = _geometry(cfg, 33)
     if "ell" not in geo:
         raise ConfigError("geometry.ell is required for this subcommand")
-    nx = _number(geo["nx"], "geometry.nx", int) if "nx" in geo else None
-    return grid_for(_number(geo["ell"], "geometry.ell"), nx)
+    return grid_for(geo["ell"], geo.get("nx"))
 
 
 def cmd_solve(cfg, out: Path) -> int:
@@ -311,8 +295,8 @@ def cmd_solve(cfg, out: Path) -> int:
     p = _get_p(cfg)
     grid = _geometry_single(cfg)
     regime = _boundary_regime(cfg)
-    scfg = SolverConfig(p=p, **_solver_kwargs(cfg))
-    window = _get_window(cfg, required=False)
+    scfg = SolverConfig(p=p, **cfg.get("solver", {}))
+    window = Window(*cfg["window"]) if "window" in cfg else None
     if window is not None:
         require_window_inside(grid, window)
     diagnostics = {"p": p, "nonlinearity": nl.describe(),
@@ -352,8 +336,8 @@ def _sweep_spec(cfg) -> SweepSpec:
     if not ells:
         raise ConfigError("geometry.ell_list is required for sweeps")
     return SweepSpec(nl=nl, p=p, cross=cross, regime=_boundary_regime(cfg),
-                     ells=_numbers(ells, "geometry.ell_list"),
-                     window=_get_window(cfg), ny=ny, **_solver_kwargs(cfg))
+                     ells=ells, window=Window(*_require(cfg, "window")),
+                     ny=ny, **cfg.get("solver", {}))
 
 
 def _write_sweep_outputs(out, rows, floor, extras):
@@ -421,21 +405,22 @@ def cmd_check(cfg, out: Path) -> int:
     nl = build_nonlinearity(_require(cfg, "nonlinearity"))
     p = _get_p(cfg)
     regime = _boundary_regime(cfg)
-    window = _get_window(cfg)
+    window = Window(*_require(cfg, "window"))
     geo, cross, _, grid_for = _geometry(cfg, 17)
-    ells = _numbers(geo.get("ell_list", []), "geometry.ell_list") or \
-        (_number(geo.get("ell", 2.0), "geometry.ell"),)
-    scfg = SolverConfig(p=p, **_solver_kwargs(cfg))
+    ells = geo.get("ell_list") or (geo.get("ell", 2.0),)
+    scfg = SolverConfig(p=p, **cfg.get("solver", {}))
     check_cfg = cfg.get("check", {})
-    n_pairs = _count(check_cfg.get("pairs", 5), "check.pairs")
-    n_balls = _count(check_cfg.get("balls", 5), "check.balls")
-    n_windows = _count(check_cfg.get("window_pairs", 3), "check.window_pairs")
+    n_pairs = check_cfg.get("pairs", 5)
+    n_balls = check_cfg.get("balls", 5)
+    n_windows = check_cfg.get("window_pairs", 3)
     if len(ells) >= 2 and not ells[1] > ells[0]:
         raise ConfigError(f"the second ell of 'geometry.ell_list' must "
                           f"exceed the first, got {list(ells)}")
     reports = []
     grid = grid_for(ells[0])
     require_window_inside(grid, window)
+    if isinstance(regime, BlowupData):
+        require_a1(nl, p)
     # ordered constant boundary data -> ordered solutions; the distinct
     # levels of all pairs are solved in increasing order on one problem
     rng = np.random.default_rng(0)
@@ -529,10 +514,10 @@ def main(argv=None) -> int:
         out = Path(args.out if args.out is not None else cfg.get("out", "."))
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NonConvergenceError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # NonConvergenceError, QuadratureError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except RateUnresolvableError as exc:

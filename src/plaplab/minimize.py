@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nonlinearity import check_a1
+from .nonlinearity import require_a1
 
 _EPS_MACH = np.finfo(float).eps
 _ROUNDOFF_FACTOR = 64.0
@@ -52,8 +52,9 @@ _SUFFICIENT_DECREASE = 1e-4
 _STALL_FACTOR = 4.0
 
 
-class NonConvergenceError(RuntimeError):
-    """Newton failed to reach the tolerance; carries the iteration trace."""
+class NonConvergenceError(ArithmeticError):
+    """Newton failed to reach the tolerance; carries the iteration trace.
+    A numerical failure, like :class:`plaplab.quadrature.QuadratureError`."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)
@@ -203,15 +204,6 @@ def increasing_levels(m_list) -> tuple:
         raise ValueError(
             f"M list must be finite and strictly increasing, got {ms}")
     return ms
-
-
-def require_a1(nl, p) -> None:
-    """Refuse blow-up data for a nonlinearity failing the Keller-Osserman
-    condition (A1): no large solution exists then."""
-    if not check_a1(nl, p):
-        raise ValueError(
-            f"no large solution exists: {nl.describe()} fails the "
-            f"Keller-Osserman condition at p={p}")
 
 
 def level_step(m_from: float, m_to: float) -> float:

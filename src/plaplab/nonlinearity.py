@@ -42,6 +42,7 @@ __all__ = [
     "log_psi_p",
     "psi_p",
     "check_a1",
+    "require_a1",
     "check_a2",
     "psi_inverse",
 ]
@@ -410,6 +411,15 @@ def check_a1(nl: Nonlinearity, p: float) -> bool:
     return not _psi_diverges(nl, p)
 
 
+def require_a1(nl: Nonlinearity, p: float) -> None:
+    """Refuse, with ``ValueError``, a nonlinearity failing the
+    Keller-Osserman condition (A1) at p: no large solution exists then."""
+    if not check_a1(nl, p):
+        raise ValueError(
+            f"no large solution exists: {nl.describe()} fails the "
+            f"Keller-Osserman condition at p={p}: Psi_p diverges")
+
+
 #: smallest t of the A2 probe grid, its density and the pass margin
 A2_T_MIN = 1.0
 A2_POINTS_PER_DECADE = 4
@@ -430,8 +440,8 @@ def check_a2(nl: Nonlinearity, p: float, beta_grid=(0.25, 0.5, 0.75),
     evaluated in one :func:`log_psi_p` sweep; the radii's values come back
     in ``A2Report.log_psi_at_radii``, so a caller that also tabulates
     Psi_p pays for one tail.  Raises ``ValueError`` unless ``t_max``
-    exceeds ``A2_T_MIN``, and :class:`QuadratureError` when Psi_p(t_max)
-    is not resolvable.
+    exceeds ``A2_T_MIN`` and where (A1) fails (:func:`require_a1`), and
+    :class:`QuadratureError` when Psi_p(t_max) is not resolvable.
     """
     betas = tuple(float(b) for b in beta_grid)
     if any(not (0.0 < b < 1.0) for b in betas):
@@ -439,9 +449,7 @@ def check_a2(nl: Nonlinearity, p: float, beta_grid=(0.25, 0.5, 0.75),
     if not t_max > A2_T_MIN:
         raise ValueError(f"t_max must exceed the probe's smallest t "
                          f"{A2_T_MIN:g}, got {t_max}")
-    if not check_a1(nl, p):
-        raise ValueError("the Keller-Osserman integral diverges; the scaling "
-                         "condition probe is undefined")
+    require_a1(nl, p)
     n_dec = math.log10(t_max / A2_T_MIN)
     n_pts = max(int(round(n_dec * A2_POINTS_PER_DECADE)) + 1, 4)
     t_values = np.geomspace(A2_T_MIN, t_max, n_pts)
@@ -478,16 +486,14 @@ def psi_inverse(nl: Nonlinearity, p: float, d: float) -> float:
     panel to the known Psi_p above it instead of integrating another tail.
     Accurate to ``|Psi_p(v) - d| <= 1e-8 * d``, checked against an
     independent :func:`psi_p`.  Raises ``ValueError`` for p <= 1 and
-    where (A1) fails, before any Psi_p is evaluated, and
-    :class:`QuadratureError` when no bracket of d is found.
+    where (A1) fails (:func:`require_a1`), before any Psi_p is evaluated,
+    and :class:`QuadratureError` when no bracket of d is found.
     """
     if p <= 1.0:
         raise ValueError(f"Psi_p requires p > 1, got p={p}")
     if d <= 0.0:
         raise ValueError(f"psi_inverse requires d > 0, got {d}")
-    if _psi_diverges(nl, p):
-        raise ValueError("the Keller-Osserman integral diverges; Psi_p "
-                         "has no inverse")
+    require_a1(nl, p)
     log_d, log_F = math.log(d), _log_F(nl)
     log_const = math.log1p(-1.0 / p) / p
 

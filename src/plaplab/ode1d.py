@@ -40,12 +40,11 @@ import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401
 
 from .minimize import sweep_levels
-from .nonlinearity import Nonlinearity, check_a1
+from .nonlinearity import Nonlinearity, require_a1
 from .quadrature import QuadratureError, integrate_to_infinity, panel_quad
 from .solver import SolverConfig, _CylinderProblem
 
 __all__ = [
-    "DivergentBlowupError",
     "LargeSolution1D",
     "CrossProfile",
     "blowup_radius",
@@ -53,10 +52,6 @@ __all__ = [
     "solve_cross_finite",
     "solve_cross_large",
 ]
-
-
-class DivergentBlowupError(ArithmeticError):
-    """The blow-up quadrature diverges (Keller-Osserman condition fails)."""
 
 
 def _inverse_speed(nl: Nonlinearity, p: float, a: float):
@@ -99,20 +94,19 @@ def _near_integral(nl: Nonlinearity, p: float, a: float, b: float) -> float:
 def blowup_radius(nl: Nonlinearity, p: float, a: float) -> float:
     """Blow-up radius r(a) of the symmetric profile with center value a.
 
-    Raises :class:`DivergentBlowupError`, before any quadrature, when the
-    Keller-Osserman condition (A1) fails (:func:`check_a1`), and
-    :class:`QuadratureError` when it holds but the integral does not come
-    out finite: a tail that outlasts the doubling budget, or a p so close
-    to 1 that the near integrand underflows or overflows.
+    Raises ``ValueError`` for bad input, before any quadrature: a center
+    value a <= 0, p <= 1, or a nonlinearity failing the Keller-Osserman
+    condition (A1), for which r(a) is infinite and no large solution
+    exists (:func:`plaplab.nonlinearity.require_a1`).  Raises
+    :class:`QuadratureError` when (A1) holds but the integral does not
+    come out finite: a tail that outlasts the doubling budget, or a p so
+    close to 1 that the near integrand underflows or overflows.
     """
     if a <= 0.0:
         raise ValueError(f"center value must be positive, got a={a}")
     if p <= 1.0:
         raise ValueError(f"requires p > 1, got p={p}")
-    if not check_a1(nl, p):
-        raise DivergentBlowupError(
-            "the blow-up integral diverges; the Keller-Osserman condition "
-            f"fails for {nl.describe()} at p={p}")
+    require_a1(nl, p)
     try:
         near = _near_integral(nl, p, a, 2.0 * a)
     except OverflowError as exc:

@@ -40,6 +40,16 @@ def run(tmp_path, command, extra, name="cfg.json"):
     return code, out
 
 
+def _schema_leaves(schema, path=""):
+    """(path, kind) of every leaf of a configuration schema."""
+    for key, kind in schema.items():
+        where = f"{path}.{key}" if path else key
+        if isinstance(kind, dict):
+            yield from _schema_leaves(kind, where)
+        else:
+            yield where, kind
+
+
 class TestValidation:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         code, _ = run(tmp_path, "psi", {"exponent": 2.0})
@@ -85,8 +95,10 @@ class TestValidation:
         ("solver", {"tol": "1e-9"}, "'solver.tol'"),
         ("solver", {"tol": float("nan")}, "'solver.tol'"),
         ("geometry", {"ny": 10 ** 400}, "'geometry.ny'"),
+        # True == 1, but a boolean is not a version number
+        (None, {"schema_version": True}, "'schema_version'"),
     ], ids=["p_null", "ny_null", "blowup_scalar", "cross_null", "ny_bool",
-            "tol_string", "tol_nan", "ny_beyond_float"])
+            "tol_string", "tol_nan", "ny_beyond_float", "schema_version_bool"])
     def test_wrong_json_type_is_validation_error(self, tmp_path, capsys,
                                                  command, section, entry,
                                                  key):
@@ -101,6 +113,43 @@ class TestValidation:
         code, out = run(tmp_path, command, cfg)
         assert code == 2
         assert key in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_out_of_the_wrong_type_is_validation_error(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # without --out the config's 'out' names the artifact directory
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, {"out": 5})
+        assert main(["psi", "--config", cfg]) == 2
+        assert "'out'" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_key_the_command_does_not_read_is_type_checked(self, tmp_path,
+                                                           capsys):
+        code, out = run(tmp_path, "ode1d", {"ode1d": {"a": 1.0},
+                                            "psi": {"r_min": "x"}})
+        assert code == 2
+        assert "'psi.r_min'" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("path, kind", [
+        pytest.param(path, kind, id=path)
+        for path, kind in _schema_leaves(plaplab.cli._SCHEMA)])
+    def test_every_schema_leaf_is_type_checked(self, tmp_path, capsys, path,
+                                               kind):
+        # a psi config, valid but for one value of the wrong kind, whether
+        # or not psi reads it
+        wrong = 5 if kind is str else 0 if kind is plaplab.cli._COUNT \
+            else "x"
+        cfg = json.loads(json.dumps(BASE))
+        *sections, key = path.split(".")
+        section = cfg
+        for name in sections:
+            section = section.setdefault(name, {})
+        section[key] = wrong
+        code, out = run(tmp_path, "psi", cfg)
+        assert code == 2
+        assert f"'{path}'" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command, extra, key", [
@@ -261,11 +310,15 @@ class TestOde1d:
         code, _ = run(tmp_path, "ode1d", {"ode1d": {"r": 1.0, "a": 1.0}})
         assert code == 2
 
-    def test_divergent_nonlinearity_is_numerical_failure(self, tmp_path):
-        code, _ = run(tmp_path, "ode1d",
-                      {"nonlinearity": {"kind": "power", "c": 1, "q": 1},
-                       "ode1d": {"a": 1.0}})
-        assert code == 3
+    def test_divergent_nonlinearity_is_validation_error(self, tmp_path,
+                                                        capsys):
+        # f(s) = s at p = 2 fails (A1), decided analytically: bad input
+        code, out = run(tmp_path, "ode1d",
+                        {"nonlinearity": {"kind": "power", "c": 1, "q": 1},
+                         "ode1d": {"a": 1.0}})
+        assert code == 2
+        assert "no large solution" in capsys.readouterr().err
+        assert not (out / "profile.csv").exists()
 
     def test_bracketing_failure_is_numerical_failure(self, tmp_path,
                                                      monkeypatch):
@@ -650,20 +703,24 @@ class TestCheck:
             assert [isinstance(n, int) and n > 0
                     for n in details["newton_steps"]] == [True, True]
 
-    @pytest.mark.parametrize("geometry, window, key", [
-        ({"ell": 2.0}, [-5.0, 5.0, -1.0, 1.0],
+    @pytest.mark.parametrize("nonlinearity, geometry, window, key", [
+        (BASE["nonlinearity"], {"ell": 2.0}, [-5.0, 5.0, -1.0, 1.0],
          "window Window(x_lo=-5.0, x_hi=5.0"),
-        ({"ell_list": [4.0, 2.0]}, [-1.0, 1.0, -1.0, 1.0],
-         "'geometry.ell_list'"),
-    ], ids=["window_outside", "ells_decreasing"])
+        (BASE["nonlinearity"], {"ell_list": [4.0, 2.0]},
+         [-1.0, 1.0, -1.0, 1.0], "'geometry.ell_list'"),
+        # f(s) = s at p = 2 fails (A1): no large solution exists
+        ({"kind": "power", "c": 1, "q": 1}, {"ell": 2.0},
+         [-1.0, 1.0, -1.0, 1.0], "no large solution"),
+    ], ids=["window_outside", "ells_decreasing", "keller_osserman_fails"])
     def test_input_checked_before_any_solve(self, tmp_path, capsys,
-                                            monkeypatch, geometry, window,
-                                            key):
+                                            monkeypatch, nonlinearity,
+                                            geometry, window, key):
         def no_solve(*args):
             raise AssertionError("a solve started")
 
         monkeypatch.setattr(plaplab.cli, "solve_levels", no_solve)
         code, out = run(tmp_path, "check", {
+            "nonlinearity": nonlinearity,
             "geometry": {**geometry, "cross": [-2.0, 2.0], "ny": 9},
             "boundary": {"blowup": [10.0, 100.0]},
             "window": window,
