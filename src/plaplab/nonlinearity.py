@@ -33,8 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import (NARROW_PANEL, QuadratureError, integrate_to_infinity,
-                         narrow_panel_quad, panel_quad)
+from .quadrature import QuadratureError, integrate_to_infinity, panel_quad
 
 __all__ = [
     "Nonlinearity",
@@ -77,11 +76,12 @@ def _expm1_minus(d):
         except OverflowError:
             return math.inf
     d = np.asarray(d, dtype=float)
-    small = np.abs(d) < 1.0
     with np.errstate(over="ignore"):
-        direct = np.expm1(d) - d
-    return np.where(small, _expm1_minus_series(np.where(small, d, 0.0)),
-                    direct)
+        out = np.expm1(d) - d
+    small = np.abs(d) < 1.0
+    if small.any():
+        out[small] = _expm1_minus_series(d[small])
+    return out
 
 
 @dataclass(frozen=True)
@@ -200,14 +200,20 @@ class Nonlinearity:
             return lam * _expm1_minus(arr)
         return np.zeros_like(arr)
 
-    def F_gap(self, a: float, dx: float) -> float:
+    def F_gap(self, a: float, dx):
         """F(a + dx) - F(a) for a >= 0, dx >= 0, without cancellation.
 
         The blow-up quadratures need this difference at offsets ``dx``
         many orders of magnitude below ``a``, where evaluating F twice and
         subtracting loses all significant digits; the offset is therefore
         taken directly rather than reconstructed from rounded endpoints.
+        ``dx`` may be an array; a gap beyond the largest double reads
+        ``inf``.  A scalar stays in ``math``, as in :func:`_expm1_minus`.
         """
+        if isinstance(dx, np.ndarray):
+            if dx.ndim:
+                return self._F_gap_array(a, dx.astype(float, copy=False))
+            dx = float(dx)
         if dx < 0:
             raise ValueError("F_gap expects dx >= 0")
         if dx == 0.0:
@@ -231,6 +237,29 @@ class Nonlinearity:
             except OverflowError:
                 return float("inf")
         return 0.0
+
+    def _F_gap_array(self, a: float, dx: np.ndarray) -> np.ndarray:
+        """:meth:`F_gap` elementwise over an array of offsets."""
+        if np.any(dx < 0):
+            raise ValueError("F_gap expects dx >= 0")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == "power":
+                c, q = self.params
+                if a == 0.0:
+                    gap = c / (q + 1.0) * dx ** (q + 1.0)
+                else:
+                    gap = c / (q + 1.0) * np.power(a, q + 1.0) * np.expm1(
+                        (q + 1.0) * np.log1p(dx / a))
+            elif self.kind == "exp_minus_one":
+                (lam,) = self.params
+                gap = _expm1_minus(dx)
+                if a != 0.0:  # else 0 * inf would read NaN past the overflow
+                    gap = np.expm1(a) * np.expm1(dx) + gap
+                gap = lam * gap
+            else:
+                gap = np.zeros_like(dx)
+        # where F(a) overflows, inf * expm1(0) is NaN: a zero offset is 0
+        return np.where(dx == 0.0, 0.0, gap)
 
     # -- descriptive ------------------------------------------------------
 
@@ -287,10 +316,11 @@ def _psi_diverges(nl: Nonlinearity, p: float) -> bool:
     return nl.kind == "zero"
 
 
-def _log_F(nl: Nonlinearity) -> Callable[[float], float]:
-    """Scalar ``s -> log F(s)`` for ``s > 0`` and a kind with F > 0 there.
+def _log_F(nl: Nonlinearity) -> Callable:
+    """``s -> log F(s)`` over an array of ``s > 0``, for a kind with F > 0
+    there.
 
-    A closed form in ``math`` that neither underflows nor overflows:
+    A closed form that neither underflows nor overflows:
     ``log(c/(q+1)) + (q+1) log s`` for a power; for ``e^s - 1``,
     ``log lam + s + log1p(-(1+s) e^-s)`` when s >= 1, the log of its
     Taylor sum below 1, and ``log lam + 2 log s - log 2`` where that sum
@@ -299,38 +329,53 @@ def _log_F(nl: Nonlinearity) -> Callable[[float], float]:
     if nl.kind == "power":
         c, q = nl.params
         log_coeff = math.log(c / (q + 1.0))
-        return lambda s: log_coeff + (q + 1.0) * math.log(s)
+        return lambda s: log_coeff + (q + 1.0) * np.log(s)
     log_lam = math.log(nl.params[0])
 
     def log_F(s):
-        if s >= 1.0:
-            # e^s - 1 - s = e^s (1 - (1 + s) e^-s)
-            return log_lam + s + math.log1p(-(1.0 + s) * math.exp(-s))
-        small = _expm1_minus_series(s)
-        if small < sys.float_info.min:  # subnormal: take s^2 / 2
-            return log_lam + 2.0 * math.log(s) - math.log(2.0)
-        return log_lam + math.log(small)
+        s = np.asarray(s, dtype=float)
+        out = np.empty_like(s)
+        big = s >= 1.0
+        sb = s[big]
+        # e^s - 1 - s = e^s (1 - (1 + s) e^-s)
+        out[big] = log_lam + sb + np.log1p(-(1.0 + sb) * np.exp(-sb))
+        if not big.all():
+            ss = s[~big]
+            small = _expm1_minus_series(ss)
+            with np.errstate(divide="ignore"):
+                # subnormal: take s^2 / 2
+                out[~big] = log_lam + np.where(
+                    small < sys.float_info.min,
+                    2.0 * np.log(ss) - math.log(2.0), np.log(small))
+        return out
 
     return log_F
 
 
-def _log_panel(log_F: Callable[[float], float], p: float, lo: float,
-               hi: float) -> float:
-    """``log int_lo^hi F^(-1/p)`` over one finite panel, ``lo < hi``, the
-    integrand scaled by F(lo) (see :func:`_log_tails`)."""
+def _scaled_integrand(log_F: Callable, p: float) -> Callable:
+    """``(s, ref) -> (F(s) / e^ref)^(-1/p)``: the Psi_p integrand of a
+    panel scaled by ``F(x0) = e^ref`` at its left end ``x0``, where it is 1,
+    so that neither a huge nor a tiny F under- or overflows it."""
+    return lambda s, ref: np.exp((ref - log_F(s)) / p)
+
+
+def _log_panels(log_F: Callable, p: float, lo, hi) -> np.ndarray:
+    """``log int_lo^hi F^(-1/p)`` over each finite panel ``lo < hi`` of
+    the arrays, all in one :func:`panel_quad` call, each integrand scaled
+    by F at its panel's left end."""
+    lo = np.asarray(lo, dtype=float)
     ref = log_F(lo)
-    h = lambda s: math.exp((ref - log_F(s)) / p)
-    if hi - lo < NARROW_PANEL * hi:
-        piece = narrow_panel_quad(h, lo, hi)
-    else:
-        piece = panel_quad(h, lo, hi)
-    if not piece > 0.0:
-        raise QuadratureError(f"Psi_p panel [{lo}, {hi}] is {piece!r}")
-    return math.log(piece) - ref / p
+    pieces = np.asarray(panel_quad(_scaled_integrand(log_F, p), lo, hi,
+                                   args=(ref,)))
+    if not np.all(pieces > 0.0):
+        i = np.argmin(np.ravel(pieces > 0.0))
+        raise QuadratureError(
+            f"Psi_p panel [{np.ravel(lo)[i]}, {np.ravel(hi)[i]}] is "
+            f"{np.ravel(pieces)[i]!r}")
+    return np.log(pieces) - ref / p
 
 
-def _log_tails(log_F: Callable[[float], float], p: float,
-               nodes: list) -> list:
+def _log_tails(log_F: Callable, p: float, nodes: list) -> list:
     """``log int_x^inf F^(-1/p)`` at each of the sorted, distinct ``nodes``,
     for an F whose integral converges.
 
@@ -338,18 +383,18 @@ def _log_tails(log_F: Callable[[float], float], p: float,
     (near 0, e^s - 1 has F ~ s^2/2, where doubling panels shrink slowly or
     not at all, so a tail from far below 1 runs out of doublings before it
     converges), and one panel between each pair of neighbours (split into
-    doubling panels where neighbours lie more than a factor 2 apart); the
-    sums are accumulated from the top with ``int_x^inf = int_x^y +
-    int_y^inf``.  Each piece integrates ``(F(s)/F(x0))^(-1/p)`` from its
-    left end ``x0``, where it is 1, so neither a huge nor a tiny F under-
-    or overflows the integrand.  Raises :class:`QuadratureError` when the
+    doubling panels where neighbours lie more than a factor 2 apart), all
+    of them in one :func:`panel_quad` call; the sums are accumulated from
+    the top with ``int_x^inf = int_x^y + int_y^inf``.  Each piece
+    integrates ``(F(s)/F(x0))^(-1/p)`` from its left end ``x0`` (see
+    :func:`_scaled_integrand`).  Raises :class:`QuadratureError` when the
     tail does not converge numerically.
     """
     bounds = nodes if nodes[-1] >= 1.0 else nodes + [1.0]
     top = bounds[-1]
-    ref = log_F(top)
-    tail = integrate_to_infinity(lambda s: math.exp((ref - log_F(s)) / p),
-                                 top)
+    ref = float(log_F(top))
+    integrand = _scaled_integrand(log_F, p)
+    tail = integrate_to_infinity(lambda s: integrand(s, ref), top)
     if not 0.0 < tail < math.inf:
         raise QuadratureError(
             f"tail integral from {top} is {tail!r} although (A1) holds")
@@ -360,10 +405,12 @@ def _log_tails(log_F: Callable[[float], float], p: float,
             lo *= 2.0
         edges.append(lo)
     edges.append(top)
+    log_pieces = [] if len(edges) == 1 else \
+        _log_panels(log_F, p, edges[:-1], edges[1:]).tolist()
     acc = math.log(tail) - ref / p
     log_at = {top: acc}
-    for lo, hi in reversed(list(zip(edges, edges[1:]))):
-        acc = float(np.logaddexp(_log_panel(log_F, p, lo, hi), acc))
+    for lo, log_piece in reversed(list(zip(edges, log_pieces))):
+        acc = float(np.logaddexp(log_piece, acc))
         log_at[lo] = acc
     return [log_at[x] for x in nodes]
 
@@ -439,11 +486,14 @@ def check_a2(nl: Nonlinearity, p: float, beta_grid=(0.25, 0.5, 0.75),
     All points t and beta t, and the optional extra ``radii``, are
     evaluated in one :func:`log_psi_p` sweep; the radii's values come back
     in ``A2Report.log_psi_at_radii``, so a caller that also tabulates
-    Psi_p pays for one tail.  Raises ``ValueError`` unless ``t_max``
-    exceeds ``A2_T_MIN`` and where (A1) fails (:func:`require_a1`), and
+    Psi_p pays for one tail.  Raises ``ValueError`` for an empty beta
+    grid, which would pass without a test, unless ``t_max`` exceeds
+    ``A2_T_MIN``, and where (A1) fails (:func:`require_a1`), and
     :class:`QuadratureError` when Psi_p(t_max) is not resolvable.
     """
     betas = tuple(float(b) for b in beta_grid)
+    if not betas:
+        raise ValueError("the beta grid of the (A2) probe is empty")
     if any(not (0.0 < b < 1.0) for b in betas):
         raise ValueError(f"beta grid must lie in (0, 1), got {betas}")
     if not t_max > A2_T_MIN:
@@ -501,8 +551,8 @@ def psi_inverse(nl: Nonlinearity, p: float, d: float) -> float:
         """log Psi_p(v) for v <= hi from log Psi_p(hi)."""
         if v >= hi:
             return log_hi
-        return float(np.logaddexp(log_const + _log_panel(log_F, p, v, hi),
-                                  log_hi))
+        return float(np.logaddexp(
+            log_const + float(_log_panels(log_F, p, v, hi)), log_hi))
 
     probes, log_probes = [], []
     start = 0

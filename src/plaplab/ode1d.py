@@ -18,6 +18,12 @@ means a one-parameter root solve for ``a``.
 The integrand has an ``(s - a)^(-1/p)`` endpoint singularity; substituting
 ``s = a + sigma^(p/(p-1))`` makes it continuous, and the improper tail is
 handled by the doubling-panel machinery of :mod:`plaplab.quadrature`.
+Only that near integral, whose substituted integrand still behaves like
+``sigma^(1/(p-1))`` at its end point, goes to QUADPACK's QAGS
+(:func:`plaplab.quadrature.singular_quad`); the smooth panels above it,
+the whole level ladder of a tabulation and the tail's doubling panels,
+are integrated by :func:`plaplab.quadrature.panel_quad` in vectorized
+batches.
 
 The cross-sectional problem on an interval (finite data or blow-up data
 approximated through an increasing sweep of constant boundary levels M)
@@ -41,7 +47,8 @@ from scipy.linalg import solve_banded  # noqa: F401
 
 from .minimize import sweep_levels
 from .nonlinearity import Nonlinearity, require_a1
-from .quadrature import QuadratureError, integrate_to_infinity, panel_quad
+from .quadrature import (QuadratureError, integrate_to_infinity, panel_quad,
+                         singular_quad)
 from .solver import SolverConfig, _CylinderProblem
 
 __all__ = [
@@ -55,24 +62,20 @@ __all__ = [
 
 
 def _inverse_speed(nl: Nonlinearity, p: float, a: float):
-    """Integrand [ (p/(p-1)) (F(s) - F(a)) ]^(-1/p) as a function of s."""
+    """Integrand [ (p/(p-1)) (F(s) - F(a)) ]^(-1/p) over an array of
+    s >= a: ``inf`` where the gap is 0, and 0 where it overflows."""
     coeff = p / (p - 1.0)
     inv_p = 1.0 / p
-
-    def h(s):
-        gap = nl.F_gap(a, s - a)
-        if gap <= 0.0:
-            return float("inf")
-        return (coeff * gap) ** (-inv_p)
-
-    return h
+    return lambda s: (coeff * nl.F_gap(a, s - a)) ** (-inv_p)
 
 
 def _near_integral(nl: Nonlinearity, p: float, a: float, b: float) -> float:
     """int_a^b of the inverse speed, with the endpoint singularity removed.
 
     Substituting s = a + sigma^(p/(p-1)) turns the (s-a)^(-1/p) blow-up at
-    s = a into a continuous integrand for p > 1.
+    s = a into a continuous integrand for p > 1; it is only Hölder
+    continuous at sigma = 0, so this integral stays on QAGS
+    (:func:`plaplab.quadrature.singular_quad`).
     """
     if b <= a:
         return 0.0
@@ -88,7 +91,7 @@ def _near_integral(nl: Nonlinearity, p: float, a: float, b: float) -> float:
             return float("inf")
         return expo * sigma ** (expo - 1.0) * (coeff * gap) ** (-inv_p)
 
-    return panel_quad(integrand, 0.0, sigma_max)
+    return singular_quad(integrand, 0.0, sigma_max)
 
 
 def blowup_radius(nl: Nonlinearity, p: float, a: float) -> float:
@@ -141,7 +144,7 @@ class LargeSolution1D:
 
     def first_integral_residual(self) -> np.ndarray:
         """|(1 - 1/p)|phi'|^p - (F(phi) - F(a))|, relative to max(1, gap)."""
-        gaps = np.array([self.nl.F_gap(self.a, v - self.a) for v in self.phi])
+        gaps = self.nl.F_gap(self.a, self.phi - self.a)
         lhs = (1.0 - 1.0 / self.p) * self.dphi ** self.p
         return np.abs(lhs - gaps) / np.maximum(1.0, gaps)
 
@@ -271,24 +274,30 @@ def solve_large_1d(nl: Nonlinearity, p: float, r: float) -> LargeSolution1D:
 def _tabulate(nl: Nonlinearity, p: float, a: float,
               r: float) -> LargeSolution1D:
     """The profile with center value a and blow-up radius r = r(a),
-    sampled on the ladder of level offsets ``LEVEL_DECADES``."""
+    sampled on the ladder of level offsets ``LEVEL_DECADES``: the near
+    integral up to the first level, then every step of the ladder in one
+    :func:`plaplab.quadrature.panel_quad` call.  Raises
+    :class:`QuadratureError` when even the first level's climb speed
+    overflows (a center value near the largest double)."""
     lo_dec, hi_dec = LEVEL_DECADES
     n = int(round((hi_dec - lo_dec) * LEVEL_POINTS_PER_DECADE)) + 1
-    offsets = a * np.power(10.0, np.linspace(lo_dec, hi_dec, n))
+    with np.errstate(over="ignore"):  # an inf offset is not kept below
+        offsets = a * np.power(10.0, np.linspace(lo_dec, hi_dec, n))
     levels = a + offsets
     # truncate the ladder where |phi'|^p = (p/(p-1)) (F(level) - F(a))
     # saturates double precision (fast-growing nonlinearities); the
     # remaining climb time is below any representable tolerance there
     coeff = p / (p - 1.0)
-    gaps_tail = np.array([nl.F_gap(a, d) for d in offsets])
+    gaps_tail = nl.F_gap(a, offsets)
     keep = gaps_tail <= np.finfo(float).max / coeff
+    if not keep.any():
+        raise QuadratureError(
+            f"no level of the profile with center value a={a!r} at p={p} "
+            "has a climb speed below the overflow of F(phi) - F(a)")
     levels = levels[keep]
-    n = len(levels)
-    inv_speed = _inverse_speed(nl, p, a)
-    panels = np.empty(n)
-    panels[0] = _near_integral(nl, p, a, levels[0])
-    for k in range(1, n):
-        panels[k] = panel_quad(inv_speed, levels[k - 1], levels[k])
+    panels = np.concatenate((
+        [_near_integral(nl, p, a, levels[0])],
+        panel_quad(_inverse_speed(nl, p, a), levels[:-1], levels[1:])))
     times = np.concatenate(([0.0], np.cumsum(panels)))
     phi = np.concatenate(([a], levels))
     gaps = np.concatenate(([0.0], gaps_tail[keep]))

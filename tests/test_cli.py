@@ -11,6 +11,7 @@ import pytest
 
 import plaplab.asymptotics
 import plaplab.cli
+import plaplab.nonlinearity
 import plaplab.ode1d
 import plaplab.quadrature
 from plaplab.cli import main
@@ -235,11 +236,26 @@ class TestPsi:
         assert verdict["a2"]["log_liminf_per_beta"] == pytest.approx(
             [375.0, 250.0, 125.0], rel=1e-12)
 
+    @staticmethod
+    def nan_panels(h, lo, hi, *args, **kwargs):
+        return np.full(np.shape(lo), math.nan)
+
     def test_numerical_failure_leaves_no_artifact(self, tmp_path,
                                                   monkeypatch):
-        # a quadrature that returns NaN makes the A2 probe unresolvable
-        monkeypatch.setattr(plaplab.quadrature, "quad",
-                            lambda *args, **kwargs: (math.nan, math.nan))
+        # a quadrature that returns NaN makes the A2 probe's tail
+        # unresolvable
+        monkeypatch.setattr(plaplab.quadrature, "panel_quad",
+                            self.nan_panels)
+        code, out = run(tmp_path, "psi", {})
+        assert code == 3
+        assert not (out / "psi.csv").exists()
+        assert not (out / "verdict.json").exists()
+
+    def test_nan_panels_between_points_leave_no_artifact(self, tmp_path,
+                                                         monkeypatch):
+        # the tail converges, the panels between the sweep's points do not
+        monkeypatch.setattr(plaplab.nonlinearity, "panel_quad",
+                            self.nan_panels)
         code, out = run(tmp_path, "psi", {})
         assert code == 3
         assert not (out / "psi.csv").exists()
@@ -248,18 +264,30 @@ class TestPsi:
     def test_default_table_and_probe_share_one_tail(self, tmp_path,
                                                     monkeypatch):
         # the slowest tail of the benchmark: Psi_3 for f = 2 s^3 decays
-        # like s^(-1/3), about 120 doubling panels per tail integral
+        # like s^(-1/3), over 112 doubling panels per tail integral, so
+        # the tail takes all 200 of its budget in blocks of 16, 32, 64
+        # and 88; the 87 panels between the probe's and the table's
+        # points take one more call
         calls = []
-        quad = plaplab.quadrature.quad
+        panel_quad = plaplab.quadrature.panel_quad
 
-        def counting(*args, **kwargs):
-            calls.append(args[1:3])
-            return quad(*args, **kwargs)
+        def counting(h, lo, hi, *args, **kwargs):
+            calls.append(np.size(lo))
+            return panel_quad(h, lo, hi, *args, **kwargs)
 
-        monkeypatch.setattr(plaplab.quadrature, "quad", counting)
+        monkeypatch.setattr(plaplab.quadrature, "panel_quad", counting)
+        monkeypatch.setattr(plaplab.nonlinearity, "panel_quad", counting)
         code, _ = run(tmp_path, "psi", {"p": 3.0})
         assert code == 0
-        assert len(calls) <= 400
+        assert len(calls) <= 5
+        assert sum(calls) <= 300
+
+    def test_empty_beta_grid_is_bad_input(self, tmp_path):
+        # an (A2) verdict over no beta would pass without a test
+        code, out = run(tmp_path, "psi", {"a2": {"betas": []}})
+        assert code == 2
+        assert not (out / "psi.csv").exists()
+        assert not (out / "verdict.json").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, {"psi": {"points": 5}})
@@ -309,6 +337,16 @@ class TestOde1d:
     def test_requires_exactly_one_of_r_a(self, tmp_path):
         code, _ = run(tmp_path, "ode1d", {"ode1d": {"r": 1.0, "a": 1.0}})
         assert code == 2
+
+    def test_center_value_past_the_overflow_is_numerical_failure(
+            self, tmp_path, capsys):
+        # F(phi) - F(a) overflows at every level of the ladder above
+        # a = 1e300: no level to tabulate
+        code, out = run(tmp_path, "ode1d", {"ode1d": {"a": 1e300}})
+        assert code == 3
+        assert "a=1e+300" in capsys.readouterr().err
+        assert not (out / "profile.csv").exists()
+        assert not (out / "ode1d.json").exists()
 
     def test_divergent_nonlinearity_is_validation_error(self, tmp_path,
                                                         capsys):

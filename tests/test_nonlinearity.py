@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import plaplab.nonlinearity
 import plaplab.quadrature
 from plaplab import (Nonlinearity, QuadratureError, check_a1, check_a2,
                      log_psi_p, psi_inverse, psi_p)
@@ -115,6 +116,27 @@ class TestPointwise:
         # tiny offsets where the direct difference loses all digits
         a, dx = 3.0, 1e-13
         assert nl.F_gap(a, dx) == pytest.approx(nl.f(a) * dx, rel=1e-10)
+
+    @pytest.mark.parametrize("nl", [Nonlinearity.power(2, 3),
+                                    Nonlinearity.exp_minus_one(1.0),
+                                    Nonlinearity.zero()],
+                             ids=["power", "exp", "zero"])
+    @pytest.mark.parametrize("a", [0.0, 1e-3, 2.0, 700.0, 1e300])
+    def test_F_gap_array_matches_scalar(self, nl, a):
+        # elementwise the float path: 0 at a zero offset, inf where the gap
+        # overflows, even where F(a) itself does
+        dx = np.concatenate(([0.0], np.geomspace(1e-12, 1e12, 49)))
+        gaps = nl.F_gap(a, dx)
+        scalar = np.array([nl.F_gap(a, float(d)) for d in dx])
+        assert gaps[0] == 0.0
+        assert np.array_equal(np.isinf(gaps), np.isinf(scalar))
+        finite = np.isfinite(scalar)
+        assert gaps[finite] == pytest.approx(scalar[finite], rel=1e-14,
+                                             abs=0.0)
+
+    def test_F_gap_array_rejects_a_negative_offset(self):
+        with pytest.raises(ValueError, match="dx >= 0"):
+            Nonlinearity.power(2, 3).F_gap(1.0, np.array([1.0, -1e-3]))
 
 
 class TestKinds:
@@ -385,6 +407,11 @@ class TestA2:
         with pytest.raises(ValueError):
             check_a2(Nonlinearity.power(2, 3), 2.0, beta_grid=(1.5,))
 
+    def test_empty_beta_grid_rejected(self):
+        # all() over no estimates would report a pass that was never tested
+        with pytest.raises(ValueError, match="beta grid .* is empty"):
+            check_a2(Nonlinearity.power(2, 3), 2.0, beta_grid=())
+
 
 class TestPsiInverse:
     def test_closed_form_values(self):
@@ -410,44 +437,47 @@ class TestPsiInverse:
 
     @staticmethod
     def count_panels(monkeypatch):
-        """QUADPACK calls from here on: at least one per panel."""
-        panels = []
-        quad = plaplab.quadrature.quad
+        """The number of panels of each ``panel_quad`` call from here on,
+        the tails' doubling panels among them."""
+        calls = []
+        panel_quad = plaplab.quadrature.panel_quad
 
-        def counting(*args, **kwargs):
-            panels.append(args[1:3])
-            return quad(*args, **kwargs)
+        def counting(h, lo, hi, *args, **kwargs):
+            calls.append(np.size(lo))
+            return panel_quad(h, lo, hi, *args, **kwargs)
 
-        monkeypatch.setattr(plaplab.quadrature, "quad", counting)
-        return panels
+        monkeypatch.setattr(plaplab.quadrature, "panel_quad", counting)
+        monkeypatch.setattr(plaplab.nonlinearity, "panel_quad", counting)
+        return calls
 
     def test_bracket_steps_add_one_panel_each(self, monkeypatch):
         # 61 quarterings below v = 1 on top of one tail, where a fresh
         # tail per probe took over 4000 panels
         nl = Nonlinearity.exp_minus_one(1.0)
         sup = psi_p(nl, 3.0, 1e-12)
-        panels = self.count_panels(monkeypatch)
+        calls = self.count_panels(monkeypatch)
         with pytest.raises(QuadratureError, match="exceeds sup"):
             psi_inverse(nl, 3.0, 10.0 * sup)
-        assert len(panels) < 1000
+        assert calls.count(1) >= 61
+        assert sum(calls) < 1000
 
     def test_root_probes_add_one_panel_each(self, monkeypatch):
         # two tails (the probe sweep over v = 1 and 4, and the round-trip
         # check) and one panel per root-solver probe; a tail per probe
         # took over 400
-        panels = self.count_panels(monkeypatch)
+        calls = self.count_panels(monkeypatch)
         v = psi_inverse(Nonlinearity.power(2, 3), 2.0, 0.3)
         assert v == pytest.approx(1.0 / 0.3, rel=1e-8)
-        assert len(panels) < 200
+        assert sum(calls) < 200
 
     def test_level_below_the_probe_range_raises(self, monkeypatch):
         # Psi_2(v) = 1/v for f = 2 s^3: 61 quadruplings reach only 5e36;
         # seven sweeps over the probes, where a tail per probe took 2480
         # QUADPACK calls
-        panels = self.count_panels(monkeypatch)
+        calls = self.count_panels(monkeypatch)
         with pytest.raises(QuadratureError, match="no v with"):
             psi_inverse(Nonlinearity.power(2, 3), 2.0, 1e-40)
-        assert len(panels) <= 500
+        assert sum(calls) <= 500
 
     def test_nonpositive_level_is_bad_input(self):
         with pytest.raises(ValueError, match="d > 0"):
