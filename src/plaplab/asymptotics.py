@@ -31,7 +31,7 @@ import numpy as np
 from .grid import (Window, build_grid, cutoff_function, embed_cross_section,
                    lp_norm_gradient, require_window_inside, tied_nx,
                    window_node_mask)
-from .minimize import BlowupReport, increasing_levels
+from .minimize import BlowupReport, NonConvergenceError, increasing_levels
 from .nonlinearity import Nonlinearity, require_a1
 from .ode1d import (LargeSolution1D, solve_cross_finite, solve_cross_large,
                     solve_large_1d)
@@ -168,10 +168,14 @@ class RateReport:
 class SweepReports:
     """The blow-up sweep reports of a :func:`sweep_ell`: each row's, keyed
     by ell, and that of the cross-sectional reference on the sweep's
-    transverse grid (None for finite data or when it failed)."""
+    transverse grid (None for finite data or when it failed); and
+    ``floor_solve``, the record ``{"ny", "m", "newton_steps"}`` of the
+    floor's solve (``m`` its blow-up level, None for finite data), None
+    when there is no floor."""
 
     cylinder: dict = field(default_factory=dict)
     cross_section: Optional[BlowupReport] = None
+    floor_solve: Optional[dict] = None
 
 
 def _reference_profile(spec: SweepSpec, ny: int) -> tuple:
@@ -227,6 +231,44 @@ def measure_row(spec: SweepSpec, ell: float, ny: Optional[int] = None, *,
     return err, noise, results, blow
 
 
+def _measure_floor(spec: SweepSpec, ny: int) -> tuple:
+    """The largest ell measured again on ``ny`` transverse nodes against
+    the reference on that grid; returns (error, noise_floor, record), the
+    record ``{"ny", "m", "newton_steps"}`` of its solve (``m`` the
+    blow-up level, None for finite data).
+
+    Only the solution at the last boundary level counts, and the
+    minimizer there is unique, so blow-up data are solved at their last
+    level alone, from the reference's last level extended, rather than
+    up the whole M sweep: one Newton stage instead of one per level.
+    :func:`solve_blowup` still checks (A1).  In place of the sweep's
+    M-monotonicity check, the comparison principle the solve must keep
+    is checked: the extended reference solves the equations at the free
+    nodes and stays below M at the cylinder's ends, so the solution must
+    not lie below it by more than 2 tol at a free node; a violation
+    raises :class:`NonConvergenceError`.
+    """
+    reference = _reference_profile(spec, ny)[0][-1:]
+    m = spec.regime.m_list[-1] if isinstance(spec.regime, BlowupData) \
+        else None
+    level_spec = spec if m is None else replace(spec,
+                                                regime=BlowupData((m,)))
+    err, noise, results, _ = measure_row(level_spec, spec.ells[-1], ny,
+                                         reference=reference)
+    u = results[-1].solution
+    if m is not None:
+        free = u.grid.interior_mask()
+        below = float(np.max(
+            embed_cross_section(reference[0], u.grid).values[free]
+            - u.values[free]))
+        if below > 2.0 * spec.tol:
+            raise NonConvergenceError(
+                f"solution at M={m:g} lies {below:.3e} below its extended "
+                "reference")
+    return err, noise, {"ny": ny, "m": m,
+                        "newton_steps": results[-1].newton_steps}
+
+
 def sweep_ell(spec: SweepSpec):
     """Measure e(ell) over the ladder, one row after another; returns
     (rows, floor, extras).
@@ -234,15 +276,17 @@ def sweep_ell(spec: SweepSpec):
     A row whose solve fails numerically is recorded with the failure
     reason instead of aborting the whole sweep; any other exception
     propagates, since ``spec`` has checked the input.  Each row records
-    the Newton steps of its solves.  The discretization floor is
-    estimated by re-solving the largest ell at doubled resolution, one
-    more independent :func:`measure_row` against the reference on that
-    grid, and comparing the two measurements (NaN when either fails; the
-    re-solve's failure is noted on the largest-ell row); extras, the
+    the Newton steps of its solves.  The reference is solved once per
+    transverse grid, and every row starts from its first level; when it
+    fails, every row records that failure.  The discretization floor is
+    estimated by re-solving the largest ell at doubled resolution
+    (:func:`_measure_floor`: blow-up data at their last level only,
+    started from that level of the reference on the finer grid) and
+    comparing the two measurements (NaN when either fails; the
+    re-solve's failure is noted on the largest-ell row).  Extras, the
     :class:`SweepReports`, carries the blow-up stabilization reports of
-    the rows and of the cross-sectional reference.  The reference is
-    solved once per transverse grid, and every cylinder solve starts from
-    its first level; when it fails, every row records that failure.
+    the rows and of the cross-sectional reference, and the record of the
+    floor's solve.
     """
 
     def failed(ell, exc):
@@ -270,20 +314,18 @@ def sweep_ell(spec: SweepSpec):
         if blow is not None:
             cylinder[ell] = blow
     coarse = rows[-1].error  # the largest ell
-    floor = float("nan")
+    floor, floor_solve = float("nan"), None
     if math.isfinite(coarse):
         ny_fine = 2 * spec.ny - 1
         try:
-            fine, noise_fine, _, _ = measure_row(
-                spec, spec.ells[-1], ny_fine,
-                reference=_reference_profile(spec, ny_fine)[0])
+            fine, noise_fine, floor_solve = _measure_floor(spec, ny_fine)
             # resolution sensitivity of the closest-to-floor row, bounded
             # below by the rounding level of the norm measurement itself
             floor = max(abs(coarse - fine), noise_max, noise_fine)
         except ArithmeticError as exc:  # recorded on its row, not raised
             rows[-1] = replace(rows[-1], note=f"floor re-solve at "
                                f"ny={ny_fine} failed: {exc}")
-    return rows, floor, SweepReports(cylinder, cross_report)
+    return rows, floor, SweepReports(cylinder, cross_report, floor_solve)
 
 
 def fit_rate(rows, p: float, floor: float = 0.0) -> RateReport:

@@ -351,7 +351,8 @@ def _write_sweep_outputs(out, rows, floor, extras):
             "blowup_reports": {str(ell): _blowup_json(b)
                                for ell, b in extras.cylinder.items()},
             "cross_section_report": None if extras.cross_section is None
-            else _blowup_json(extras.cross_section)}
+            else _blowup_json(extras.cross_section),
+            "floor_solve": extras.floor_solve}
     _write_json(data, out / "sweep.json")
 
 
@@ -502,10 +503,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser of :func:`main`, built on its first call (not at import)
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on bad usage, which matches the validation code
         return int(exc.code) if exc.code else EXIT_OK

@@ -113,6 +113,12 @@ def test_criterion_4_rate_finite_data(nl, p, cross, window):
            f"{rep.floor:.2e}")
 
 
+# Newton steps of the ny = 65 floor solve: the last M alone, from the
+# reference's last level extended (the whole M ladder took 21 and 22);
+# a count, which does not vary between runs
+FLOOR_NEWTON_STEPS = {1.5: 9, 2.0: 14}
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0], ids=["p1.5", "p2"])
 def test_criterion_5_rate_blowup(p):
     spec = SweepSpec(nl=POWER23, p=p, cross=(-2.0, 2.0),
@@ -126,10 +132,14 @@ def test_criterion_5_rate_blowup(p):
         all(a > b for a, b in zip(blow.stage_max_change,
                                   blow.stage_max_change[1:]))
         for blow in extras.cylinder.values())
-    report(5, rep.passed and used >= 3 and stabilizing,
+    floor_steps = extras.floor_solve["newton_steps"]
+    report(5, rep.passed and used >= 3 and stabilizing
+           and floor_steps <= FLOOR_NEWTON_STEPS[p],
            f"blow-up p={p}: slope {rep.slope:.3f} <= {-1.0 / p:.3f} + 0.1 "
            f"with {used} rows above floor {rep.floor:.2e}; windowed "
-           f"M-stabilization residual decreasing: {stabilizing}")
+           f"M-stabilization residual decreasing: {stabilizing}; floor "
+           f"solve {floor_steps} Newton steps (at most "
+           f"{FLOOR_NEWTON_STEPS[p]})")
 
 
 COMPARISON_MATRIX = [(POWER23, 1.5), (POWER23, 2.0), (POWER23, 3.0),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from plaplab import (BlowupData, FiniteData, NonConvergenceError,
                      Nonlinearity, RateRow, RateUnresolvableError,
@@ -208,6 +210,8 @@ class TestSweep:
     @REGIMES
     def test_every_solve_starts_from_its_references_first_level(
             self, monkeypatch, regime):
+        # the rows' reference is every level of the profile; the floor's,
+        # the last level alone, solved as one M level from that level
         spec = SweepSpec(**{**self.SPEC, "nl": POWER23, "regime": regime})
         references = {}
         original = asymptotics._reference_profile
@@ -222,7 +226,8 @@ class TestSweep:
             def wrapped(grid, *args, initial, **kwargs):
                 out = solve(grid, *args, initial=initial, **kwargs)
                 first = out[0][0] if isinstance(out, tuple) else out
-                starts.append((grid, initial, first))
+                levels = out[1].m_values if isinstance(out, tuple) else ()
+                starts.append((grid, initial, first, levels))
                 return out
             return wrapped
 
@@ -235,16 +240,21 @@ class TestSweep:
         _, floor, _ = sweep_ell(spec)
         assert np.isfinite(floor)
         # the two rows, then the floor re-solve at doubled resolution
-        assert [(g.ell, g.ny) for g, _, _ in starts] == \
+        assert [(g.ell, g.ny) for g, _, _, _ in starts] == \
             [(2.0, 9), (4.0, 9), (4.0, 17)]
-        for grid, initial, first in starts:
-            start = references[grid.ny][0][0]  # the profiles' first level
-            level = regime.m_list[0] if isinstance(regime, BlowupData) \
+        blowup = isinstance(regime, BlowupData)
+        for grid, initial, first, levels in starts:
+            is_floor = grid.ny == 17
+            profiles = references[grid.ny][0]
+            start = profiles[-1] if is_floor else profiles[0]
+            level = regime.m_list[-1 if is_floor else 0] if blowup \
                 else regime.g
             assert (start.values[0], start.values[-1]) == (level, level)
             assert np.array_equal(initial,
                                   embed_cross_section(start, grid).values)
             assert len(first.stages) == 1
+            if blowup:
+                assert levels == ((level,) if is_floor else regime.m_list)
 
     @REGIMES
     def test_row_agrees_with_a_cold_solve(self, regime):
@@ -274,6 +284,50 @@ class TestSweep:
             _, cold = solve_blowup(grid, POWER23, spec.cfg,
                                    spec.regime.m_list)
             assert blow.level_newton_steps[0] < cold.level_newton_steps[0]
+
+
+class TestFloor:
+    """The floor's one-level solve at the last M against the full ladder."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(p=st.floats(1.5, 3.0), ny=st.sampled_from([9, 17]),
+           ell=st.sampled_from([2.0, 4.0]),
+           nl=st.one_of(
+               st.builds(Nonlinearity.power, st.floats(0.5, 4.0),
+                         st.floats(2.0, 5.0)),
+               st.builds(Nonlinearity.exp_minus_one, st.floats(0.5, 2.0))))
+    def test_one_level_solve_matches_the_ladders_last_level(self, p, ny,
+                                                           ell, nl):
+        # the minimizer at the last M is unique: starting there from the
+        # extended reference changes the path, not the end.  Both solves
+        # stop at tol, so they agree to the 2 tol slack the comparison
+        # checks allow; over 400 uniform draws the worst gap was 6.1e-13,
+        # and 6.5e-12 at f = 0.5 s^2, p = 2.45, ny = 9 (values near M = 1e3)
+        assume(plaplab.nonlinearity.check_a1(nl, p))
+        spec = SweepSpec(nl=nl, p=p, cross=(-2.0, 2.0),
+                         regime=BlowupData((10.0, 100.0, 1000.0)),
+                         ells=(ell,), window=Window(-1.0, 1.0, -1.0, 1.0),
+                         ny=ny)
+        measure_row = asymptotics.measure_row
+        _, _, ladder, _ = measure_row(
+            spec, ell, ny,
+            reference=asymptotics._reference_profile(spec, ny)[0])
+        floor_results = []
+
+        def recording(*args, **kwargs):
+            out = measure_row(*args, **kwargs)
+            floor_results.extend(out[2])
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(asymptotics, "measure_row", recording)
+            _, _, record = asymptotics._measure_floor(spec, ny)
+        [one] = floor_results
+        assert len(one.stages) == 1
+        assert record == {"ny": ny, "m": 1000.0,
+                          "newton_steps": one.newton_steps}
+        assert np.max(np.abs(one.solution.values
+                             - ladder[-1].solution.values)) <= 2.0 * spec.tol
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,8 @@ import plaplab.nonlinearity
 import plaplab.ode1d
 import plaplab.quadrature
 from plaplab.cli import main
-from plaplab import Nonlinearity, SolverConfig, solve_cross_large
+from plaplab import (GridFunction, Nonlinearity, SolverConfig,
+                     embed_cross_section, solve_cross_large)
 from plaplab.minimize import NonConvergenceError
 from plaplab.solver import _CylinderProblem
 
@@ -78,6 +79,26 @@ class TestValidation:
     def test_unknown_subcommand_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {})
         assert main(["frobnicate", "--config", cfg]) == 2
+        capsys.readouterr()
+
+    def test_parser_is_built_once_and_survives_bad_usage(self, tmp_path,
+                                                         capsys,
+                                                         monkeypatch):
+        built = []
+        build = plaplab.cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(plaplab.cli, "_parser", None)
+        monkeypatch.setattr(plaplab.cli, "build_parser", counting)
+        cfg = write_cfg(tmp_path, {"ode1d": {"r": 1.0}})
+        assert main(["ode1d", "--config", cfg, "--bogus"]) == 2
+        assert main(["ode1d", "--config", cfg, "--out",
+                     str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "ode1d.json").exists()
+        assert built == [1]
         capsys.readouterr()
 
 
@@ -554,6 +575,24 @@ class TestSweepAndRate:
             "monotone_margin": report.monotone_margin}
         assert all(n > 0 for n in report.level_newton_steps)
 
+    @pytest.mark.parametrize("boundary, level", [
+        ({"blowup": [10.0, 100.0]}, 100.0), ({"dirichlet": 1.0}, None)],
+        ids=["blowup", "finite"])
+    def test_sweep_json_records_the_floor_solve(self, tmp_path, boundary,
+                                                level):
+        code, out = run(tmp_path, "sweep", {
+            "geometry": {"ell_list": [2.0, 4.0], "cross": [-2.0, 2.0],
+                         "ny": 9},
+            "boundary": boundary,
+            "window": [-1.0, 1.0, -1.0, 1.0],
+        })
+        assert code == 0
+        floor_solve = json.loads((out / "sweep.json").read_text())[
+            "floor_solve"]
+        assert set(floor_solve) == {"ny", "m", "newton_steps"}
+        assert (floor_solve["ny"], floor_solve["m"]) == (17, level)
+        assert floor_solve["newton_steps"] > 0
+
     def test_finite_sweep_has_no_cross_section_report(self, tmp_path):
         code, out = run(tmp_path, "sweep", {
             "nonlinearity": {"kind": "power", "c": 1, "q": 1},
@@ -634,6 +673,38 @@ class TestSweepAndRate:
             capsys.readouterr().err
         assert not (out / "rate.json").exists()
         assert json.loads((out / "sweep.json").read_text())["floor"] is None
+
+    def test_floor_below_its_extended_reference_is_exit_4(
+            self, tmp_path, capsys, monkeypatch):
+        # the floor solves the last M alone; a solution below the extended
+        # reference breaks the comparison principle, and the floor fails
+        original = plaplab.asymptotics.measure_row
+
+        def lowered_floor(spec, ell, ny=None, *, reference):
+            err, noise, results, blow = original(spec, ell, ny,
+                                                 reference=reference)
+            if ny not in (None, spec.ny):
+                # every node 1e-6 below the extended reference
+                grid = results[-1].solution.grid
+                values = embed_cross_section(reference[-1], grid).values
+                results[-1] = dataclasses.replace(
+                    results[-1], solution=GridFunction(grid, values - 1e-6))
+            return err, noise, results, blow
+
+        monkeypatch.setattr(plaplab.asymptotics, "measure_row",
+                            lowered_floor)
+        code, out = run(tmp_path, "rate", {
+            "geometry": {"ell_list": [2.0, 4.0, 8.0], "cross": [-2.0, 2.0],
+                         "ny": 9},
+            "boundary": {"blowup": [10.0, 100.0]},
+            "window": [-1.0, 1.0, -1.0, 1.0],
+        })
+        assert code == 4
+        assert "floor re-solve at ny=17 failed: solution at M=100 lies " \
+            "1.000e-06 below its extended reference" in capsys.readouterr().err
+        assert not (out / "rate.json").exists()
+        sweep = json.loads((out / "sweep.json").read_text())
+        assert (sweep["floor"], sweep["floor_solve"]) == (None, None)
 
     def test_flat_sweep_rate_unresolvable_is_exit_4(self, tmp_path):
         code, _ = run(tmp_path, "rate", {
