@@ -19,7 +19,7 @@ from .grid import (GridFunction, RectGrid, Window, build_grid,
                    lp_norm_gradient, window_node_mask, write_grid_function)
 from .minimize import NonConvergenceError
 from .nonlinearity import (A2Report, Nonlinearity, check_a1, check_a2,
-                           log_psi_p, psi_inverse, psi_p, require_a1)
+                           log_psi_p, psi_p, require_a1)
 from .ode1d import (CrossProfile, LargeSolution1D, blowup_radius,
                     solve_cross_finite, solve_cross_large, solve_large_1d)
 from .quadrature import QuadratureError

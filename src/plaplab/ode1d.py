@@ -15,15 +15,18 @@ and the blow-up radius is ``r(a) = t(inf)``.  ``r(a)`` is strictly
 decreasing for the admissible nonlinearities, so prescribing the radius
 means a one-parameter root solve for ``a``.
 
-The integrand has an ``(s - a)^(-1/p)`` endpoint singularity; substituting
-``s = a + sigma^(p/(p-1))`` makes it continuous, and the improper tail is
-handled by the doubling-panel machinery of :mod:`plaplab.quadrature`.
-Only that near integral, whose substituted integrand still behaves like
-``sigma^(1/(p-1))`` at its end point, goes to QUADPACK's QAGS
-(:func:`plaplab.quadrature.singular_quad`); the smooth panels above it,
-the whole level ladder of a tabulation and the tail's doubling panels,
-are integrated by :func:`plaplab.quadrature.panel_quad` in vectorized
-batches.
+For a power ``f = c s^q`` (``m = q + 1``) the radius has a closed form,
+
+    r(a) = B(1/p - 1/m, 1 - 1/p) / m * ((p/(p-1)) c/m)^(-1/p) a^(1-m/p) ,
+
+by the substitution ``s = a w^(-1/m)``.  Otherwise the integrand has an
+``(s - a)^(-1/p)`` end-point singularity at the center value: the near
+integral over ``[a, 2a]`` takes that factor as the weight of a
+Gauss-Jacobi rule (:func:`plaplab.quadrature.jacobi_quad`), and the tail
+from ``2a`` is summed over doubling panels
+(:func:`plaplab.quadrature.integrate_to_infinity`).  The smooth panels of
+a tabulation, its whole level ladder, are integrated by
+:func:`plaplab.quadrature.panel_quad` in one vectorized batch.
 
 The cross-sectional problem on an interval (finite data or blow-up data
 approximated through an increasing sweep of constant boundary levels M)
@@ -47,8 +50,8 @@ from scipy.linalg import solve_banded  # noqa: F401
 
 from .minimize import sweep_levels
 from .nonlinearity import Nonlinearity, require_a1
-from .quadrature import (QuadratureError, integrate_to_infinity, panel_quad,
-                         singular_quad)
+from .quadrature import (QuadratureError, integrate_to_infinity, jacobi_quad,
+                         panel_quad)
 from .solver import SolverConfig, _CylinderProblem
 
 __all__ = [
@@ -70,57 +73,52 @@ def _inverse_speed(nl: Nonlinearity, p: float, a: float):
 
 
 def _near_integral(nl: Nonlinearity, p: float, a: float, b: float) -> float:
-    """int_a^b of the inverse speed, with the endpoint singularity removed.
-
-    Substituting s = a + sigma^(p/(p-1)) turns the (s-a)^(-1/p) blow-up at
-    s = a into a continuous integrand for p > 1; it is only Hölder
-    continuous at sigma = 0, so this integral stays on QAGS
-    (:func:`plaplab.quadrature.singular_quad`).
-    """
-    if b <= a:
-        return 0.0
-    expo = p / (p - 1.0)
+    """int_a^b of the inverse speed, ``(s-a)^(-1/p) G(s)`` with the smooth
+    ``G(s) = [(p/(p-1)) (F(s) - F(a)) / (s-a)]^(-1/p)``: a Gauss-Jacobi
+    rule with the weight ``(s-a)^(-1/p)``
+    (:func:`plaplab.quadrature.jacobi_quad`)."""
     coeff = p / (p - 1.0)
     inv_p = 1.0 / p
-    sigma_max = (b - a) ** (1.0 / expo)
+    return jacobi_quad(lambda d: (coeff * nl.F_gap(a, d) / d) ** -inv_p,
+                       b - a, -inv_p)
 
-    def integrand(sigma):
-        dx = sigma ** expo
-        gap = nl.F_gap(a, dx)
-        if gap <= 0.0:
-            return float("inf")
-        return expo * sigma ** (expo - 1.0) * (coeff * gap) ** (-inv_p)
 
-    return singular_quad(integrand, 0.0, sigma_max)
+def _power_radius(c: float, q: float, p: float, a: float) -> float:
+    """r(a) of f = c s^q in closed form, for m = q + 1 > p (module doc)."""
+    m = q + 1.0
+    log_r = (math.lgamma(1.0 / p - 1.0 / m) + math.lgamma(1.0 - 1.0 / p)
+             - math.lgamma(1.0 - 1.0 / m) - math.log(m)
+             - math.log(p / (p - 1.0) * c / m) / p
+             + (1.0 - m / p) * math.log(a))
+    try:
+        return math.exp(log_r)
+    except OverflowError:
+        raise QuadratureError(
+            f"r({a}) = e^{log_r:.6g} overflows for f(s) = {c:g} s^{q:g} at "
+            f"p={p}") from None
 
 
 def blowup_radius(nl: Nonlinearity, p: float, a: float) -> float:
     """Blow-up radius r(a) of the symmetric profile with center value a.
 
-    Raises ``ValueError`` for bad input, before any quadrature: a center
-    value a <= 0, p <= 1, or a nonlinearity failing the Keller-Osserman
-    condition (A1), for which r(a) is infinite and no large solution
-    exists (:func:`plaplab.nonlinearity.require_a1`).  Raises
-    :class:`QuadratureError` when (A1) holds but the integral does not
-    come out finite: a tail that outlasts the doubling budget, or a p so
-    close to 1 that the near integrand underflows or overflows.
+    A power's radius is its closed form; any other kind's is its near
+    integral over [a, 2a] plus its tail from 2a.  Raises ``ValueError``
+    for bad input, before any quadrature: a center value a <= 0, p <= 1,
+    or a nonlinearity failing the Keller-Osserman condition (A1), for
+    which r(a) is infinite and no large solution exists
+    (:func:`plaplab.nonlinearity.require_a1`).  Raises
+    :class:`QuadratureError` when (A1) holds but r(a) does not come out
+    finite.
     """
     if a <= 0.0:
         raise ValueError(f"center value must be positive, got a={a}")
     if p <= 1.0:
         raise ValueError(f"requires p > 1, got p={p}")
     require_a1(nl, p)
-    try:
-        near = _near_integral(nl, p, a, 2.0 * a)
-    except OverflowError as exc:
-        raise QuadratureError(
-            f"the near integral of r({a}) overflows at p={p}: {exc}") from exc
-    tail = integrate_to_infinity(_inverse_speed(nl, p, a), 2.0 * a)
-    if not (math.isfinite(near) and math.isfinite(tail)):
-        raise QuadratureError(
-            f"r({a}) reads {near!r} + {tail!r} (near integral + tail) "
-            f"although (A1) holds for {nl.describe()} at p={p}")
-    return near + tail
+    if nl.kind == "power":
+        return _power_radius(*nl.params, p, a)
+    return _near_integral(nl, p, a, 2.0 * a) \
+        + integrate_to_infinity(_inverse_speed(nl, p, a), 2.0 * a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,9 +162,6 @@ class LargeSolution1D:
         # bracket in level space: phi in [phi[i-1], phi[i]]
         v_lo, v_hi = float(self.phi[i - 1]), float(self.phi[i])
         t_lo = float(self.t[i - 1])
-        if v_lo == v_hi:
-            return v_lo
-        from scipy.optimize import brentq
 
         def time_of(v):
             if i == 1:
@@ -174,7 +169,10 @@ class LargeSolution1D:
             return t_lo + panel_quad(_inverse_speed(self.nl, self.p, self.a),
                                      v_lo, v) - tq
 
-        return float(brentq(time_of, v_lo, v_hi, rtol=1e-14, maxiter=200))
+        return _secant_root(time_of, v_lo, t_lo - tq, v_hi,
+                            float(self.t[i]) - tq,
+                            lambda v, gv: abs(gv) <= TIME_REL_TOL * tq,
+                            xtol=LEVEL_REL_TOL * v_lo)
 
     def derivative_at(self, t: float) -> float:
         """phi'(|t|) >= 0, from the first integral."""
@@ -195,8 +193,57 @@ CENTER_DOUBLINGS = 60
 #: a probe is accepted once its own radius is within this of r, relative
 RADIUS_REL_TOL = 1e-10
 
-#: probe budget of one center-value search
+#: probe budget of one center-value search, and of one level search
 MAX_PROBES = 200
+
+#: ``LargeSolution1D.value_at`` accepts a level whose time is within
+#: ``TIME_REL_TOL`` of the given time, or a secant step shorter than
+#: ``LEVEL_REL_TOL`` of the level, both relative
+TIME_REL_TOL = 1e-15
+LEVEL_REL_TOL = 1e-14
+
+
+def _secant_root(g, x0, g0, x1, g1, done, edge=None, xtol=0.0,
+                 budget=MAX_PROBES):
+    """A root of the monotone ``g``, from the probes ``x0`` and ``x1``.
+
+    Each step is the secant through the last two probes.  While every
+    probe's ``g`` has one sign, a step stops at ``edge``, where ``g`` is
+    to raise if the sign still holds; once probes lie on either side of 0,
+    a step that does not land strictly inside their bracket (the latest
+    probes with ``g > 0`` and with ``g <= 0``) is replaced by the
+    bracket's midpoint.  Returns the first probe ``x`` with
+    ``done(x, g(x))``, ``x1`` included, or the end of the first bracketed
+    step shorter than ``xtol``.  Raises :class:`QuadratureError` when
+    neither has happened after ``budget`` more probes, or when the bracket
+    shrinks to roundoff.
+    """
+    ends = {g0 > 0.0: x0, g1 > 0.0: x1}
+    x_prev, g_prev, x, gx = x0, g0, x1, g1
+    while not done(x, gx):
+        if budget <= 0:
+            raise QuadratureError(f"root solve stalled out of probes at "
+                                  f"x = {x!r}, g = {gx!r}")
+        x_next = None if gx == g_prev or math.isinf(gx) else \
+            x - gx * (x - x_prev) / (gx - g_prev)
+        if len(ends) == 1:
+            if x_next is None or (x_next - edge) * (edge - x) > 0.0:
+                x_next = edge
+        else:
+            lo, hi = sorted(ends.values())
+            if x_next is None or not lo < x_next < hi:
+                x_next = 0.5 * (lo + hi)
+            if abs(x_next - x) < xtol:
+                return x_next
+            if not lo < x_next < hi:
+                raise QuadratureError(
+                    f"root solve stalled: the bracket [{lo!r}, {hi!r}] "
+                    f"shrank to roundoff at g = {gx!r}")
+        x_prev, g_prev, x = x, gx, x_next
+        gx = g(x)
+        ends[gx > 0.0] = x
+        budget -= 1
+    return x
 
 
 def solve_large_1d(nl: Nonlinearity, p: float, r: float) -> LargeSolution1D:
@@ -204,21 +251,26 @@ def solve_large_1d(nl: Nonlinearity, p: float, r: float) -> LargeSolution1D:
 
     The center value is found by a secant on g(x) = ln r(e^x) - ln r in
     x = ln a (r(a) is strictly decreasing), started from a = 1 and
-    a = 2^(+-1) on the side that r(1) points to.  For a power f = c s^q,
-    r(lam a) = lam^(-(q-p+1)/p) r(a), so g is affine and the first secant
-    step lands on the root.  Before the probes straddle r, steps stop at
-    the end of the range a in [2^-60, 2^60]; after, a step that leaves the
-    bracket is replaced by a bisection in ln a.  The first probe whose own
-    radius is within ``RADIUS_REL_TOL`` of r is the center value.  No root
-    in range, a non-monotone set of probes and a bracket that shrinks to
-    roundoff raise :class:`QuadratureError` rather than return a wrong
-    profile.
+    a = 2^(+-1) on the side that r(1) points to (:func:`_secant_root`).
+    For a power f = c s^q, r(lam a) = lam^(-(q-p+1)/p) r(a), so g is
+    affine and the first secant step lands on the root.  Before the
+    probes straddle r, steps stop at the end of the range a in
+    [2^-60, 2^60]; after, a step that leaves the bracket is replaced by a
+    bisection in ln a.  The first probe whose own radius is within
+    ``RADIUS_REL_TOL`` of r is the center value.  No root in range, a
+    non-monotone set of probes and a bracket that shrinks to roundoff
+    raise :class:`QuadratureError` rather than return a wrong profile.
     """
     if r <= 0.0:
         raise ValueError(f"radius must be positive, got r={r}")
     probes = []  # (a, r(a)) in probe order
+    edge = None  # the end of the range that r(1) points to
 
-    def g(a):
+    def close(x, gx):
+        return abs(probes[-1][1] - r) <= RADIUS_REL_TOL * r
+
+    def g(x):
+        a = math.exp(x)
         ra = blowup_radius(nl, p, a)
         probes.append((a, ra))
         if any((a - b) * (ra - rb) > 0.0 for b, rb in probes):
@@ -226,48 +278,24 @@ def solve_large_1d(nl: Nonlinearity, p: float, r: float) -> LargeSolution1D:
                 f"a -> r(a) is not monotone along the probes {probes}; "
                 "cannot bracket the center value reliably")
         # a radius below the smallest double reads 0: a bracket end
-        return math.log(ra / r) if ra > 0.0 else -math.inf
-
-    x, gx = 0.0, g(1.0)
-    # g decreases in x: step up from a = 1 while r(a) > r, else down
-    side = 1.0 if gx > 0.0 else -1.0
-    edge = side * CENTER_DOUBLINGS * math.log(2.0)
-    x_prev = g_prev = None
-    lo = hi = None  # the nearest probes with g > 0 and g <= 0
-    while abs(probes[-1][1] - r) > RADIUS_REL_TOL * r:
-        if len(probes) >= MAX_PROBES:
+        gx = math.log(ra / r) if ra > 0.0 else -math.inf
+        if x == edge and (gx > 0.0) == (edge > 0.0) and not close(x, gx):
             raise QuadratureError(
-                f"center-value root solve stalled after {len(probes)} "
-                f"probes at {probes[-1]}; target radius {r}")
-        if gx > 0.0:
-            lo = x
-        else:
-            hi = x
-        secant = None if g_prev is None or gx == g_prev or \
-            math.isinf(gx) else x - gx * (x - x_prev) / (gx - g_prev)
-        if g_prev is None:
-            x_next = side * math.log(2.0)
-        elif lo is None or hi is None:
-            if x == edge:
-                raise QuadratureError(
-                    f"no center value with radius "
-                    f"{'<=' if side > 0 else '>='} {r} found within "
-                    f"{CENTER_DOUBLINGS} "
-                    f"{'doublings' if side > 0 else 'halvings'}; probes "
-                    f"end at {probes[-1]}")
-            x_next = edge if secant is None or side * (secant - edge) > 0.0 \
-                else secant
-        elif secant is not None and lo < secant < hi:
-            x_next = secant
-        else:
-            x_next = 0.5 * (lo + hi)
-            if not lo < x_next < hi:
-                raise QuadratureError(
-                    f"center-value root solve stalled: the bracket "
-                    f"[{math.exp(lo)!r}, {math.exp(hi)!r}] shrank to "
-                    f"roundoff with r = {probes[-1][1]!r}, target {r!r}")
-        x_prev, g_prev, x = x, gx, x_next
-        gx = g(math.exp(x))
+                f"no center value with radius "
+                f"{'<=' if edge > 0.0 else '>='} {r} found within "
+                f"{CENTER_DOUBLINGS} "
+                f"{'doublings' if edge > 0.0 else 'halvings'}; probes end "
+                f"at {probes[-1]}")
+        return gx
+
+    g0 = g(0.0)
+    if not close(0.0, g0):
+        # g decreases in x: step up from a = 1 while r(a) > r, else down
+        side = 1.0 if g0 > 0.0 else -1.0
+        edge = side * CENTER_DOUBLINGS * math.log(2.0)
+        x1 = side * math.log(2.0)
+        _secant_root(g, 0.0, g0, x1, g(x1), close, edge,
+                     budget=MAX_PROBES - 2)
     return _tabulate(nl, p, probes[-1][0], r)
 
 

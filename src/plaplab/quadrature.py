@@ -1,4 +1,5 @@
-"""Panel and improper-integral quadrature for the absorption-rate integrals.
+"""Panel, end-point-singular and improper-integral quadrature for the
+absorption-rate integrals.
 
 Every finite panel of a smooth integrand goes through :func:`panel_quad`,
 which integrates an array of panels in one vectorized, adaptive
@@ -12,47 +13,45 @@ bisected in rounds.  Those panels are
   (:func:`plaplab.nonlinearity.log_psi_p`), all in one call;
 * the doubling panels of a tail (:func:`integrate_to_infinity`), a block
   at a time;
-* single panels: a root-solver probe of ``psi_inverse`` and of
-  ``LargeSolution1D.value_at``.
+* single panels: a root-finding probe of ``LargeSolution1D.value_at``,
+  and the part of a near integral that its Gauss-Jacobi piece leaves.
 
 The one integral that is not smooth is the profile's near integral from
-its center value, whose integrand behaves like ``sigma^(1/(p-1))`` at the
-end point after the singularity is substituted away; it stays on
-QUADPACK's QAGS (:func:`singular_quad`), whose extrapolation is built for
-such end points.
+its center value, ``int_0^w d^beta g(d) dd`` with ``beta = -1/p`` and a
+smooth ``g``.  :func:`jacobi_quad` takes the factor ``d^beta`` as the
+weight of a Gauss-Jacobi rule, so the rule is exact for it.
 
 The integrals that decide existence of boundary blow-up profiles all have
-the shape ``int_r^inf h(s) ds`` with ``h`` positive and (eventually)
-decreasing, and may diverge.  Rather than mapping the tail to a finite
-interval, the tail is summed over doubling panels ``[T, 2T]``; the panel
-increments of a convergent integral decay geometrically, so the remainder
-can be extrapolated from the measured decay ratio, while a divergent
-integral fails the Cauchy test (increments never drop below a relative
-threshold within the doubling budget).
+the shape ``int_r^inf h(s) ds`` with ``h`` positive and decreasing: the
+tail of Psi_p, and the tail of the blow-up radius of ``e^s - 1`` (a
+power's radius has a closed form, see :mod:`plaplab.ode1d`).  Rather than
+mapping the tail to a finite interval, it is summed over doubling panels
+``[T, 2T]``; the panel increments of a convergent integral decay
+geometrically, so the remainder can be extrapolated from the measured
+decay ratio.  A tail that has not converged within the doubling budget is
+a :class:`QuadratureError`: whether the integral is finite is decided
+analytically, before any quadrature runs.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
+from functools import lru_cache
 
 import numpy as np
-# module-level names, unlike the scipy imports that nonlinearity and ode1d
-# make inside the functions that use them: the benchmark's tracer test
-# (perfbench/test_perfbench.py) wraps and restores ``plaplab.quadrature.quad``.
-# This import is most of the time of ``import plaplab``, since
-# scipy.integrate also loads scipy.optimize.
-from scipy.integrate import IntegrationWarning, quad
+# unused here: kept so that ``plaplab.quadrature.quad`` stays a name the
+# benchmark's tracer test (perfbench/test_perfbench.py) wraps and restores.
+# This import, with the root finders and optimizers it loads, is most of
+# the time of ``import plaplab``.
+from scipy.integrate import quad  # noqa: F401
+from scipy.linalg import eigh_tridiagonal
 
 
 class QuadratureError(ArithmeticError):
     """Adaptive quadrature failed to reach the requested accuracy."""
 
 
-#: relative increment threshold of the Cauchy divergence test
-CAUCHY_TOL = 1e-8
-
-#: doubling budget before the Cauchy verdict is made final
+#: doubling panels a tail may take before it counts as not converged
 MAX_DOUBLINGS = 200
 
 #: relative accuracy target of one panel, and of a whole tail integral
@@ -65,8 +64,17 @@ PANEL_ROUNDS = 50
 PANEL_LIMIT = 200
 
 #: doubling panels in the first :func:`panel_quad` call of a tail; each
-#: later call takes twice as many as the one before
-TAIL_BLOCK = 16
+#: later call takes twice as many as the one before.  A radius tail of
+#: e^s - 1 stops at its fifth or sixth panel, and bisection rounds spent
+#: on panels past the stop are wasted
+TAIL_BLOCK = 6
+
+#: nodes of the coarser Gauss-Jacobi rule of :func:`jacobi_quad` (the finer
+#: one has twice as many), the agreement that accepts a piece, and the
+#: halvings of the piece before it counts as not converged
+JACOBI_NODES = 20
+JACOBI_REL_TOL = 1e-14
+JACOBI_HALVINGS = 60
 
 #: QUADPACK's qk21 rule on [-1, 1], by halves: the positive Kronrod nodes
 #: in decreasing order, the Gauss nodes at the odd positions among them;
@@ -206,37 +214,66 @@ def panel_quad(h, lo, hi, args=(), strict=True):
     return total.reshape(shape) if shape else float(total[0])
 
 
-def singular_quad(h, lo, hi):
-    """Integrate a scalar ``h`` over ``[lo, hi]`` with QUADPACK's QAGS to
-    ``PANEL_REL_TOL``, relaxing the tolerance before giving up.
+def jacobi_quad(g, width, beta):
+    """``int_0^width d^beta g(d) dd`` for a smooth ``g`` and ``beta > -1``.
 
-    This serves the profile's near integral, whose integrand is only
-    Hölder continuous at ``lo``: QAGS's extrapolation handles that end
-    point.  QAGS occasionally reports roundoff trouble at tolerances near
-    machine precision; a short relaxation ladder keeps the result usable
-    without silently accepting garbage.
+    ``g`` takes an array of offsets ``d > 0`` and returns its values
+    there, elementwise.  The factor ``d^beta`` is the weight of a
+    Gauss-Jacobi rule on ``[0, w]``; the piece is accepted when its
+    ``JACOBI_NODES`` and ``2 JACOBI_NODES``-node values agree to
+    ``JACOBI_REL_TOL``.  Otherwise ``w`` is halved, and the part
+    ``[w, width]`` it leaves goes to :func:`panel_quad` as one panel, by
+    then away from the singular end.  Raises :class:`QuadratureError`
+    when the piece has not settled after ``JACOBI_HALVINGS`` halvings.
     """
-    last_err = None
-    for eps in (PANEL_REL_TOL, 1e-11, 1e-9):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", IntegrationWarning)
-            try:
-                value, _ = quad(h, lo, hi, epsabs=0.0, epsrel=eps, limit=200)
-                return value
-            except IntegrationWarning as exc:  # pragma: no cover - rare path
-                last_err = exc
+    if width <= 0.0:
+        return 0.0
+    w = float(width)
+    for _ in range(JACOBI_HALVINGS):
+        with np.errstate(all="ignore"):  # a non-finite value never settles
+            coarse, fine = (w ** (1.0 + beta) * float(weights @ g(w * nodes))
+                            for nodes, weights in (
+                                _jacobi_rule(JACOBI_NODES, beta),
+                                _jacobi_rule(2 * JACOBI_NODES, beta)))
+        if abs(fine - coarse) <= JACOBI_REL_TOL * abs(fine):
+            return fine if w == width else \
+                fine + panel_quad(lambda d: d ** beta * g(d), w, width)
+        w *= 0.5
     raise QuadratureError(
-        f"quadrature did not converge on [{lo!r}, {hi!r}]: {last_err}"
-    )
+        f"the Gauss-Jacobi piece of [0, {width!r}] with weight d^{beta!r} "
+        f"did not settle after {JACOBI_HALVINGS} halvings")
+
+
+@lru_cache(maxsize=64)
+def _jacobi_rule(n, beta):
+    """Nodes on [0, 1] and weights of the n-point Gauss rule for the
+    weight ``d^beta``: Golub-Welsch on the Jacobi matrix of the shifted
+    Jacobi polynomials, whose eigenvalues are the nodes and whose
+    eigenvectors' first components give the weights.
+
+    Built on [0, 1] itself, each weight is accurate to roundoff of the
+    total mass ``1/(1 + beta)``; scipy's ``roots_jacobi``, built on
+    [-1, 1], is off by 3e-14 of a smooth integral at beta = -1/2 and by
+    2e-13 at beta = -0.999.
+    """
+    k = np.arange(1.0, n)
+    s = 2.0 * k + beta
+    diag = np.concatenate((
+        [(beta + 1.0) / (beta + 2.0)],
+        0.5 + 0.5 * beta * beta / (s * (s + 2.0))))
+    off = k * (k + beta) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
+    nodes, vectors = eigh_tridiagonal(diag, off)
+    return nodes, vectors[0] ** 2 / (1.0 + beta)
 
 
 def integrate_to_infinity(h, start):
-    """``int_start^inf h(s) ds`` for positive integrands, or ``inf``.
+    """``int_start^inf h(s) ds`` for a positive, decreasing integrand.
 
     Panels ``[start*2^k, start*2^(k+1)]`` are accumulated until the
     geometric remainder estimate drops below ``TAIL_REL_TOL`` relative to
-    the running total.  Returns ``math.inf`` when the increments fail the
-    Cauchy test within the doubling budget (divergent integral).
+    the running total.  A tail still open after ``MAX_DOUBLINGS`` panels
+    raises :class:`QuadratureError`; whether it converges at all is for
+    the caller to decide first.
 
     The panels are integrated in blocks, one :func:`panel_quad` call
     each, of ``TAIL_BLOCK`` panels and then twice as many as the block
@@ -244,15 +281,12 @@ def integrate_to_infinity(h, start):
     stops the sum are discarded, and a failure among them is not an
     error.  ``h`` takes arrays, as for :func:`panel_quad`.
 
-    The integrands this serves are nonincreasing, so a vanishing panel
-    means the rest of the tail has underflowed as well.
+    A vanishing panel means the rest of the tail has underflowed as well.
     """
     if start <= 0:
         raise ValueError(f"tail integration requires start > 0, got {start}")
     total = 0.0
     prev = None
-    rho = np.nan
-    inc = np.inf
     with np.errstate(over="ignore"):  # edges past the overflow are inf
         edges = float(start) * 2.0 ** np.arange(MAX_DOUBLINGS + 1)
     first, size = 0, TAIL_BLOCK
@@ -276,10 +310,6 @@ def integrate_to_infinity(h, start):
                         return total + remainder
             prev = inc
         first, size = first + size, 2 * size
-    if total == 0.0 or inc > CAUCHY_TOL * total:
-        return float("inf")
-    # increments below the Cauchy threshold but still above the accuracy
-    # target: accept the extrapolated value rather than fail outright
-    if 0.0 < rho < 1.0:
-        return total + inc * rho / (1.0 - rho)
-    return float("inf")
+    raise QuadratureError(
+        f"the tail from {start!r} has not converged after {MAX_DOUBLINGS} "
+        f"doubling panels (last increment {prev!r} of {total!r})")

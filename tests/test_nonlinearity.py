@@ -1,4 +1,4 @@
-"""Absorption terms, the blow-up classification integral and its inverse."""
+"""Absorption terms and the blow-up classification integral."""
 
 import math
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import plaplab.nonlinearity
 import plaplab.quadrature
 from plaplab import (Nonlinearity, QuadratureError, check_a1, check_a2,
-                     log_psi_p, psi_inverse, psi_p)
+                     log_psi_p, psi_p)
 
 E_MINUS_2 = 0.7182818284590452  # exp(1) - 2, closed-form antiderivative value
 
@@ -347,11 +347,21 @@ class TestA1:
                                       (5.0, 2.0)])
     def test_tail_quadrature_agrees_with_power_rule(self, q, p):
         # numeric evidence for the analytic rule: the doubling tail of
-        # F^(-1/p) from 1 fails its Cauchy test exactly when q + 1 <= p
+        # F^(-1/p) from 1 outlasts its budget exactly when q + 1 <= p, and
+        # otherwise meets the closed form
         nl = Nonlinearity.power(1.0, q)
-        tail = plaplab.quadrature.integrate_to_infinity(
-            lambda s: nl.F(s) ** (-1.0 / p), 1.0)
-        assert math.isinf(tail) is (q + 1.0 <= p)
+
+        def tail():
+            return plaplab.quadrature.integrate_to_infinity(
+                lambda s: nl.F(s) ** (-1.0 / p), 1.0)
+
+        if q + 1.0 <= p:
+            with pytest.raises(QuadratureError, match="not converged"):
+                tail()
+        else:
+            closed = psi_power_closed_form(1.0, q, p, 1.0) \
+                / (1.0 - 1.0 / p) ** (1.0 / p)
+            assert tail() == pytest.approx(closed, rel=1e-12)
         assert check_a1(nl, p) is (q + 1.0 > p)
 
 
@@ -411,84 +421,3 @@ class TestA2:
         # all() over no estimates would report a pass that was never tested
         with pytest.raises(ValueError, match="beta grid .* is empty"):
             check_a2(Nonlinearity.power(2, 3), 2.0, beta_grid=())
-
-
-class TestPsiInverse:
-    def test_closed_form_values(self):
-        nl = Nonlinearity.power(2, 3)
-        assert psi_inverse(nl, 2.0, 0.5) == pytest.approx(2.0, rel=1e-8)
-        assert psi_inverse(nl, 2.0, 0.25) == pytest.approx(4.0, rel=1e-8)
-
-    def test_round_trip(self):
-        nl = Nonlinearity.power(2, 3)
-        for d in (0.1, 1.0, 10.0):
-            v = psi_inverse(nl, 2.0, d)
-            assert psi_p(nl, 2.0, v) == pytest.approx(d, rel=1e-7)
-        for d in (0.05, 0.8):
-            v = psi_inverse(nl, 1.5, d)
-            assert psi_p(nl, 1.5, v) == pytest.approx(d, rel=1e-6)
-
-    def test_unreachable_level_raises(self):
-        # for p = 3 the exponential tail gives a bounded Psi near zero
-        nl = Nonlinearity.exp_minus_one(1.0)
-        sup = psi_p(nl, 3.0, 1e-12)
-        with pytest.raises(QuadratureError, match="exceeds sup"):
-            psi_inverse(nl, 3.0, 10.0 * sup)
-
-    @staticmethod
-    def count_panels(monkeypatch):
-        """The number of panels of each ``panel_quad`` call from here on,
-        the tails' doubling panels among them."""
-        calls = []
-        panel_quad = plaplab.quadrature.panel_quad
-
-        def counting(h, lo, hi, *args, **kwargs):
-            calls.append(np.size(lo))
-            return panel_quad(h, lo, hi, *args, **kwargs)
-
-        monkeypatch.setattr(plaplab.quadrature, "panel_quad", counting)
-        monkeypatch.setattr(plaplab.nonlinearity, "panel_quad", counting)
-        return calls
-
-    def test_bracket_steps_add_one_panel_each(self, monkeypatch):
-        # 61 quarterings below v = 1 on top of one tail, where a fresh
-        # tail per probe took over 4000 panels
-        nl = Nonlinearity.exp_minus_one(1.0)
-        sup = psi_p(nl, 3.0, 1e-12)
-        calls = self.count_panels(monkeypatch)
-        with pytest.raises(QuadratureError, match="exceeds sup"):
-            psi_inverse(nl, 3.0, 10.0 * sup)
-        assert calls.count(1) >= 61
-        assert sum(calls) < 1000
-
-    def test_root_probes_add_one_panel_each(self, monkeypatch):
-        # two tails (the probe sweep over v = 1 and 4, and the round-trip
-        # check) and one panel per root-solver probe; a tail per probe
-        # took over 400
-        calls = self.count_panels(monkeypatch)
-        v = psi_inverse(Nonlinearity.power(2, 3), 2.0, 0.3)
-        assert v == pytest.approx(1.0 / 0.3, rel=1e-8)
-        assert sum(calls) < 200
-
-    def test_level_below_the_probe_range_raises(self, monkeypatch):
-        # Psi_2(v) = 1/v for f = 2 s^3: 61 quadruplings reach only 5e36;
-        # seven sweeps over the probes, where a tail per probe took 2480
-        # QUADPACK calls
-        calls = self.count_panels(monkeypatch)
-        with pytest.raises(QuadratureError, match="no v with"):
-            psi_inverse(Nonlinearity.power(2, 3), 2.0, 1e-40)
-        assert sum(calls) <= 500
-
-    def test_nonpositive_level_is_bad_input(self):
-        with pytest.raises(ValueError, match="d > 0"):
-            psi_inverse(Nonlinearity.power(2, 3), 2.0, 0.0)
-
-    @pytest.mark.parametrize("p", [1.0, 0.5])
-    def test_p_at_most_one_is_bad_input(self, p):
-        # refused like log_psi_p refuses it, not by a math domain error
-        with pytest.raises(ValueError, match=r"Psi_p requires p > 1"):
-            psi_inverse(Nonlinearity.power(2, 3), p, 1.0)
-
-    def test_divergent_psi_raises(self):
-        with pytest.raises(ValueError):
-            psi_inverse(Nonlinearity.power(1, 1), 2.0, 1.0)

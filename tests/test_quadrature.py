@@ -1,6 +1,8 @@
-"""The batched Gauss-Kronrod panel sweep and the doubling tail."""
+"""The batched Gauss-Kronrod panel sweep, the Gauss-Jacobi near integral
+and the doubling tail."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from plaplab import Nonlinearity, QuadratureError, blowup_radius, quadrature
-from plaplab.ode1d import _inverse_speed, _tabulate
-from plaplab.quadrature import integrate_to_infinity, panel_quad
+from plaplab.nonlinearity import _log_tails
+from plaplab.ode1d import _inverse_speed, _near_integral, _tabulate
+from plaplab.quadrature import integrate_to_infinity, jacobi_quad, panel_quad
 
 
 def power_panel(alpha, lo, hi):
@@ -21,11 +24,13 @@ def power_panel(alpha, lo, hi):
 
 class TestPanelQuad:
     @settings(max_examples=25, deadline=None)
-    @given(p=st.floats(1.05, 4.0), kind=st.sampled_from(["power", "exp"]),
+    @given(p=st.floats(1.001, 4.0), kind=st.sampled_from(["power", "exp"]),
            coeff=st.floats(0.25, 4.0), log_a=st.floats(-2.0, 2.0))
     def test_ladder_matches_quadpack_per_panel(self, p, kind, coeff, log_a):
         # the profile's whole level ladder in one call, against one
-        # QUADPACK call per panel on the scalar integrand
+        # QUADPACK call per panel on the scalar integrand; p reaches down
+        # to 1.001 now that the near integral below the ladder is a
+        # Gauss-Jacobi rule
         nl = Nonlinearity.power(coeff, 3.0) if kind == "power" \
             else Nonlinearity.exp_minus_one(coeff)
         a = 10.0 ** log_a
@@ -58,12 +63,17 @@ class TestPanelQuad:
         assert np.array_equal(panel_quad(h, lo[::3], hi[::3]), together[::3])
 
     def test_tail_does_not_depend_on_its_blocks(self, monkeypatch):
-        # blocks of one doubling panel reproduce the blocked tail bit for bit
-        nl = Nonlinearity.power(2.0, 3.0)
-        h = _inverse_speed(nl, 3.0, 1.0)
-        blocked = integrate_to_infinity(h, 2.0)
-        monkeypatch.setattr(quadrature, "TAIL_BLOCK", 1)
-        assert integrate_to_infinity(h, 2.0) == blocked
+        # blocks that start at one doubling panel, or at more panels than
+        # the tail reads, reproduce the blocked tail bit for bit: a slow
+        # power tail and an e^s - 1 tail that stops at its sixth panel
+        tails = [(_inverse_speed(Nonlinearity.power(2.0, 3.0), 3.0, 1.0), 2.0),
+                 (_inverse_speed(Nonlinearity.exp_minus_one(1.0), 2.0, 1.0),
+                  2.0)]
+        blocked = [integrate_to_infinity(h, start) for h, start in tails]
+        for size in (1, 16):
+            monkeypatch.setattr(quadrature, "TAIL_BLOCK", size)
+            assert [integrate_to_infinity(h, start)
+                    for h, start in tails] == blocked
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5, 3.0])
     @pytest.mark.parametrize("width", [1e-9, 1e-12, 1e-15])
@@ -126,17 +136,117 @@ class TestTail:
         with pytest.raises(QuadratureError, match="tail panel"):
             integrate_to_infinity(h, 1.0)
 
-    def test_blowup_radius_counts_only_near_integrals_on_quadpack(
-            self, monkeypatch):
-        # one QUADPACK call, for the near integral; the tail's doubling
-        # panels all go through panel_quad
+    def test_divergent_tail_raises(self):
+        # the doubling panels of 1/s never shrink: no verdict, an error
+        with pytest.raises(QuadratureError, match="200 doubling panels"):
+            integrate_to_infinity(lambda s: 1.0 / s, 1.0)
+
+    def test_exponential_tail_stops_within_its_first_block(self):
+        # a radius tail of e^s - 1 stops by its sixth panel, so its first
+        # block of TAIL_BLOCK panels holds the stop and no panel past it
+        # beyond the block is integrated
+        blocks = []
+        original = quadrature.panel_quad
+
+        def counting(h, lo, hi, *args, **kwargs):
+            blocks.append(np.size(lo))
+            return original(h, lo, hi, *args, **kwargs)
+
+        h = _inverse_speed(Nonlinearity.exp_minus_one(1.0), 2.0, 1.0)
+        with mock.patch.object(quadrature, "panel_quad", counting):
+            integrate_to_infinity(h, 2.0)
+        assert blocks == [quadrature.TAIL_BLOCK]
+
+    def test_blowup_radius_makes_no_quadpack_call(self, monkeypatch):
+        # the near integral is a Gauss-Jacobi rule and the tail's doubling
+        # panels go through panel_quad; a power's radius is its closed
+        # form and integrates nothing
+        def refuse(*args, **kwargs):
+            raise AssertionError("QUADPACK was called")
+
+        monkeypatch.setattr(quadrature, "quad", refuse)
+        monkeypatch.setattr("scipy.integrate.quad", refuse)
         calls = []
-        original = quadrature.quad
+        original = quadrature.panel_quad
 
         def counting(*args, **kwargs):
             calls.append(args[1:3])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(quadrature, "quad", counting)
-        blowup_radius(Nonlinearity.power(2.0, 3.0), 2.0, 1.0)
-        assert len(calls) == 1
+        monkeypatch.setattr(quadrature, "panel_quad", counting)
+        monkeypatch.setattr("plaplab.ode1d.panel_quad", counting)
+        assert blowup_radius(Nonlinearity.power(2.0, 3.0), 2.0, 1.0) > 0.0
+        assert not calls
+        assert blowup_radius(Nonlinearity.exp_minus_one(1.0), 2.0, 1.0) > 0.0
+        assert calls
+
+
+class TestJacobi:
+    @pytest.mark.parametrize("beta", [-0.999, -0.5, -1.0 / 3.0])
+    @pytest.mark.parametrize("degree", [0, 3, 19])
+    def test_exact_for_polynomials(self, beta, degree):
+        # 20 nodes integrate d^beta g exactly for g of degree below 40, so
+        # the two rules agree on the first piece: no panel is integrated.
+        # Each weight is exact to roundoff of the total mass 1/(1 + beta),
+        # so the width keeps g within a factor 7 of g(0)
+        width = 0.1
+        want = sum(math.comb(degree, j) * width ** (j + 1.0 + beta)
+                   / (j + 1.0 + beta) for j in range(degree + 1))
+        with mock.patch.object(quadrature, "panel_quad", None):
+            got = jacobi_quad(lambda d: (1.0 + d) ** degree, width, beta)
+        assert got == pytest.approx(want, rel=1e-14)
+
+    def test_halves_until_the_two_rules_agree(self):
+        # e^(-40 d) needs far more than 40 nodes on [0, 4]: the Jacobi piece
+        # is halved, and panel_quad takes the rest
+        beta = -0.5
+        got = jacobi_quad(lambda d: np.exp(-40.0 * d), 4.0, beta)
+        # int_0^inf d^(-1/2) e^(-40 d) = sqrt(pi / 40), less a tail of e^-160
+        assert got == pytest.approx(math.sqrt(math.pi / 40.0), rel=1e-13)
+
+    def test_zero_width_is_zero(self):
+        assert jacobi_quad(lambda d: np.ones_like(d), 0.0, -0.5) == 0.0
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(QuadratureError, match="Gauss-Jacobi"):
+            jacobi_quad(lambda d: np.full_like(d, np.nan), 1.0, -0.5)
+
+
+def power_and_point(draw):
+    """power(c, q) at p in (A1), with a tail that decays like s^(-k/p),
+    k/p = (q + 1)/p - 1 >= 0.25, and a point a."""
+    p = draw(st.floats(1.001, 4.0))
+    e = draw(st.floats(0.25, 4.0))
+    c = draw(st.floats(1e-3, 1e3))
+    a = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return c, (e + 1.0) * p - 1.0, p, a
+
+
+class TestPowerReference:
+    """The closed forms of a power's r(a) and Psi_p against the quadrature
+    that integrates e^s - 1: the Gauss-Jacobi near integral, the panels
+    and the doubling tail."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_radius_closed_form_matches_quadrature(self, data):
+        c, q, p, a = power_and_point(data.draw)
+        nl = Nonlinearity.power(c, q)
+        quadrature_radius = _near_integral(nl, p, a, 2.0 * a) \
+            + integrate_to_infinity(_inverse_speed(nl, p, a), 2.0 * a)
+        assert blowup_radius(nl, p, a) == pytest.approx(quadrature_radius,
+                                                        rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_psi_closed_form_matches_the_tail_sweep(self, data):
+        # log Psi_p(r) = log((p-1)/p)/p - log(c/m)/p + (1 - m/p) log r
+        #                - log(m/p - 1), m = q + 1
+        c, q, p, r = power_and_point(data.draw)
+        m = q + 1.0
+        closed = (math.log1p(-1.0 / p) / p - math.log(c / m) / p
+                  + (1.0 - m / p) * math.log(r) - math.log((m - p) / p))
+        log_c = math.log(c / m)
+        swept = math.log1p(-1.0 / p) / p + _log_tails(
+            lambda s: log_c + m * np.log(s), p, [r])[0]
+        assert swept == pytest.approx(closed, abs=1e-12)
