@@ -64,8 +64,8 @@ def _expm1_minus_series(x):
 def _expm1_minus(d):
     """exp(d) - 1 - d without cancellation: its Taylor series for |d| < 1,
     where expm1(d) and d nearly cancel, and their difference beyond.  A
-    scalar stays in ``math``: the scalar calls come from quadrature
-    integrands, where numpy's per-call cost dominates."""
+    scalar (``F`` at one point) stays in ``math``, where numpy's per-call
+    cost would dominate."""
     if np.ndim(d) == 0:
         d = float(d)
         if abs(d) < 1.0:
@@ -207,58 +207,32 @@ class Nonlinearity:
         subtracting loses all significant digits; the offset is therefore
         taken directly rather than reconstructed from rounded endpoints.
         ``dx`` may be an array; a gap beyond the largest double reads
-        ``inf``.  A scalar stays in ``math``, as in :func:`_expm1_minus`.
+        ``inf``.
         """
-        if isinstance(dx, np.ndarray):
-            if dx.ndim:
-                return self._F_gap_array(a, dx.astype(float, copy=False))
-            dx = float(dx)
-        if dx < 0:
-            raise ValueError("F_gap expects dx >= 0")
-        if dx == 0.0:
-            return 0.0
-        if self.kind == "power":
-            c, q = self.params
-            if a == 0.0:
-                return c / (q + 1.0) * dx ** (q + 1.0)
-            try:
-                # (a+dx)^(q+1) - a^(q+1) = a^(q+1) expm1((q+1) log1p(dx/a))
-                return c / (q + 1.0) * a ** (q + 1.0) * math.expm1(
-                    (q + 1.0) * math.log1p(dx / a))
-            except OverflowError:
-                return float("inf")
-        if self.kind == "exp_minus_one":
-            (lam,) = self.params
-            try:
-                # e^(a+dx) - e^a - dx = (e^a - 1) expm1(dx) + (expm1(dx) - dx)
-                return lam * (math.expm1(a) * math.expm1(dx)
-                              + float(_expm1_minus(dx)))
-            except OverflowError:
-                return float("inf")
-        return 0.0
-
-    def _F_gap_array(self, a: float, dx: np.ndarray) -> np.ndarray:
-        """:meth:`F_gap` elementwise over an array of offsets."""
-        if np.any(dx < 0):
+        d = np.asarray(dx, dtype=float)
+        if np.any(d < 0):
             raise ValueError("F_gap expects dx >= 0")
         with np.errstate(over="ignore", invalid="ignore"):
             if self.kind == "power":
                 c, q = self.params
                 if a == 0.0:
-                    gap = c / (q + 1.0) * dx ** (q + 1.0)
+                    gap = c / (q + 1.0) * d ** (q + 1.0)
                 else:
+                    # (a+d)^(q+1) - a^(q+1) = a^(q+1) expm1((q+1) log1p(d/a))
                     gap = c / (q + 1.0) * np.power(a, q + 1.0) * np.expm1(
-                        (q + 1.0) * np.log1p(dx / a))
+                        (q + 1.0) * np.log1p(d / a))
             elif self.kind == "exp_minus_one":
                 (lam,) = self.params
-                gap = _expm1_minus(dx)
+                # e^(a+d) - e^a - d = (e^a - 1) expm1(d) + (expm1(d) - d)
+                gap = _expm1_minus(d)
                 if a != 0.0:  # else 0 * inf would read NaN past the overflow
-                    gap = np.expm1(a) * np.expm1(dx) + gap
+                    gap = np.expm1(a) * np.expm1(d) + gap
                 gap = lam * gap
             else:
-                gap = np.zeros_like(dx)
+                gap = np.zeros_like(d)
         # where F(a) overflows, inf * expm1(0) is NaN: a zero offset is 0
-        return np.where(dx == 0.0, 0.0, gap)
+        gap = np.where(d == 0.0, 0.0, gap)
+        return gap if d.ndim else float(gap)
 
     # -- descriptive ------------------------------------------------------
 

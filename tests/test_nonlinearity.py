@@ -123,8 +123,8 @@ class TestPointwise:
                              ids=["power", "exp", "zero"])
     @pytest.mark.parametrize("a", [0.0, 1e-3, 2.0, 700.0, 1e300])
     def test_F_gap_array_matches_scalar(self, nl, a):
-        # elementwise the float path: 0 at a zero offset, inf where the gap
-        # overflows, even where F(a) itself does
+        # each offset alone reads what it reads in the array: 0 at a zero
+        # offset, inf where the gap overflows, even where F(a) itself does
         dx = np.concatenate(([0.0], np.geomspace(1e-12, 1e12, 49)))
         gaps = nl.F_gap(a, dx)
         scalar = np.array([nl.F_gap(a, float(d)) for d in dx])
