@@ -15,8 +15,9 @@ from .asymptotics import (BlowupData, CheckReport, FiniteData, RateReport,
                           sweep_ell, verify_barrier, verify_caccioppoli,
                           verify_comparison, verify_monotone_in_ell)
 from .grid import (GridFunction, RectGrid, Window, build_grid,
-                   cutoff_function, embed_cross_section, gradient_per_cell,
-                   lp_norm_gradient, window_node_mask, write_grid_function)
+                   cutoff_function, distance_profile_start,
+                   embed_cross_section, gradient_per_cell, lp_norm_gradient,
+                   window_node_mask, write_grid_function)
 from .minimize import NonConvergenceError
 from .nonlinearity import (A2Report, Nonlinearity, check_a1, check_a2,
                            log_psi_p, psi_p, require_a1)

@@ -28,7 +28,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .grid import (Window, build_grid, cutoff_function, embed_cross_section,
+from .grid import (Window, build_grid, cutoff_function,
+                   distance_profile_start, embed_cross_section,
                    lp_norm_gradient, require_window_inside, tied_nx,
                    window_node_mask)
 from .minimize import BlowupReport, NonConvergenceError, increasing_levels
@@ -169,9 +170,10 @@ class SweepReports:
     """The blow-up sweep reports of a :func:`sweep_ell`: each row's, keyed
     by ell, and that of the cross-sectional reference on the sweep's
     transverse grid (None for finite data or when it failed); and
-    ``floor_solve``, the record ``{"ny", "m", "newton_steps"}`` of the
-    floor's solve (``m`` its blow-up level, None for finite data), None
-    when there is no floor."""
+    ``floor_solve``, the record ``{"ny", "m", "newton_steps",
+    "backtracks"}`` of the floor's solve (``m`` its blow-up level, None
+    for finite data; ``backtracks`` its rejected line-search trials),
+    None when there is no floor."""
 
     cylinder: dict = field(default_factory=dict)
     cross_section: Optional[BlowupReport] = None
@@ -211,11 +213,14 @@ def measure_row(spec: SweepSpec, ell: float, ny: Optional[int] = None, *,
     solved on the same ``ny`` transverse nodes; returns (error,
     noise_floor, results, blowup_report), ``results`` holding one solve
     per boundary level (a single one for finite data, whose report is
-    None).  The first solve starts from the near-solution the cylinder
-    converges to: the reference's first level, extended; the error is
-    measured against its last."""
+    None).  The first solve starts from the reference's first level as a
+    profile of the distance to the boundary
+    (:func:`plaplab.grid.distance_profile_start`): the cross-section the
+    cylinder converges to away from its ends, with the end layers the
+    same profile gives near them; the error is measured against the
+    reference's last level, extended constantly."""
     grid = build_grid(ell, spec.cross, spec.nx_for(ell, ny), ny or spec.ny)
-    initial = embed_cross_section(reference[0], grid).values
+    initial = distance_profile_start(reference[0], grid).values
     if isinstance(spec.regime, FiniteData):
         results = [solve_dirichlet(grid, spec.nl, spec.cfg, spec.regime.g,
                                    initial=initial)]
@@ -234,13 +239,14 @@ def measure_row(spec: SweepSpec, ell: float, ny: Optional[int] = None, *,
 def _measure_floor(spec: SweepSpec, ny: int) -> tuple:
     """The largest ell measured again on ``ny`` transverse nodes against
     the reference on that grid; returns (error, noise_floor, record), the
-    record ``{"ny", "m", "newton_steps"}`` of its solve (``m`` the
-    blow-up level, None for finite data).
+    record ``{"ny", "m", "newton_steps", "backtracks"}`` of its solve
+    (``m`` the blow-up level, None for finite data).
 
     Only the solution at the last boundary level counts, and the
     minimizer there is unique, so blow-up data are solved at their last
-    level alone, from the reference's last level extended, rather than
-    up the whole M sweep: one Newton stage instead of one per level.
+    level alone, started by :func:`measure_row` from the distance profile
+    of the reference's last level, rather than up the whole M sweep: one
+    Newton stage instead of one per level.
     :func:`solve_blowup` still checks (A1).  In place of the sweep's
     M-monotonicity check, the comparison principle the solve must keep
     is checked: the extended reference solves the equations at the free
@@ -266,7 +272,8 @@ def _measure_floor(spec: SweepSpec, ny: int) -> tuple:
                 f"solution at M={m:g} lies {below:.3e} below its extended "
                 "reference")
     return err, noise, {"ny": ny, "m": m,
-                        "newton_steps": results[-1].newton_steps}
+                        "newton_steps": results[-1].newton_steps,
+                        "backtracks": results[-1].backtracks}
 
 
 def sweep_ell(spec: SweepSpec):
@@ -277,16 +284,17 @@ def sweep_ell(spec: SweepSpec):
     reason instead of aborting the whole sweep; any other exception
     propagates, since ``spec`` has checked the input.  Each row records
     the Newton steps of its solves.  The reference is solved once per
-    transverse grid, and every row starts from its first level; when it
-    fails, every row records that failure.  The discretization floor is
-    estimated by re-solving the largest ell at doubled resolution
+    transverse grid, and every row starts from the distance profile of
+    its first level (:func:`measure_row`); when it fails, every row
+    records that failure.  The discretization floor is estimated by
+    re-solving the largest ell at doubled resolution
     (:func:`_measure_floor`: blow-up data at their last level only,
-    started from that level of the reference on the finer grid) and
-    comparing the two measurements (NaN when either fails; the
-    re-solve's failure is noted on the largest-ell row).  Extras, the
-    :class:`SweepReports`, carries the blow-up stabilization reports of
-    the rows and of the cross-sectional reference, and the record of the
-    floor's solve.
+    started from the distance profile of that level of the reference on
+    the finer grid) and comparing the two measurements (NaN when either
+    fails; the re-solve's failure is noted on the largest-ell row).
+    Extras, the :class:`SweepReports`, carries the blow-up stabilization
+    reports of the rows and of the cross-sectional reference, and the
+    record of the floor's solve.
     """
 
     def failed(ell, exc):

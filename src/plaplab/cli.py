@@ -316,6 +316,7 @@ def cmd_solve(cfg, out: Path) -> int:
         "energy": res.energy if math.isfinite(res.energy) else None,
         "residual": res.residual,
         "iterations": [s.iterations for s in res.stages],
+        "backtracks": [s.backtracks for s in res.stages],
         "eps_schedule": list(res.diagnostics["eps_schedule"]),
         "stage_tol": [s.tol for s in res.stages],
         "stalled_at_floor": res.diagnostics["stalled_at_floor"],

@@ -35,6 +35,7 @@ __all__ = [
     "gradient_per_cell",
     "lp_norm_gradient",
     "embed_cross_section",
+    "distance_profile_start",
     "cutoff_function",
     "write_grid_function",
 ]
@@ -304,6 +305,30 @@ def embed_cross_section(prof: "CrossProfile", g: RectGrid) -> GridFunction:
             f"cross-section {g.cross}")
     column = np.interp(g.y, prof.y, prof.values)
     return GridFunction(g, np.repeat(column, g.nx))
+
+
+def distance_profile_start(prof: "CrossProfile", g: RectGrid) -> GridFunction:
+    """The start of a cylinder solve from its cross-sectional profile P on
+    (y0, y1): max(P(y), P(y0 + min(ell - |x|, (y1 - y0)/2))) at node (x, y),
+    the profile of the distance to the nearer boundary side.
+
+    Away from the ends this is :func:`embed_cross_section`; within half
+    the width of an end it also carries the end's boundary layer, which P
+    at the distance to that end approximates.  On the SW-NE split with
+    hx = hy, a P1 field of y alone or of x alone has the 1D segment
+    gradient on every triangle, so each piece solves the cylinder's
+    interior equations away from where the two meet (the x piece within
+    half the width of its end).  The distance to the end is taken from
+    the column index, so the start is as symmetric under x -> -x as the
+    nodes are.
+    """
+    rows = embed_cross_section(prof, g).as_rows().copy()
+    i = np.arange(g.nx)
+    dist = np.minimum(i, g.nx - 1 - i) * g.hx
+    near = dist < 0.5 * (g.cross[1] - g.cross[0])
+    rows[:, near] = np.maximum(rows[:, near],
+                               prof.value_at(g.cross[0] + dist[near]))
+    return GridFunction(g, rows.ravel())
 
 
 def cutoff_function(inner: Window, outer: Window, g: RectGrid) -> GridFunction:

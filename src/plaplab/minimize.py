@@ -65,12 +65,14 @@ class NonConvergenceError(ArithmeticError):
 class StageTrace:
     """Per-continuation-stage convergence record: ``tol`` is the residual
     bound (before the roundoff floor) the stage stopped at, max(tol, eps)
-    for a stage before the last."""
+    for a stage before the last; ``backtracks`` counts the line-search
+    trials the stage rejected."""
     eps: float
     iterations: int
     residual: float
     objective: float
     tol: float
+    backtracks: int
 
 
 @dataclass(frozen=True)
@@ -102,11 +104,12 @@ def minimize_newton(problem, u0, eps_schedule, tol, max_newton):
     A stage before the last only has to bring the iterate into the next
     stage's basin: it ends once every free residual is within max(tol,
     eps) plus its roundoff floor; the last stage ends within tol plus the
-    floor.  Returns ``(u, stages, info)`` where ``info`` carries the final
-    residual, its roundoff floor and whether a stage ended on a Newton
-    step below resolution (accepted only with the residual within
-    ``_STALL_FACTOR`` (stage tol + floor)).  A non-finite residual or
-    floor, as when f(u) overflows, raises :class:`NonConvergenceError`.
+    floor.  Returns ``(u, stages, info)``: one :class:`StageTrace` per
+    stage, and ``info``, which carries the final residual, its roundoff
+    floor and whether a stage ended on a Newton step below resolution
+    (accepted only with the residual within ``_STALL_FACTOR`` (stage tol
+    + floor)).  A non-finite residual or floor, as when f(u) overflows,
+    raises :class:`NonConvergenceError`.
     """
     u = np.array(u0, dtype=float)
     free = problem.free
@@ -121,11 +124,11 @@ def minimize_newton(problem, u0, eps_schedule, tol, max_newton):
         """The error of the current stage, its entry ending the trace."""
         return NonConvergenceError(
             message, trace=stages + [StageTrace(eps, it, resid, np.nan,
-                                                stage_tol)])
+                                                stage_tol, rejected)])
 
     for k, eps in enumerate(eps_schedule):
         stage_tol = tol if k == last else float(max(tol, eps))
-        it = 0
+        it = rejected = 0
         energy = None  # objective at u for this eps, once evaluated
         while True:
             grad, scale = problem.gradient(u, eps)
@@ -174,6 +177,7 @@ def minimize_newton(problem, u0, eps_schedule, tol, max_newton):
                     u = u_try
                     energy = e1
                     break
+                rejected += 1
                 t *= _BACKTRACK
             if energy is None:
                 # energy comparison drowned in roundoff; fall back to a
@@ -191,7 +195,7 @@ def minimize_newton(problem, u0, eps_schedule, tol, max_newton):
         if energy is None:
             energy = problem.objective(u, eps)
         stages.append(StageTrace(float(eps), it, resid, float(energy),
-                                 stage_tol))
+                                 stage_tol, rejected))
     info = {"residual": resid, "roundoff_floor": floor, "stalled": stalled}
     return u, stages, info
 

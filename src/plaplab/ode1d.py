@@ -26,7 +26,8 @@ Gauss-Jacobi rule (:func:`plaplab.quadrature.jacobi_quad`), and the tail
 from ``2a`` is summed over doubling panels
 (:func:`plaplab.quadrature.integrate_to_infinity`).  The smooth panels of
 a tabulation, its whole level ladder, are integrated by
-:func:`plaplab.quadrature.panel_quad` in one vectorized batch.
+:func:`plaplab.quadrature.panel_quad` in one vectorized batch, in the
+offset ``s - a`` rather than the level.
 
 The cross-sectional problem on an interval (finite data or blow-up data
 approximated through an increasing sweep of constant boundary levels M)
@@ -64,12 +65,21 @@ __all__ = [
 ]
 
 
-def _inverse_speed(nl: Nonlinearity, p: float, a: float):
-    """Integrand [ (p/(p-1)) (F(s) - F(a)) ]^(-1/p) over an array of
-    s >= a: ``inf`` where the gap is 0, and 0 where it overflows."""
+def _offset_inverse_speed(nl: Nonlinearity, p: float, a: float):
+    """Integrand [ (p/(p-1)) (F(a + d) - F(a)) ]^(-1/p) over an array of
+    offsets d = s - a >= 0: ``inf`` where the gap is 0, and 0 where it
+    overflows.  Integrating in d keeps the offsets exact where s would
+    round them, just above the center value."""
     coeff = p / (p - 1.0)
     inv_p = 1.0 / p
-    return lambda s: (coeff * nl.F_gap(a, s - a)) ** (-inv_p)
+    return lambda d: (coeff * nl.F_gap(a, d)) ** (-inv_p)
+
+
+def _inverse_speed(nl: Nonlinearity, p: float, a: float):
+    """The integrand of :func:`_offset_inverse_speed` over an array of
+    levels s >= a."""
+    speed = _offset_inverse_speed(nl, p, a)
+    return lambda s: speed(s - a)
 
 
 def _near_integral(nl: Nonlinearity, p: float, a: float, b: float) -> float:
@@ -166,8 +176,10 @@ class LargeSolution1D:
         def time_of(v):
             if i == 1:
                 return _near_integral(self.nl, self.p, self.a, v) - tq
-            return t_lo + panel_quad(_inverse_speed(self.nl, self.p, self.a),
-                                     v_lo, v) - tq
+            # in the offset, as the table's own steps are (:func:`_tabulate`)
+            return t_lo + panel_quad(
+                _offset_inverse_speed(self.nl, self.p, self.a),
+                v_lo - self.a, v - self.a) - tq
 
         return _secant_root(time_of, v_lo, t_lo - tq, v_hi,
                             float(self.t[i]) - tq,
@@ -304,7 +316,9 @@ def _tabulate(nl: Nonlinearity, p: float, a: float,
     """The profile with center value a and blow-up radius r = r(a),
     sampled on the ladder of level offsets ``LEVEL_DECADES``: the near
     integral up to the first level, then every step of the ladder in one
-    :func:`plaplab.quadrature.panel_quad` call.  Raises
+    :func:`plaplab.quadrature.panel_quad` call, integrated in the offset
+    d = s - a over the stored levels' own offsets, so that each time stays
+    paired with its level and no node rounds the offset.  Raises
     :class:`QuadratureError` when even the first level's climb speed
     overflows (a center value near the largest double)."""
     lo_dec, hi_dec = LEVEL_DECADES
@@ -325,7 +339,8 @@ def _tabulate(nl: Nonlinearity, p: float, a: float,
     levels = levels[keep]
     panels = np.concatenate((
         [_near_integral(nl, p, a, levels[0])],
-        panel_quad(_inverse_speed(nl, p, a), levels[:-1], levels[1:])))
+        panel_quad(_offset_inverse_speed(nl, p, a), levels[:-1] - a,
+                   levels[1:] - a)))
     times = np.concatenate(([0.0], np.cumsum(panels)))
     phi = np.concatenate(([a], levels))
     gaps = np.concatenate(([0.0], gaps_tail[keep]))

@@ -14,8 +14,8 @@ size down to 0.01 h^2, warm-starting damped Newton at every stage and
 stopping each stage before the last at the looser residual bound
 max(tol, eps), while a solve warm-started from the solution of a nearby
 problem (the previous boundary level of a blow-up sweep, or the
-cross-sectional reference extended along the cylinder) runs only the
-last stage.  Each Newton
+cross-sectional reference as a profile of the distance to the boundary)
+runs only the last stage.  Each Newton
 system is factored by banded Cholesky (LAPACK ``dpbtrf``) with the free
 nodes numbered along the shorter side of the lattice, so its
 half-bandwidth is ny - 1 whatever the cylinder length.  Since f is
@@ -151,6 +151,10 @@ class SolveResult:
     @property
     def newton_steps(self) -> int:
         return sum(s.iterations for s in self.stages)
+
+    @property
+    def backtracks(self) -> int:
+        return sum(s.backtracks for s in self.stages)
 
 
 def _contract(x, coef):

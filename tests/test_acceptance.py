@@ -114,9 +114,13 @@ def test_criterion_4_rate_finite_data(nl, p, cross, window):
 
 
 # Newton steps of the ny = 65 floor solve: the last M alone, from the
-# reference's last level extended (the whole M ladder took 21 and 22);
-# a count, which does not vary between runs
-FLOOR_NEWTON_STEPS = {1.5: 9, 2.0: 14}
+# distance-to-boundary profile of the reference's last level (9 and 14
+# from that level extended constantly; the whole M ladder took 21 and
+# 22); and of each row's first M level, from that profile of the first
+# level (8/12/8/7 and 6 extended constantly); counts, which do not vary
+# between runs
+FLOOR_NEWTON_STEPS = {1.5: 6, 2.0: 5}
+FIRST_LEVEL_NEWTON_STEPS = {1.5: 6, 2.0: 4}
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0], ids=["p1.5", "p2"])
@@ -133,13 +137,17 @@ def test_criterion_5_rate_blowup(p):
                                   blow.stage_max_change[1:]))
         for blow in extras.cylinder.values())
     floor_steps = extras.floor_solve["newton_steps"]
+    first_steps = max(blow.level_newton_steps[0]
+                      for blow in extras.cylinder.values())
     report(5, rep.passed and used >= 3 and stabilizing
-           and floor_steps <= FLOOR_NEWTON_STEPS[p],
+           and floor_steps <= FLOOR_NEWTON_STEPS[p]
+           and first_steps <= FIRST_LEVEL_NEWTON_STEPS[p],
            f"blow-up p={p}: slope {rep.slope:.3f} <= {-1.0 / p:.3f} + 0.1 "
            f"with {used} rows above floor {rep.floor:.2e}; windowed "
            f"M-stabilization residual decreasing: {stabilizing}; floor "
            f"solve {floor_steps} Newton steps (at most "
-           f"{FLOOR_NEWTON_STEPS[p]})")
+           f"{FLOOR_NEWTON_STEPS[p]}); rows' first levels up to "
+           f"{first_steps} Newton steps (at most {FIRST_LEVEL_NEWTON_STEPS[p]})")
 
 
 COMPARISON_MATRIX = [(POWER23, 1.5), (POWER23, 2.0), (POWER23, 3.0),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from plaplab import (BlowupData, FiniteData, NonConvergenceError,
                      Nonlinearity, RateRow, RateUnresolvableError,
                      SolverConfig, SweepSpec, Window, asymptotics, build_grid,
-                     embed_cross_section, fit_rate, solve_blowup,
+                     distance_profile_start, fit_rate, solve_blowup,
                      solve_dirichlet, solve_large_1d, sweep_ell,
                      verify_barrier, verify_caccioppoli, verify_comparison,
                      verify_monotone_in_ell)
@@ -211,7 +211,9 @@ class TestSweep:
     def test_every_solve_starts_from_its_references_first_level(
             self, monkeypatch, regime):
         # the rows' reference is every level of the profile; the floor's,
-        # the last level alone, solved as one M level from that level
+        # the last level alone, solved as one M level from that level.
+        # Each starts from that level's distance-to-boundary profile: the
+        # level itself on the end columns, the profile in the middle
         spec = SweepSpec(**{**self.SPEC, "nl": POWER23, "regime": regime})
         references = {}
         original = asymptotics._reference_profile
@@ -251,7 +253,10 @@ class TestSweep:
                 else regime.g
             assert (start.values[0], start.values[-1]) == (level, level)
             assert np.array_equal(initial,
-                                  embed_cross_section(start, grid).values)
+                                  distance_profile_start(start, grid).values)
+            rows = initial.reshape(grid.ny, grid.nx)
+            assert np.all(rows[:, [0, -1]] == level)
+            assert np.array_equal(rows[:, grid.nx // 2], start.values)
             assert len(first.stages) == 1
             if blowup:
                 assert levels == ((level,) if is_floor else regime.m_list)
@@ -299,10 +304,11 @@ class TestFloor:
     def test_one_level_solve_matches_the_ladders_last_level(self, p, ny,
                                                            ell, nl):
         # the minimizer at the last M is unique: starting there from the
-        # extended reference changes the path, not the end.  Both solves
-        # stop at tol, so they agree to the 2 tol slack the comparison
-        # checks allow; over 400 uniform draws the worst gap was 6.1e-13,
-        # and 6.5e-12 at f = 0.5 s^2, p = 2.45, ny = 9 (values near M = 1e3)
+        # reference's distance-to-boundary profile changes the path, not
+        # the end.  Both solves stop at tol, so they agree to the 2 tol
+        # slack the comparison checks allow; over 400 uniform draws the
+        # worst gap was 4.3e-12, at f = 3.86 s^2.08, p = 2.87, ny = 17,
+        # ell = 4 (values near M = 1e3)
         assume(plaplab.nonlinearity.check_a1(nl, p))
         spec = SweepSpec(nl=nl, p=p, cross=(-2.0, 2.0),
                          regime=BlowupData((10.0, 100.0, 1000.0)),
@@ -325,7 +331,8 @@ class TestFloor:
         [one] = floor_results
         assert len(one.stages) == 1
         assert record == {"ny": ny, "m": 1000.0,
-                          "newton_steps": one.newton_steps}
+                          "newton_steps": one.newton_steps,
+                          "backtracks": one.backtracks}
         assert np.max(np.abs(one.solution.values
                              - ladder[-1].solution.values)) <= 2.0 * spec.tol
 

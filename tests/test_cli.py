@@ -446,6 +446,24 @@ class TestSolve:
         assert rows[0] == ["x", "y", "value"]
         assert len(rows) == 1 + meta["nx"] * meta["ny"]
 
+    def test_solve_json_records_each_stages_backtracks(self, tmp_path):
+        # this cold p = 3 solve rejects one line-search trial in its first
+        # eps stage
+        code, out = run(tmp_path, "solve", {
+            "geometry": {"ell": 1.0, "cross": [0.0, 1.0], "ny": 9},
+            "boundary": {"dirichlet": 1.0},
+            "p": 3.0,
+        })
+        assert code == 0
+        diag = json.loads((out / "solve.json").read_text())
+        meta = json.loads((out / "solution.meta.json").read_text())
+        grid = build_grid(1.0, (0.0, 1.0), meta["nx"], 9)
+        res = solve_dirichlet(grid, Nonlinearity.power(2, 3),
+                              SolverConfig(p=3.0), 1.0)
+        assert diag["backtracks"] == [s.backtracks for s in res.stages]
+        assert len(diag["backtracks"]) == len(diag["iterations"])
+        assert sum(diag["backtracks"]) > 0
+
     def test_blowup_sweep_artifacts(self, tmp_path):
         code, out = run(tmp_path, "solve", {
             "geometry": {"ell": 1.0, "cross": [-1.0, 1.0], "ny": 17},
@@ -628,9 +646,10 @@ class TestSweepAndRate:
         assert code == 0
         floor_solve = json.loads((out / "sweep.json").read_text())[
             "floor_solve"]
-        assert set(floor_solve) == {"ny", "m", "newton_steps"}
+        assert set(floor_solve) == {"ny", "m", "newton_steps", "backtracks"}
         assert (floor_solve["ny"], floor_solve["m"]) == (17, level)
         assert floor_solve["newton_steps"] > 0
+        assert floor_solve["backtracks"] >= 0
 
     def test_finite_sweep_has_no_cross_section_report(self, tmp_path):
         code, out = run(tmp_path, "sweep", {

@@ -10,9 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plaplab import (GridFunction, Nonlinearity, SolverConfig, Window,
-                     build_grid, cutoff_function, embed_cross_section,
+                     build_grid, check_a1, cutoff_function,
+                     distance_profile_start, embed_cross_section,
                      gradient_per_cell, lp_norm_gradient, solve_cross_finite,
-                     write_grid_function)
+                     solve_cross_large, write_grid_function)
 from plaplab.grid import tied_nx, triangle_window_weights
 
 
@@ -262,6 +263,61 @@ class TestEmbed:
         g = build_grid(1.0, (0.0, 2.0), 5, 5)
         with pytest.raises(ValueError, match="does not match"):
             embed_cross_section(prof, g)
+
+
+class TestDistanceProfileStart:
+    """The start of a cylinder solve from its cross-sectional reference P:
+    max(P(y), P(y0 + min(ell - |x|, width / 2))) on a grid with hx = hy."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.floats(1.5, 3.0),
+           nl=st.one_of(
+               st.builds(Nonlinearity.power, st.floats(0.5, 4.0),
+                         st.floats(1.0, 5.0)),
+               st.builds(Nonlinearity.exp_minus_one, st.floats(0.5, 2.0))),
+           y0=st.floats(-2.0, 1.0), width=st.sampled_from([1.0, 2.0, 4.0]),
+           ny=st.sampled_from([5, 9, 17]), cells=st.integers(2, 80),
+           level=st.one_of(st.floats(0.25, 4.0), st.just("blowup")))
+    def test_ends_carry_the_boundary_level_and_the_middle_the_profile(
+            self, p, nl, y0, width, ny, cells, level):
+        cross = (y0, y0 + width)
+        cfg = SolverConfig(p=p, tol=1e-11)
+        if level == "blowup":
+            assume(check_a1(nl, p))
+            level = 100.0
+            prof = solve_cross_large(nl, cfg, cross, (10.0, level), ny)[0][-1]
+        else:
+            prof = solve_cross_finite(nl, cfg, cross, level, level, ny)
+        # cells columns of the transverse spacing: hx = hy
+        g = build_grid(0.5 * cells * width / (ny - 1), cross, cells + 1, ny)
+        assert g.nx == tied_nx(g.ell, cross, ny)
+        start = distance_profile_start(prof, g)
+        rows = start.as_rows()
+        embedded = embed_cross_section(prof, g).as_rows()
+        # columns at least half the width from both ends: the profile alone
+        i = np.arange(g.nx)
+        middle = 2 * np.minimum(i, g.nx - 1 - i) >= ny - 1
+        assert np.array_equal(rows[:, middle], embedded[:, middle])
+        # the end columns: the boundary level, as on the fixed nodes
+        assert np.all(rows[:, [0, -1]] == level)
+        assert np.all(rows >= embedded)
+        # the half-turn n -> N - 1 - n, whose kept half the solver reads
+        values = start.values
+        assert np.max(np.abs(values - values[::-1])) <= \
+            4.0 * np.finfo(float).eps * np.max(np.abs(values))
+
+    def test_near_an_end_the_profile_at_the_distance_to_it(self):
+        prof = solve_cross_finite(Nonlinearity.power(2, 3),
+                                  SolverConfig(p=2.0), (0.0, 2.0), 1.0, 1.0,
+                                  9)
+        g = build_grid(2.0, (0.0, 2.0), 17, 9)  # hx = hy = 1/4
+        rows = distance_profile_start(prof, g).as_rows()
+        # column 1 lies one cell from its end: P at y0 + h, a row-1 value,
+        # above every row but the two next to the boundary
+        expected = np.maximum(prof.values, prof.values[1])
+        assert np.array_equal(rows[:, 1], expected)
+        assert np.array_equal(rows[:, -2], expected)
+        assert np.all(expected[2:-2] == prof.values[1])
 
 
 class TestCutoff:

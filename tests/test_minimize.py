@@ -73,7 +73,8 @@ class _FakeSweepProblem:
         level = self.boundary_values[~self.free]
         assert np.all(level == level[0])
         stage = StageTrace(eps=1e-3, iterations=int(level[0]),
-                           residual=0.0, objective=0.0, tol=self.cfg.tol)
+                           residual=0.0, objective=0.0, tol=self.cfg.tol,
+                           backtracks=0)
         return self.rule(float(level[0]), initial), [stage], {"M": level[0]}
 
 
@@ -330,6 +331,47 @@ def test_energy_after_the_fallback_is_evaluated_afresh():
     u, stages, _ = minimize_newton(problem, np.zeros(3), (1e-2,), 1e-12, 5)
     assert u[1] == 1.0 and stages[0].iterations == 1
     assert stages[0].objective == problem.objective(u, 1e-2) == 0.0
+
+
+class _RejectsFirstTrial:
+    """One free dof with energy 0.5 (u - 1)^2 and exact Newton steps, but
+    an objective that reads NaN at the first line-search trial, so that
+    the first step is halved once."""
+
+    free = np.array([False, True, False])
+    mass = np.ones(3)
+
+    def __init__(self):
+        self.calls = 0
+
+    def gradient(self, u, eps):
+        return np.where(self.free, u - 1.0, 0.0), np.zeros(3)
+
+    def newton_step(self, u, eps, grad):
+        return -grad[self.free]
+
+    def objective(self, u, eps):
+        self.calls += 1
+        return np.nan if self.calls == 2 else 0.5 * float((u[1] - 1.0) ** 2)
+
+
+def test_stage_counts_its_rejected_trials():
+    # the first trial is rejected and the half step taken; the second
+    # step lands on the minimizer
+    u, stages, _ = minimize_newton(_RejectsFirstTrial(), np.zeros(3),
+                                   (1e-1, 1e-2), 1e-12, 5)
+    assert u[1] == 1.0
+    assert [(s.iterations, s.backtracks) for s in stages] == [(2, 1), (0, 0)]
+    # every trial down to t = 2^-45 rejected: 46, then the fallback step
+    _, stages, _ = minimize_newton(_EnergyDrownedInRoundoff(), np.zeros(3),
+                                   (1e-2,), 1e-12, 5)
+    assert (stages[0].iterations, stages[0].backtracks) == (1, 46)
+
+
+def test_backtracks_are_the_trials_beyond_one_a_step(cold_solve):
+    _, recorder, _, _, stages = cold_solve
+    assert sum(s.backtracks for s in stages) == \
+        recorder.trials - recorder.steps
 
 
 # -- the Euler predictor of a warm sweep --------------------------------------

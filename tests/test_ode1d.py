@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from plaplab import (GridFunction, Nonlinearity, QuadratureError,
                      SolverConfig, blowup_radius, build_grid, check_a1,
-                     embed_cross_section, energy_gradient, psi_p,
-                     solve_cross_finite, solve_cross_large, solve_large_1d)
+                     distance_profile_start, embed_cross_section,
+                     energy_gradient, psi_p, solve_cross_finite,
+                     solve_cross_large, solve_large_1d)
 from plaplab import ode1d, quadrature
 from plaplab.minimize import (_EPS_MACH, _ROUNDOFF_FACTOR,
                               NonConvergenceError, default_eps_schedule)
@@ -296,6 +297,40 @@ class TestCrossFinite:
         interior = grid.interior_mask()
         scaled = np.abs(grad[interior]) / grid.lumped_mass()[interior]
         assert np.max(scaled) <= tol
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_distance_profile_solves_cylinder_equations_off_its_seams(self,
+                                                                       p):
+        # with hx = hy, the piece of the start that is P(y), and the piece
+        # that is P at the distance to an end, each solve the cylinder's
+        # interior equations wherever a node's whole stencil takes its
+        # value from that one piece
+        tol = 1e-11
+        prof = solve_cross_finite(POWER23, SolverConfig(p=p, tol=tol),
+                                  (0.0, 2.0), 1.0, 1.0, 17)
+        grid = build_grid(2.0, (0.0, 2.0), 33, 17)
+        eps = default_eps_schedule(grid.hy)[-1]
+        start = distance_profile_start(prof, grid)
+        grad = energy_gradient(start, POWER23, p, eps).reshape(17, 33)
+        scaled = np.abs(grad) / grid.lumped_mass().reshape(17, 33)
+        rows = start.as_rows()
+        # P at the distance to the nearer end, in cells, where it is below
+        # half the width
+        cells = np.minimum(np.arange(33), np.arange(33)[::-1])
+        along = np.where(cells < 8, prof.values[np.minimum(cells, 8)],
+                         -np.inf)
+        checked = {}
+        for name, piece in (("y", rows == prof.values[:, None]),
+                            ("x", rows == along[None, :])):
+            # the P1 stencil of node (i, j) on the SW-NE split: itself,
+            # its four neighbours, and (i + 1, j + 1) and (i - 1, j - 1)
+            whole = piece[1:-1, 1:-1].copy()
+            for dj, di in ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1),
+                           (-1, -1)):
+                whole &= piece[1 + dj:16 + dj, 1 + di:32 + di]
+            checked[name] = int(whole.sum())
+            assert np.max(scaled[1:-1, 1:-1][whole]) <= tol
+        assert checked["x"] > 0 and checked["y"] > 0
 
     @settings(max_examples=25, deadline=None)
     @given(p=st.floats(1.1, 4.0),
