@@ -14,6 +14,11 @@ fitted log-log slope is accepted when it is at most -1/p + 0.1: the bound
 is one-sided, so faster empirical decay (exponential, in the benchmark
 regimes) passes.
 
+The discretization floor, the largest ell re-solved at doubled
+resolution, does not depend on the rows.  For blow-up data, where a
+second CPU and ``os.fork`` exist, it runs in a forked child beside them;
+its outcome is the one the serial order gives.
+
 The structural checks render the comparison principle, the interior
 barrier bound u <= phi(R/2) on balls, monotonicity of blow-up solutions
 in ell, and the interior gradient estimate with explicit cutoff constants
@@ -23,6 +28,10 @@ as paired-solve assertions with small discretization slacks.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
@@ -171,9 +180,10 @@ class SweepReports:
     by ell, and that of the cross-sectional reference on the sweep's
     transverse grid (None for finite data or when it failed); and
     ``floor_solve``, the record ``{"ny", "m", "newton_steps",
-    "backtracks"}`` of the floor's solve (``m`` its blow-up level, None
-    for finite data; ``backtracks`` its rejected line-search trials),
-    None when there is no floor."""
+    "backtracks", "overlapped"}`` of the floor's solve (``m`` its blow-up
+    level, None for finite data; ``backtracks`` its rejected line-search
+    trials; ``overlapped`` whether it ran in a forked child beside the
+    rows), None when there is no floor."""
 
     cylinder: dict = field(default_factory=dict)
     cross_section: Optional[BlowupReport] = None
@@ -276,6 +286,82 @@ def _measure_floor(spec: SweepSpec, ny: int) -> tuple:
                         "backtracks": results[-1].backtracks}
 
 
+def _floor_overlaps(spec: SweepSpec) -> bool:
+    """Whether :func:`sweep_ell` runs the floor in a forked child beside
+    the rows: for blow-up data, where a second CPU and ``os.fork`` exist.
+    Finite-data rows are too short to pay for the fork."""
+    if not (isinstance(spec.regime, BlowupData) and hasattr(os, "fork")):
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return cpus > 1
+
+
+class _ForkedFloor:
+    """:func:`_measure_floor` in a forked child.
+
+    The child pickles its outcome, the result or the exception it raised,
+    into a pipe and leaves by ``os._exit``: it never returns into the
+    caller's stack, and never flushes the stdio buffers it inherited.
+    The parent takes the outcome with :meth:`outcome`; :meth:`close` kills
+    and reaps a child that :meth:`outcome` has not reaped.
+    """
+
+    def __init__(self, spec: SweepSpec, ny: int):
+        read, write = os.pipe()
+        try:
+            self._pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self._pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                try:
+                    outcome = (True, _measure_floor(spec, ny))
+                except BaseException as exc:  # sent to the parent
+                    # pickling drops the traceback: keep the child's stack
+                    exc.add_note(traceback.format_exc())
+                    outcome = (False, exc)
+                payload = pickle.dumps(outcome)
+                with os.fdopen(write, "wb") as pipe:
+                    pipe.write(payload)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        self._pipe = os.fdopen(read, "rb")
+
+    def outcome(self) -> tuple:
+        """Wait for the child; return its result, or raise its exception
+        (same type and message, the child's traceback as a note).  A
+        child that ends without sending one raises
+        :class:`RuntimeError`."""
+        with self._pipe:
+            payload = self._pipe.read()
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        if not payload:
+            raise RuntimeError(
+                "the floor re-solve's process ended without a result "
+                f"(exit code {os.waitstatus_to_exitcode(status)})")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        return value
+
+    def close(self):
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        self._pipe.close()
+
+
 def sweep_ell(spec: SweepSpec):
     """Measure e(ell) over the ladder, one row after another; returns
     (rows, floor, extras).
@@ -295,6 +381,15 @@ def sweep_ell(spec: SweepSpec):
     Extras, the :class:`SweepReports`, carries the blow-up stabilization
     reports of the rows and of the cross-sectional reference, and the
     record of the floor's solve.
+
+    The floor does not depend on the rows, so once the reference is
+    solved it runs in a forked child while the rows run here, when three
+    conditions hold: the data are blow-up data, the process may use more
+    than one CPU, and ``os.fork`` exists.  Elsewhere, or when the fork
+    fails, it runs after the rows.  Either way its outcome is used as the
+    serial order would use it: only when the largest-ell row is finite,
+    its numerical failure noted on that row and any other exception
+    raised here; and no child outlives the call.
     """
 
     def failed(ell, exc):
@@ -307,32 +402,45 @@ def sweep_ell(spec: SweepSpec):
         return [failed(ell, exc) for ell in spec.ells], float("nan"), \
             SweepReports()
 
-    rows, cylinder = [], {}
-    noise_max = 0.0
-    for ell in spec.ells:
+    ny_fine = 2 * spec.ny - 1
+    forked = None
+    if _floor_overlaps(spec):
         try:
-            err, noise, results, blow = measure_row(spec, ell,
-                                                    reference=reference)
-        except ArithmeticError as exc:  # recorded, not raised
-            rows.append(failed(ell, exc))
-            continue
-        rows.append(RateRow(ell=ell, error=err, newton_steps=sum(
-            r.newton_steps for r in results)))
-        noise_max = max(noise_max, noise)
-        if blow is not None:
-            cylinder[ell] = blow
-    coarse = rows[-1].error  # the largest ell
-    floor, floor_solve = float("nan"), None
-    if math.isfinite(coarse):
-        ny_fine = 2 * spec.ny - 1
-        try:
-            fine, noise_fine, floor_solve = _measure_floor(spec, ny_fine)
-            # resolution sensitivity of the closest-to-floor row, bounded
-            # below by the rounding level of the norm measurement itself
-            floor = max(abs(coarse - fine), noise_max, noise_fine)
-        except ArithmeticError as exc:  # recorded on its row, not raised
-            rows[-1] = replace(rows[-1], note=f"floor re-solve at "
-                               f"ny={ny_fine} failed: {exc}")
+            forked = _ForkedFloor(spec, ny_fine)
+        except OSError:  # no process to spare: the floor runs after the rows
+            pass
+    try:
+        rows, cylinder = [], {}
+        noise_max = 0.0
+        for ell in spec.ells:
+            try:
+                err, noise, results, blow = measure_row(spec, ell,
+                                                        reference=reference)
+            except ArithmeticError as exc:  # recorded, not raised
+                rows.append(failed(ell, exc))
+                continue
+            rows.append(RateRow(ell=ell, error=err, newton_steps=sum(
+                r.newton_steps for r in results)))
+            noise_max = max(noise_max, noise)
+            if blow is not None:
+                cylinder[ell] = blow
+        coarse = rows[-1].error  # the largest ell
+        floor, floor_solve = float("nan"), None
+        if math.isfinite(coarse):
+            try:
+                fine, noise_fine, record = forked.outcome() \
+                    if forked is not None else _measure_floor(spec, ny_fine)
+                floor_solve = {**record, "overlapped": forked is not None}
+                # resolution sensitivity of the closest-to-floor row,
+                # bounded below by the rounding level of the norm
+                # measurement itself
+                floor = max(abs(coarse - fine), noise_max, noise_fine)
+            except ArithmeticError as exc:  # recorded on its row, not raised
+                rows[-1] = replace(rows[-1], note=f"floor re-solve at "
+                                   f"ny={ny_fine} failed: {exc}")
+    finally:
+        if forked is not None:
+            forked.close()
     return rows, floor, SweepReports(cylinder, cross_report, floor_solve)
 
 

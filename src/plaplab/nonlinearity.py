@@ -348,7 +348,12 @@ def _log_panels(log_F: Callable, p: float, lo, hi) -> np.ndarray:
     return np.log(pieces) - ref / p
 
 
-def _log_tails(log_F: Callable, p: float, nodes: list) -> list:
+#: From here on ``(1 + s) e^-s`` is below half an ulp of 1, so the ``log F``
+#: of e^s - 1 is ``log lam + s`` to double precision.
+EXP_LINEAR_LOG_F_FROM = 41.0
+
+
+def _log_tails(nl: Nonlinearity, p: float, nodes: list) -> list:
     """``log int_x^inf F^(-1/p)`` at each of the sorted, distinct ``nodes``,
     for an F whose integral converges.
 
@@ -360,13 +365,19 @@ def _log_tails(log_F: Callable, p: float, nodes: list) -> list:
     of them in one :func:`panel_quad` call; the sums are accumulated from
     the top with ``int_x^inf = int_x^y + int_y^inf``.  Each piece
     integrates ``(F(s)/F(x0))^(-1/p)`` from its left end ``x0`` (see
-    :func:`_scaled_integrand`), so the tail is positive.
+    :func:`_scaled_integrand`), so the tail is positive.  For e^s - 1 from
+    a top at or past :data:`EXP_LINEAR_LOG_F_FROM` that scaled tail is
+    ``int_top^inf e^(-(s - top)/p) ds = p``, taken without quadrature.
     """
+    log_F = _log_F(nl)
     bounds = nodes if nodes[-1] >= 1.0 else nodes + [1.0]
     top = bounds[-1]
     ref = float(log_F(top))
-    integrand = _scaled_integrand(log_F, p)
-    tail = integrate_to_infinity(lambda s: integrand(s, ref), top)
+    if nl.kind == "exp_minus_one" and top >= EXP_LINEAR_LOG_F_FROM:
+        tail = p
+    else:
+        integrand = _scaled_integrand(log_F, p)
+        tail = integrate_to_infinity(lambda s: integrand(s, ref), top)
     edges = []
     for lo, hi in zip(bounds, bounds[1:]):
         while 2.0 * lo < hi:
@@ -403,7 +414,7 @@ def log_psi_p(nl: Nonlinearity, p: float, points) -> np.ndarray:
     if _psi_diverges(nl, p):
         return np.full(x.shape, math.inf)
     nodes = np.unique(x).tolist()
-    log_at = dict(zip(nodes, _log_tails(_log_F(nl), p, nodes)))
+    log_at = dict(zip(nodes, _log_tails(nl, p, nodes)))
     log_const = math.log1p(-1.0 / p) / p
     return np.array([log_const + log_at[r]
                      for r in x.ravel().tolist()]).reshape(x.shape)

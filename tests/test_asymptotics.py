@@ -1,5 +1,7 @@
 """Rate fitting, ell sweeps and the structural check battery."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +19,13 @@ import plaplab.nonlinearity
 
 POWER23 = Nonlinearity.power(2, 3)
 LINEAR = Nonlinearity.power(1, 1)
+
+
+def usable_cpus(monkeypatch, n):
+    """Make the process read ``n`` usable CPUs, which decides whether
+    :func:`sweep_ell` forks its floor (n > 1) or runs it inline."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
 
 
 def rows_from(f, ells=(2.0, 4.0, 8.0, 16.0)):
@@ -131,7 +140,9 @@ class TestSweep:
 
     def test_blowup_sweep_probes_a1_once(self, monkeypatch):
         # (A1) is decided analytically: the spec, both references, every
-        # row and the floor ask for it, and none evaluates Psi_p
+        # row and the floor ask for it, and none evaluates Psi_p (one CPU
+        # keeps the floor in this process, where the probes are recorded)
+        usable_cpus(monkeypatch, 1)
         probes = []
         log_psi_p = plaplab.nonlinearity.log_psi_p
 
@@ -214,6 +225,10 @@ class TestSweep:
         # the last level alone, solved as one M level from that level.
         # Each starts from that level's distance-to-boundary profile: the
         # level itself on the end columns, the profile in the middle
+        # One CPU keeps the blow-up floor in this process, where the
+        # wrappers record it; a forked floor runs the same code (see
+        # TestFloorOverlap).
+        usable_cpus(monkeypatch, 1)
         spec = SweepSpec(**{**self.SPEC, "nl": POWER23, "regime": regime})
         references = {}
         original = asymptotics._reference_profile
@@ -335,6 +350,127 @@ class TestFloor:
                           "backtracks": one.backtracks}
         assert np.max(np.abs(one.solution.values
                              - ladder[-1].solution.values)) <= 2.0 * spec.tol
+
+
+class TestFloorOverlap:
+    """The floor forked beside the rows against the floor run after them:
+    the same outcome on every path, and no child left behind."""
+
+    SPEC = dict(TestSweep.SPEC, nl=POWER23, regime=BlowupData((10.0, 100.0)))
+
+    def sweep(self, monkeypatch, cpus, **change):
+        usable_cpus(monkeypatch, cpus)
+        spec = SweepSpec(**{**self.SPEC, **change})
+        assert asymptotics._floor_overlaps(spec) is (
+            cpus > 1 and isinstance(spec.regime, BlowupData))
+        try:
+            return sweep_ell(spec)
+        finally:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("levels", [(10.0, 100.0), (100.0,)],
+                             ids=["two_levels", "one_level"])
+    def test_floor_equals_the_inline_floor_bit_for_bit(self, monkeypatch,
+                                                       levels):
+        regime = BlowupData(levels)
+        forked = self.sweep(monkeypatch, 2, regime=regime)
+        inline = self.sweep(monkeypatch, 1, regime=regime)
+        assert forked[0] == inline[0]
+        assert forked[1] == inline[1] and np.isfinite(forked[1])
+        solves = [out[2].floor_solve for out in (forked, inline)]
+        assert [s.pop("overlapped") for s in solves] == [True, False]
+        assert solves[0] == solves[1] == {
+            "ny": 17, "m": 100.0, "newton_steps": solves[0]["newton_steps"],
+            "backtracks": solves[0]["backtracks"]}
+
+    def test_finite_data_floor_stays_inline(self, monkeypatch):
+        rows, floor, extras = self.sweep(monkeypatch, 2,
+                                         regime=FiniteData(1.0))
+        assert np.isfinite(floor)
+        assert extras.floor_solve["overlapped"] is False
+
+    def test_failed_fork_runs_the_floor_inline(self, monkeypatch):
+        def no_fork():
+            raise BlockingIOError("stub: no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        rows, floor, extras = self.sweep(monkeypatch, 2)
+        inline = self.sweep(monkeypatch, 1)
+        assert (rows, floor) == inline[:2] and np.isfinite(floor)
+        assert extras.floor_solve["overlapped"] is False
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "inline"])
+    def test_numerical_floor_failure_is_noted_on_the_last_row(
+            self, monkeypatch, cpus):
+        def fail(spec, ny):
+            raise NonConvergenceError("stub floor failure")
+
+        monkeypatch.setattr(asymptotics, "_measure_floor", fail)
+        rows, floor, extras = self.sweep(monkeypatch, cpus)
+        assert rows[-1].note == "floor re-solve at ny=17 failed: stub " \
+            "floor failure"
+        assert np.isfinite(rows[-1].error) and rows[-1].newton_steps > 0
+        assert np.isnan(floor) and extras.floor_solve is None
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "inline"])
+    def test_floor_programming_error_propagates(self, monkeypatch, cpus):
+        def broken(spec, ny):
+            raise TypeError("stub floor bug")
+
+        monkeypatch.setattr(asymptotics, "_measure_floor", broken)
+        with pytest.raises(TypeError) as info:
+            self.sweep(monkeypatch, cpus)
+        assert str(info.value) == "stub floor bug"
+        # a forked floor's exception carries the child's stack as a note
+        notes = getattr(info.value, "__notes__", [])
+        assert len(notes) == (cpus > 1)
+        assert all("in broken" in note for note in notes)
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "inline"])
+    def test_row_programming_error_propagates(self, monkeypatch, cpus):
+        # the floor's own measure_row runs: a forked child is still
+        # solving when the first row raises, and is killed
+        measure_row = asymptotics.measure_row
+
+        def broken(spec, ell, ny=None, *, reference):
+            if ny is None:
+                raise TypeError("stub row bug")
+            return measure_row(spec, ell, ny, reference=reference)
+
+        monkeypatch.setattr(asymptotics, "measure_row", broken)
+        with pytest.raises(TypeError, match="^stub row bug$"):
+            self.sweep(monkeypatch, cpus)
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "inline"])
+    def test_floor_is_unused_when_the_last_row_fails(self, monkeypatch,
+                                                     cpus):
+        # run after the rows, the floor is never started; forked, its
+        # outcome (here a bug) is discarded
+        measure_row = asymptotics.measure_row
+
+        def last_fails(spec, ell, ny=None, *, reference):
+            if ell == spec.ells[-1]:
+                raise NonConvergenceError("stub row failure")
+            return measure_row(spec, ell, ny, reference=reference)
+
+        def broken(spec, ny):
+            raise TypeError("stub floor bug")
+
+        monkeypatch.setattr(asymptotics, "measure_row", last_fails)
+        monkeypatch.setattr(asymptotics, "_measure_floor", broken)
+        rows, floor, extras = self.sweep(monkeypatch, cpus)
+        assert rows[-1].note == "solve failed: stub row failure"
+        assert np.isfinite(rows[0].error)
+        assert np.isnan(floor) and extras.floor_solve is None
+
+    def test_child_without_a_result_raises_runtime_error(self, monkeypatch):
+        def vanish(spec, ny):
+            os._exit(3)  # runs in the child only
+
+        monkeypatch.setattr(asymptotics, "_measure_floor", vanish)
+        with pytest.raises(RuntimeError, match="exit code 3"):
+            self.sweep(monkeypatch, 2)
 
 
 @pytest.fixture(scope="module")

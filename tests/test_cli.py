@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import threading
 
 import numpy as np
@@ -594,6 +595,32 @@ class TestSweepAndRate:
         assert len(rows) == 3
         assert all(r["newton_steps"] > 0 for r in rows)
 
+    def test_blowup_sweep_rerun_is_byte_identical(self, tmp_path,
+                                                  monkeypatch):
+        # the floor runs in a forked child beside the rows, which starts
+        # no thread and changes no byte
+        def no_thread(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        cfg = write_cfg(tmp_path, {
+            "p": 1.5,
+            "geometry": {"ell_list": [2.0, 4.0, 8.0, 16.0],
+                         "cross": [-2.0, 2.0], "ny": 17},
+            "boundary": {"blowup": [10.0, 100.0]},
+            "window": [-1.0, 1.0, -1.0, 1.0],
+        })
+        out1, out2 = tmp_path / "s1", tmp_path / "s2"
+        assert main(["rate", "--config", cfg, "--out", str(out1)]) == 0
+        assert main(["rate", "--config", cfg, "--out", str(out2)]) == 0
+        for name in ("rows.csv", "rate_rows.csv", "rate_plot.dat",
+                     "rate.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        sweep = json.loads((out1 / "sweep.json").read_text())
+        assert sweep["floor_solve"]["overlapped"] is True
+
     def test_blowup_sweep_reports_level_newton_steps(self, tmp_path):
         code, out = run(tmp_path, "sweep", {
             "geometry": {"ell_list": [2.0, 4.0], "cross": [-2.0, 2.0],
@@ -636,7 +663,11 @@ class TestSweepAndRate:
         ({"blowup": [10.0, 100.0]}, 100.0), ({"dirichlet": 1.0}, None)],
         ids=["blowup", "finite"])
     def test_sweep_json_records_the_floor_solve(self, tmp_path, boundary,
-                                                level):
+                                                level, monkeypatch):
+        # with two CPUs the blow-up floor runs in a forked child beside
+        # the rows, the finite one after them
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
         code, out = run(tmp_path, "sweep", {
             "geometry": {"ell_list": [2.0, 4.0], "cross": [-2.0, 2.0],
                          "ny": 9},
@@ -646,10 +677,12 @@ class TestSweepAndRate:
         assert code == 0
         floor_solve = json.loads((out / "sweep.json").read_text())[
             "floor_solve"]
-        assert set(floor_solve) == {"ny", "m", "newton_steps", "backtracks"}
+        assert set(floor_solve) == {"ny", "m", "newton_steps", "backtracks",
+                                    "overlapped"}
         assert (floor_solve["ny"], floor_solve["m"]) == (17, level)
         assert floor_solve["newton_steps"] > 0
         assert floor_solve["backtracks"] >= 0
+        assert floor_solve["overlapped"] is (level is not None)
 
     def test_finite_sweep_has_no_cross_section_report(self, tmp_path):
         code, out = run(tmp_path, "sweep", {

@@ -12,7 +12,9 @@ from scipy.integrate import quad
 from scipy.special import betainc
 
 from plaplab import Nonlinearity, QuadratureError, blowup_radius, quadrature
-from plaplab.nonlinearity import _log_tails
+import plaplab.nonlinearity
+from plaplab.nonlinearity import (EXP_LINEAR_LOG_F_FROM, _log_F, _log_tails,
+                                  _scaled_integrand)
 from plaplab.ode1d import _inverse_speed, _near_integral, _tabulate
 from plaplab.quadrature import integrate_to_infinity, jacobi_quad, panel_quad
 
@@ -266,7 +268,55 @@ class TestPowerReference:
         m = q + 1.0
         closed = (math.log1p(-1.0 / p) / p - math.log(c / m) / p
                   + (1.0 - m / p) * math.log(r) - math.log((m - p) / p))
-        log_c = math.log(c / m)
         swept = math.log1p(-1.0 / p) / p + _log_tails(
-            lambda s: log_c + m * np.log(s), p, [r])[0]
+            Nonlinearity.power(c, q), p, [r])[0]
         assert swept == pytest.approx(closed, abs=1e-12)
+
+
+class TestExponentialTail:
+    """The scaled Psi_p tail of e^s - 1 in closed form past s = 41."""
+
+    def test_threshold_is_where_the_correction_drops_below_half_an_ulp(self):
+        # log F(s) = log lam + s + log1p(-(1 + s) e^-s)
+        top = EXP_LINEAR_LOG_F_FROM
+        assert (1.0 + top) * math.exp(-top) < 2.0 ** -53 <= \
+            top * math.exp(1.0 - top)
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 3.7])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("top", [41.0, 100.0, 1e4])
+    def test_closed_tail_matches_the_doubling_tail(self, top, p, lam,
+                                                   monkeypatch):
+        # log int_top^inf F^(-1/p) = log p - log F(top)/p.  The doubling
+        # tail's own nodes near 1e4 round by 1.8e-12, so its scaled tail
+        # reads up to 8e-14 from p there; the logs agree to 1e-15
+        nl = Nonlinearity.exp_minus_one(lam)
+        log_F = _log_F(nl)
+        ref = float(log_F(top))
+        integrand = _scaled_integrand(log_F, p)
+        swept = math.log(integrate_to_infinity(
+            lambda s: integrand(s, ref), top)) - ref / p
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the tail was integrated")
+
+        monkeypatch.setattr(plaplab.nonlinearity, "integrate_to_infinity",
+                            refuse)
+        monkeypatch.setattr(plaplab.nonlinearity, "panel_quad", refuse)
+        closed = _log_tails(nl, p, [top])
+        assert closed == [math.log(p) - ref / p]
+        assert closed == pytest.approx([swept], rel=1e-15)
+
+    def test_tail_below_the_threshold_is_integrated(self, monkeypatch):
+        calls = []
+        original = plaplab.nonlinearity.integrate_to_infinity
+
+        def counting(h, start):
+            calls.append(start)
+            return original(h, start)
+
+        monkeypatch.setattr(plaplab.nonlinearity, "integrate_to_infinity",
+                            counting)
+        _log_tails(Nonlinearity.exp_minus_one(1.0), 2.0, [40.0])
+        _log_tails(Nonlinearity.power(2.0, 3.0), 2.0, [1e4])
+        assert calls == [40.0, 1e4]
