@@ -22,7 +22,9 @@ its outcome is the one the serial order gives.
 The structural checks render the comparison principle, the interior
 barrier bound u <= phi(R/2) on balls, monotonicity of blow-up solutions
 in ell, and the interior gradient estimate with explicit cutoff constants
-as paired-solve assertions with small discretization slacks.
+as paired-solve assertions: the gradient estimate with a 5 percent
+discretization slack, the others, like the floor's check, with
+:func:`plaplab.minimize.comparison_slack`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from .grid import (Window, build_grid, cutoff_function,
                    distance_profile_start, embed_cross_section,
                    lp_norm_gradient, require_window_inside, tied_nx,
                    window_node_mask)
-from .minimize import BlowupReport, NonConvergenceError, increasing_levels
+from .minimize import (BlowupReport, NonConvergenceError, comparison_slack,
+                       increasing_levels)
 from .nonlinearity import Nonlinearity, require_a1
 from .ode1d import (LargeSolution1D, solve_cross_finite, solve_cross_large,
                     solve_large_1d)
@@ -180,10 +183,12 @@ class SweepReports:
     by ell, and that of the cross-sectional reference on the sweep's
     transverse grid (None for finite data or when it failed); and
     ``floor_solve``, the record ``{"ny", "m", "newton_steps",
-    "backtracks", "overlapped"}`` of the floor's solve (``m`` its blow-up
-    level, None for finite data; ``backtracks`` its rejected line-search
-    trials; ``overlapped`` whether it ran in a forked child beside the
-    rows), None when there is no floor."""
+    "backtracks", "below_reference", "slack", "overlapped"}`` of the
+    floor's solve (``m`` its blow-up level, ``below_reference`` and
+    ``slack`` its comparison check, all three None for finite data;
+    ``backtracks`` its rejected line-search trials; ``overlapped`` whether
+    it ran in a forked child beside the rows), None when there is no
+    floor."""
 
     cylinder: dict = field(default_factory=dict)
     cross_section: Optional[BlowupReport] = None
@@ -249,8 +254,9 @@ def measure_row(spec: SweepSpec, ell: float, ny: Optional[int] = None, *,
 def _measure_floor(spec: SweepSpec, ny: int) -> tuple:
     """The largest ell measured again on ``ny`` transverse nodes against
     the reference on that grid; returns (error, noise_floor, record), the
-    record ``{"ny", "m", "newton_steps", "backtracks"}`` of its solve
-    (``m`` the blow-up level, None for finite data).
+    record ``{"ny", "m", "newton_steps", "backtracks", "below_reference",
+    "slack"}`` of its solve (``m`` the blow-up level and the last two its
+    comparison check, None for finite data).
 
     Only the solution at the last boundary level counts, and the
     minimizer there is unique, so blow-up data are solved at their last
@@ -261,8 +267,9 @@ def _measure_floor(spec: SweepSpec, ny: int) -> tuple:
     M-monotonicity check, the comparison principle the solve must keep
     is checked: the extended reference solves the equations at the free
     nodes and stays below M at the cylinder's ends, so the solution must
-    not lie below it by more than 2 tol at a free node; a violation
-    raises :class:`NonConvergenceError`.
+    not lie below it at a free node by more than the
+    :func:`plaplab.minimize.comparison_slack` of ``tol`` and the
+    solution; a violation raises :class:`NonConvergenceError`.
     """
     reference = _reference_profile(spec, ny)[0][-1:]
     m = spec.regime.m_list[-1] if isinstance(spec.regime, BlowupData) \
@@ -272,18 +279,21 @@ def _measure_floor(spec: SweepSpec, ny: int) -> tuple:
     err, noise, results, _ = measure_row(level_spec, spec.ells[-1], ny,
                                          reference=reference)
     u = results[-1].solution
+    below = slack = None
     if m is not None:
         free = u.grid.interior_mask()
         below = float(np.max(
             embed_cross_section(reference[0], u.grid).values[free]
             - u.values[free]))
-        if below > 2.0 * spec.tol:
+        slack = comparison_slack(spec.tol, u.values)
+        if below > slack:
             raise NonConvergenceError(
                 f"solution at M={m:g} lies {below:.3e} below its extended "
-                "reference")
+                f"reference, beyond the slack {slack:.3e}")
     return err, noise, {"ny": ny, "m": m,
                         "newton_steps": results[-1].newton_steps,
-                        "backtracks": results[-1].backtracks}
+                        "backtracks": results[-1].backtracks,
+                        "below_reference": below, "slack": slack}
 
 
 def _floor_overlaps(spec: SweepSpec) -> bool:
@@ -496,7 +506,8 @@ class CheckReport:
 
 
 def verify_comparison(u: SolveResult, v: SolveResult) -> CheckReport:
-    """Ordered boundary data must give ordered solutions (u <= v + 2 tol)."""
+    """Ordered boundary data must give ordered solutions (u <= v up to
+    :func:`plaplab.minimize.comparison_slack`)."""
     if u.solution.grid != v.solution.grid:
         raise ValueError("comparison requires solves on the same grid")
     if u.nl != v.nl or u.p != v.p:
@@ -505,7 +516,7 @@ def verify_comparison(u: SolveResult, v: SolveResult) -> CheckReport:
     bgap = v.solution.values[bmask] - u.solution.values[bmask]
     if np.min(bgap) < -1e-14 * max(1.0, np.max(np.abs(bgap))):
         raise ValueError("boundary data of u must not exceed that of v")
-    slack = 2.0 * max(u.tol, v.tol)
+    slack = comparison_slack(max(u.tol, v.tol), v.solution.values)
     gap = v.solution.values - u.solution.values
     worst = float(np.min(gap))
     idx = int(np.argmin(gap))
@@ -516,7 +527,8 @@ def verify_comparison(u: SolveResult, v: SolveResult) -> CheckReport:
 
 def verify_monotone_in_ell(shorter: SolveResult, longer: SolveResult,
                            window: Window) -> CheckReport:
-    """Blow-up solutions shrink as the cylinder grows (matched final M)."""
+    """Blow-up solutions shrink as the cylinder grows (matched final M),
+    up to :func:`plaplab.minimize.comparison_slack`."""
     g1, g2 = shorter.solution.grid, longer.solution.grid
     if g1.ell > g2.ell:
         raise ValueError(f"expected ell ordering, got {g1.ell} > {g2.ell}")
@@ -535,7 +547,8 @@ def verify_monotone_in_ell(shorter: SolveResult, longer: SolveResult,
         resampled[j] = np.interp(g1.x, g2.x, rows2[j])
     gap = (rows1.ravel() - resampled.ravel())[mask]
     worst = float(np.min(gap))
-    slack = 2.0 * max(shorter.tol, longer.tol)
+    slack = comparison_slack(max(shorter.tol, longer.tol),
+                             shorter.solution.values)
     return CheckReport(name="monotone_in_ell", passed=bool(worst >= -slack),
                        worst=worst,
                        details={"slack": slack, "ells": (g1.ell, g2.ell)})
@@ -544,7 +557,8 @@ def verify_monotone_in_ell(shorter: SolveResult, longer: SolveResult,
 def verify_barrier(result: SolveResult, x0: tuple, R: float,
                    profile: Optional[LargeSolution1D] = None) -> CheckReport:
     """Interior bound u <= phi(R/2) on the half ball, phi the radial
-    blow-up profile of radius R.
+    blow-up profile of radius R, up to
+    :func:`plaplab.minimize.comparison_slack`.
 
     ``profile`` is that phi when the caller has solved it already (it
     depends only on the nonlinearity, p and R, not on the ball's center).
@@ -561,11 +575,11 @@ def verify_barrier(result: SolveResult, x0: tuple, R: float,
     X, Y = grid.node_coords()
     ball = (X - cx) ** 2 + (Y - cy) ** 2 <= (R / 2.0) ** 2
     u_max = float(np.max(result.solution.values[ball]))
-    slack = 2.0 * result.tol
+    slack = comparison_slack(result.tol, result.solution.values)
     return CheckReport(name="barrier", passed=bool(u_max <= bound + slack),
                        worst=bound - u_max,
                        details={"bound": bound, "u_max": u_max,
-                                "center": (cx, cy), "R": R})
+                                "slack": slack, "center": (cx, cy), "R": R})
 
 
 def caccioppoli_constant(p: float) -> float:

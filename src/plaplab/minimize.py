@@ -81,8 +81,22 @@ class BlowupReport:
 
     m_values: tuple
     stage_max_change: tuple   # watched max |u_{M_k+1} - u_{M_k}|
-    monotone_margin: float    # most negative interior increment (>= -2 tol)
+    monotone_margin: float    # most negative increment; >= -comparison_slack
     level_newton_steps: tuple  # Newton steps of each M level
+
+
+def comparison_slack(tol: float, solution) -> float:
+    """How far a solved value may lie on the wrong side of its bound
+    before a check of the comparison principle (a higher level, larger
+    data, a shorter cylinder, an interior barrier) fails: 2 tol, one
+    stopping tolerance for each of the two values compared, plus
+    ``_ROUNDOFF_FACTOR`` eps max|solution|, the roundoff allowance of the
+    Newton stopping test, the maximum taken over every nodal value of the
+    checked solution, boundary values included.  Without the second term
+    the slack is below one ulp of any value above about 1.4e5 at
+    tol = 1e-11, and a check would ask for bit-exact agreement there."""
+    return 2.0 * tol + _ROUNDOFF_FACTOR * _EPS_MACH * float(
+        np.max(np.abs(solution)))
 
 
 def default_eps_schedule(h: float) -> tuple:
@@ -253,11 +267,12 @@ def sweep_levels(problem, m_list, watch, initial=None):
 
     Refuses nonlinearities failing the Keller-Osserman condition; free
     values must be nondecreasing in M (comparison principle), and a drop
-    beyond twice the ``tol`` of ``problem.cfg`` at a free node aborts the
-    sweep.  Returns ``(levels, report)``: one ``(u, stages, info)`` per
-    level, and the :class:`BlowupReport` of the max changes over the
-    ``watch`` nodes between consecutive levels, the most negative free
-    increment (0 for one level) and each level's Newton steps.
+    at a free node beyond the :func:`comparison_slack` of the ``tol`` of
+    ``problem.cfg`` and the new level aborts the sweep.  Returns
+    ``(levels, report)``: one ``(u, stages, info)`` per level, and the
+    :class:`BlowupReport` of the max changes over the ``watch`` nodes
+    between consecutive levels, the most negative free increment (0 for
+    one level) and each level's Newton steps.
     """
     m_list = increasing_levels(m_list)
     require_a1(problem.nl, problem.cfg.p)
@@ -266,10 +281,12 @@ def sweep_levels(problem, m_list, watch, initial=None):
         if levels:
             step = level[0] - levels[-1][0]
             worst.append(float(np.min(step[problem.free])))
-            if worst[-1] < -2.0 * problem.cfg.tol:
+            slack = comparison_slack(problem.cfg.tol, level[0])
+            if worst[-1] < -slack:
                 raise NonConvergenceError(
                     f"M sweep lost monotonicity at M={M:g}: interior value "
-                    f"dropped by {-worst[-1]:.3e}")
+                    f"dropped by {-worst[-1]:.3e}, beyond the slack "
+                    f"{slack:.3e}")
             changes.append(float(np.max(np.abs(step[watch]))))
         levels.append(level)
     report = BlowupReport(

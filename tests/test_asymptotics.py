@@ -1,20 +1,23 @@
 """Rate fitting, ell sweeps and the structural check battery."""
 
+import math
 import os
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plaplab import (BlowupData, FiniteData, NonConvergenceError,
                      Nonlinearity, RateRow, RateUnresolvableError,
                      SolverConfig, SweepSpec, Window, asymptotics, build_grid,
-                     distance_profile_start, fit_rate, solve_blowup,
-                     solve_dirichlet, solve_large_1d, sweep_ell,
-                     verify_barrier, verify_caccioppoli, verify_comparison,
+                     distance_profile_start, embed_cross_section,
+                     fit_rate, solve_blowup, solve_dirichlet,
+                     solve_large_1d, sweep_ell, verify_barrier,
+                     verify_caccioppoli, verify_comparison,
                      verify_monotone_in_ell)
 from plaplab.asymptotics import caccioppoli_constant
+from plaplab.minimize import comparison_slack
 import plaplab.nonlinearity
 
 POWER23 = Nonlinearity.power(2, 3)
@@ -320,19 +323,17 @@ class TestFloor:
                                                            ell, nl):
         # the minimizer at the last M is unique: starting there from the
         # reference's distance-to-boundary profile changes the path, not
-        # the end.  Both solves stop at tol, so they agree to the 2 tol
-        # slack the comparison checks allow; over 400 uniform draws the
-        # worst gap was 4.3e-12, at f = 3.86 s^2.08, p = 2.87, ny = 17,
-        # ell = 4 (values near M = 1e3)
+        # the end.  Both solves stop at tol, so they agree to 2 tol; over
+        # 400 uniform draws the worst gap was 4.3e-12, at f = 3.86 s^2.08,
+        # p = 2.87, ny = 17, ell = 4 (values near M = 1e3)
         assume(plaplab.nonlinearity.check_a1(nl, p))
         spec = SweepSpec(nl=nl, p=p, cross=(-2.0, 2.0),
                          regime=BlowupData((10.0, 100.0, 1000.0)),
                          ells=(ell,), window=Window(-1.0, 1.0, -1.0, 1.0),
                          ny=ny)
         measure_row = asymptotics.measure_row
-        _, _, ladder, _ = measure_row(
-            spec, ell, ny,
-            reference=asymptotics._reference_profile(spec, ny)[0])
+        reference = asymptotics._reference_profile(spec, ny)[0]
+        _, _, ladder, _ = measure_row(spec, ell, ny, reference=reference)
         floor_results = []
 
         def recording(*args, **kwargs):
@@ -345,11 +346,54 @@ class TestFloor:
             _, _, record = asymptotics._measure_floor(spec, ny)
         [one] = floor_results
         assert len(one.stages) == 1
-        assert record == {"ny": ny, "m": 1000.0,
-                          "newton_steps": one.newton_steps,
-                          "backtracks": one.backtracks}
+        u = one.solution
+        free = u.grid.interior_mask()
+        extended = embed_cross_section(reference[-1], u.grid).values
+        assert record == {
+            "ny": ny, "m": 1000.0, "newton_steps": one.newton_steps,
+            "backtracks": one.backtracks,
+            "below_reference": float(np.max(extended[free]
+                                            - u.values[free])),
+            "slack": comparison_slack(spec.tol, u.values)}
         assert np.max(np.abs(one.solution.values
                              - ladder[-1].solution.values)) <= 2.0 * spec.tol
+
+    @pytest.mark.parametrize("m", [1e5, 1e7])
+    def test_roundoff_gap_passes_the_comparison_check(self, m):
+        # at these levels the floor's solution lies 6.4e-10 (44 ulp of M)
+        # and 2.9e-9 (1.6 ulp) below its extended reference, from roundoff
+        # alone: beyond 2 tol = 2e-11, within the comparison slack
+        spec = SweepSpec(nl=Nonlinearity.power(0.543086, 2.2783), p=2.643,
+                         cross=(0.0, 2.0),
+                         regime=BlowupData((m / 100, m / 10, m)),
+                         ells=(1.0, 2.0, 4.0, 8.0),
+                         window=Window(-0.5, 0.5, 0.5, 1.5), ny=17)
+        rows, floor, extras = sweep_ell(spec)
+        assert math.isfinite(floor)
+        assert not any("floor re-solve" in r.note for r in rows)
+        record = extras.floor_solve
+        assert 2.0 * spec.tol < record["below_reference"] <= record["slack"]
+        assert record["slack"] == comparison_slack(spec.tol, [m])
+
+    @settings(max_examples=30, deadline=None)
+    @given(p=st.floats(1.5, 4.0), c=st.floats(0.1, 10.0),
+           k=st.floats(0.05, 3.0), log_m=st.floats(3.0, 8.0),
+           ny=st.sampled_from([5, 9]), ell=st.sampled_from([2.0, 4.0]))
+    @example(p=3.5, c=6.5, k=0.6, log_m=8.0, ny=5, ell=4.0)  # 8.4e-9 below
+    def test_every_solved_floor_passes_the_comparison_check(self, p, c, k,
+                                                           log_m, ny, ell):
+        # f = c s^q with q = p - 1 + k, which satisfies (A1), from M = 1e3
+        # to 1e8; on these small grids about one floor in ten lies more
+        # than 2 tol below its extended reference.  A floor beyond its
+        # slack raises NonConvergenceError
+        m = 10.0 ** log_m
+        spec = SweepSpec(nl=Nonlinearity.power(c, p - 1.0 + k), p=p,
+                         cross=(0.0, 2.0),
+                         regime=BlowupData((m / 100, m / 10, m)),
+                         ells=(ell,), window=Window(-0.5, 0.5, 0.5, 1.5),
+                         ny=ny)
+        _, _, record = asymptotics._measure_floor(spec, 2 * ny - 1)
+        assert record["below_reference"] <= record["slack"]
 
 
 class TestFloorOverlap:
@@ -382,7 +426,9 @@ class TestFloorOverlap:
         assert [s.pop("overlapped") for s in solves] == [True, False]
         assert solves[0] == solves[1] == {
             "ny": 17, "m": 100.0, "newton_steps": solves[0]["newton_steps"],
-            "backtracks": solves[0]["backtracks"]}
+            "backtracks": solves[0]["backtracks"],
+            "below_reference": solves[0]["below_reference"],
+            "slack": comparison_slack(1e-11, [100.0])}
 
     def test_finite_data_floor_stays_inline(self, monkeypatch):
         rows, floor, extras = self.sweep(monkeypatch, 2,

@@ -18,7 +18,7 @@ import plaplab.quadrature
 from plaplab.cli import main
 from plaplab import (GridFunction, Nonlinearity, SolverConfig, build_grid,
                      embed_cross_section, solve_cross_large, solve_dirichlet)
-from plaplab.minimize import NonConvergenceError
+from plaplab.minimize import NonConvergenceError, comparison_slack
 from plaplab.solver import _CylinderProblem
 
 BASE = {
@@ -210,6 +210,39 @@ class TestValidation:
             **extra,
         })
         assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    SOLVE = {**BASE, "geometry": {"ell": 2.0, "cross": [0.0, 2.0], "ny": 9}}
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("psi", {**BASE, "nonlinearity": 5},
+         "'nonlinearity' must be an object"),
+        ("psi", [BASE], "config root must be a JSON object"),
+        ("psi", {"schema_version": 1, "nonlinearity": {"kind": "zero"}},
+         "missing required configuration key 'p'"),
+        ("psi", {**BASE, "nonlinearity": {"kind": "cubic"}},
+         "nonlinearity.kind"),
+        ("psi", {**BASE, "p": 1.0}, "p must exceed 1"),
+        ("solve", {**SOLVE, "boundary": {"dirichlet": 1.0,
+                                         "blowup": [10.0]}},
+         "'dirichlet' or 'blowup'"),
+        ("solve", {**SOLVE, "boundary": {}}, "'dirichlet' or 'blowup'"),
+        ("psi", {**BASE, "psi": {"r_min": 2.0, "r_max": 1.0}},
+         "0 < r_min < r_max"),
+        ("solve", {**BASE, "geometry": {"cross": [0.0, 2.0], "ny": 9},
+                   "boundary": {"dirichlet": 1.0}}, "geometry.ell"),
+        ("sweep", {**SOLVE, "boundary": {"dirichlet": 1.0},
+                   "window": [-1.0, 1.0, 0.5, 1.5]}, "geometry.ell_list"),
+    ], ids=["section_not_object", "root_not_object", "missing_p",
+            "unknown_kind", "p_at_most_1", "both_boundaries",
+            "no_boundary", "psi_bounds", "missing_ell", "missing_ell_list"])
+    def test_config_error_names_its_key(self, tmp_path, capsys, command,
+                                        config, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
@@ -678,8 +711,14 @@ class TestSweepAndRate:
         floor_solve = json.loads((out / "sweep.json").read_text())[
             "floor_solve"]
         assert set(floor_solve) == {"ny", "m", "newton_steps", "backtracks",
-                                    "overlapped"}
+                                    "below_reference", "slack", "overlapped"}
         assert (floor_solve["ny"], floor_solve["m"]) == (17, level)
+        if level is None:
+            assert (floor_solve["below_reference"], floor_solve["slack"]) == \
+                (None, None)
+        else:
+            assert floor_solve["below_reference"] <= floor_solve["slack"] \
+                == comparison_slack(1e-11, [level])
         assert floor_solve["newton_steps"] > 0
         assert floor_solve["backtracks"] >= 0
         assert floor_solve["overlapped"] is (level is not None)

@@ -38,6 +38,20 @@ class TestPointwise:
             assert nl.f(0.0) == 0.0
             assert nl.F(0.0) == 0.0
 
+    def test_power_derivative_below_one(self):
+        # q < 1 (the dead-core regime): s^(q-1) is unbounded at 0, so the
+        # derivative is capped at s = 1e-12 and is 0 below 0, where the
+        # extension is constant
+        c, q = 1.5, 0.5
+        nl = Nonlinearity.power(c, q)
+        assert nl.f_prime(0.0) == c * q * 1e-12 ** (q - 1.0)
+        assert math.isfinite(nl.f_prime(0.0))
+        assert nl.f_prime(1e-14) == nl.f_prime(0.0)
+        assert np.all(nl.f_prime(np.array([-1e-14, -1.0, -1e3])) == 0.0)
+        s = np.array([1e-12, 1e-6, 0.3, 2.0, 1e4])
+        np.testing.assert_allclose(nl.f_prime(s), c * q * s ** (q - 1.0),
+                                   rtol=1e-15)
+
     def test_exp_minus_one(self):
         nl = Nonlinearity.exp_minus_one(1.0)
         assert nl.f(math.log(2.0)) == pytest.approx(1.0, rel=1e-14)

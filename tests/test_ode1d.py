@@ -182,6 +182,29 @@ class TestLargeSolution:
         with pytest.raises(ValueError):
             sol.value_at(sol.r)
 
+    @pytest.mark.parametrize("nl", [POWER23,
+                                    Nonlinearity.exp_minus_one(1.0)],
+                             ids=["power", "exp_minus_one"])
+    def test_value_at_below_the_first_tabulated_time(self, nl):
+        # before t[1] value_at inverts the near integral, the time from
+        # the center value a to a level; its secant resolves the level to
+        # LEVEL_REL_TOL a, that is the time to that over phi'(t)
+        sol = solve_large_1d(nl, 2.0, 0.5)
+        t = sol.t[1] / 2.0
+        v = sol.value_at(t)
+        assert sol.a < v < sol.phi[1]
+        back = ode1d._near_integral(nl, sol.p, sol.a, v)
+        assert abs(back - t) <= \
+            ode1d.LEVEL_REL_TOL * sol.a / sol.derivative_at(t)
+
+    def test_value_at_rejects_times_beyond_the_table(self):
+        # the table ends short of the blow-up radius
+        sol = solve_large_1d(POWER23, 2.0, 0.5)
+        t = 0.5 * (sol.t[-1] + sol.r)
+        assert sol.t[-1] < t < sol.r
+        with pytest.raises(ValueError, match="beyond the tabulated range"):
+            sol.value_at(t)
+
     def test_derivative_from_first_integral(self):
         sol = solve_large_1d(POWER23, 2.0, 1.0)
         t = 0.5

@@ -369,6 +369,26 @@ class TestKernelProperties:
                       <= scale * (1.0 + 1e-12))
 
 
+class TestBoundaryArray:
+    def test_scalar_from_a_callable_is_broadcast(self):
+        g = unit_square_grid()
+        values = _boundary_array(g, lambda X, Y: 3.0)
+        bmask = g.boundary_mask()
+        assert np.all(values[bmask] == 3.0)
+        assert np.all(values[~bmask] == 0.0)
+
+    def test_non_finite_boundary_data_raise(self):
+        g = unit_square_grid()
+        with pytest.raises(ValueError, match="finite on all boundary"):
+            _boundary_array(g, lambda X, Y: np.where(X == X.max(), np.nan,
+                                                     1.0))
+        # values at interior nodes are not boundary data: they are dropped
+        interior = np.flatnonzero(~g.boundary_mask())[0]
+        values = _boundary_array(g, lambda X, Y: np.where(
+            np.arange(X.size) == interior, np.inf, 1.0))
+        assert np.all(np.isfinite(values))
+
+
 class TestSolveDirichlet:
     @pytest.mark.parametrize("bad", [
         {"p": math.nan}, {"p": math.inf}, {"p": 2.0, "tol": math.nan},
