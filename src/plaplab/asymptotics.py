@@ -46,8 +46,7 @@ from .grid import (Window, build_grid, cutoff_function,
 from .minimize import (BlowupReport, NonConvergenceError, comparison_slack,
                        increasing_levels)
 from .nonlinearity import Nonlinearity, require_a1
-from .ode1d import (LargeSolution1D, solve_cross_finite, solve_cross_large,
-                    solve_large_1d)
+from .ode1d import solve_cross_finite, solve_cross_large
 from .solver import SolveResult, SolverConfig, solve_blowup, solve_dirichlet
 
 __all__ = [
@@ -555,13 +554,14 @@ def verify_monotone_in_ell(shorter: SolveResult, longer: SolveResult,
 
 
 def verify_barrier(result: SolveResult, x0: tuple, R: float,
-                   profile: Optional[LargeSolution1D] = None) -> CheckReport:
+                   bound: float) -> CheckReport:
     """Interior bound u <= phi(R/2) on the half ball, phi the radial
     blow-up profile of radius R, up to
     :func:`plaplab.minimize.comparison_slack`.
 
-    ``profile`` is that phi when the caller has solved it already (it
-    depends only on the nonlinearity, p and R, not on the ball's center).
+    ``bound`` is phi(R/2), as ``solve_large_1d(nl, p, R).value_at(R / 2)``
+    gives it; it depends only on the nonlinearity, p and R, not on the
+    ball's center, so balls of one radius share it.
     """
     grid = result.solution.grid
     cx, cy = float(x0[0]), float(x0[1])
@@ -569,9 +569,6 @@ def verify_barrier(result: SolveResult, x0: tuple, R: float,
     if not (abs(cx) + R <= grid.ell and cy - R >= y0 and cy + R <= y1):
         raise ValueError(
             f"ball B_{R}(({cx}, {cy})) is not contained in the rectangle")
-    phi = profile if profile is not None else \
-        solve_large_1d(result.nl, result.p, R)
-    bound = phi.value_at(R / 2.0)
     X, Y = grid.node_coords()
     ball = (X - cx) ** 2 + (Y - cy) ** 2 <= (R / 2.0) ** 2
     u_max = float(np.max(result.solution.values[ball]))

@@ -26,7 +26,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -184,15 +184,6 @@ def _write_json(data, path):
         fh.write("\n")
 
 
-def _blowup_json(report):
-    """The JSON record of a :class:`plaplab.solver.BlowupReport`, as
-    ``solve.json`` and ``sweep.json`` write it."""
-    return {"m_values": list(report.m_values),
-            "stage_max_change": list(report.stage_max_change),
-            "level_newton_steps": list(report.level_newton_steps),
-            "monotone_margin": report.monotone_margin}
-
-
 def _write_csv(path, header, rows):
     with replacing_file(path, newline="") as fh:
         writer = csv.writer(fh)
@@ -308,7 +299,7 @@ def cmd_solve(cfg, out: Path) -> int:
         results, report = solve_blowup(grid, nl, scfg, regime.m_list,
                                        window=window)
         res = results[-1]
-        diagnostics["blowup"] = _blowup_json(report)
+        diagnostics["blowup"] = asdict(report)
     diagnostics.update({
         "boundary": res.boundary_mode,
         # F(M) of e^s - 1 overflows past M ~ 709.8 on the fixed nodes alone;
@@ -349,10 +340,10 @@ def _write_sweep_outputs(out, rows, floor, extras):
                       "error": r.error if math.isfinite(r.error) else None,
                       "note": r.note, "newton_steps": r.newton_steps}
                      for r in rows],
-            "blowup_reports": {str(ell): _blowup_json(b)
+            "blowup_reports": {str(ell): asdict(b)
                                for ell, b in extras.cylinder.items()},
             "cross_section_report": None if extras.cross_section is None
-            else _blowup_json(extras.cross_section),
+            else asdict(extras.cross_section),
             "floor_solve": extras.floor_solve}
     _write_json(data, out / "sweep.json")
 
@@ -451,10 +442,10 @@ def cmd_check(cfg, out: Path) -> int:
         cy = 0.5 * (cross[0] + cross[1])
         span = max(grid.ell - 2.0 * R, 0.0)
         xs = np.linspace(-span, span, n_balls) if n_balls > 1 else [0.0]
-        profile = solve_large_1d(nl, p, R)  # every ball has radius R
+        # every ball has radius R, so one bound phi_R(R/2) serves them all
+        bound = solve_large_1d(nl, p, R).value_at(R / 2.0)
         for cx in xs:
-            reports.append(verify_barrier(final, (float(cx), cy), R,
-                                          profile=profile))
+            reports.append(verify_barrier(final, (float(cx), cy), R, bound))
         for shrink in np.linspace(0.2, 0.5, n_windows):
             wi = Window(window.x_lo + shrink * (window.x_hi - window.x_lo) / 2,
                         window.x_hi - shrink * (window.x_hi - window.x_lo) / 2,

@@ -23,7 +23,9 @@ in M, Allgower & Georg 2003, ch. 2): the tangent du/dM comes from the
 problem's ``tangent``, one back-substitution with the factor of the
 level's last Newton step, and the step is taken in log M
 (:func:`level_step`); the blow-up sweep :func:`sweep_levels` adds the
-(A1) refusal, the monotonicity abort and the sweep's :class:`BlowupReport`.
+monotonicity abort and the sweep's :class:`BlowupReport`.  Nothing here
+classifies the nonlinearity: the entry points that build a blow-up
+problem refuse one failing (A1) before they build it.
 
 The stopping test is an absolute bound on the lumped-mass-scaled gradient
 plus a roundoff allowance proportional to the magnitude of the assembled
@@ -40,8 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .nonlinearity import require_a1
 
 _EPS_MACH = np.finfo(float).eps
 _ROUNDOFF_FACTOR = 64.0
@@ -265,17 +265,17 @@ def sweep_levels(problem, m_list, watch, initial=None):
     run on one ``problem`` (the cylinder's or the cross-section's) for
     every level by :func:`warm_levels`.
 
-    Refuses nonlinearities failing the Keller-Osserman condition; free
-    values must be nondecreasing in M (comparison principle), and a drop
-    at a free node beyond the :func:`comparison_slack` of the ``tol`` of
-    ``problem.cfg`` and the new level aborts the sweep.  Returns
+    Free values must be nondecreasing in M (comparison principle), and a
+    drop at a free node beyond the :func:`comparison_slack` of the ``tol``
+    of ``problem.cfg`` and the new level aborts the sweep.  The problem's
+    nonlinearity is not read: whether a large solution exists is for the
+    caller to decide.  Returns
     ``(levels, report)``: one ``(u, stages, info)`` per level, and the
     :class:`BlowupReport` of the max changes over the ``watch`` nodes
     between consecutive levels, the most negative free increment (0 for
     one level) and each level's Newton steps.
     """
     m_list = increasing_levels(m_list)
-    require_a1(problem.nl, problem.cfg.p)
     levels, changes, worst = [], [], []
     for M, level in zip(m_list, warm_levels(problem, m_list, initial)):
         if levels:

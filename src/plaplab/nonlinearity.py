@@ -12,8 +12,12 @@ and uniqueness of the blow-up solution additionally needs the scaling
 condition ``liminf_{t->inf} Psi_p(beta*t) / Psi_p(t) > 1`` for every
 ``beta in (0, 1)``.  Three kinds of f are built in: ``c s^q``,
 ``lam (e^s - 1)`` and zero.  For them finiteness (A1) is decided
-analytically (Keller 1957, Osserman 1957); the scaling condition is
-probed numerically.
+analytically (Keller 1957, Osserman 1957), by :func:`check_a1` alone,
+which :func:`log_psi_p` asks before it integrates and
+:func:`require_a1` turns into the refusal of the entry points that
+build large solutions; the scaling condition is probed numerically.
+Each kind's closed form of F is written once, in
+:meth:`Nonlinearity.F_gap`, whose offset from 0 is F itself.
 
 Every value of Psi_p comes from one evaluator, :func:`log_psi_p`.  It
 takes all the points a caller needs at once, sorts them, integrates one
@@ -62,21 +66,13 @@ def _expm1_minus_series(x):
 
 
 def _expm1_minus(d):
-    """exp(d) - 1 - d without cancellation: its Taylor series for |d| < 1,
-    where expm1(d) and d nearly cancel, and their difference beyond.  A
-    scalar (``F`` at one point) stays in ``math``, where numpy's per-call
-    cost would dominate."""
-    if np.ndim(d) == 0:
-        d = float(d)
-        if abs(d) < 1.0:
-            return _expm1_minus_series(d)
-        try:
-            return math.expm1(d) - d
-        except OverflowError:
-            return math.inf
+    """exp(d) - 1 - d without cancellation, over an array (a 0-d one
+    included): its Taylor series for |d| < 1, where expm1(d) and d nearly
+    cancel, and their difference beyond."""
     d = np.asarray(d, dtype=float)
     with np.errstate(over="ignore"):
-        out = np.expm1(d) - d
+        # on a 0-d array the difference is a numpy scalar, not assignable
+        out = np.asarray(np.expm1(d) - d)
     small = np.abs(d) < 1.0
     if small.any():
         out[small] = _expm1_minus_series(d[small])
@@ -177,27 +173,15 @@ class Nonlinearity:
         return out if np.asarray(s).ndim else float(out)
 
     def F(self, s):
-        """Antiderivative F(s) = int_0^s f, for s >= 0."""
-        arr = np.asarray(s, dtype=float)
-        if np.any(arr < 0):
+        """Antiderivative F(s) = int_0^s f, for s >= 0: :meth:`F_gap`
+        from 0."""
+        if np.any(np.asarray(s) < 0):
             raise ValueError("antiderivative is only defined for s >= 0")
-        out = self._F_raw(arr)
-        return out if arr.ndim else float(out)
+        return self.F_gap(0.0, s)
 
     def F_extended(self, s):
         """F extended by zero to s < 0 (keeps the solver energy convex)."""
-        arr = np.asarray(s, dtype=float)
-        out = self._F_raw(np.maximum(arr, 0.0))
-        return out if arr.ndim else float(out)
-
-    def _F_raw(self, arr):
-        if self.kind == "power":
-            c, q = self.params
-            return c / (q + 1.0) * np.power(arr, q + 1.0)
-        if self.kind == "exp_minus_one":
-            (lam,) = self.params
-            return lam * _expm1_minus(arr)
-        return np.zeros_like(arr)
+        return self.F_gap(0.0, np.maximum(s, 0.0))
 
     def F_gap(self, a: float, dx):
         """F(a + dx) - F(a) for a >= 0, dx >= 0, without cancellation.
@@ -230,8 +214,9 @@ class Nonlinearity:
                 gap = lam * gap
             else:
                 gap = np.zeros_like(d)
-        # where F(a) overflows, inf * expm1(0) is NaN: a zero offset is 0
-        gap = np.where(d == 0.0, 0.0, gap)
+        if a != 0.0:
+            # where F(a) overflows, inf * expm1(0) is NaN: a zero offset is 0
+            gap = np.where(d == 0.0, 0.0, gap)
         return gap if d.ndim else float(gap)
 
     # -- descriptive ------------------------------------------------------
@@ -279,15 +264,6 @@ class A2Report:
 
 
 # -- module-level operations ----------------------------------------------
-
-def _psi_diverges(nl: Nonlinearity, p: float) -> bool:
-    """True iff Psi_p is infinite, decided from the growth of F alone:
-    ``F^(-1/p) ~ s^(-(q+1)/p)`` is integrable at infinity iff q + 1 > p,
-    ``e^(-s/p)`` always, and ``F = 0`` never."""
-    if nl.kind == "power":
-        return nl.params[1] + 1.0 <= p
-    return nl.kind == "zero"
-
 
 def _log_F(nl: Nonlinearity) -> Callable:
     """``s -> log F(s)`` over an array of ``s > 0``, for a kind with F > 0
@@ -411,7 +387,7 @@ def log_psi_p(nl: Nonlinearity, p: float, points) -> np.ndarray:
     bad = x[~(x > 0.0)]
     if bad.size:
         raise ValueError(f"Psi_p requires r > 0, got r={bad[0]}")
-    if _psi_diverges(nl, p):
+    if not check_a1(nl, p):
         return np.full(x.shape, math.inf)
     nodes = np.unique(x).tolist()
     log_at = dict(zip(nodes, _log_tails(nl, p, nodes)))
@@ -430,12 +406,16 @@ def psi_p(nl: Nonlinearity, p: float, r: float) -> float:
 
 
 def check_a1(nl: Nonlinearity, p: float) -> bool:
-    """True iff Psi_p is finite (the Keller-Osserman condition).
+    """True iff Psi_p is finite (the Keller-Osserman condition (A1)).
 
-    Decided analytically: q + 1 > p for ``c s^q``, always for
-    ``lam (e^s - 1)``, never for zero.  No Psi_p is evaluated.
+    Decided from the growth of F alone, and no Psi_p is evaluated:
+    ``F^(-1/p) ~ s^(-(q+1)/p)`` is integrable at infinity iff q + 1 > p
+    for ``c s^q``, ``e^(-s/p)`` always for ``lam (e^s - 1)``, and
+    ``F = 0`` never.
     """
-    return not _psi_diverges(nl, p)
+    if nl.kind == "power":
+        return nl.params[1] + 1.0 > p
+    return nl.kind == "exp_minus_one"
 
 
 def require_a1(nl: Nonlinearity, p: float) -> None:

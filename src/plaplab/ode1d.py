@@ -37,6 +37,8 @@ is the 2D solver's P1 energy on a segment mesh, with the same
 every level), so its constant extension solves the cylinder's interior
 equations on a grid with the same transverse nodes; a blow-up sweep
 gives one :class:`CrossProfile` per level and the cylinder's report.
+Like the cylinder's, it refuses a nonlinearity failing (A1) before it
+builds the problem.
 """
 
 from __future__ import annotations
@@ -269,9 +271,11 @@ def solve_large_1d(nl: Nonlinearity, p: float, r: float) -> LargeSolution1D:
     probes straddle r, steps stop at the end of the range a in
     [2^-60, 2^60]; after, a step that leaves the bracket is replaced by a
     bisection in ln a.  The first probe whose own radius is within
-    ``RADIUS_REL_TOL`` of r is the center value.  No root in range, a
-    non-monotone set of probes and a bracket that shrinks to roundoff
-    raise :class:`QuadratureError` rather than return a wrong profile.
+    ``RADIUS_REL_TOL`` of r is the center value, and the profile's radius
+    is that probe's own r(a), not the requested r, so no sample lies past
+    it.  No root in range, a non-monotone set of probes and a bracket that
+    shrinks to roundoff raise :class:`QuadratureError` rather than return
+    a wrong profile.
     """
     if r <= 0.0:
         raise ValueError(f"radius must be positive, got r={r}")
@@ -308,7 +312,7 @@ def solve_large_1d(nl: Nonlinearity, p: float, r: float) -> LargeSolution1D:
         x1 = side * math.log(2.0)
         _secant_root(g, 0.0, g0, x1, g(x1), close, edge,
                      budget=MAX_PROBES - 2)
-    return _tabulate(nl, p, probes[-1][0], r)
+    return _tabulate(nl, p, *probes[-1])
 
 
 def _tabulate(nl: Nonlinearity, p: float, a: float,
@@ -318,7 +322,9 @@ def _tabulate(nl: Nonlinearity, p: float, a: float,
     integral up to the first level, then every step of the ladder in one
     :func:`plaplab.quadrature.panel_quad` call, integrated in the offset
     d = s - a over the stored levels' own offsets, so that each time stays
-    paired with its level and no node rounds the offset.  Raises
+    paired with its level and no node rounds the offset.  A sample whose
+    summed time reaches r (by quadrature error, near the blow-up end) is
+    not kept.  Raises
     :class:`QuadratureError` when even the first level's climb speed
     overflows (a center value near the largest double)."""
     lo_dec, hi_dec = LEVEL_DECADES
@@ -342,11 +348,12 @@ def _tabulate(nl: Nonlinearity, p: float, a: float,
         panel_quad(_offset_inverse_speed(nl, p, a), levels[:-1] - a,
                    levels[1:] - a)))
     times = np.concatenate(([0.0], np.cumsum(panels)))
-    phi = np.concatenate(([a], levels))
-    gaps = np.concatenate(([0.0], gaps_tail[keep]))
+    inside = times < r
+    phi = np.concatenate(([a], levels))[inside]
+    gaps = np.concatenate(([0.0], gaps_tail[keep]))[inside]
     dphi = (coeff * gaps) ** (1.0 / p)
     return LargeSolution1D(r=float(r), a=float(a), p=float(p), nl=nl,
-                           t=times, phi=phi, dphi=dphi)
+                           t=times[inside], phi=phi, dphi=dphi)
 
 
 # -- cross-sectional problem ------------------------------------------------
@@ -415,8 +422,12 @@ def solve_cross_large(nl: Nonlinearity, cfg: SolverConfig, interval, M_list,
     the Euler predictor of the previous one.  Returns one
     :class:`CrossProfile` per level and the sweep's
     :class:`~plaplab.minimize.BlowupReport` over every interior node.
+    Raises ``ValueError`` before the problem is built for a nonlinearity
+    failing the Keller-Osserman condition (A1) at ``cfg.p``
+    (:func:`plaplab.nonlinearity.require_a1`).
     """
     y = _segment(interval, n_nodes)
+    require_a1(nl, cfg.p)
     problem = _CrossProblem(nl, cfg, y, 0.0, 0.0)
     levels, report = sweep_levels(problem, M_list, problem.free)
     return [CrossProfile(y, u, info["residual"], cfg.tol)

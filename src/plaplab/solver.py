@@ -36,7 +36,10 @@ Boundary blow-up is approximated by an increasing sweep of constant
 Dirichlet levels M (the monotone-limit construction): every level is the
 same energy on the same mesh with another constant on the boundary
 nodes, so one problem per grid serves the whole sweep, which
-:func:`plaplab.minimize.sweep_levels` runs on it.  Each later level
+:func:`plaplab.minimize.sweep_levels` runs on it.  :func:`solve_blowup`
+refuses a nonlinearity failing the Keller-Osserman condition (A1)
+(:func:`plaplab.nonlinearity.require_a1`) before it builds the problem;
+the sweep itself does not look at f.  Each later level
 starts from the Euler predictor of the level below: the problem keeps
 the Cholesky factor of its most recent Newton step (dropped before the
 next step's band is assembled, so two bands are never alive at once),
@@ -46,8 +49,8 @@ constants.  Interior values are nondecreasing in M by the comparison
 principle; the sweep's report, the same for both meshes, records each
 level's Newton steps and the windowed change between consecutive levels
 as a stabilization residual.  :func:`solve_levels` solves any increasing
-constant levels on one grid the same way, without the sweep's (A1)
-refusal and monotonicity abort.
+constant levels on one grid the same way, without the (A1) refusal and
+the sweep's monotonicity abort.
 
 A solve whose boundary data the half-turn (x, y) -> (-x, y0 + y1 - y)
 leaves unchanged runs on half the mesh (:meth:`_CylinderProblem.on_half_mesh`):
@@ -80,7 +83,7 @@ from .grid import (GridFunction, RectGrid, Window, require_window_inside,
 from .minimize import (BlowupReport, NonConvergenceError,
                        default_eps_schedule, increasing_levels,
                        minimize_newton, sweep_levels, warm_levels)
-from .nonlinearity import Nonlinearity
+from .nonlinearity import Nonlinearity, require_a1
 
 __all__ = [
     "SolverConfig",
@@ -319,9 +322,20 @@ class _CylinderProblem:
         return gu, g2e
 
     def _gradient_energy(self, u, eps):
-        _, g2e = self._cell_gradients(u, eps)
+        # (|grad u|^2 + eps^2)^(p/2) - eps^p per cell, written without the
+        # difference: where the gradient is far below eps, the difference
+        # is roundoff of eps^p, which buries the energy decrease of a
+        # Newton step and lets the line search take steps that do nothing
+        gu = _contract(u[self.nodes], self.b.transpose(1, 0, 2))
+        g2 = _contract(gu, gu)
         p = self.cfg.p
-        return self.measure * np.sum((g2e ** (0.5 * p) - eps ** p)) / p
+        eps2 = eps * eps
+        if eps2 == 0.0:
+            terms = g2 ** (0.5 * p)
+        else:
+            terms = (g2 + eps2) ** (0.5 * p) * -np.expm1(
+                -0.5 * p * np.log1p(g2 / eps2))
+        return self.measure * np.sum(terms) / p
 
     def full_energy(self, u, eps):
         """Spec energy: gradient term plus lumped F over all nodes."""
@@ -590,11 +604,14 @@ def solve_blowup(grid: RectGrid, nl: Nonlinearity, cfg: SolverConfig, M_list,
     the list of per-level results and the sweep's
     :class:`~plaplab.minimize.BlowupReport`, whose changes are measured on
     the window, a node or its image in it (all interior nodes without one).
-    The window must lie one cell inside ``grid``, which is checked before
-    any solve.
+    The window must lie one cell inside ``grid``, and ``nl`` must satisfy
+    the Keller-Osserman condition (A1) at ``cfg.p``
+    (:func:`plaplab.nonlinearity.require_a1`); both are checked before the
+    problem is built.
     """
     if window is not None:
         require_window_inside(grid, window)
+    require_a1(nl, cfg.p)
     problem = _CylinderProblem.on_half_mesh(grid, nl, cfg,
                                             np.zeros(grid.n_nodes))
     kept = len(problem.free)

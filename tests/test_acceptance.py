@@ -201,8 +201,9 @@ def test_criterion_6_barrier_placements(blowup_solves):
     final = blowup_solves[4.0][-1]
     R = 0.8
     margins = []
+    bound = solve_large_1d(final.nl, final.p, R).value_at(R / 2.0)
     for cx in np.linspace(-2.4, 2.4, 5):
-        rep = verify_barrier(final, (float(cx), 0.0), R)
+        rep = verify_barrier(final, (float(cx), 0.0), R, bound)
         margins.append(rep.worst)
         assert rep.passed, str(rep)
     report(6, True,

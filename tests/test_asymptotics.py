@@ -19,6 +19,7 @@ from plaplab import (BlowupData, FiniteData, NonConvergenceError,
 from plaplab.asymptotics import caccioppoli_constant
 from plaplab.minimize import comparison_slack
 import plaplab.nonlinearity
+import plaplab.ode1d
 
 POWER23 = Nonlinearity.power(2, 3)
 LINEAR = Nonlinearity.power(1, 1)
@@ -29,6 +30,12 @@ def usable_cpus(monkeypatch, n):
     :func:`sweep_ell` forks its floor (n > 1) or runs it inline."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
                         raising=False)
+
+
+def barrier_bound(result, R):
+    """phi_R(R/2) of ``result``'s nonlinearity and p, the bound that
+    :func:`verify_barrier` is given."""
+    return solve_large_1d(result.nl, result.p, R).value_at(R / 2.0)
 
 
 def rows_from(f, ells=(2.0, 4.0, 8.0, 16.0)):
@@ -581,25 +588,28 @@ class TestVerifiers:
 
     def test_barrier_on_blowup_stage(self, blowup_pair):
         res = blowup_pair[4.0]
+        bound = barrier_bound(res, 0.8)
         for cx in (-1.0, 0.0, 1.0):
-            rep = verify_barrier(res, (cx, 0.0), 0.8)
+            rep = verify_barrier(res, (cx, 0.0), 0.8, bound)
             assert rep.passed, str(rep)
 
     def test_barrier_reuses_a_given_profile(self, blowup_pair, monkeypatch):
+        # the bound of one profile serves every ball of its radius: the
+        # check solves no profile of its own, and judges by the bound alone
         res = blowup_pair[4.0]
-        centers = ((-1.0, 0.0), (1.0, 0.0))
-        solved = [verify_barrier(res, c, 0.8) for c in centers]
-        profile = solve_large_1d(res.nl, res.p, 0.8)
-        monkeypatch.setattr(asymptotics, "solve_large_1d", None)
-        for center, ref in zip(centers, solved):
-            rep = verify_barrier(res, center, 0.8, profile=profile)
-            assert rep.passed and rep.details == ref.details
+        bound = barrier_bound(res, 0.8)
+        monkeypatch.setattr(plaplab.ode1d, "solve_large_1d", None)
+        for center in ((-1.0, 0.0), (1.0, 0.0)):
+            rep = verify_barrier(res, center, 0.8, bound)
+            assert rep.passed and rep.details["bound"] == bound
+            u_max = rep.details["u_max"]
+            assert not verify_barrier(res, center, 0.8, 0.5 * u_max).passed
 
     def test_barrier_trivial_for_zero_data(self):
         g = build_grid(2.0, (-1.0, 1.0), 33, 17)
         res = solve_dirichlet(g, POWER23, SolverConfig(p=2.0), 0.0)
         assert np.max(np.abs(res.solution.values)) <= 1e-12
-        rep = verify_barrier(res, (0.0, 0.0), 0.8)
+        rep = verify_barrier(res, (0.0, 0.0), 0.8, barrier_bound(res, 0.8))
         assert rep.passed
 
     def test_barrier_bound_grows_on_smaller_balls(self):
@@ -611,7 +621,7 @@ class TestVerifiers:
 
     def test_barrier_rejects_escaping_ball(self, blowup_pair):
         with pytest.raises(ValueError, match="not contained"):
-            verify_barrier(blowup_pair[2.0], (0.0, 0.0), 1.5)
+            verify_barrier(blowup_pair[2.0], (0.0, 0.0), 1.5, 1.0)
 
     def test_caccioppoli_constant_value(self):
         assert caccioppoli_constant(2.0) == pytest.approx(4.0, rel=1e-14)

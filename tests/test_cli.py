@@ -457,7 +457,8 @@ class TestWithoutQuadpack:
         grid = build_grid(2.0, (-1.0, 1.0), 33, 17)
         res = solve_dirichlet(grid, Nonlinearity.power(2, 3),
                               SolverConfig(p=2.0), 0.0)
-        rep = plaplab.asymptotics.verify_barrier(res, (0.0, 0.0), 0.8)
+        bound = plaplab.ode1d.solve_large_1d(res.nl, 2.0, 0.8).value_at(0.4)
+        rep = plaplab.asymptotics.verify_barrier(res, (0.0, 0.0), 0.8, bound)
         assert rep.passed and rep.details["bound"] > 0.0
 
 
@@ -691,6 +692,24 @@ class TestSweepAndRate:
             "level_newton_steps": list(report.level_newton_steps),
             "monotone_margin": report.monotone_margin}
         assert all(n > 0 for n in report.level_newton_steps)
+
+    def test_blowup_report_is_written_field_for_field(self, tmp_path):
+        # solve.json and sweep.json write a BlowupReport as its dataclass
+        # fields; its tuples come out as the arrays a key-by-key record of
+        # lists gives, byte for byte
+        _, report = solve_cross_large(Nonlinearity.power(2, 3),
+                                      SolverConfig(p=2.0), (-2.0, 2.0),
+                                      (10.0, 100.0, 1000.0), 9)
+        listed = {"m_values": list(report.m_values),
+                  "stage_max_change": list(report.stage_max_change),
+                  "level_newton_steps": list(report.level_newton_steps),
+                  "monotone_margin": report.monotone_margin}
+        assert {f.name for f in dataclasses.fields(report)} == set(listed)
+        plaplab.cli._write_json(dataclasses.asdict(report),
+                                tmp_path / "fields.json")
+        plaplab.cli._write_json(listed, tmp_path / "listed.json")
+        assert (tmp_path / "fields.json").read_bytes() == \
+            (tmp_path / "listed.json").read_bytes()
 
     @pytest.mark.parametrize("boundary, level", [
         ({"blowup": [10.0, 100.0]}, 100.0), ({"dirichlet": 1.0}, None)],

@@ -2,13 +2,18 @@
 exit, and the M sweep shared by the cylinder and the cross-sectional
 blow-up solves."""
 
+import ast
+import inspect
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import plaplab.minimize
+import plaplab.ode1d
+import plaplab.solver
 from plaplab import (NonConvergenceError, Nonlinearity, SolverConfig,
                      build_grid, solve_blowup, solve_cross_large,
                      solve_levels)
@@ -51,10 +56,10 @@ class _FakeSweepProblem:
     returns ``rule(M, start)`` for the level M found on the fixed nodes,
     with one stage of ``int(M)`` Newton steps, and records each start it
     is given; ``tangent`` records the solution it is asked at and returns
-    ``w`` (None: as after a solve in no Newton step)."""
+    ``w`` (None: as after a solve in no Newton step).  It has no
+    nonlinearity: the sweep does not classify one."""
 
     free = np.array([False, True, True, True, False])
-    nl = POWER23
 
     def __init__(self, rule, tol=1e-9, w=None):
         self.rule = rule
@@ -159,6 +164,40 @@ def test_level_step(m_from, m_to, expected):
     assert 0.0 < step <= m_to - m_from
     if expected is not None:
         assert step == pytest.approx(expected, rel=1e-15)
+
+
+def test_the_newton_layer_imports_no_nonlinearity():
+    # the sweep does not classify f: the Keller-Osserman refusal belongs
+    # to the entry points that build a blow-up problem
+    tree = ast.parse(inspect.getsource(plaplab.minimize))
+    imported = [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for alias in node.names]
+    assert not [m for m in imported if m and "nonlinearity" in m]
+    assert not hasattr(plaplab.minimize, "require_a1")
+
+
+@pytest.mark.parametrize("nl, p", [(Nonlinearity.power(1, 1), 2.0),
+                                   (Nonlinearity.power(2, 3), 4.0),
+                                   (Nonlinearity.zero(), 1.5)],
+                         ids=["linear", "power_at_q_plus_one", "zero"])
+@pytest.mark.parametrize("solve", ["solve_blowup", "solve_cross_large"])
+def test_blowup_entry_points_refuse_before_building_a_problem(
+        monkeypatch, solve, nl, p):
+    def no_problem(*args, **kwargs):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr(plaplab.solver._CylinderProblem, "on_half_mesh",
+                        no_problem)
+    monkeypatch.setattr(plaplab.ode1d, "_CrossProblem", no_problem)
+    cfg = SolverConfig(p=p)
+    with pytest.raises(ValueError, match="no large solution"):
+        if solve == "solve_blowup":
+            solve_blowup(build_grid(1.0, (0.0, 1.0), 9, 9), nl, cfg,
+                         (10.0, 100.0))
+        else:
+            solve_cross_large(nl, cfg, (-1.0, 1.0), (10.0, 100.0), 11)
 
 
 class _BelowResolution:
@@ -482,6 +521,9 @@ def test_a_level_solved_in_no_step_reuses_no_factor(mesh):
        c=st.floats(0.5, 4.0), q=st.floats(1.0, 5.0),
        m_list=st.lists(st.floats(-5.0, 20.0), min_size=2, max_size=5,
                        unique=True).map(sorted))
+# a level shifted up to 0 by the predictor lies flat far below eps, where
+# the line search once took 200 steps that did nothing
+@example(mesh="grid", n=6, p=1.5, c=1.0, q=2.0, m_list=[-5.0, -4.25, 0.0])
 def test_ladders_through_levels_at_most_zero_converge(mesh, n, p, c, q,
                                                       m_list):
     # f is extended by 0 below 0, so a level <= 0 solves the p-Laplace

@@ -80,8 +80,10 @@ class TestPointwise:
         nl = Nonlinearity.power(2, 3)
         with pytest.raises(ValueError):
             nl.f(-1.0)
-        with pytest.raises(ValueError):
-            nl.F(-0.5)
+        for s in (-0.5, np.array([1.0, -1e-300])):
+            with pytest.raises(ValueError, match="antiderivative is only "
+                                                 "defined for s >= 0"):
+                nl.F(s)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -151,6 +153,51 @@ class TestPointwise:
     def test_F_gap_array_rejects_a_negative_offset(self):
         with pytest.raises(ValueError, match="dx >= 0"):
             Nonlinearity.power(2, 3).F_gap(1.0, np.array([1.0, -1e-3]))
+
+
+#: points at which F, F_extended and F_gap(0, .) must agree: 0, subnormal,
+#: both sides of |s| = 1, where e^s - 1 - s changes formula, and 800,
+#: where e^s - 1 overflows
+F_POINTS = np.array([0.0, 5e-324, 1e-310, 1e-8, 0.5, np.nextafter(1.0, 0.0),
+                     1.0, 2.0, 30.0, 700.0, 800.0])
+
+
+class TestOneClosedForm:
+    @pytest.mark.parametrize("nl", [Nonlinearity.power(2, 3),
+                                    Nonlinearity.power(0.5, 0.7),
+                                    Nonlinearity.exp_minus_one(1.0),
+                                    Nonlinearity.zero()],
+                             ids=["power23", "power_sublinear", "exp",
+                                  "zero"])
+    def test_F_F_extended_and_gap_from_zero_agree_bitwise(self, nl):
+        # F is F_gap from 0: one closed form per kind, on arrays and on
+        # scalars alike
+        gap = nl.F_gap(0.0, F_POINTS)
+        for values in (nl.F(F_POINTS), nl.F_extended(F_POINTS)):
+            assert values.tobytes() == gap.tobytes()
+        for s, expected in zip(F_POINTS, gap):
+            for value in (nl.F(float(s)), nl.F_extended(float(s)),
+                          nl.F_gap(0.0, float(s))):
+                assert type(value) is float
+                assert np.float64(value).tobytes() == expected.tobytes()
+        assert gap[0] == 0.0
+        assert np.isinf(gap[-1]) == (nl.kind == "exp_minus_one")
+        assert nl.F_extended(np.array([-3.0, -5e-324])).tolist() == [0.0, 0.0]
+
+    def test_expm1_minus_on_zero_d_and_n_d_inputs(self):
+        # one array path: a 0-d input and a float read what they read in
+        # an array, on both sides of |d| = 1 where the formula changes
+        one_below = np.nextafter(1.0, 0.0)
+        d = np.array([-3.0, -1.0, -one_below, -0.5, -1e-8, 0.0, 5e-324,
+                      1e-8, 0.5, one_below, 1.0, 1.5, 3.0, 50.0, 710.0,
+                      800.0])
+        whole = plaplab.nonlinearity._expm1_minus(d)
+        for x, expected in zip(d, whole):
+            for single in (np.array(x), float(x)):
+                value = plaplab.nonlinearity._expm1_minus(single)
+                assert np.ndim(value) == 0
+                assert np.float64(value).tobytes() == expected.tobytes()
+        assert whole[-1] == math.inf
 
 
 class TestKinds:
@@ -342,6 +389,43 @@ class TestFGap:
 
 
 class TestA1:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.5])
+    def test_truth_table_at_the_keller_osserman_edge(self, p):
+        # a power passes exactly when q + 1 > p: q + 1 = p fails and the
+        # next double above p passes; e^s - 1 always passes, zero never
+        table = {p: False, np.nextafter(p, 0.0): False,
+                 np.nextafter(p, math.inf): True, p - 0.25: False,
+                 p + 0.25: True}
+        for m, verdict in table.items():
+            q = float(m) - 1.0
+            assert q + 1.0 == m
+            assert check_a1(Nonlinearity.power(1.0, q), p) is verdict
+        assert check_a1(Nonlinearity.exp_minus_one(1.0), p) is True
+        assert check_a1(Nonlinearity.zero(), p) is False
+
+    @pytest.mark.parametrize("nl, p", [(Nonlinearity.power(1.0, 1.0), 2.0),
+                                       (Nonlinearity.power(1.0, 2.0), 3.0),
+                                       (Nonlinearity.zero(), 2.0)],
+                             ids=["linear", "power_at_edge", "zero"])
+    def test_log_psi_p_asks_check_a1(self, monkeypatch, nl, p):
+        # Psi_p is infinite exactly where (A1) fails, decided by check_a1
+        # before any quadrature
+        asked = []
+
+        def recording(*args):
+            asked.append(args)
+            return check_a1(*args)
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("integrated a divergent Psi_p")
+
+        monkeypatch.setattr(plaplab.nonlinearity, "check_a1", recording)
+        monkeypatch.setattr(plaplab.nonlinearity, "integrate_to_infinity",
+                            no_quadrature)
+        monkeypatch.setattr(plaplab.nonlinearity, "panel_quad", no_quadrature)
+        assert log_psi_p(nl, p, [0.5, 2.0]).tolist() == [math.inf, math.inf]
+        assert asked == [(nl, p)]
+
     def test_verdicts(self):
         assert check_a1(Nonlinearity.power(2, 3), 2.0) is True
         assert check_a1(Nonlinearity.power(1, 1), 2.0) is False

@@ -205,6 +205,30 @@ class TestLargeSolution:
         with pytest.raises(ValueError, match="beyond the tabulated range"):
             sol.value_at(t)
 
+    @pytest.mark.parametrize("nl", [Nonlinearity.exp_minus_one(1.0),
+                                    Nonlinearity.exp_minus_one(5.0),
+                                    POWER23, Nonlinearity.power(1.0, 5.0)],
+                             ids=["exp1", "exp5", "power23", "power15"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+    def test_table_ends_before_its_own_radius(self, nl, p, r):
+        # the profile's radius is its center value's own r(a), within
+        # RADIUS_REL_TOL of the requested one; no tabulated time reaches
+        # it, so a time just past the table is beyond the tabulated range
+        # (for e^s - 1 the table can end one double short of r, its last
+        # levels all at that time, leaving no time between)
+        sol = solve_large_1d(nl, p, r)
+        assert sol.r == blowup_radius(nl, p, sol.a)
+        assert abs(sol.r - r) <= ode1d.RADIUS_REL_TOL * r
+        assert np.all(sol.t < sol.r)
+        t = float(np.nextafter(sol.t[-1], math.inf))
+        if t < sol.r:
+            with pytest.raises(ValueError,
+                               match="beyond the tabulated range"):
+                sol.value_at(t)
+        else:
+            assert sol.value_at(sol.t[-1]) <= sol.phi[-1]
+
     def test_derivative_from_first_integral(self):
         sol = solve_large_1d(POWER23, 2.0, 1.0)
         t = 0.5

@@ -47,6 +47,19 @@ class TestEnergy:
         u = GridFunction.constant(unit_square_grid(), 2.0)
         assert energy(u, POWER23, 2.0, 0.0) == pytest.approx(8.0, rel=1e-13)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_gradient_far_below_eps_keeps_its_energy(self, p):
+        # the cell term (|grad u|^2 + eps^2)^(p/2) - eps^p is below one ulp
+        # of eps^p here; as a difference it reads 0 or roundoff noise
+        eps, slope = 1e-3, 1e-12
+        u = GridFunction.from_callable(unit_square_grid(),
+                                       lambda X, Y: slope * X)
+        expected = eps ** p * math.expm1(
+            0.5 * p * math.log1p((slope / eps) ** 2)) / p
+        assert expected > 0.0
+        assert energy(u, Nonlinearity.zero(), p, eps) == pytest.approx(
+            expected, rel=1e-12, abs=0.0)
+
     def test_negative_eps_rejected(self):
         u = GridFunction.constant(unit_square_grid(), 0.0)
         with pytest.raises(ValueError):
@@ -707,7 +720,8 @@ class TestSolveBlowup:
         g = build_grid(2.0, (-2.0, 2.0), 33, 33)
         results, _ = solve_blowup(g, POWER23, SolverConfig(p=2.0),
                                   [10.0, 100.0, 1000.0])
-        report = verify_barrier(results[-1], (0.0, 0.0), 1.2)
+        bound = solve_large_1d(POWER23, 2.0, 1.2).value_at(0.6)
+        report = verify_barrier(results[-1], (0.0, 0.0), 1.2, bound)
         assert report.passed
 
     def test_centerline_approaches_cross_profile(self):
