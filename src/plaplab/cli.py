@@ -308,9 +308,9 @@ def cmd_solve(cfg, out: Path) -> int:
         "residual": res.residual,
         "iterations": [s.iterations for s in res.stages],
         "backtracks": [s.backtracks for s in res.stages],
-        "eps_schedule": list(res.diagnostics["eps_schedule"]),
+        "eps_schedule": [s.eps for s in res.stages],
         "stage_tol": [s.tol for s in res.stages],
-        "stalled_at_floor": res.diagnostics["stalled_at_floor"],
+        "roundoff_floor": res.roundoff_floor,
     })
     write_grid_function(res.solution, out / "solution.csv",
                         out / "solution.meta.json")

@@ -12,7 +12,10 @@ continuation, Allgower & Georg 2003).  A warm start from the solution of
 a nearby problem runs only the schedule's last stage, since it already
 lies in the basin the ladder exists to reach.
 Within a stage, damped Newton with Armijo backtracking is globally
-convergent because the energy is strictly convex for eps > 0.
+convergent because the energy is strictly convex for eps > 0.  A stage
+ends only with every free residual within its tol plus the roundoff
+floor, and a step is taken only by the Armijo test; anything else raises
+:class:`NonConvergenceError` with the trace.
 
 A problem carries its :class:`plaplab.solver.SolverConfig` ``cfg`` and
 solves itself by ``problem.minimize(initial)``.  Constant boundary levels
@@ -47,9 +50,6 @@ _EPS_MACH = np.finfo(float).eps
 _ROUNDOFF_FACTOR = 64.0
 _BACKTRACK = 0.5
 _SUFFICIENT_DECREASE = 1e-4
-# a Newton step below resolution ends the stage only if the residual is
-# within this multiple of the stage's tol plus the roundoff floor
-_STALL_FACTOR = 4.0
 
 
 class NonConvergenceError(ArithmeticError):
@@ -118,12 +118,15 @@ def minimize_newton(problem, u0, eps_schedule, tol, max_newton):
     A stage before the last only has to bring the iterate into the next
     stage's basin: it ends once every free residual is within max(tol,
     eps) plus its roundoff floor; the last stage ends within tol plus the
-    floor.  Returns ``(u, stages, info)``: one :class:`StageTrace` per
-    stage, and ``info``, which carries the final residual, its roundoff
-    floor and whether a stage ended on a Newton step below resolution
-    (accepted only with the residual within ``_STALL_FACTOR`` (stage tol
-    + floor)).  A non-finite residual or floor, as when f(u) overflows,
-    raises :class:`NonConvergenceError`.
+    floor.  A step is taken when it passes the Armijo test with a
+    roundoff allowance of 32 eps_mach |energy|, halving from the full
+    Newton step.  Returns ``(u, stages, info)``: one :class:`StageTrace`
+    per stage, and ``info``, which carries the final residual and its
+    roundoff floor.  Raises :class:`NonConvergenceError`, whose trace ends
+    with the failing stage, when the Newton budget is spent, the residual
+    or its floor is not finite (as when f(u) overflows), a Newton step is
+    below the resolution of every node, or the line search rejects every
+    step down to 2^-45 of the Newton step.
     """
     u = np.array(u0, dtype=float)
     free = problem.free
@@ -131,7 +134,6 @@ def minimize_newton(problem, u0, eps_schedule, tol, max_newton):
     stages = []
     resid = np.inf
     floor = 0.0
-    stalled = False
     last = len(eps_schedule) - 1
 
     def failure(message):
@@ -166,14 +168,11 @@ def minimize_newton(problem, u0, eps_schedule, tol, max_newton):
             if np.all(np.abs(step) <=
                       8.0 * _EPS_MACH * (np.abs(u[free]) + 1.0)):
                 # every Newton increment is below the double-precision
-                # resolution of its own node; the residual floor is reached
-                if resid <= _STALL_FACTOR * (stage_tol + floor):
-                    stalled = True
-                    break
+                # resolution of its own node: no step can lower the residual
                 raise failure(
                     f"Newton step below resolution at eps={eps:.3e} with "
-                    f"residual {resid:.3e} beyond {_STALL_FACTOR:g} x "
-                    f"({stage_tol:.3e} + roundoff floor {floor:.3e})")
+                    f"residual {resid:.3e} beyond tol {stage_tol:.3e} + "
+                    f"roundoff floor {floor:.3e}")
             slope = float(grad[free] @ step)
             if not np.isfinite(slope) or slope >= 0.0:
                 raise failure(f"Newton direction is not a descent direction "
@@ -181,36 +180,26 @@ def minimize_newton(problem, u0, eps_schedule, tol, max_newton):
             e0 = problem.objective(u, eps) if energy is None else energy
             allowance = 32.0 * _EPS_MACH * abs(e0)
             t = 1.0
-            energy = None
             while t >= 2.0 ** -45:
                 u_try = u.copy()
                 u_try[free] += t * step
                 e1 = problem.objective(u_try, eps)
                 if np.isfinite(e1) and \
                         e1 <= e0 + _SUFFICIENT_DECREASE * t * slope + allowance:
-                    u = u_try
-                    energy = e1
                     break
                 rejected += 1
                 t *= _BACKTRACK
-            if energy is None:
-                # energy comparison drowned in roundoff; fall back to a
-                # residual-decrease acceptance of the full step
-                u_try = u.copy()
-                u_try[free] += step
-                g_try, _ = problem.gradient(u_try, eps)
-                if np.max(np.abs(g_try[free]) / m_free) < resid:
-                    u = u_try
-                else:
-                    raise failure(
-                        f"line search stalled at eps={eps:.3e} (residual "
-                        f"{resid:.3e}, roundoff floor {floor:.3e})")
+            else:
+                raise failure(
+                    f"line search stalled at eps={eps:.3e} (residual "
+                    f"{resid:.3e}, roundoff floor {floor:.3e})")
+            u, energy = u_try, e1
             it += 1
         if energy is None:
             energy = problem.objective(u, eps)
         stages.append(StageTrace(float(eps), it, resid, float(energy),
                                  stage_tol, rejected))
-    info = {"residual": resid, "roundoff_floor": floor, "stalled": stalled}
+    info = {"residual": resid, "roundoff_floor": floor}
     return u, stages, info
 
 

@@ -324,7 +324,9 @@ def _tabulate(nl: Nonlinearity, p: float, a: float,
     d = s - a over the stored levels' own offsets, so that each time stays
     paired with its level and no node rounds the offset.  A sample whose
     summed time reaches r (by quadrature error, near the blow-up end) is
-    not kept.  Raises
+    not kept, nor one whose time does not exceed the previous sample's:
+    near r a panel falls below one ulp of the summed time, and a level
+    no time tells apart would be unreachable by :meth:`value_at`.  Raises
     :class:`QuadratureError` when even the first level's climb speed
     overflows (a center value near the largest double)."""
     lo_dec, hi_dec = LEVEL_DECADES
@@ -348,7 +350,7 @@ def _tabulate(nl: Nonlinearity, p: float, a: float,
         panel_quad(_offset_inverse_speed(nl, p, a), levels[:-1] - a,
                    levels[1:] - a)))
     times = np.concatenate(([0.0], np.cumsum(panels)))
-    inside = times < r
+    inside = (times < r) & np.concatenate(([True], np.diff(times) > 0.0))
     phi = np.concatenate(([a], levels))[inside]
     gaps = np.concatenate(([0.0], gaps_tail[keep]))[inside]
     dphi = (coeff * gaps) ** (1.0 / p)

@@ -72,7 +72,7 @@ otherwise (see :mod:`plaplab`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -126,12 +126,15 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    """Converged discrete solution with diagnostics.
+    """Converged discrete solution.
 
     Boundary nodes carry the prescribed data exactly.  ``residual`` is the
-    final area-scaled gradient max norm; it is at most ``tol`` plus the
-    roundoff floor, or four times that when the iteration stalled at the
-    double-precision floor, which is then recorded in ``diagnostics``.
+    final area-scaled gradient max norm over the free nodes and
+    ``roundoff_floor`` the largest roundoff floor among them.  A solve
+    returns only once the residual at every free node is within ``tol``
+    plus that node's floor, so ``residual <= tol + roundoff_floor``; one
+    that cannot get there raises
+    :class:`plaplab.minimize.NonConvergenceError`.
     """
 
     solution: GridFunction
@@ -141,7 +144,7 @@ class SolveResult:
     stages: tuple
     energy: float
     residual: float
-    diagnostics: dict = field(default_factory=dict)
+    roundoff_floor: float
 
     @property
     def tol(self) -> float:
@@ -534,9 +537,7 @@ def _solve_result(grid: RectGrid, problem: _CylinderProblem, mode: str,
         stages=tuple(stages),
         energy=problem.copies * problem.full_energy(u, stages[-1].eps),
         residual=info["residual"],
-        diagnostics={"roundoff_floor": info["roundoff_floor"],
-                     "stalled_at_floor": info["stalled"],
-                     "eps_schedule": tuple(s.eps for s in stages)},
+        roundoff_floor=info["roundoff_floor"],
     )
 
 

@@ -219,12 +219,16 @@ class _BelowResolution:
         return 0.0
 
 
-def test_stall_within_the_bound_is_accepted():
-    u, stages, info = minimize_newton(_BelowResolution(3e-9), np.zeros(3),
-                                      (1e-2,), 1e-9, 10)
-    assert info["stalled"]
-    assert info["residual"] == 3e-9
-    assert len(stages) == 1
+def test_stall_just_above_the_bound_raises():
+    # a solve converges only within tol plus the roundoff floor, however
+    # close above it a Newton step falls below resolution
+    with pytest.raises(NonConvergenceError,
+                       match="below resolution.*tol 1.000e-09 \\+ "
+                             "roundoff floor 0.000e\\+00") as err:
+        minimize_newton(_BelowResolution(3e-9), np.zeros(3), (1e-2,), 1e-9,
+                        10)
+    assert err.value.trace[-1].residual == 3e-9
+    assert err.value.trace[-1].iterations == 0
 
 
 def test_stall_beyond_the_bound_raises_with_trace():
@@ -260,7 +264,6 @@ def test_step_resolved_at_its_own_node_is_taken():
     problem = _SmallNodeBehind()
     u, stages, info = minimize_newton(problem, np.array([0.0, 1e6, 0, 0]),
                                       (1e-2,), 1e-14, 10)
-    assert not info["stalled"]
     assert stages[0].iterations == 1
     assert u[2] == 1e-12
 
@@ -350,7 +353,7 @@ def test_each_line_search_energy_is_computed_once(cold_solve):
 class _EnergyDrownedInRoundoff:
     """One free dof with gradient u - 1 and exact Newton steps, but an
     objective that rises towards the minimizer, so that every Armijo trial
-    fails and the residual-decrease fallback takes the full step."""
+    fails."""
 
     free = np.array([False, True, False])
     mass = np.ones(3)
@@ -363,13 +366,6 @@ class _EnergyDrownedInRoundoff:
 
     def objective(self, u, eps):
         return -float((u[1] - 1.0) ** 2)
-
-
-def test_energy_after_the_fallback_is_evaluated_afresh():
-    problem = _EnergyDrownedInRoundoff()
-    u, stages, _ = minimize_newton(problem, np.zeros(3), (1e-2,), 1e-12, 5)
-    assert u[1] == 1.0 and stages[0].iterations == 1
-    assert stages[0].objective == problem.objective(u, 1e-2) == 0.0
 
 
 class _RejectsFirstTrial:
@@ -401,10 +397,13 @@ def test_stage_counts_its_rejected_trials():
                                    (1e-1, 1e-2), 1e-12, 5)
     assert u[1] == 1.0
     assert [(s.iterations, s.backtracks) for s in stages] == [(2, 1), (0, 0)]
-    # every trial down to t = 2^-45 rejected: 46, then the fallback step
-    _, stages, _ = minimize_newton(_EnergyDrownedInRoundoff(), np.zeros(3),
-                                   (1e-2,), 1e-12, 5)
-    assert (stages[0].iterations, stages[0].backtracks) == (1, 46)
+    # every trial down to t = 2^-45 rejected: 46, and no step is taken
+    with pytest.raises(NonConvergenceError,
+                       match="line search stalled") as err:
+        minimize_newton(_EnergyDrownedInRoundoff(), np.zeros(3),
+                        (1e-2,), 1e-12, 5)
+    assert [(s.iterations, s.backtracks) for s in err.value.trace] == \
+        [(0, 46)]
 
 
 def test_backtracks_are_the_trials_beyond_one_a_step(cold_solve):
@@ -440,6 +439,27 @@ def _minimize_at(problem, M, start=None):
 
 
 MESHES = st.sampled_from(["segment", "grid"])
+
+
+@pytest.mark.parametrize("p, interior", [
+    (1.1, (1.5283, 0.4863, 0.049, 1.3165)),
+    (1.1, (1.4492, 0.362, 0.3147, 1.2655, 1.3212)),
+    (1.1, (1.2835, 1.7765, 0.7392, 1.9937, 1.6712)),
+    (1.1, (0.4798, 0.7436, 0.2555, 0.3896)),
+    (1.5, (1.2649, 0.445, 1.7538, 0.2091))])
+def test_warm_start_far_from_a_flat_solution_converges_at_small_p(
+        p, interior):
+    # one-stage warm solves of f = 0 at level 0 from rough starts on coarse
+    # segments; each once spent the 200-step budget with the residual
+    # parked near tol, when roundoff in the gradient energy let the line
+    # search take steps that did nothing
+    problem = _problem("segment", Nonlinearity.zero(), SolverConfig(p=p),
+                       len(interior) + 2)
+    u, stages, info = _minimize_at(problem, 0.0,
+                                   np.array([0.0, *interior, 0.0]))
+    assert len(stages) == 1 and stages[0].iterations <= 20
+    assert info["residual"] <= problem.cfg.tol + info["roundoff_floor"]
+    assert np.max(np.abs(u)) <= 1e-20  # the solution is 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -544,5 +564,5 @@ def test_ladders_through_levels_at_most_zero_converge(mesh, n, p, c, q,
     for M, (u, stages, info) in zip(m_list, warm_levels(problem, m_list)):
         assert stages[-1].tol == cfg.tol
         bound = cfg.tol + info["roundoff_floor"]
-        assert info["residual"] <= (4.0 if info["stalled"] else 1.0) * bound
+        assert info["residual"] <= bound
         assert np.all(u[~problem.free] == M)

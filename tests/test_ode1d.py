@@ -215,19 +215,21 @@ class TestLargeSolution:
         # the profile's radius is its center value's own r(a), within
         # RADIUS_REL_TOL of the requested one; no tabulated time reaches
         # it, so a time just past the table is beyond the tabulated range
-        # (for e^s - 1 the table can end one double short of r, its last
-        # levels all at that time, leaving no time between)
+        # (for e^s - 1 the table can end one double short of r, leaving no
+        # time between); near r the ladder's panels fall below one ulp of
+        # the summed time, and of the levels that would share a time only
+        # the first is kept, so value_at reaches the last sample
         sol = solve_large_1d(nl, p, r)
         assert sol.r == blowup_radius(nl, p, sol.a)
         assert abs(sol.r - r) <= ode1d.RADIUS_REL_TOL * r
         assert np.all(sol.t < sol.r)
+        assert np.all(np.diff(sol.t) > 0.0)
+        assert sol.value_at(sol.t[-1]) == sol.phi[-1]
         t = float(np.nextafter(sol.t[-1], math.inf))
         if t < sol.r:
             with pytest.raises(ValueError,
                                match="beyond the tabulated range"):
                 sol.value_at(t)
-        else:
-            assert sol.value_at(sol.t[-1]) <= sol.phi[-1]
 
     def test_derivative_from_first_integral(self):
         sol = solve_large_1d(POWER23, 2.0, 1.0)
