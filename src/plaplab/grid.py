@@ -7,8 +7,9 @@ per triangle and exactly reproduces affine data.  Windowed L^p norms of
 the gradient weight triangles by their exact overlap area with the
 window, which removes the O(h) staircase noise a containment threshold
 would inject into convergence-rate measurements.  The split makes that
-overlap a closed form in each cell's unit coordinates, evaluated for all
-cells at once (:func:`triangle_window_weights`).
+overlap a closed form in each cell's unit coordinates, evaluated at once
+for the block of cells that meets the window (:func:`lp_norm_gradient`),
+or for every cell of the mesh (:func:`triangle_window_weights`).
 """
 
 from __future__ import annotations
@@ -92,36 +93,48 @@ class RectGrid:
         X, Y = np.meshgrid(self.x, self.y)  # Y rows
         return X.ravel(), Y.ravel()
 
-    def triangles(self) -> np.ndarray:
-        """(n_triangles, 3) node indices; cell (i,j) yields the lower
-        triangle (n00, n10, n11) and the upper triangle (n00, n11, n01)."""
+    def lower_triangles(self) -> np.ndarray:
+        """(n_triangles // 2, 3) node indices (n00, n10, n11) of the lower
+        triangle of every cell (i, j), j-major: the first half of
+        :meth:`triangles`."""
         i = np.arange(self.nx - 1)
         j = np.arange(self.ny - 1)
         J, I = np.meshgrid(j, i, indexing="ij")
         n00 = (J * self.nx + I).ravel()
-        n10 = n00 + 1
-        n01 = n00 + self.nx
-        n11 = n01 + 1
-        lower = np.stack([n00, n10, n11], axis=1)
-        upper = np.stack([n00, n11, n01], axis=1)
+        return np.stack([n00, n00 + 1, n00 + self.nx + 1], axis=1)
+
+    def triangles(self) -> np.ndarray:
+        """(n_triangles, 3) node indices; cell (i,j) yields the lower
+        triangle (n00, n10, n11) and the upper triangle (n00, n11, n01)."""
+        lower = self.lower_triangles()
+        n00, n11 = lower[:, 0], lower[:, 2]
+        upper = np.stack([n00, n11, n11 - 1], axis=1)  # n01 = n11 - 1
         return np.concatenate([lower, upper], axis=0)
 
     def triangle_area(self) -> float:
         return 0.5 * self.hx * self.hy
 
-    def gradient_coefficients(self) -> np.ndarray:
-        """(n_triangles, 3, 2) coefficients b with grad u|_T = sum_k u_k b_k."""
+    def lower_shape(self) -> np.ndarray:
+        """(3, 2) coefficients b of the lower triangle (n00, n10, n11) of
+        every cell, grad u|_T = sum_k u_k b_k.  The upper triangle (n00,
+        n11, n01) is its half-turn about the cell centre: read with the
+        nodes (n11, n01, n00) it has the coefficients -b, so the lattice
+        holds this one shape."""
         hx, hy = self.hx, self.hy
-        b_lower = np.array([[-1.0 / hx, 0.0],
-                            [1.0 / hx, -1.0 / hy],
-                            [0.0, 1.0 / hy]])
-        b_upper = np.array([[0.0, -1.0 / hy],
-                            [1.0 / hx, 0.0],
-                            [-1.0 / hx, 1.0 / hy]])
+        return np.array([[-1.0 / hx, 0.0],
+                         [1.0 / hx, -1.0 / hy],
+                         [0.0, 1.0 / hy]])
+
+    def gradient_coefficients(self) -> np.ndarray:
+        """(n_triangles, 3, 2) coefficients b with grad u|_T = sum_k u_k b_k,
+        per triangle in :meth:`triangles` order: the whole-mesh reference
+        that the tests check the one-shape kernels against."""
+        shape = self.lower_shape()
         half = (self.nx - 1) * (self.ny - 1)
         out = np.empty((2 * half, 3, 2))
-        out[:half] = b_lower
-        out[half:] = b_upper
+        out[:half] = shape
+        # (n00, n11, n01) is the half-turned shape's (n11, n01, n00)
+        out[half:] = -shape[[2, 0, 1]]
         return out
 
     def lumped_mass(self) -> np.ndarray:
@@ -225,7 +238,8 @@ def require_window_inside(grid: RectGrid, w: Window):
 
 
 def gradient_per_cell(u: GridFunction) -> np.ndarray:
-    """Constant gradient of the affine interpolant, per triangle (T, 2)."""
+    """Constant gradient of the affine interpolant, per triangle (T, 2),
+    over the whole mesh in :meth:`RectGrid.triangles` order."""
     grid = u.grid
     tri = grid.triangles()
     b = grid.gradient_coefficients()
@@ -244,19 +258,17 @@ def _unit_span(nodes: np.ndarray, lo: float, hi: float):
             (np.clip(hi, left, right) - left) / width)
 
 
-def triangle_window_weights(grid: RectGrid, w: Window) -> np.ndarray:
-    """Overlap area with the window, per triangle, in ``triangles()`` order.
+def _overlap_areas(grid: RectGrid, u0, u1, v0, v1):
+    """Overlap areas with the window of the lower and of the upper
+    triangles of the cells (rows x columns) whose unit spans are (u0, u1)
+    across and (v0, v1) up (:func:`_unit_span`).
 
-    Relies on that order (every lower triangle, j-major, then every upper
-    one) and on the southwest-northeast split: in the unit coordinates
-    (u, v) of a cell the lower triangle is v <= u.  With the window clipped
-    to the cell as [u0, u1] x [v0, v1], the lower overlap is
-    hx hy (R(u1 - v0) - R(u0 - v0)), where R(t) = int_0^t clip(s, 0, v1 - v0)
-    ds = c (t - c/2) with c = clip(t, 0, v1 - v0); the upper overlap is the
-    rest of the clipped rectangle.
+    In the unit coordinates (u, v) of a cell the lower triangle is v <= u.
+    With the window clipped to the cell as [u0, u1] x [v0, v1], the lower
+    overlap is hx hy (R(u1 - v0) - R(u0 - v0)), where R(t) = int_0^t
+    clip(s, 0, v1 - v0) ds = c (t - c/2) with c = clip(t, 0, v1 - v0);
+    the upper overlap is the rest of the clipped rectangle.
     """
-    u0, u1 = _unit_span(grid.x, w.x_lo, w.x_hi)
-    v0, v1 = _unit_span(grid.y, w.y_lo, w.y_hi)
     v0, v1 = v0[:, None], v1[:, None]
     span = v1 - v0
 
@@ -269,16 +281,51 @@ def triangle_window_weights(grid: RectGrid, w: Window) -> np.ndarray:
     # where the window misses the upper triangle, rounding can leave the
     # difference an ulp below zero
     upper = np.maximum(cell * ((u1 - u0) * span) - lower, 0.0)
+    return lower, upper
+
+
+def triangle_window_weights(grid: RectGrid, w: Window) -> np.ndarray:
+    """Overlap area with the window, per triangle, in ``triangles()`` order
+    (every lower triangle, j-major, then every upper one), over the whole
+    mesh: the tests' reference for :func:`lp_norm_gradient`."""
+    u0, u1 = _unit_span(grid.x, w.x_lo, w.x_hi)
+    v0, v1 = _unit_span(grid.y, w.y_lo, w.y_hi)
+    lower, upper = _overlap_areas(grid, u0, u1, v0, v1)
     return np.concatenate([lower.ravel(), upper.ravel()])
 
 
+def _meeting(start, end) -> slice:
+    """The cells whose unit spans (start, end) are not empty: one run,
+    since the window is an interval."""
+    met = np.flatnonzero(end > start)
+    return slice(met[0], met[-1] + 1) if met.size else slice(0, 0)
+
+
 def lp_norm_gradient(u: GridFunction, p: float, w: Window) -> float:
-    """|| grad u ||_{L^p(w)} with exact partial-cell area weighting."""
-    require_window_inside(u.grid, w)
-    weights = triangle_window_weights(u.grid, w)
-    g = gradient_per_cell(u)
-    mag = np.hypot(g[:, 0], g[:, 1])
-    return float(np.sum(weights * mag ** p) ** (1.0 / p))
+    """|| grad u ||_{L^p(w)} with exact partial-cell area weighting.
+
+    Only the block of cells that meets the window is read: every triangle
+    outside it weighs exactly 0.  On the block the weights are those of
+    :func:`triangle_window_weights` and the gradients those of
+    :func:`gradient_per_cell`, each upper triangle (n00, n11, n01) read
+    as the lower shape turned by a half-turn, with the nodes (n11, n01,
+    n00), which flips the sign of its gradient and leaves its magnitude.
+    """
+    grid = u.grid
+    require_window_inside(grid, w)
+    u0, u1 = _unit_span(grid.x, w.x_lo, w.x_hi)
+    v0, v1 = _unit_span(grid.y, w.y_lo, w.y_hi)
+    cols, rows = _meeting(u0, u1), _meeting(v0, v1)
+    areas = _overlap_areas(grid, u0[cols], u1[cols], v0[rows], v1[rows])
+    vals = u.as_rows()[rows.start:rows.stop + 1, cols.start:cols.stop + 1]
+    n00, n10 = vals[:-1, :-1], vals[:-1, 1:]
+    n01, n11 = vals[1:, :-1], vals[1:, 1:]
+    shape = grid.lower_shape()
+    total = 0.0
+    for area, nodes in zip(areas, ((n00, n10, n11), (n11, n01, n00))):
+        g = np.einsum("kij,kd->dij", np.stack(nodes), shape)
+        total += np.sum(area * np.hypot(g[0], g[1]) ** p)
+    return float(total ** (1.0 / p))
 
 
 def window_node_mask(grid: RectGrid, w: Window) -> np.ndarray:

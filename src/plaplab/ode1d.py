@@ -387,11 +387,11 @@ class _CrossProblem(_CylinderProblem):
         n = len(y)
         h = float(y[1] - y[0])
         cells = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
-        b = np.broadcast_to([[-1.0 / h], [1.0 / h]], (n - 1, 2, 1))
         free = np.ones(n, dtype=bool)
         free[0] = free[-1] = False
         boundary = np.r_[g0, np.zeros(n - 2), g1]
-        super().__init__(cells, b, h, free, nl, cfg, boundary, h)
+        super().__init__(cells, [[-1.0 / h], [1.0 / h]], h, free, nl, cfg,
+                         boundary, h)
 
 
 def _segment(interval, n_nodes: int) -> np.ndarray:

@@ -24,13 +24,22 @@ solution is deterministic given the grid.  One :class:`SolverConfig`
 (p, tol, max_newton) is all the settings of a solve, of the cylinder's
 and of the cross-section's (:mod:`plaplab.ode1d`) alike.
 
-The per-cell data are stored slot-major, the cells along the last,
-contiguous axis: node ids (nodes x cells) and gradient coefficients
-(dim x nodes x cells), so every kernel sums over the short node and dim
-axes one contiguous row at a time.  The Hessian is computed only at the
-node pairs k <= l of each cell, the entries a symmetric band stores (6
-per triangle, not 9); each pair has one precomputed slot in the lower
-band, and one ``np.bincount`` per Newton step scatters them.
+Every cell of a mesh has one shape.  On the lattice each upper
+triangle (n00, n11, n01) is the lower one (n00, n10, n11) turned by a
+half-turn about the cell centre: read with the nodes (n11, n01, n00) its
+gradient coefficients are the lower triangle's negated, which flips the
+sign of grad u and leaves |grad u|^2, every b_k . b_l and every |b_k|
+unchanged.  The per-cell data are stored slot-major, the cells along the
+last, contiguous axis: node ids (nodes x cells), and the one shape's
+gradient coefficients (dim x nodes x 1) broadcast over the cells, so
+every kernel sums over the short node and dim axes one contiguous row at
+a time.  The Hessian is computed only at the node pairs k <= l of each
+cell, the entries a symmetric band stores (6 per triangle, not 9); each
+pair has one precomputed slot in the lower band, and one ``np.bincount``
+per Newton step scatters them.  Each cell quantity of a Newton iterate
+is computed once: the objective of the accepted line-search trial hands
+its cell gradients to the gradient at that iterate, and the gradient
+hands them with its cell weights to the Hessian of the Newton step.
 
 Boundary blow-up is approximated by an increasing sweep of constant
 Dirichlet levels M (the monotone-limit construction): every level is the
@@ -165,10 +174,10 @@ class SolveResult:
 
 def _contract(x, coef):
     """``sum_i x[i] * coef[i]`` over the short leading axis of ``x``, whose
-    rows run over the cells (as do the last axes of ``coef``): one
-    multiply-add of contiguous rows per term, where a numpy reduction or
-    an ``einsum`` over a short last axis of cells-first arrays is several
-    times slower."""
+    rows run over the cells (as do the last axes of ``coef``, or broadcast
+    from length 1 over them): one multiply-add of contiguous rows per
+    term, where a numpy reduction or an ``einsum`` over a short last axis
+    of cells-first arrays is several times slower."""
     out = x[0] * coef[0]
     for xi, ci in zip(x[1:], coef[1:]):
         out += xi * ci
@@ -176,18 +185,22 @@ def _contract(x, coef):
 
 
 class _CylinderProblem:
-    """Regularized p-energy of P1 elements on a uniform simplex mesh:
-    ``cells`` (cells x nodes), gradient coefficients ``b`` (cells x nodes
-    x dim, grad u|_T = sum_k u_k b_k), one cell ``measure``, the ``free``
-    node mask, the :class:`SolverConfig` ``cfg`` of every solve on it and
-    the cell size ``h`` that sets the eps ladder.  The fixed nodes take
-    their values from ``boundary_values``, which a caller may reset
-    between solves.  :meth:`on_grid` builds the cylinder problem.
+    """Regularized p-energy of P1 elements on a mesh of cells of one
+    shape: ``cells`` (cells x nodes), the gradient coefficients ``shape``
+    (nodes x dim, grad u|_T = sum_k u_k b_k) that every cell's nodes take
+    in that order, one cell ``measure``, the ``free`` node mask, the
+    :class:`SolverConfig` ``cfg`` of every solve on it and the cell size
+    ``h`` that sets the eps ladder.  The fixed nodes take their values
+    from ``boundary_values``, which a caller may reset between solves.
+    :meth:`on_grid` builds the cylinder problem.
 
     The mesh is kept slot-major: the node ids ``nodes`` (nodes x cells),
-    the gradient coefficients ``b`` and their absolute values (dim x
-    nodes x cells), and the products b_k . b_l of the node pairs k <= l
-    in ``_pairs`` (pairs x cells).
+    and with a cell axis of length 1, broadcast over the cells, the
+    gradient coefficients ``b`` and their absolute values (dim x nodes x
+    1) and the products b_k . b_l of the node pairs k <= l in ``_pairs``
+    (pairs x 1).  A lattice's upper triangles enter with their nodes
+    turned by a half-turn (see :meth:`on_grid`), so the one shape serves
+    both kinds.
 
     The Newton system is solved by banded Cholesky with the free dofs in
     the node order ``band_order`` (default: the natural order), which
@@ -197,7 +210,7 @@ class _CylinderProblem:
     the half mesh of :meth:`on_half_mesh`, whose energy is then half the
     grid's (``copies`` = 2); by default each node is its own dof."""
 
-    def __init__(self, cells, b, measure, free, nl: Nonlinearity, cfg,
+    def __init__(self, cells, shape, measure, free, nl: Nonlinearity, cfg,
                  boundary_values: np.ndarray, h: float, band_order=None,
                  lift=None):
         self.nl = nl
@@ -205,12 +218,11 @@ class _CylinderProblem:
         self.h = h
         self.measure = measure
         self.nodes = np.ascontiguousarray(np.transpose(cells))
-        self.b = np.ascontiguousarray(np.transpose(b, (2, 1, 0)))
+        # the one cell shape, its cell axis of length 1 broadcast over
+        # the cells by every kernel
+        self.b = np.transpose(shape)[:, :, None].copy()
         self._abs_b = np.abs(self.b)
         self._pairs = np.triu_indices(len(self.nodes))
-        # pair by pair: a fancy index over all pairs at once copies the
-        # coefficients twice over, which makes set-up rather than a
-        # Newton step the memory peak of a solve
         self._pair_dots = np.array([_contract(self.b[:, k], self.b[:, l])
                                     for k, l in zip(*self._pairs)])
         n = len(free)
@@ -223,6 +235,9 @@ class _CylinderProblem:
         self._band_layout(free, band_order)
         # Cholesky band of the current solve's most recent Newton step
         self._factor = None
+        # cell quantities of one iterate, handed from one kernel to the
+        # next (see _hand_on)
+        self._handoff = None
         # the dof of every node of the whole mesh, and how many copies of
         # this problem's energy the whole mesh's is
         self.lift = np.arange(n) if lift is None else lift
@@ -273,9 +288,14 @@ class _CylinderProblem:
         # length (column by column); a taller lattice keeps its row order
         band_order = None if grid.nx < grid.ny else \
             np.arange(grid.n_nodes).reshape(grid.ny, grid.nx).T.ravel()
-        return cls(grid.triangles(), grid.gradient_coefficients(),
-                   grid.triangle_area(), grid.interior_mask(), nl, cfg,
-                   boundary_values, min(grid.hx, grid.hy), band_order)
+        # each upper triangle (n00, n11, n01) enters as the half-turned
+        # lower shape, with the nodes (n11, n01, n00)
+        cells = grid.triangles()
+        upper = cells[grid.n_triangles // 2:]
+        upper[:] = upper[:, [1, 2, 0]]
+        return cls(cells, grid.lower_shape(), grid.triangle_area(),
+                   grid.interior_mask(), nl, cfg, boundary_values,
+                   min(grid.hx, grid.hy), band_order)
 
     @classmethod
     def on_half_mesh(cls, grid: RectGrid, nl: Nonlinearity,
@@ -297,7 +317,6 @@ class _CylinderProblem:
         the dofs."""
         n = grid.n_nodes
         lift = np.minimum(np.arange(n), np.arange(n)[::-1])
-        half = grid.n_triangles // 2  # the lower triangles come first
         lines = np.arange(n).reshape(grid.ny, grid.nx)
         if grid.nx >= grid.ny:
             lines = lines.T
@@ -305,9 +324,8 @@ class _CylinderProblem:
         order = lift[lines[:(len(lines) + 1) // 2].ravel()]
         _, first = np.unique(order, return_index=True)
         kept = (n + 1) // 2
-        return cls(lift[grid.triangles()[:half]],
-                   grid.gradient_coefficients()[:half], grid.triangle_area(),
-                   grid.interior_mask()[:kept], nl, cfg,
+        return cls(lift[grid.lower_triangles()], grid.lower_shape(),
+                   grid.triangle_area(), grid.interior_mask()[:kept], nl, cfg,
                    boundary_values[:kept].copy(), min(grid.hx, grid.hy),
                    order[np.sort(first)], lift)
 
@@ -316,21 +334,42 @@ class _CylinderProblem:
         out[~self.free] = self.boundary_values[~self.free]
         return out
 
-    def _cell_gradients(self, u, eps):
-        """Per-cell gradients (dim x cells) and their regularized squares
-        |grad u|^2 + eps^2."""
-        gu = _contract(u[self.nodes], self.b.transpose(1, 0, 2))
-        g2e = _contract(gu, gu)
-        g2e += eps * eps
-        return gu, g2e
+    def _cell_pass(self, u):
+        """The values of ``u`` at the nodes of every cell (nodes x cells),
+        the cell gradients (dim x cells) and their squares |grad u|^2."""
+        ug = u[self.nodes]
+        gu = _contract(ug, self.b.transpose(1, 0, 2))
+        return ug, gu, _contract(gu, gu)
 
-    def _gradient_energy(self, u, eps):
+    def _hand_on(self, to, u, eps, cells):
+        """Keep the cell quantities ``cells`` of the iterate ``u`` (and
+        ``eps``) for the next call of the kernel ``to`` at it.  The one
+        slot holds one hand-off, the last made."""
+        self._handoff = (to, u.copy(), eps, cells)
+
+    def _take(self, to, u, eps):
+        """The cell quantities handed on to the kernel ``to`` at an
+        iterate equal to ``u`` and at ``eps``, else None.  The slot is
+        emptied either way, so a hand-off serves at most once."""
+        handoff, self._handoff = self._handoff, None
+        if handoff is not None and handoff[0] == to and handoff[2] == eps \
+                and np.array_equal(handoff[1], u):
+            return handoff[3]
+        return None
+
+    def _cell_weights(self, g2e):
+        """measure |grad u|_eps^(p - 2) per cell, from the regularized
+        squares ``g2e`` (0 on a cell where they are 0, as at eps = 0)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.where(g2e > 0.0, g2e ** (0.5 * self.cfg.p - 1.0), 0.0)
+        w *= self.measure
+        return w
+
+    def _gradient_energy(self, g2, eps):
         # (|grad u|^2 + eps^2)^(p/2) - eps^p per cell, written without the
         # difference: where the gradient is far below eps, the difference
         # is roundoff of eps^p, which buries the energy decrease of a
         # Newton step and lets the line search take steps that do nothing
-        gu = _contract(u[self.nodes], self.b.transpose(1, 0, 2))
-        g2 = _contract(gu, gu)
         p = self.cfg.p
         eps2 = eps * eps
         if eps2 == 0.0:
@@ -342,7 +381,7 @@ class _CylinderProblem:
 
     def full_energy(self, u, eps):
         """Spec energy: gradient term plus lumped F over all nodes."""
-        return float(self._gradient_energy(u, eps)
+        return float(self._gradient_energy(self._cell_pass(u)[2], eps)
                      + np.sum(self.mass * self.nl.F_extended(u)))
 
     def objective(self, u, eps):
@@ -350,29 +389,35 @@ class _CylinderProblem:
 
         They are constant along the iteration but can dominate the energy
         by many orders of magnitude under blow-up boundary data, drowning
-        the Armijo comparison in roundoff.
+        the Armijo comparison in roundoff.  The cell pass is handed on to
+        the gradient at ``u`` at any eps: an accepted line-search trial is
+        the next iterate.
         """
+        cells = self._cell_pass(u)
+        self._hand_on("gradient", u, None, cells)
         f_term = np.sum(self.mass[self.free]
                         * self.nl.F_extended(u[self.free]))
-        return float(self._gradient_energy(u, eps) + f_term)
+        return float(self._gradient_energy(cells[2], eps) + f_term)
 
     def gradient(self, u, eps):
+        """The energy gradient at ``u`` and the roundoff scale of each
+        entry.  Its cell gradients and weights are handed on to the
+        Hessian of the Newton step at ``u`` and ``eps``."""
         # the factor of the last Newton step stays alive through this call,
         # so the per-cell temporaries are few: each node term is scaled in
         # place and freed once scattered
-        gu, g2e = self._cell_gradients(u, eps)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(g2e > 0.0, g2e ** (0.5 * self.cfg.p - 1.0), 0.0)
-        del g2e
-        w *= self.measure
+        cells = self._take("gradient", u, None)
+        ug, gu, g2e = self._cell_pass(u) if cells is None else cells
+        g2e += eps * eps
+        w = self._cell_weights(g2e)
         g = self._scatter(_contract(gu, self.b), w)
-        del gu
         # roundoff scale of each entry: its summands, with every cell
         # gradient bounded by sum_k |u_k| |b_k|, since that sum cancels
         # where u is large and nearly flat
-        gabs = _contract(np.abs(u)[self.nodes],
-                         self._abs_b.transpose(1, 0, 2))
+        gabs = _contract(np.abs(ug), self._abs_b.transpose(1, 0, 2))
+        del ug
         scale = self._scatter(_contract(gabs, self._abs_b), w)
+        self._hand_on("hessian", u, eps, (gu, g2e, w))
         fvals = self.mass * self.nl.f_extended(u)
         scale += np.abs(fvals)
         g += fvals
@@ -388,12 +433,18 @@ class _CylinderProblem:
 
     def _hessian_blocks(self, u, eps):
         """Hessian entries of the gradient term at every node pair k <= l
-        of every cell (pairs x cells, pairs in ``_pairs`` order).  A
-        function of its own so that the per-cell temporaries are freed
-        before the band is allocated, which keeps them out of the peak
-        memory of a Newton step."""
-        gu, g2e = self._cell_gradients(u, eps)
-        w = self.measure * g2e ** (0.5 * self.cfg.p - 1.0)
+        of every cell (pairs x cells, pairs in ``_pairs`` order), from the
+        cell quantities the gradient at ``u`` and ``eps`` handed on, or
+        afresh.  A function of its own so that the per-cell temporaries,
+        the hand-off's included, are freed before the band is allocated,
+        which keeps them out of the peak memory of a Newton step."""
+        cells = self._take("hessian", u, eps)
+        if cells is None:
+            _, gu, g2e = self._cell_pass(u)
+            g2e += eps * eps
+            w = self._cell_weights(g2e)
+        else:
+            gu, g2e, w = cells
         # measure * (p - 2) |g|_eps^(p - 4): the rank-one weight along
         # grad u, from the pow already taken
         wt = (self.cfg.p - 2.0) * w / g2e

@@ -79,6 +79,30 @@ class TestGradients:
         assert np.max(np.abs(gu[:, 0] - 2.0 * centers)) <= h
 
 
+@st.composite
+def windowed_fields(draw):
+    """A random field on a grid of 4 to 33 nodes across, cells of aspect
+    hx / hy in [1, 4], p in [1.1, 4], and a window one cell inside the
+    grid whose edges lie on node lines or between them.  (Three nodes
+    across leave no room for a window.)"""
+    ny, nx = draw(st.integers(4, 33)), draw(st.integers(4, 40))
+    hy = 2.0 / (ny - 1)
+    g = build_grid(0.5 * (nx - 1) * draw(st.floats(1.0, 4.0)) * hy,
+                   (-1.0, 1.0), nx, ny)
+
+    def edges(nodes):
+        inner = nodes[1:-1]
+        edge = st.one_of(st.sampled_from(list(inner)),
+                         st.floats(inner[0], inner[-1]))
+        lo, hi = sorted(draw(st.tuples(edge, edge)))
+        assume(hi > lo)
+        return lo, hi
+
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return (GridFunction(g, rng.standard_normal(g.n_nodes)),
+            draw(st.floats(1.1, 4.0)), Window(*edges(g.x), *edges(g.y)))
+
+
 class TestLpNorms:
     def test_constant_integrand(self):
         g = build_grid(2.0, (0.0, 1.0), 33, 17)
@@ -129,6 +153,18 @@ class TestLpNorms:
         u = GridFunction.constant(g, 0.0)
         with pytest.raises(ValueError, match="one cell"):
             lp_norm_gradient(u, 2.0, Window(-0.99, 0.5, 0.2, 0.8))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=windowed_fields())
+    def test_block_matches_the_whole_mesh(self, case):
+        # the norm reads only the cells that meet the window; weighting
+        # every triangle of the mesh gives it to the order of the sums
+        u, p, w = case
+        mag = np.hypot(*gradient_per_cell(u).T)
+        whole = np.sum(triangle_window_weights(u.grid, w) * mag ** p) ** (
+            1.0 / p)
+        assert abs(lp_norm_gradient(u, p, w) - whole) <= (
+            4.0 * np.finfo(float).eps * whole)
 
 
 def cell_weights(g, w):

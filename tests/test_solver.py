@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
@@ -229,10 +230,12 @@ class TestBandedNewtonSolve:
 
     def test_newton_step_memory_stays_lean(self):
         # tracemalloc peak of building a 257 x 33 problem and taking one
-        # Newton step: 7.22 MB with node-pair Hessian entries, 8.87 MB
-        # with per-cell 3 x 3 blocks.  A band buffer and a compact slot
-        # map kept on the problem read 9.56 MB, within 10 % of the
-        # latter, so the bound is 10 % over the former
+        # Newton step: 4.92 MB with one cell shape and the gradient's
+        # cell quantities handed to the Hessian, 7.28 MB with per-cell
+        # coefficient arrays (b, |b| and the b_k . b_l, 18 numbers a
+        # cell) and 8.87 MB with per-cell 3 x 3 Hessian blocks.  The bound
+        # is 10 % over the first, so that per-cell coefficients, or a
+        # hand-off kept alive into the band's assembly, would break it
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
@@ -247,7 +250,7 @@ class TestBandedNewtonSolve:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - start <= 1.10 * 7.22e6
+        assert peak - start <= 1.10 * 4.92e6
 
     def test_indefinite_hessian_is_numerical_failure(self):
         g = unit_square_grid()
@@ -380,6 +383,71 @@ class TestKernelProperties:
         fvals = problem.mass * problem.nl.f_extended(u)
         assert np.all(np.abs(grad - fvals) + np.abs(fvals)
                       <= scale * (1.0 + 1e-12))
+
+
+MESHES = {
+    "grid": lambda: _CylinderProblem.on_grid(
+        build_grid(1.0, (0.0, 1.0), 9, 6), POWER23, SolverConfig(p=1.5),
+        np.linspace(1.0, 2.0, 54)),
+    "half": lambda: _CylinderProblem.on_half_mesh(
+        build_grid(1.0, (0.0, 1.0), 9, 6), POWER23, SolverConfig(p=1.5),
+        np.full(54, 2.0)),
+    "segment": lambda: _CrossProblem(POWER23, SolverConfig(p=1.5),
+                                     np.linspace(0.0, 1.0, 12), 2.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("mesh", sorted(MESHES))
+class TestCellPasses:
+    def test_coefficients_have_one_cell_shape(self, mesh):
+        # every float array a problem holds with more than one axis has a
+        # cell axis of length 1: the one shape, broadcast over the cells
+        problem = MESHES[mesh]()
+        held = {name: value for name, value in vars(problem).items()
+                if isinstance(value, np.ndarray) and value.ndim > 1
+                and value.dtype.kind == "f"}
+        assert {"b", "_abs_b", "_pair_dots"} <= set(held)
+        assert all(value.shape[-1] == 1 for value in held.values())
+
+    def test_an_iterate_written_in_place_gets_no_stale_hand_off(self, mesh):
+        # the objective's cell pass and the gradient's cell weights are
+        # handed on only at an equal iterate
+        problem = MESHES[mesh]()
+        u = problem.with_boundary(
+            1.0 + np.random.default_rng(3).random(len(problem.free)))
+        first, last = problem.free_idx[0], problem.free_idx[-1]
+        problem.objective(u, 1e-2)
+        u[first] += 0.5
+        grad, scale = problem.gradient(u, 1e-2)
+        fresh_grad, fresh_scale = MESHES[mesh]().gradient(u, 1e-2)
+        assert np.array_equal(grad, fresh_grad)
+        assert np.array_equal(scale, fresh_scale)
+        u[last] -= 0.25
+        assert np.array_equal(problem.newton_step(u, 1e-2, grad),
+                              MESHES[mesh]().newton_step(u, 1e-2, grad))
+
+    def test_a_solve_makes_one_cell_pass_per_objective_and_stage(
+            self, mesh, monkeypatch):
+        # each gradient but a stage's first takes the cell pass of the
+        # accepted trial's objective, and each Hessian the gradient's
+        passes, objectives = [], []
+        cell_pass = _CylinderProblem._cell_pass
+        objective = _CylinderProblem.objective
+
+        def counted_pass(self, u):
+            passes.append(1)
+            return cell_pass(self, u)
+
+        def counted_objective(self, u, eps):
+            objectives.append(1)
+            return objective(self, u, eps)
+
+        monkeypatch.setattr(_CylinderProblem, "_cell_pass", counted_pass)
+        monkeypatch.setattr(_CylinderProblem, "objective", counted_objective)
+        problem = MESHES[mesh]()
+        _, stages, _ = problem.minimize()
+        assert sum(s.iterations for s in stages) > len(stages)
+        assert len(passes) <= len(objectives) + len(stages)
 
 
 class TestBoundaryArray:
@@ -756,6 +824,10 @@ class TestHalfMesh:
     @given(case=half_turn_cases(),
            exponents=st.lists(st.floats(0.0, 3.0), min_size=2, max_size=3,
                               unique=True))
+    # cells of aspect 10 near p = 1.2: the discrete comparison principle
+    # fails, and both meshes' sweeps lose monotonicity at M = 100
+    @example(case=(build_grid(2.0, (-1.0, 1.0), 3, 11),
+                   SolverConfig(p=1.21875)), exponents=[1.0, 2.0])
     def test_sweeps_take_the_whole_meshs_steps_to_its_values(self, case,
                                                              exponents):
         g, cfg = case
@@ -763,12 +835,20 @@ class TestHalfMesh:
         assume(all(b > a for a, b in zip(m_list, m_list[1:])))
         nl = Nonlinearity.power(2, 4)
         full = _CylinderProblem.on_grid(g, nl, cfg, np.zeros(g.n_nodes))
-        levels, report = sweep_levels(full, m_list, full.free)
-        results, half_report = solve_blowup(g, nl, cfg, m_list)
-        assert half_report.level_newton_steps == report.level_newton_steps
-        for M, (u, _, _), res in zip(m_list, levels, results):
-            assert np.max(np.abs(res.solution.values - u)) <= (
-                10.0 * cfg.tol * max(1.0, M))
+        try:
+            levels, report = sweep_levels(full, m_list, full.free)
+        except NonConvergenceError as exc:
+            # the half mesh's sweep stops where the whole mesh's does
+            with pytest.raises(NonConvergenceError,
+                               match=re.escape(str(exc))):
+                solve_blowup(g, nl, cfg, m_list)
+        else:
+            results, half_report = solve_blowup(g, nl, cfg, m_list)
+            assert half_report.level_newton_steps == \
+                report.level_newton_steps
+            for M, (u, _, _), res in zip(m_list, levels, results):
+                assert np.max(np.abs(res.solution.values - u)) <= (
+                    10.0 * cfg.tol * max(1.0, M))
         for M, (u, stages, _), res in zip(
                 m_list, warm_levels(full, m_list),
                 solve_levels(g, nl, cfg, m_list)):
